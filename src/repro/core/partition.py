@@ -136,10 +136,14 @@ def pair_score(left: CanonicalRecord, right: CanonicalRecord) -> float:
     """Similarity of a candidate record pair, in [0, 1].
 
     A fixed blend of token-sort and Monge-Elkan name similarity, weighted
-    with year agreement when both records carry a year.  Pure function of
-    the two records — the same pair scores identically whether it is
-    scored inside a partition or in the exchange phase, which is what
-    makes the match set partition-count-invariant.
+    with year agreement when both records carry a year (a year that is not
+    a number agrees with nothing: it scores 0.0 here and is rejected as a
+    claim by :func:`clean_reason`).  Pure function of the two records — the
+    same pair gives the same float whether it is scored inside a partition,
+    in the exchange phase, or by the streamer, which is what makes the
+    match set partition-count-invariant, and also what makes the memos
+    under it (:mod:`repro.ml.similarity`) safe: a hit returns exactly what
+    a miss would compute.
     """
     if left.entity_class != right.entity_class:
         return 0.0
@@ -152,7 +156,7 @@ def pair_score(left: CanonicalRecord, right: CanonicalRecord) -> float:
         right_year = right.fields.get(attribute)
         if left_year is not None and right_year is not None:
             return 0.75 * name_sim + 0.25 * numeric_similarity(
-                float(left_year), float(right_year)  # type: ignore[arg-type]
+                left_year, right_year  # type: ignore[arg-type]
             )
     return name_sim
 

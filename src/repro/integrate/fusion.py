@@ -203,6 +203,9 @@ def _accu_item_posterior(
     Module-level (not a method) so process-mode :func:`pmap` can pickle it.
     """
     candidate_values = sorted({claim.value for claim in item_claims}, key=str)
+    if len(candidate_values) == 1:
+        # exp(s - s) / exp(s - s): exactly 1.0 whatever the sources' trust.
+        return {candidate_values[0]: 1.0}
     log_scores = {}
     # math.log/math.exp, not np.log/np.exp: these are scalar calls in the
     # EM hot loop, and the numpy ufunc dispatch costs ~2x per call for the

@@ -4,13 +4,24 @@ These are the attribute-wise similarity *features* behind the random-forest
 entity-linkage models of Sec. 2.2 / Fig. 2: each candidate entity pair is
 described by one similarity score per shared attribute, and a tree ensemble
 learns the decision surface over those scores.
+
+They are also the scoring kernel under
+:func:`repro.core.partition.pair_score`, the cost centre of every build, so
+the three hot pieces are built for that call pattern without changing a
+single returned float: :func:`levenshtein` is the exact bit-parallel
+(Myers/Hyyrö) algorithm, :func:`name_forms` tokenizes and token-sorts each
+distinct name once, and :func:`jaro_winkler` is memoized on its *ordered*
+arguments.  Both memos are fixed-size ``functools.lru_cache`` wrappers on
+pure string functions, so a hit returns the very float a miss would compute
+(DESIGN.md §7).
 """
 
 from __future__ import annotations
 
 import math
 import re
-from typing import Iterable, Optional, Sequence
+from functools import lru_cache
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 _TOKEN_PATTERN = re.compile(r"[a-z0-9]+")
 
@@ -20,31 +31,58 @@ def tokenize(text: str) -> list:
     return _TOKEN_PATTERN.findall(text.lower())
 
 
+@lru_cache(maxsize=4096)
+def name_forms(text: str) -> Tuple[Tuple[str, ...], str]:
+    """``(tokens, token-sorted string)`` of a name, computed once per name.
+
+    Linkage scores every record against many candidates, so the same name
+    is compared again and again; its forms are a pure function of the
+    string and are shared by :func:`token_sort_similarity` and
+    :func:`monge_elkan`.  (Blocking sees each name once and needs no sorted
+    form, so it stays on :func:`tokenize`.)
+    """
+    tokens = tuple(tokenize(text))
+    return tokens, " ".join(sorted(tokens))
+
+
 def levenshtein(left: str, right: str) -> int:
-    """Classic edit distance (insert/delete/substitute, unit costs)."""
+    """Exact edit distance (insert/delete/substitute, unit costs).
+
+    Bit-parallel (Myers 1999, in Hyyrö's 2003 edit-distance form): one
+    column of the DP matrix is held as its vertical differences — bit ``i``
+    of ``plus``/``minus`` says whether cell ``i+1`` is one more/one less
+    than cell ``i`` — and a whole column is advanced with a dozen integer
+    operations instead of one ``min`` per cell.  Python's ints are
+    unbounded, so there is no 64-character block case; the result is the
+    same integer the row-by-row DP gives (``tests/oracles.py`` keeps that
+    DP as the reference).
+    """
     if left == right:
         return 0
-    if not left:
-        return len(right)
+    # The longer string becomes the bit-vector, the loop runs over the
+    # shorter one: fewer Python-level iterations for the same matrix.
+    if len(left) < len(right):
+        left, right = right, left
     if not right:
         return len(left)
-    # Keep the shorter string in the inner dimension for memory locality.
-    if len(right) < len(left):
-        left, right = right, left
-    previous = list(range(len(left) + 1))
-    for row, right_char in enumerate(right, start=1):
-        current = [row]
-        for col, left_char in enumerate(left, start=1):
-            substitution_cost = 0 if left_char == right_char else 1
-            current.append(
-                min(
-                    previous[col] + 1,  # deletion
-                    current[col - 1] + 1,  # insertion
-                    previous[col - 1] + substitution_cost,
-                )
-            )
-        previous = current
-    return previous[-1]
+    positions: Dict[str, int] = {}  # char -> bit set of its rows in ``left``
+    bit = 1
+    for char in left:
+        positions[char] = positions.get(char, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    plus, minus = mask, 0  # column 0 is 0, 1, 2, ..., len(left)
+    lookup = positions.get
+    for char in right:
+        match = lookup(char, 0) | minus
+        diagonal = (((match & plus) + plus) ^ plus) | match
+        # Horizontal +1 differences, shifted down one row; the low 1 is
+        # row 0 of the matrix, which grows by one per column.
+        across = ((minus | ~(plus | diagonal)) << 1) | 1
+        minus = across & diagonal
+        plus = (((plus & diagonal) << 1) | ~(across | diagonal)) & mask
+    # Top cell of the last column is len(right); walk down its differences.
+    return len(right) + bin(plus).count("1") - bin(minus & mask).count("1")
 
 
 def levenshtein_similarity(left: str, right: str) -> float:
@@ -76,9 +114,7 @@ def token_sort_similarity(left: str, right: str) -> float:
 
     ``"Dong, Xin Luna"`` vs ``"Xin Luna Dong"`` scores 1.0.
     """
-    left_sorted = " ".join(sorted(tokenize(left)))
-    right_sorted = " ".join(sorted(tokenize(right)))
-    return levenshtein_similarity(left_sorted, right_sorted)
+    return levenshtein_similarity(name_forms(left)[1], name_forms(right)[1])
 
 
 def _jaro(left: str, right: str) -> float:
@@ -120,8 +156,14 @@ def _jaro(left: str, right: str) -> float:
     ) / 3.0
 
 
+@lru_cache(maxsize=16384)
 def jaro_winkler(left: str, right: str, prefix_scale: float = 0.1) -> float:
-    """Jaro-Winkler similarity: Jaro boosted for shared prefixes (<= 4 chars)."""
+    """Jaro-Winkler similarity: Jaro boosted for shared prefixes (<= 4 chars).
+
+    Memoized on the arguments *in order*.  :func:`monge_elkan` asks for the
+    same few thousand token pairs tens of thousands of times per build, and
+    it is asymmetric in its arguments, so the key is never canonicalised.
+    """
     jaro = _jaro(left, right)
     prefix_length = 0
     for left_char, right_char in zip(left[:4], right[:4]):
@@ -135,8 +177,8 @@ def monge_elkan(left: str, right: str) -> float:
     """Monge-Elkan similarity: for each left token, best Jaro-Winkler match
     among right tokens, averaged.  Suits multi-token names with local typos.
     """
-    left_tokens = tokenize(left)
-    right_tokens = tokenize(right)
+    left_tokens = name_forms(left)[0]
+    right_tokens = name_forms(right)[0]
     if not left_tokens and not right_tokens:
         return 1.0
     if not left_tokens or not right_tokens:

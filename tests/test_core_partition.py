@@ -3,6 +3,7 @@ pipeline, the exchange phase, and the sharded-EM fusion invariants."""
 
 import pytest
 
+from repro.core.parallel import pmap
 from repro.core.partition import (
     CanonicalRecord,
     PartitionedBuild,
@@ -19,7 +20,9 @@ from repro.datagen.sources import SourceRecord
 from repro.integrate.blocking import BlockingStrategy
 from repro.integrate.exchange import fuse_sharded
 from repro.integrate.fusion import AccuFusion, ValueClaim
+from repro.ml.similarity import jaro_winkler, name_forms
 from repro.obs import enabled_scope
+from tests import oracles
 
 
 def _record(record_id="r1", source="s", entity_class="Person", **fields):
@@ -101,6 +104,65 @@ class TestPairScore:
     def test_ordered_pair(self):
         assert ordered_pair("b", "a") == ("a", "b")
         assert ordered_pair("a", "b") == ("a", "b")
+
+    def test_non_numeric_year_scores_as_disagreement(self):
+        left = _record("a", name="Michael Mann", birth_year="n/a")
+        right = _record("b", name="Michael Mann", birth_year=1943)
+        assert pair_score(left, right) == 0.75
+        assert pair_score(_record("c", name="Michael Mann", birth_year=[1943]), right) == 0.75
+
+
+def _fixture_build(partitions):
+    """Artifacts of a build of the seed-11 fixture."""
+    pipeline, context = partitioned_pipeline(fixture_sources(seed=11))
+    return pipeline.run(context, partitions=partitions).artifacts
+
+
+def _fixture_candidates():
+    """(records by id, sorted candidate pairs) of the single-shard build."""
+    (result,) = _fixture_build(1)["partition_results"]
+    by_id = {record.record_id: record for record in result.records}
+    return by_id, sorted(result.scores)
+
+
+def _clear_memos():
+    jaro_winkler.cache_clear()
+    name_forms.cache_clear()
+
+
+class TestPairScoreExactness:
+    """The bit-parallel, memoized kernel returns the floats the plain one did."""
+
+    def test_every_fixture_candidate_equals_the_oracle(self):
+        by_id, pairs = _fixture_candidates()
+        assert len(pairs) > 1000
+        for left, right in pairs:
+            assert pair_score(by_id[left], by_id[right]) == oracles.pair_score(
+                by_id[left], by_id[right]
+            )
+
+    def test_scores_do_not_depend_on_memo_state(self):
+        by_id, pairs = _fixture_candidates()
+
+        def score_all(order):
+            return {pair: pair_score(by_id[pair[0]], by_id[pair[1]]) for pair in order}
+
+        _clear_memos()
+        cold = score_all(pairs)
+        assert jaro_winkler.cache_info().hits > 0
+        warm = score_all(pairs)
+        backwards = score_all(reversed(pairs))
+        _clear_memos()
+        assert jaro_winkler.cache_info().currsize == 0
+        cold_again = score_all(reversed(pairs))
+        assert cold == warm == backwards == cold_again
+
+    def test_process_workers_score_like_the_serial_path(self):
+        tasks = _fixture_build(2)["partition_tasks"]
+        serial = [run_partition(task) for task in tasks]
+        shipped = pmap(run_partition, tasks, mode="process", max_workers=2)
+        assert [result.scores for result in shipped] == [result.scores for result in serial]
+        assert sum(len(result.scores) for result in serial) > 500
 
 
 class TestRouting:

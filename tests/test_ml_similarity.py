@@ -1,7 +1,7 @@
 """Tests for repro.ml.similarity."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.ml.similarity import (
@@ -11,6 +11,7 @@ from repro.ml.similarity import (
     levenshtein,
     levenshtein_similarity,
     monge_elkan,
+    name_forms,
     numeric_similarity,
     set_containment,
     token_jaccard,
@@ -18,10 +19,19 @@ from repro.ml.similarity import (
     tokenize,
     value_similarity,
 )
+from tests import oracles
 
 text_strategy = st.text(
     alphabet=st.characters(whitelist_categories=("Ll", "Lu", "Nd"), max_codepoint=0x24F),
     max_size=20,
+)
+
+# Arbitrary unicode (non-BMP included), plus a tiny alphabet so that long
+# strings with many repeated characters — several machine words of
+# bit-vector, carries crossing every word boundary — are common.
+oracle_text_strategy = st.one_of(
+    st.text(max_size=150),
+    st.text(alphabet="ab \U0001F600", max_size=300),
 )
 
 
@@ -53,6 +63,16 @@ class TestLevenshtein:
     def test_bounded_by_longest(self, left, right):
         assert levenshtein(left, right) <= max(len(left), len(right))
 
+    @given(oracle_text_strategy, oracle_text_strategy)
+    @example("", "")
+    @example("", "a" * 65)
+    @example("a" * 64, "a" * 65)
+    @example("ab" * 70, "ba" * 70)
+    @example("a" * 129, "b" * 129)
+    @example("\U0001F600" * 130 + "x", "x" + "\U0001F600" * 130)
+    def test_equals_dp_oracle(self, left, right):
+        assert levenshtein(left, right) == oracles.levenshtein(left, right)
+
 
 class TestTokenMeasures:
     def test_tokenize_lowercases_and_splits(self):
@@ -72,6 +92,14 @@ class TestTokenMeasures:
 
     def test_token_sort_handles_reordering(self):
         assert token_sort_similarity("Dong, Xin Luna", "Xin Luna Dong") == 1.0
+
+    def test_name_forms_are_tokens_and_sorted_string(self):
+        assert name_forms("Dong, Xin Luna") == (("dong", "xin", "luna"), "dong luna xin")
+        assert name_forms("") == ((), "")
+
+    @given(oracle_text_strategy, oracle_text_strategy)
+    def test_token_sort_equals_oracle(self, left, right):
+        assert token_sort_similarity(left, right) == oracles.token_sort_similarity(left, right)
 
     def test_set_containment(self):
         assert set_containment([1, 2], [1, 2, 3]) == 1.0
@@ -108,6 +136,16 @@ class TestMongeElkan:
 
     def test_one_empty(self):
         assert monge_elkan("abc", "") == 0.0
+
+    def test_asymmetric_so_memo_keys_keep_argument_order(self):
+        # The jaro_winkler memo may never canonicalise (left, right): the
+        # measure averages over the *left* tokens only.
+        assert monge_elkan("a b", "a") == 0.5
+        assert monge_elkan("a", "a b") == 1.0
+
+    @given(oracle_text_strategy, oracle_text_strategy)
+    def test_equals_unmemoized_oracle(self, left, right):
+        assert monge_elkan(left, right) == oracles.monge_elkan(left, right)
 
 
 class TestNumericAndDispatch:

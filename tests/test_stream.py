@@ -211,6 +211,58 @@ class TestStreamedBatchEquivalence:
         assert _public_state(outcome.graph) == _public_state(batch_graph)
         assert ledger == batch_ledger
 
+    def test_non_numeric_year_is_rejected_not_fatal(self, tmp_path):
+        """One dirty year costs that claim, not the build: batch at 1 and
+        2 partitions and the stream all finish, agree, and log the reason."""
+        # The victim is the left record of a candidate pair in which both
+        # sides carry a birth year, so the dirty value is certain to meet a
+        # clean one inside pair_score.
+        pipeline, context = partitioned_pipeline(SOURCES, name="stream-ref-clean")
+        (clean,) = pipeline.run(context, partitions=1).artifacts["partition_results"]
+        dated = {
+            record.record_id
+            for record in clean.records
+            if record.fields.get("birth_year") is not None
+        }
+        victim_id = next(
+            left for left, right in sorted(clean.scores) if {left, right} <= dated
+        )
+        source_index, position, victim = next(
+            (source_index, position, record)
+            for source_index, source in enumerate(SOURCES)
+            for position, record in enumerate(source.records)
+            if record.record_id == victim_id
+        )
+        year_field = SOURCES[source_index].field_map.get("birth_year", "birth_year")
+        dirty = [
+            StructuredSource(
+                name=source.name,
+                field_map=dict(source.field_map),
+                records=list(source.records),
+            )
+            for source in SOURCES
+        ]
+        dirty[source_index].records[position] = SourceRecord(
+            record_id=victim.record_id,
+            source=victim.source,
+            entity_class=victim.entity_class,
+            fields={**victim.fields, year_field: "n/a"},
+            world_id=victim.world_id,
+        )
+        batch_graph, batch_ledger = _batch_reference(dirty)
+        pipeline, context = partitioned_pipeline(dirty, name="stream-ref-p2")
+        sharded_graph = pipeline.run(context, partitions=2).artifacts["kg"]
+        outcome, ledger, _, _, _ = _stream(dirty, 9, tmp_path, tag="dirty")
+        assert _public_state(sharded_graph) == _public_state(batch_graph)
+        assert _public_state(outcome.graph) == _public_state(batch_graph)
+        assert ledger == batch_ledger
+        rejected = [
+            event["key"]
+            for event in ledger["events"]
+            if event["detail"].get("reason") == "non-numeric year"
+        ]
+        assert rejected == [[victim.record_id, "birth_year", "n/a"]]
+
     def test_checkpoint_persists_canonical_bytes(self, tmp_path):
         batch_graph, _ = _batch_reference(SOURCES)
         outcome, _, _, _, wal = _stream(SOURCES, 8, tmp_path, tag="ckpt")
