@@ -423,8 +423,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _graph_public_state(graph):
-    """Backend-agnostic observable graph state (query answers, provenance,
-    entities) — the same surface the equivalence tests pin."""
+    """Observable graph state (query answers, provenance, entities) — the
+    same surface the equivalence tests pin."""
     graph._materialize_provenance()
     triples = sorted(graph.query(), key=lambda t: t._sort_key())
     return {
@@ -941,14 +941,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
         if args.snapshot is not None:
             # Boot instantly from the snapshot; the follower's first
             # publish below replaces it with the WAL head.
-            print(f"loading snapshot {args.snapshot} ({args.backend} backend)...")
+            print(f"loading snapshot {args.snapshot}...")
             try:
-                service.publish_from_file(args.snapshot, backend=args.backend)
+                service.publish_from_file(args.snapshot)
             except CodecError as exc:
                 print(str(exc), file=sys.stderr)
                 return 2
-        print(f"following WAL {args.follow_wal} ({args.backend} backend)...")
-        follower = WALFollower(args.follow_wal, backend=args.backend)
+        print(f"following WAL {args.follow_wal}...")
+        follower = WALFollower(args.follow_wal)
         follow_publisher = StreamPublisher(service.store, follower)
         follow_publisher.publish()
         fixture_id = f"wal:{args.follow_wal}"
@@ -961,9 +961,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
             )
             return 2
         service = KGService(n_shards=args.shards, name="serve.snapshot")
-        print(f"loading snapshot {args.snapshot} ({args.backend} backend)...")
+        print(f"loading snapshot {args.snapshot}...")
         try:
-            service.publish_from_file(args.snapshot, backend=args.backend)
+            service.publish_from_file(args.snapshot)
         except CodecError as exc:
             print(str(exc), file=sys.stderr)
             return 2
@@ -1089,14 +1089,14 @@ def cmd_load(args: argparse.Namespace) -> int:
 
     started = time.perf_counter()
     try:
-        graph = codec.load_graph(args.path, backend=args.backend)
+        graph = codec.load_graph(args.path)
     except codec.CodecError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     load_s = time.perf_counter() - started
     stats = graph.stats()
     print(
-        f"loaded {args.path} in {load_s:.3f}s ({args.backend} backend): "
+        f"loaded {args.path} in {load_s:.3f}s: "
         f"{stats['n_triples']} triples, {stats['n_entities']} entities, "
         f"{stats['n_id_terms']} id terms, {stats['n_classes']} classes"
     )
@@ -1110,9 +1110,7 @@ def cmd_compact(args: argparse.Namespace) -> int:
     wal = codec.TripleWAL(args.wal_dir)
     before = wal.stats()
     try:
-        _graph, stats = wal.compact(
-            backend=args.backend, allow_partial=args.allow_partial
-        )
+        _graph, stats = wal.compact(allow_partial=args.allow_partial)
     except codec.CodecError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -1802,12 +1800,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="boot from a `repro save` binary snapshot instead of building a fixture",
     )
     serve_parser.add_argument(
-        "--backend",
-        choices=("columnar", "dict"),
-        default="columnar",
-        help="storage backend for --snapshot boots (default: columnar)",
-    )
-    serve_parser.add_argument(
         "--follow-wal",
         default=None,
         metavar="DIR",
@@ -1885,24 +1877,12 @@ def build_parser() -> argparse.ArgumentParser:
         "load", help="load a binary graph snapshot and print its stats"
     )
     load_parser.add_argument("path", help="snapshot file written by `repro save`")
-    load_parser.add_argument(
-        "--backend",
-        choices=("columnar", "dict"),
-        default="columnar",
-        help="storage backend to load into (default: columnar)",
-    )
     load_parser.set_defaults(func=cmd_load)
 
     compact_parser = subparsers.add_parser(
         "compact", help="fold a WAL directory's segments into its base snapshot"
     )
     compact_parser.add_argument("wal_dir", help="WAL directory (base.rkgs + wal-*.log)")
-    compact_parser.add_argument(
-        "--backend",
-        choices=("columnar", "dict"),
-        default="columnar",
-        help="storage backend for replay (default: columnar)",
-    )
     compact_parser.add_argument(
         "--allow-partial",
         action="store_true",

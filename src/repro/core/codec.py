@@ -13,9 +13,8 @@ from one of these instead of re-running construction.
 
 Provenance is *thawed lazily*: the section is checksum-verified at load,
 but decoding its records into ``Triple``-keyed lists is deferred until
-the first provenance-touching operation — the same deferred-work idiom
-as the graph's ``_pending_index``.  Serving never touches provenance,
-so a snapshot boot pays only for what it reads.
+the first provenance-touching operation.  Serving never touches
+provenance, so a snapshot boot pays only for what it reads.
 
 **WAL** (:class:`TripleWAL`) — an append-only log of graph mutations
 (entity/alias/add/add_batch/remove/merge records, length+crc32-framed
@@ -45,7 +44,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.graph import Entity, KnowledgeGraph
 from repro.core.ontology import Ontology
-from repro.core.store import ColumnarTripleStore, TermDict
+from repro.core.store import ColumnarTripleStore
 from repro.core.triple import Provenance, Triple, Value
 from repro.obs import lineage as obs_lineage
 from repro.obs import metrics as obs_metrics
@@ -291,9 +290,8 @@ def save_graph(
 ) -> int:
     """Write ``graph`` to ``path`` in the binary snapshot format.
 
-    Works for both backends: a columnar graph's store is compacted and
-    its columns written as-is; a dict-backed graph is dictionary-encoded
-    on the way out.  ``include_lineage=None`` snapshots the global
+    The graph's store is compacted and its columns written as-is.
+    ``include_lineage=None`` snapshots the global
     lineage ledger exactly when lineage recording is enabled.  The write
     is atomic (temp file + rename).  Returns bytes written.
     """
@@ -301,36 +299,7 @@ def save_graph(
         include_lineage = obs_lineage.lineage_enabled()
     graph._materialize_provenance()
 
-    if graph._store is not None:
-        terms, spo, pos, osp = graph._store.sorted_columns()
-    else:
-        # Dictionary-encode with one id per *typed* term, iterating the
-        # triple set in sorted order.  Python conflates 0 == 0.0 == False
-        # as dict keys, but the dict backend's triple set stores
-        # heterogeneous object types that a load must reproduce exactly —
-        # and set iteration order is hash-seed-dependent, which would
-        # otherwise leak into which representative the snapshot keeps.
-        typed_id: Dict[Tuple[type, Value], int] = {}
-        typed_terms: List[Value] = []
-
-        def encode(term: Value) -> int:
-            key = (term.__class__, term)
-            term_id = typed_id.get(key)
-            if term_id is None:
-                term_id = len(typed_terms)
-                typed_id[key] = term_id
-                typed_terms.append(term)
-            return term_id
-
-        rows = [
-            (encode(t.subject), encode(t.predicate), encode(t.object))
-            for t in sorted(graph._triples, key=Triple._sort_key)
-        ]
-        store = ColumnarTripleStore._from_id_rows(
-            TermDict._from_terms(typed_terms), rows
-        )
-        terms, spo, pos, osp = store.sorted_columns()
-
+    terms, spo, pos, osp = graph._store.sorted_columns()
     n_rows = len(spo[0])
     columns_payload = struct.pack("<Q", n_rows) + b"".join(
         col.tobytes() for perm in (spo, pos, osp) for col in perm
@@ -342,7 +311,9 @@ def save_graph(
     ]
     meta = {
         "graph_name": graph.name,
-        "backend": graph.backend,
+        # A constant (older files may say "dict"); kept so snapshot bytes
+        # do not change.  Loads ignore it.
+        "backend": "columnar",
         "n_triples": len(graph),
         "n_entities": len(graph._entities),
         "n_terms": len(terms),
@@ -467,14 +438,11 @@ def _require(
     return payload
 
 
-def load_graph(
-    path: str, backend: str = "columnar", restore_lineage: bool = False
-) -> KnowledgeGraph:
+def load_graph(path: str, restore_lineage: bool = False) -> KnowledgeGraph:
     """Read a snapshot written by :func:`save_graph` into a fresh graph.
 
-    ``backend`` picks the loaded graph's storage layer (columnar installs
-    the file's sorted columns directly; dict replays the rows through
-    batch ingestion).  ``restore_lineage=True`` merges the snapshot's
+    The file's sorted columns are installed directly (no re-sort, no
+    re-index).  ``restore_lineage=True`` merges the snapshot's
     lineage section (if present) into the process-global ledger.
     Provenance decoding is deferred to the first provenance-touching
     operation on the returned graph.
@@ -488,7 +456,7 @@ def load_graph(
     """
     blob, mapping = _read_blob(path)
     try:
-        graph = _load_snapshot(blob, path, backend, restore_lineage)
+        graph = _load_snapshot(blob, path, restore_lineage)
     except CodecError:
         raise
     except (
@@ -523,9 +491,7 @@ def load_graph(
     return graph
 
 
-def _load_snapshot(
-    blob, path: str, backend: str, restore_lineage: bool
-) -> KnowledgeGraph:
+def _load_snapshot(blob, path: str, restore_lineage: bool) -> KnowledgeGraph:
     """Parse one snapshot buffer (bytes or mmap) into a fresh graph.
 
     Split out of :func:`load_graph` so every ``memoryview`` of the buffer
@@ -539,7 +505,7 @@ def _load_snapshot(
         _load_json_section(_require(sections, SEC_ONTOLOGY, path), "ontology", path)  # type: ignore[arg-type]
     )
     graph = KnowledgeGraph(
-        ontology=ontology, name=str(meta.get("graph_name", "kg")), backend=backend  # type: ignore[union-attr]
+        ontology=ontology, name=str(meta.get("graph_name", "kg"))  # type: ignore[union-attr]
     )
 
     # Entities: constructed directly (the snapshot was validated at save
@@ -600,18 +566,11 @@ def _load_snapshot(
                 f"`repro save`"
             )
 
-    if backend == "columnar":
-        graph._store = ColumnarTripleStore.from_sorted_columns(
-            terms, tuple(columns[0:3]), tuple(columns[3:6]), tuple(columns[6:9])
-        )
-        if n_rows:
-            graph._generation += 1
-    else:
-        spo_s, spo_p, spo_o = columns[0], columns[1], columns[2]
-        graph.add_triples_batch(
-            Triple(terms[spo_s[i]], terms[spo_p[i]], terms[spo_o[i]])
-            for i in range(n_rows)
-        )
+    graph._store = ColumnarTripleStore.from_sorted_columns(
+        terms, tuple(columns[0:3]), tuple(columns[3:6]), tuple(columns[6:9])
+    )
+    if n_rows:
+        graph._generation += 1
 
     # The thaw closure outlives this frame (and the mmap), so it gets its
     # own copy of the still-compressed section — small next to the columns.
@@ -809,24 +768,21 @@ class TripleWAL:
     # ------------------------------------------------------------------
     # recovery
 
-    def recover(
-        self, backend: str = "columnar", allow_partial: bool = False
-    ) -> KnowledgeGraph:
+    def recover(self, allow_partial: bool = False) -> KnowledgeGraph:
         """Rebuild the graph: load ``base.rkgs`` (if any), replay segments.
 
         Replay goes through the public graph API, so provenance — and,
         when observability is enabled, lineage events — are reproduced
         exactly as the original mutations recorded them.  Consecutive
         ``add``/``add_batch`` records coalesce into one
-        ``add_triples_batch`` call, which on an empty columnar graph hits
-        the store's bulk-load path.
+        ``add_triples_batch`` call, which on an empty graph hits the
+        store's bulk-load path.
         """
         with self._lock:
             if os.path.exists(self.base_path):
-                graph = load_graph(self.base_path, backend=backend)
+                graph = load_graph(self.base_path)
             else:
-                ontology = Ontology()
-                graph = KnowledgeGraph(ontology=ontology, name="wal", backend=backend)
+                graph = KnowledgeGraph(ontology=Ontology(), name="wal")
             segments = self.segment_paths()
             n_records = 0
             for position, path in enumerate(segments):
@@ -841,7 +797,7 @@ class TripleWAL:
     # compaction
 
     def compact(
-        self, backend: str = "columnar", allow_partial: bool = False
+        self, allow_partial: bool = False
     ) -> Tuple[KnowledgeGraph, Dict[str, object]]:
         """Fold all segments into ``base.rkgs``; returns (graph, stats).
 
@@ -855,7 +811,7 @@ class TripleWAL:
         with self._lock:
             self.close()
             segments = self.segment_paths()
-            graph = self.recover(backend=backend, allow_partial=allow_partial)
+            graph = self.recover(allow_partial=allow_partial)
             stats = self._install_base(graph, segments)
         return graph, stats
 

@@ -15,32 +15,33 @@ Performance layer (the "as fast as the hardware allows" track):
   built once per mutation generation, so ``triples()`` / all-wildcard
   ``query()`` calls stop paying O(|T| log |T|) sorts on a read-mostly
   graph;
-* **interned id table** — subject/predicate/entity-id strings go through
+* **interned id table** — entity-id and term strings go through
   ``sys.intern``, so every graph in the process shares one canonical
   object per distinct string and dict probes short-circuit on pointer
   identity;
 * **index-backed merges** — ``merge_entities`` walks the SPO/OSP rows of
   the dropped entity (O(degree)) instead of scanning every triple, which
   is what entity linkage (Sec. 2.2) calls thousands of times;
-* **batch ingestion** — ``add_triples_batch`` does one pass over primary
-  storage with hoisted bookkeeping and a single deferred lineage flush;
-  SPO/POS/OSP row construction is queued and materialized lazily by the
-  first index-backed read (``_ensure_indexes``), the bulk-load shape
-  Knowledge Vault-style web-scale construction loads arrive in.
+* **batch ingestion** — ``add_triples_batch`` does one pass with hoisted
+  bookkeeping and a single deferred lineage flush; a batch landing in an
+  empty graph sorts its columns once, the bulk-load shape Knowledge
+  Vault-style web-scale construction loads arrive in.
 
-Storage backends: ``backend="dict"`` (the default) keeps triples in a
-``set`` plus nested-dict indexes; ``backend="columnar"`` swaps in
+Storage: every graph owns one
 :class:`~repro.core.store.ColumnarTripleStore` — dictionary-encoded int
-ids over sorted ``array('q')`` permutation columns — behind the same
-API.  A graph may also log every mutation to an append-only WAL
-(:meth:`attach_wal`, see :class:`repro.core.codec.TripleWAL`) and be
+ids over sorted ``array('q')`` permutation columns under a small delta
+overlay.  Term identity is therefore Python equality (``0``, ``0.0`` and
+``False`` are one object term; the first-seen representative is the one
+reads return).  A graph may also log every mutation to an append-only
+WAL (:meth:`attach_wal`, see :class:`repro.core.codec.TripleWAL`) and be
 saved/loaded through the binary snapshot codec; snapshot loads defer
 provenance decoding until the first provenance-touching operation
-(``_materialize_provenance``), mirroring the ``_pending_index`` idiom.
+(``_materialize_provenance``).
 
-Every fast path preserves the exact results, provenance, and lineage
-records of the per-call API (guarded by the equivalence tests in
-``tests/test_perf_equivalence.py``).
+The set-of-rows model this API is specified against lives in
+``tests/oracles.py::SetGraph``; ``tests/test_perf_equivalence.py`` and
+the state machine in ``tests/test_core_graph_property.py`` compare every
+public read against it.
 """
 
 from __future__ import annotations
@@ -74,8 +75,6 @@ BatchItem = Union[Triple, Tuple[Triple, Optional[Provenance]]]
 
 _intern = sys.intern
 
-BACKENDS = ("dict", "columnar")
-
 
 @dataclass
 class Entity:
@@ -102,35 +101,17 @@ class KnowledgeGraph:
         self,
         ontology: Optional[Ontology] = None,
         name: str = "kg",
-        backend: str = "dict",
     ):
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
         self.name = name
-        self.backend = backend
         self.ontology = ontology or Ontology()
         self._entities: Dict[str, Entity] = {}
         self._provenance: Dict[Triple, List[Provenance]] = defaultdict(list)
         # Snapshot loads install a thaw hook here instead of decoding
         # provenance eagerly; drained by ``_materialize_provenance``.
         self._provenance_thaw: Optional[Callable[["KnowledgeGraph"], None]] = None
-        # Columnar backend: one store replaces the triple set and all
-        # three nested-dict indexes below.
-        self._store: Optional[ColumnarTripleStore] = (
-            ColumnarTripleStore() if backend == "columnar" else None
-        )
-        self._triples: Set[Triple] = set()
-        # Indexes: subject -> predicate -> set(object), etc.  Keys are the
-        # canonical ``sys.intern``-ed string objects.
-        self._spo: Dict[str, Dict[str, Set[Value]]] = defaultdict(lambda: defaultdict(set))
-        self._pos: Dict[str, Dict[Value, Set[str]]] = defaultdict(lambda: defaultdict(set))
-        self._osp: Dict[Value, Dict[str, Set[str]]] = defaultdict(lambda: defaultdict(set))
+        # The triple table and its SPO/POS/OSP indexes.
+        self._store = ColumnarTripleStore()
         self._name_index: Dict[str, Set[str]] = defaultdict(set)
-        # Triples ingested by ``add_triples_batch`` whose index rows have not
-        # been built yet; drained by ``_ensure_indexes`` on first index read.
-        self._pending_index: List[Triple] = []
         # Optional write-ahead log (codec.TripleWAL); suspended while
         # merge_entities rewrites triples so a merge logs one record.
         self._wal: Optional["TripleWAL"] = None
@@ -157,38 +138,11 @@ class KnowledgeGraph:
         wrap it in an iterator.
         """
         if self._triples_view_generation != self._generation:
-            store = self._store
-            if store is not None:
-                self._triples_view = sorted(
-                    Triple(s, p, o) for s, p, o in store.iter_triples()
-                )
-            else:
-                self._triples_view = sorted(self._triples)
+            self._triples_view = sorted(
+                Triple(s, p, o) for s, p, o in self._store.iter_triples()
+            )
             self._triples_view_generation = self._generation
         return self._triples_view
-
-    def _ensure_indexes(self) -> None:
-        """Materialize index rows for batch-ingested triples (dict backend).
-
-        ``add_triples_batch`` appends straight to the triple set and defers
-        SPO/POS/OSP row construction here — the bulk-load pattern: writes
-        pay only for primary storage, and the first index-backed read
-        builds the rows in one tight pass.  Idempotent; a no-op when
-        nothing is pending (always, under the columnar backend, whose
-        store keeps its own permutations current).
-        """
-        pending = self._pending_index
-        if not pending:
-            return
-        self._pending_index = []
-        spo, pos, osp = self._spo, self._pos, self._osp
-        for triple in pending:
-            canonical_subject = _intern(triple.subject)
-            canonical_predicate = _intern(triple.predicate)
-            obj = triple.object
-            spo[canonical_subject][canonical_predicate].add(obj)
-            pos[canonical_predicate][obj].add(canonical_subject)
-            osp[obj][canonical_subject].add(canonical_predicate)
 
     def _materialize_provenance(self) -> None:
         """Run a pending snapshot-provenance thaw (no-op otherwise).
@@ -327,24 +281,9 @@ class KnowledgeGraph:
             problems = self.ontology.validate_triple(triple, subject_class)
             if problems:
                 raise ValueError(f"triple rejected: {'; '.join(problems)}")
-        store = self._store
-        if store is not None:
-            is_new = store.add(subject, triple.predicate, triple.object)
-            if is_new:
-                self._generation += 1
-        else:
-            triples = self._triples
-            before = len(triples)
-            triples.add(triple)
-            is_new = len(triples) != before
-            if is_new:
-                canonical_subject = _intern(subject)
-                canonical_predicate = _intern(triple.predicate)
-                obj = triple.object
-                self._spo[canonical_subject][canonical_predicate].add(obj)
-                self._pos[canonical_predicate][obj].add(canonical_subject)
-                self._osp[obj][canonical_subject].add(canonical_predicate)
-                self._generation += 1
+        is_new = self._store.add(subject, triple.predicate, triple.object)
+        if is_new:
+            self._generation += 1
         if provenance is not None:
             self._materialize_provenance()
             self._provenance[triple].append(provenance)
@@ -389,109 +328,19 @@ class KnowledgeGraph:
         ``items`` mixes bare :class:`Triple` objects and
         ``(triple, provenance)`` pairs.  Observably identical to calling
         :meth:`add_triple` per item — same query answers, provenance lists,
-        and lineage events in the same order — but the loop touches only
-        primary storage: on the dict backend SPO/POS/OSP row construction
-        is deferred to :meth:`_ensure_indexes` (paid once by the first
-        index-backed read), and lineage recording is flushed to the ledger
-        once, under a single lock acquisition.  With a WAL attached, the
-        dict path logs every item (it never probes per-item newness;
-        replaying a duplicate add is a no-op).  Either path logs the whole
-        batch as one ``add_batch`` WAL record — one frame, one checksum,
-        one JSON document — so replaying a large ingest decodes at C
-        speed instead of parsing one record per triple.
+        and lineage events in the same order — but bookkeeping is hoisted
+        out of the loop and lineage recording is flushed to the ledger
+        once, under a single lock acquisition.  With a WAL attached, only
+        state-changing items (new triple or carried provenance) are
+        logged, as one ``add_batch`` record — one frame, one checksum, one
+        JSON document — so replaying a large ingest decodes at C speed
+        instead of parsing one record per triple.  A batch landing in an
+        *empty* store takes the
+        :meth:`~repro.core.store.ColumnarTripleStore.bulk_loader` path:
+        rows are staged in a set and the columns sorted once, which is how
+        WAL replays skip the per-add delta bookkeeping entirely.
         """
         self._materialize_provenance()
-        if self._store is not None:
-            return self._add_triples_batch_columnar(items, validate)
-        entities = self._entities
-        triples = self._triples
-        triples_add = triples.add
-        # setdefault instead of defaultdict __getitem__: a miss would hash
-        # the triple twice (lookup + __missing__ insertion).
-        provenance_row = self._provenance.setdefault
-        ontology = self.ontology
-        lineage_on = obs_lineage.lineage_enabled()
-        wal = self._wal if not self._wal_suspended else None
-        wal_rows: List[List[object]] = []
-        pending: List[Tuple[str, str, Value, str, Optional[str], float]] = []
-        pending_append = pending.append
-        # Duplicates are harmless in the deferred-index queue (row inserts
-        # are idempotent set adds), so every item is queued without a
-        # per-item newness probe; the new-triple count falls out of the
-        # triple-set size delta once at the end.
-        index_queue_append = self._pending_index.append
-        n_before = len(triples)
-        n_new = 0
-        try:
-            for item in items:
-                if type(item) is tuple:
-                    triple, provenance = item
-                else:
-                    triple = item
-                    provenance = None
-                subject = triple.subject
-                if subject not in entities:
-                    raise ValueError(f"unknown subject entity: {subject!r}")
-                if validate:
-                    problems = ontology.validate_triple(
-                        triple, entities[subject].entity_class
-                    )
-                    if problems:
-                        raise ValueError(f"triple rejected: {'; '.join(problems)}")
-                triples_add(triple)
-                index_queue_append(triple)
-                if provenance is not None:
-                    provenance_row(triple, []).append(provenance)
-                    if lineage_on:
-                        pending_append(
-                            (
-                                subject,
-                                triple.predicate,
-                                triple.object,
-                                provenance.source,
-                                provenance.extractor,
-                                provenance.confidence,
-                            )
-                        )
-                if wal is not None:
-                    wal_rows.append(
-                        [
-                            subject,
-                            triple.predicate,
-                            triple.object,
-                            None
-                            if provenance is None
-                            else [
-                                provenance.source,
-                                provenance.extractor,
-                                provenance.confidence,
-                            ],
-                        ]
-                    )
-        finally:
-            # One generation bump and one ledger flush per batch — also on
-            # mid-batch errors, so partial state matches the per-call path.
-            n_new = len(triples) - n_before
-            if n_new:
-                self._generation += 1
-            if pending:
-                obs_lineage.record_observation_batch(pending, stage="graph.add_triple")
-            if wal_rows:
-                wal.append({"op": "add_batch", "rows": wal_rows})
-        return n_new
-
-    def _add_triples_batch_columnar(
-        self, items: Iterable[BatchItem], validate: bool
-    ) -> int:
-        """The columnar-backend batch loop: same observable behavior as the
-        dict path; the store keeps its permutations current, so there is no
-        deferred index queue.  With a WAL attached, only state-changing
-        items (new triple or carried provenance) are logged, as one
-        ``add_batch`` record.  A batch landing in an *empty* store takes
-        the :meth:`~repro.core.store.ColumnarTripleStore.bulk_loader`
-        path: rows are staged in a set and the columns sorted once, which
-        is how snapshot loads and WAL replays skip the per-add delta
-        bookkeeping entirely."""
         entities = self._entities
         store = self._store
         if store.n_base_rows or store.n_delta_rows:
@@ -556,6 +405,8 @@ class KnowledgeGraph:
                         ]
                     )
         finally:
+            # One generation bump and one ledger flush per batch — also on
+            # mid-batch errors, so partial state matches the per-call path.
             if loader is not None:
                 loader.finish()
             if n_new:
@@ -567,73 +418,22 @@ class KnowledgeGraph:
         return n_new
 
     def remove_triple(self, triple: Triple) -> bool:
-        """Delete a triple and its provenance; True when it existed.
-
-        Emptied index rows are pruned so heavy merge/remove churn cannot
-        grow ``_spo``/``_pos``/``_osp`` without bound.
-        """
-        store = self._store
-        if store is not None:
-            if not store.remove(triple.subject, triple.predicate, triple.object):
-                return False
-            self._materialize_provenance()
-            self._provenance.pop(triple, None)
-            self._generation += 1
-            if self._wal is not None and not self._wal_suspended:
-                self._wal.append(
-                    {
-                        "op": "remove",
-                        "s": triple.subject,
-                        "p": triple.predicate,
-                        "o": triple.object,
-                    }
-                )
-            return True
-        triples = self._triples
-        if triple not in triples:
-            return False
-        self._ensure_indexes()
-        self._materialize_provenance()
-        triples.discard(triple)
-        self._provenance.pop(triple, None)
+        """Delete a triple and its provenance; True when it existed."""
         subject, predicate, obj = triple.subject, triple.predicate, triple.object
-        by_predicate = self._spo[subject]
-        objects = by_predicate[predicate]
-        objects.discard(obj)
-        if not objects:
-            del by_predicate[predicate]
-            if not by_predicate:
-                del self._spo[subject]
-        by_object = self._pos[predicate]
-        subjects = by_object[obj]
-        subjects.discard(subject)
-        if not subjects:
-            del by_object[obj]
-            if not by_object:
-                del self._pos[predicate]
-        by_subject = self._osp[obj]
-        predicates = by_subject[subject]
-        predicates.discard(predicate)
-        if not predicates:
-            del by_subject[subject]
-            if not by_subject:
-                del self._osp[obj]
+        if not self._store.remove(subject, predicate, obj):
+            return False
+        self._materialize_provenance()
+        self._provenance.pop(triple, None)
         self._generation += 1
         if self._wal is not None and not self._wal_suspended:
             self._wal.append({"op": "remove", "s": subject, "p": predicate, "o": obj})
         return True
 
     def __contains__(self, triple: Triple) -> bool:
-        store = self._store
-        if store is not None:
-            return store.contains(triple.subject, triple.predicate, triple.object)
-        return triple in self._triples
+        return self._store.contains(triple.subject, triple.predicate, triple.object)
 
     def __len__(self) -> int:
-        store = self._store
-        if store is not None:
-            return len(store)
-        return len(self._triples)
+        return len(self._store)
 
     def triples(self) -> Iterator[Triple]:
         """Iterate all triples in deterministic order (cached view)."""
@@ -674,48 +474,6 @@ class KnowledgeGraph:
         if subject is None and predicate is None and obj is None:
             return list(self._sorted_triples())
         store = self._store
-        if store is not None:
-            return self._query_columnar(store, subject, predicate, obj)
-        self._ensure_indexes()
-        if subject is not None and predicate is not None:
-            objects = self._spo.get(subject, {}).get(predicate, set())
-            if obj is not None:
-                objects = objects & {obj}
-            return sorted(Triple(subject, predicate, o) for o in objects)
-        if subject is not None:
-            results = []
-            for pred, objects in self._spo.get(subject, {}).items():
-                for candidate in objects:
-                    if obj is None or candidate == obj:
-                        results.append(Triple(subject, pred, candidate))
-            return sorted(results)
-        if predicate is not None:
-            results = []
-            if obj is not None:
-                for subj in self._pos.get(predicate, {}).get(obj, set()):
-                    results.append(Triple(subj, predicate, obj))
-            else:
-                for candidate, subjects in self._pos.get(predicate, {}).items():
-                    for subj in subjects:
-                        results.append(Triple(subj, predicate, candidate))
-            return sorted(results)
-        if obj is not None:
-            results = []
-            for subj, predicates in self._osp.get(obj, {}).items():
-                for pred in predicates:
-                    results.append(Triple(subj, pred, obj))
-            return sorted(results)
-        raise AssertionError("unreachable: all-wildcard handled above")  # pragma: no cover
-
-    def _query_columnar(
-        self,
-        store: ColumnarTripleStore,
-        subject: Optional[str],
-        predicate: Optional[str],
-        obj: Optional[Value],
-    ) -> List[Triple]:
-        """Pattern dispatch over the store's merged permutation reads;
-        result construction and ordering match the dict branches exactly."""
         if subject is not None and predicate is not None:
             objects = store.objects(subject, predicate)
             if obj is not None:
@@ -752,73 +510,41 @@ class KnowledgeGraph:
     ) -> int:
         """Exact size of ``query(...)``'s answer from index row sizes alone.
 
-        Costs one or two dict probes — or, on the columnar backend, a
-        binary-searched row range — plus a row-length sum for single bound
-        components, and never materializes triples: the selectivity
-        estimate join planning (``conjunctive_query``) orders patterns by.
+        Costs a binary-searched row range plus the delta overlay's row
+        lengths, and never materializes triples: the selectivity estimate
+        join planning (``conjunctive_query``) orders patterns by.
         """
         store = self._store
-        if store is not None:
-            if subject is None and predicate is None and obj is None:
-                return len(store)
-            if subject is not None and predicate is not None:
-                if obj is not None:
-                    return 1 if store.contains(subject, predicate, obj) else 0
-                return store.count_sp(subject, predicate)
-            if subject is not None:
-                if obj is not None:
-                    return store.count_os(obj, subject)
-                return store.count_s(subject)
-            if predicate is not None:
-                if obj is not None:
-                    return store.count_po(predicate, obj)
-                return store.count_p(predicate)
-            return store.count_o(obj)
         if subject is None and predicate is None and obj is None:
-            return len(self._triples)
-        self._ensure_indexes()
+            return len(store)
         if subject is not None and predicate is not None:
-            objects = self._spo.get(subject, {}).get(predicate, ())
             if obj is not None:
-                return 1 if obj in objects else 0
-            return len(objects)
+                return 1 if store.contains(subject, predicate, obj) else 0
+            return store.count_sp(subject, predicate)
         if subject is not None:
             if obj is not None:
-                return len(self._osp.get(obj, {}).get(subject, ()))
-            return sum(len(objects) for objects in self._spo.get(subject, {}).values())
+                return store.count_os(obj, subject)
+            return store.count_s(subject)
         if predicate is not None:
             if obj is not None:
-                return len(self._pos.get(predicate, {}).get(obj, ()))
-            return sum(len(subjects) for subjects in self._pos.get(predicate, {}).values())
-        return sum(len(predicates) for predicates in self._osp.get(obj, {}).values())
+                return store.count_po(predicate, obj)
+            return store.count_p(predicate)
+        return store.count_o(obj)
 
     def objects(self, subject: str, predicate: str) -> List[Value]:
         """All objects of (subject, predicate, ?)."""
-        store = self._store
-        if store is not None:
-            return sorted(store.objects(subject, predicate), key=str)
-        self._ensure_indexes()
-        return sorted(self._spo.get(subject, {}).get(predicate, set()), key=str)
+        return sorted(self._store.objects(subject, predicate), key=str)
 
     def one_object(self, subject: str, predicate: str) -> Optional[Value]:
         """A single object if exactly one exists, else None."""
-        store = self._store
-        if store is not None:
-            objects = store.objects(subject, predicate)
-        else:
-            self._ensure_indexes()
-            objects = self._spo.get(subject, {}).get(predicate, set())
+        objects = self._store.objects(subject, predicate)
         if len(objects) == 1:
             return next(iter(objects))
         return None
 
     def subjects(self, predicate: str, obj: Value) -> List[str]:
         """All subjects of (?, predicate, object)."""
-        store = self._store
-        if store is not None:
-            return sorted(store.subjects(predicate, obj))
-        self._ensure_indexes()
-        return sorted(self._pos.get(predicate, {}).get(obj, set()))
+        return sorted(self._store.subjects(predicate, obj))
 
     def neighbors(self, entity_id: str) -> List[Tuple[str, str, bool]]:
         """Adjacent entity nodes as ``(relation, other_id, outgoing)``.
@@ -826,20 +552,12 @@ class KnowledgeGraph:
         Only object-valued edges whose object is itself an entity count —
         the "connected graph" structure of Fig. 1(a).
         """
-        store = self._store
-        if store is not None:
-            spo_row = store.spo_row(entity_id)
-            osp_row = store.osp_row(entity_id)
-        else:
-            self._ensure_indexes()
-            spo_row = self._spo.get(entity_id, {})
-            osp_row = self._osp.get(entity_id, {})
         result: List[Tuple[str, str, bool]] = []
-        for predicate, objects in spo_row.items():
+        for predicate, objects in self._store.spo_row(entity_id).items():
             for obj in objects:
                 if isinstance(obj, str) and obj in self._entities:
                     result.append((predicate, obj, True))
-        for subject, predicates in osp_row.items():
+        for subject, predicates in self._store.osp_row(entity_id).items():
             for predicate in predicates:
                 if subject in self._entities:
                     result.append((predicate, subject, False))
@@ -867,8 +585,6 @@ class KnowledgeGraph:
         if keep_id == drop_id:
             raise ValueError(f"cannot merge entity {keep_id!r} into itself")
         store = self._store
-        if store is None:
-            self._ensure_indexes()
         self._materialize_provenance()
         rewritten = 0
         wal_was_suspended = self._wal_suspended
@@ -877,13 +593,9 @@ class KnowledgeGraph:
             # Outgoing first, then incoming — the incoming row is re-read
             # after the first pass so a (drop, p, drop) self-loop is
             # rewritten twice, exactly like the scan-based algorithm.
-            if store is not None:
-                outgoing_rows = store.spo_row(drop_id)
-            else:
-                outgoing_rows = self._spo.get(drop_id, {})
             outgoing = [
                 (predicate, obj)
-                for predicate, objects in outgoing_rows.items()
+                for predicate, objects in store.spo_row(drop_id).items()
                 for obj in objects
             ]
             for predicate, obj in outgoing:
@@ -891,13 +603,9 @@ class KnowledgeGraph:
                     Triple(drop_id, predicate, obj), Triple(keep_id, predicate, obj)
                 )
                 rewritten += 1
-            if store is not None:
-                incoming_rows = store.osp_row(drop_id)
-            else:
-                incoming_rows = self._osp.get(drop_id, {})
             incoming = [
                 (subject, predicate)
-                for subject, predicates in incoming_rows.items()
+                for subject, predicates in store.osp_row(drop_id).items()
                 for predicate in predicates
             ]
             for subject, predicate in incoming:
@@ -937,52 +645,36 @@ class KnowledgeGraph:
         """Size statistics (the paper sizes KGs in triples — Sec. 2.4/2.5).
 
         ``n_id_terms`` reports the id-table size: distinct dictionary-
-        encoded terms on the columnar backend, distinct index-key terms on
-        the dict backend.  Columnar ids are never recycled, so after
-        removals or merges the columnar count can exceed the dict
-        backend's live-term count.
+        encoded terms.  Ids are never recycled, so after removals or
+        merges the count can exceed the number of live terms.
         """
         store = self._store
         entities = self._entities
+        n_triples = len(store)
         entity_object_edges = 0
-        if store is not None:
-            n_triples = len(store)
-            for _, _, obj in store.iter_triples():
-                if isinstance(obj, str) and obj in entities:
-                    entity_object_edges += 1
-            n_id_terms = store.n_terms
-        else:
-            n_triples = len(self._triples)
-            for triple in self._triples:
-                if isinstance(triple.object, str) and triple.object in entities:
-                    entity_object_edges += 1
-            self._ensure_indexes()
-            n_id_terms = len(
-                set(self._spo) | set(self._pos) | set(self._osp)
-            )
+        for _, _, obj in store.iter_triples():
+            if isinstance(obj, str) and obj in entities:
+                entity_object_edges += 1
         return {
             "n_entities": len(entities),
             "n_triples": n_triples,
             "n_entity_edges": entity_object_edges,
             "n_attribute_triples": n_triples - entity_object_edges,
             "n_classes": self.ontology.stats()["n_classes"],
-            "n_id_terms": n_id_terms,
+            "n_id_terms": store.n_terms,
         }
 
     def copy(self) -> "KnowledgeGraph":
-        """Deep-enough copy: entities, triples, and provenance (same backend)."""
-        clone = KnowledgeGraph(ontology=self.ontology, name=self.name, backend=self.backend)
+        """Deep-enough copy: entities, triples, and provenance."""
+        clone = KnowledgeGraph(ontology=self.ontology, name=self.name)
         for entity in self._entities.values():
             clone.add_entity(
                 entity.entity_id, entity.name, entity.entity_class, aliases=entity.aliases
             )
         self._materialize_provenance()
-        if self._store is not None:
-            clone._store = self._store.clone()
-            if len(clone._store):
-                clone._generation += 1
-        else:
-            clone.add_triples_batch(self._triples)
+        clone._store = self._store.clone()
+        if len(clone._store):
+            clone._generation += 1
         for triple, records in self._provenance.items():
             if records:
                 clone._provenance[triple].extend(records)

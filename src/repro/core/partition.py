@@ -329,7 +329,6 @@ class PartitionedBuild:
     initial_accuracy: float = 0.8
     min_accuracy: float = 0.05
     max_accuracy: float = 0.99
-    backend: str = "columnar"
     graph_name: str = "kg"
     sources_key: str = "sources"
 
@@ -424,7 +423,6 @@ class _ExchangeStage(PipelineStage):
             results,
             strategy=build.strategy,
             match_threshold=build.match_threshold,
-            backend=build.backend,
             graph_name=build.graph_name,
             n_distractors=build.n_distractors,
             n_iterations=build.n_iterations,
@@ -448,7 +446,6 @@ def partitioned_pipeline(
     name: str = "partitioned_build",
     strategy: Optional[BlockingStrategy] = None,
     match_threshold: float = 0.85,
-    backend: str = "columnar",
 ) -> Tuple[ConstructionPipeline, PipelineContext]:
     """A ready-to-run partition-parallel construction pipeline.
 
@@ -460,7 +457,6 @@ def partitioned_pipeline(
     build = PartitionedBuild(
         strategy=strategy or BlockingStrategy(),
         match_threshold=match_threshold,
-        backend=backend,
     )
     pipeline = ConstructionPipeline(
         name=name, stages=build.stages(1), partition_build=build

@@ -18,14 +18,13 @@ stores answer that with two ideas (Hogan et al., *Knowledge Graphs*):
 a tombstone set over the sorted base, and :meth:`compact` merges them
 back into the columns.  Reads merge base and delta, so the store
 supports the full read/write API of
-:class:`~repro.core.graph.KnowledgeGraph` — which swaps it in behind
-``backend="columnar"`` with byte-identical results to the dict paths
-(pinned by ``tests/test_perf_equivalence.py``).
+:class:`~repro.core.graph.KnowledgeGraph`, whose only triple storage it
+is (pinned against a plain set-of-rows model,
+``tests/oracles.py::SetGraph``, by ``tests/test_perf_equivalence.py``).
 
-Term identity follows Python equality, exactly like the dict backend's
-sets: ``1``, ``1.0`` and ``True`` share one id, and decoding returns the
-first-seen representative — the same first-insert-wins semantics a
-``set`` gives the dict-backed graph.
+Term identity follows Python equality: ``1``, ``1.0`` and ``True`` share
+one id, and decoding returns the first-seen representative — the
+first-insert-wins semantics a ``set`` of rows has.
 """
 
 from __future__ import annotations
@@ -105,11 +104,11 @@ class TermDict:
         Built with C-level ``dict(zip(...))`` instead of per-term adds —
         the snapshot-load path.  Raises on exact (same type, same value)
         duplicate terms, which a well-formed snapshot can never contain.
-        Equality-only duplicates (``0`` next to ``0.0``) are legitimate:
-        a dict-backend save keeps one id per *typed* term so a load
-        reproduces every object's exact type.  For those, the first
-        occurrence wins value lookups — matching runtime :meth:`add`
-        semantics — while :meth:`decode` stays exact per id.
+        Equality-only duplicates (``0`` next to ``0.0``) occur in older
+        snapshot files, which kept one id per *typed* term.  For those,
+        the first occurrence wins value lookups — matching runtime
+        :meth:`add` semantics — and :meth:`has_equal_terms` tells the
+        caller to re-encode the rows (see :func:`_build_from_rows`).
         """
         interned = [_intern(term) if type(term) is str else term for term in terms]
         term_dict = cls()
@@ -127,6 +126,10 @@ class TermDict:
             term_dict._id_of = id_of
         return term_dict
 
+    def has_equal_terms(self) -> bool:
+        """True when two ids hold equal terms (only after :meth:`_from_terms`)."""
+        return len(self._id_of) != len(self._terms)
+
     def memory_bytes(self) -> int:
         """Approximate heap bytes: maps plus the term payloads themselves."""
         total = sys.getsizeof(self._id_of) + sys.getsizeof(self._terms)
@@ -138,10 +141,20 @@ class TermDict:
 def _build_from_rows(
     terms: TermDict, rows: Iterable[Tuple[int, int, int]]
 ) -> "ColumnarTripleStore":
+    """A store over ``terms`` holding ``rows`` (any order).
+
+    A dictionary with equality-duplicate terms is re-encoded through
+    :meth:`TermDict.add` — one id per term, first representative kept —
+    and its rows renumbered, so lookups and columns agree.
+    """
     store = ColumnarTripleStore()
+    if terms.has_equal_terms():
+        dense = TermDict()
+        new_id = [dense.add(term) for term in terms.terms()]
+        rows = {(new_id[s], new_id[p], new_id[o]) for s, p, o in rows}
+        terms = dense
     store._terms = terms
-    ordered = sorted(rows)
-    store._load_sorted_unique(ordered)
+    store._load_sorted_unique(sorted(rows))
     return store
 
 
@@ -188,8 +201,8 @@ class ColumnarTripleStore:
     each permutation's rows sorted by its own (first, second, third)
     component order — holding one entry per triple.  Mutations never
     touch the sorted arrays: adds land in nested int-keyed delta dicts
-    (mirroring the dict backend's index shape) and deletes of base rows
-    land in a tombstone set; :meth:`compact` folds both back into fresh
+    (one per permutation) and deletes of base rows land in a tombstone
+    set; :meth:`compact` folds both back into fresh
     columns.  All read methods merge base − tombstones + delta.
     """
 
@@ -643,12 +656,16 @@ class ColumnarTripleStore:
         The columns come from :meth:`sorted_columns` via the checksummed
         snapshot codec, so they are sorted, unique, and untombstoned by
         construction; only cheap shape invariants are re-checked here.
+        The exception is a dictionary with equality-duplicate terms: its
+        rows are renumbered onto one id per term and re-sorted.
         """
         term_dict = TermDict._from_terms(terms)
         n_rows = len(spo[0])
         for perm in (spo, pos, osp):
             if len(perm) != 3 or any(len(col) != n_rows for col in perm):
                 raise ValueError("permutation columns disagree on row count")
+        if term_dict.has_equal_terms():
+            return _build_from_rows(term_dict, zip(*spo))
         store = cls()
         store._terms = term_dict
         store._spo = spo
@@ -656,13 +673,6 @@ class ColumnarTripleStore:
         store._osp = osp
         store._n_base = n_rows
         return store
-
-    @classmethod
-    def _from_id_rows(
-        cls, terms: TermDict, rows: Iterable[Tuple[int, int, int]]
-    ) -> "ColumnarTripleStore":
-        """Build a store from already-encoded id rows (codec save path)."""
-        return _build_from_rows(terms, rows)
 
     def clone(self) -> "ColumnarTripleStore":
         clone = ColumnarTripleStore()
@@ -686,8 +696,7 @@ class ColumnarTripleStore:
 
     def memory_bytes(self) -> int:
         """Approximate heap bytes of the triple storage (columns + delta +
-        tombstones + term dictionary) — what ``bench.bytes_per_triple``
-        compares against the dict backend's sets and nested indexes."""
+        tombstones + term dictionary)."""
         total = self._terms.memory_bytes()
         for perm in (self._spo, self._pos, self._osp):
             for col in perm:

@@ -34,7 +34,6 @@ from __future__ import annotations
 import json
 import os
 import random
-import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -66,7 +65,7 @@ DEFAULT_TOLERANCE = 0.20
 def naive_merge_entities(graph: KnowledgeGraph, keep_id: str, drop_id: str) -> int:
     """Full-scan entity merge: the O(|T|) algorithm the index walk replaced.
 
-    Scans the whole triple set twice per merge.  Kept as the benchmark
+    Scans ``graph.triples()`` twice per merge.  Kept as the benchmark
     baseline *and* the equivalence oracle: its final graph state,
     provenance, and lineage records must match ``merge_entities`` exactly.
     """
@@ -75,21 +74,11 @@ def naive_merge_entities(graph: KnowledgeGraph, keep_id: str, drop_id: str) -> i
     if keep_id == drop_id:
         raise ValueError(f"cannot merge entity {keep_id!r} into itself")
     rewritten = 0
-    for triple in [t for t in graph._triples if t.subject == drop_id]:
-        records = graph._provenance.get(triple, [])
-        graph.remove_triple(triple)
-        replacement = triple.replace_subject(keep_id)
-        graph.add_triple(replacement)
-        for record in records:
-            graph._provenance[replacement].append(record)
+    for triple in [t for t in graph.triples() if t.subject == drop_id]:
+        _naive_rewrite(graph, triple, triple.replace_subject(keep_id))
         rewritten += 1
-    for triple in [t for t in graph._triples if t.object == drop_id]:
-        records = graph._provenance.get(triple, [])
-        graph.remove_triple(triple)
-        replacement = triple.replace_object(keep_id)
-        graph.add_triple(replacement)
-        for record in records:
-            graph._provenance[replacement].append(record)
+    for triple in [t for t in graph.triples() if t.object == drop_id]:
+        _naive_rewrite(graph, triple, triple.replace_object(keep_id))
         rewritten += 1
     for alias in drop.all_names():
         keep.aliases.add(alias)
@@ -97,10 +86,20 @@ def naive_merge_entities(graph: KnowledgeGraph, keep_id: str, drop_id: str) -> i
         graph._name_index[alias.lower()].add(keep_id)
     keep.aliases.discard(keep.name)
     del graph._entities[drop_id]
+    graph._generation += 1
     obs_lineage.record_merge(
         keep_id, drop_id, n_rewritten=rewritten, stage="graph.merge_entities"
     )
     return rewritten
+
+
+def _naive_rewrite(graph: KnowledgeGraph, old: Triple, new: Triple) -> None:
+    """Replace ``old`` with ``new``; provenance moves without re-observing it."""
+    records = graph.provenance(old)
+    graph.remove_triple(old)
+    graph.add_triple(new)
+    if records:
+        graph._provenance[new].extend(records)
 
 
 def naive_ingest(
@@ -147,10 +146,10 @@ def _build_graph(
     return graph
 
 
-def _empty_graph(n_entities: int, backend: str = "dict") -> KnowledgeGraph:
+def _empty_graph(n_entities: int) -> KnowledgeGraph:
     ontology = Ontology()
     ontology.add_class("Thing")
-    graph = KnowledgeGraph(ontology=ontology, name="bench", backend=backend)
+    graph = KnowledgeGraph(ontology=ontology, name="bench")
     for index in range(n_entities):
         graph.add_entity(f"e{index}", f"Entity {index}", "Thing")
     return graph
@@ -364,33 +363,6 @@ def _bench_fusion(scale: WorkloadScale) -> WorkloadResult:
     return WorkloadResult("fusion_accu", wall, n_ops=len(results))
 
 
-def dict_triple_storage_bytes(graph: KnowledgeGraph) -> int:
-    """Approximate heap bytes of the dict backend's triple storage.
-
-    Counts what :meth:`~repro.core.store.ColumnarTripleStore.memory_bytes`
-    counts on the columnar side: the primary container (the triple set
-    plus each Triple object), the three nested SPO/POS/OSP indexes, and
-    every distinct term payload once (by object identity — interning means
-    shared strings are one object).
-    """
-    graph._ensure_indexes()
-    total = sys.getsizeof(graph._triples)
-    seen_terms: set = set()
-    for triple in graph._triples:
-        total += sys.getsizeof(triple) + sys.getsizeof(triple.__dict__)
-        for term in (triple.subject, triple.predicate, triple.object):
-            if id(term) not in seen_terms:
-                seen_terms.add(id(term))
-                total += sys.getsizeof(term)
-    for index in (graph._spo, graph._pos, graph._osp):
-        total += sys.getsizeof(index)
-        for inner in index.values():
-            total += sys.getsizeof(inner)
-            for leaf in inner.values():
-                total += sys.getsizeof(leaf)
-    return total
-
-
 def _bench_load_snapshot(scale: WorkloadScale) -> WorkloadResult:
     """Binary snapshot boot vs re-running storage construction.
 
@@ -398,20 +370,20 @@ def _bench_load_snapshot(scale: WorkloadScale) -> WorkloadResult:
     provenance) items one call at a time into a fresh graph — the
     storage-rebuild core of a pipeline re-run, with datagen/extraction
     excluded so the comparison is conservative.  The fast path parses the
-    ``.rkgs`` file into a columnar graph (provenance thaw deferred, as a
-    serving boot would leave it).
+    ``.rkgs`` file into a graph (provenance thaw deferred, as a serving
+    boot would leave it).
     """
     from repro.core import codec
 
     items = make_triples(scale.n_entities, scale.n_triples)
-    source = _empty_graph(scale.n_entities, backend="columnar")
+    source = _empty_graph(scale.n_entities)
     fast_ingest(source, items)
     with tempfile.TemporaryDirectory() as tmp_dir:
         path = os.path.join(tmp_dir, "bench.rkgs")
         codec.save_graph(source, path, include_lineage=False)
 
         start = time.perf_counter()
-        loaded = codec.load_graph(path, backend="columnar")
+        loaded = codec.load_graph(path)
         wall = time.perf_counter() - start
 
     graph_naive = _empty_graph(scale.n_entities)
@@ -426,48 +398,19 @@ def _bench_load_snapshot(scale: WorkloadScale) -> WorkloadResult:
     )
 
 
-def _bench_bytes_per_triple(scale: WorkloadScale) -> WorkloadResult:
-    """Triple-storage memory: columnar columns vs dict sets + indexes.
-
-    Encoded on the throughput axis so the trajectory gate applies:
-    ``wall_s`` holds columnar MB (so ``ops_per_s`` is triples stored per
-    columnar MB — more is better), ``naive_wall_s`` holds dict-backend MB
-    (so ``speedup_vs_naive`` is the memory-reduction factor).
-    """
-    items = make_triples(scale.n_entities, scale.n_triples, with_provenance=False)
-
-    graph_columnar = _empty_graph(scale.n_entities, backend="columnar")
-    fast_ingest(graph_columnar, items)
-    graph_columnar._store.compact()
-    columnar_mb = graph_columnar._store.memory_bytes() / 1e6
-
-    graph_dict = _empty_graph(scale.n_entities)
-    fast_ingest(graph_dict, items)
-    dict_mb = dict_triple_storage_bytes(graph_dict) / 1e6
-
-    if len(graph_columnar) != len(graph_dict):  # pragma: no cover - equivalence guard
-        raise RuntimeError("columnar and dict backends disagree on graph size")
-    return WorkloadResult(
-        "bytes_per_triple",
-        wall_s=columnar_mb,
-        n_ops=len(graph_columnar),
-        naive_wall_s=dict_mb,
-    )
-
-
 def _bench_wal_replay(scale: WorkloadScale) -> WorkloadResult:
     """WAL recovery (segment replay into a fresh graph) vs re-ingestion.
 
-    The naive baseline is per-call re-ingestion into the *same* columnar
-    backend the recovered service runs on — what a restart without a log
-    would actually have to do (and it still gets the datagen for free).
+    The naive baseline is per-call re-ingestion into a fresh graph — what
+    a restart without a log would actually have to do (and it still gets
+    the datagen for free).
     """
     from repro.core import codec
 
     items = make_triples(scale.n_entities, scale.n_triples)
     with tempfile.TemporaryDirectory() as tmp_dir:
         wal = codec.TripleWAL(tmp_dir)
-        graph = _empty_graph(scale.n_entities, backend="columnar")
+        graph = _empty_graph(scale.n_entities)
         graph.attach_wal(wal)
         # Entity records must be in the log too: recovery starts empty.
         for entity in list(graph.entities()):
@@ -485,11 +428,11 @@ def _bench_wal_replay(scale: WorkloadScale) -> WorkloadResult:
 
         recovery = codec.TripleWAL(tmp_dir)
         start = time.perf_counter()
-        recovered = recovery.recover(backend="columnar")
+        recovered = recovery.recover()
         wall = time.perf_counter() - start
         recovery.close()
 
-    graph_naive = _empty_graph(scale.n_entities, backend="columnar")
+    graph_naive = _empty_graph(scale.n_entities)
     start = time.perf_counter()
     naive_ingest(graph_naive, items)
     naive_wall = time.perf_counter() - start
@@ -721,7 +664,6 @@ WORKLOADS: Dict[str, Callable[[WorkloadScale], WorkloadResult]] = {
     "query_mix": _bench_query_mix,
     "fusion_accu": _bench_fusion,
     "load_snapshot": _bench_load_snapshot,
-    "bytes_per_triple": _bench_bytes_per_triple,
     "wal_replay": _bench_wal_replay,
     "build_scaling": _bench_build_scaling,
     "stream_ingest": _bench_stream_ingest,

@@ -311,7 +311,6 @@ def exchange(
     *,
     strategy: BlockingStrategy,
     match_threshold: float = 0.85,
-    backend: str = "columnar",
     graph_name: str = "kg",
     n_distractors: int = 10,
     n_iterations: int = 10,
@@ -444,7 +443,7 @@ def exchange(
         {record.entity_class for record in records.values()}
     ):
         ontology.add_class(entity_class)
-    graph = KnowledgeGraph(ontology=ontology, name=graph_name, backend=backend)
+    graph = KnowledgeGraph(ontology=ontology, name=graph_name)
     for root in sorted(clusters):
         root_record = records[root]
         names = sorted(

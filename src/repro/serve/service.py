@@ -58,12 +58,10 @@ class KGService:
         """Publish a new immutable snapshot (atomic swap; cache keys roll)."""
         return self.store.publish(graph)
 
-    def publish_from_file(
-        self, path: str, backend: str = "columnar"
-    ) -> GraphSnapshot:
+    def publish_from_file(self, path: str) -> GraphSnapshot:
         """Boot the serving snapshot from a ``repro save`` file (no
         construction re-run, no defensive copy)."""
-        return self.store.publish_from_file(path, backend=backend)
+        return self.store.publish_from_file(path)
 
     # Route pass-throughs (the in-process "client" surface).
 

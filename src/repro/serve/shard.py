@@ -66,11 +66,7 @@ def build_shards(graph: KnowledgeGraph, n_shards: int) -> List[KnowledgeGraph]:
     if n_shards == 1:
         return [graph]
     shards = [
-        KnowledgeGraph(
-            ontology=graph.ontology,
-            name=f"{graph.name}.shard{index}",
-            backend=graph.backend,
-        )
+        KnowledgeGraph(ontology=graph.ontology, name=f"{graph.name}.shard{index}")
         for index in range(n_shards)
     ]
     for entity in graph.entities():

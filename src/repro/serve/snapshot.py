@@ -131,9 +131,7 @@ class SnapshotStore:
         )
         return snapshot
 
-    def publish_from_file(
-        self, path: str, backend: str = "columnar"
-    ) -> GraphSnapshot:
+    def publish_from_file(self, path: str) -> GraphSnapshot:
         """Boot the serving snapshot from a binary snapshot file.
 
         This is the restart-free path: ``repro save`` persists a built
@@ -144,7 +142,7 @@ class SnapshotStore:
         from repro.core import codec  # local import: codec pulls in graph
 
         started = time.perf_counter()
-        graph = codec.load_graph(path, backend=backend)
+        graph = codec.load_graph(path)
         obs_metrics.observe(
             "serve.snapshot.load_seconds", time.perf_counter() - started
         )

@@ -94,11 +94,7 @@ class StreamIngestor:
     ) -> None:
         self.build = build or PartitionedBuild()
         ontology = Ontology(name="sources")
-        self.graph = KnowledgeGraph(
-            ontology=ontology,
-            name=self.build.graph_name,
-            backend=self.build.backend,
-        )
+        self.graph = KnowledgeGraph(ontology=ontology, name=self.build.graph_name)
         if wal is not None:
             self.graph.attach_wal(wal)
         self.wal = wal
@@ -596,7 +592,6 @@ class StreamIngestor:
             [self.to_partition_result()],
             strategy=build.strategy,
             match_threshold=build.match_threshold,
-            backend=build.backend,
             graph_name=build.graph_name,
             n_distractors=build.n_distractors,
             n_iterations=build.n_iterations,

@@ -67,12 +67,9 @@ def percentiles(
 class WALFollower:
     """A read-only replica built by tailing WAL segments."""
 
-    def __init__(self, directory: str, backend: str = "columnar") -> None:
+    def __init__(self, directory: str) -> None:
         self.directory = directory
-        self.backend = backend
-        self.graph: KnowledgeGraph = KnowledgeGraph(
-            ontology=Ontology(), name="wal", backend=backend
-        )
+        self.graph: KnowledgeGraph = KnowledgeGraph(ontology=Ontology(), name="wal")
         self._base_signature: Optional[tuple] = None
         self._segment: Optional[str] = None
         self._offset = 0
@@ -111,11 +108,9 @@ class WALFollower:
         base = self._base_path
         signature = self._signature(base)
         if signature is not None:
-            self.graph = load_graph(base, backend=self.backend)
+            self.graph = load_graph(base)
         else:
-            self.graph = KnowledgeGraph(
-                ontology=Ontology(), name="wal", backend=self.backend
-            )
+            self.graph = KnowledgeGraph(ontology=Ontology(), name="wal")
         self._base_signature = signature
         self._segment = None
         self._offset = 0

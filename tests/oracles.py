@@ -1,11 +1,17 @@
 """Reference implementations the production kernels are tested against.
 
 Slow, obvious, and memo-free on purpose: the row-by-row Levenshtein DP that
-``repro.ml.similarity.levenshtein`` used to be, and ``pair_score`` composed
-from it with every name re-tokenized and every token pair re-scored.
+``repro.ml.similarity.levenshtein`` used to be, ``pair_score`` composed
+from it with every name re-tokenized and every token pair re-scored, and
+``SetGraph``, the set-of-rows model of ``repro.core.graph.KnowledgeGraph``.
 """
 
+import copy
+from itertools import product
+
+from repro.core.triple import Triple
 from repro.ml.similarity import jaro_winkler, numeric_similarity, tokenize
+from repro.obs import lineage as obs_lineage
 
 _jaro_winkler = jaro_winkler.__wrapped__  # the function under the memo
 
@@ -61,3 +67,209 @@ def pair_score(left, right) -> float:
         if left_year is not None and right_year is not None:
             return 0.75 * name_sim + 0.25 * numeric_similarity(left_year, right_year)
     return name_sim
+
+
+# ---------------------------------------------------------------------------
+# the graph model
+
+
+class SetGraph:
+    """The set-of-rows model ``KnowledgeGraph`` is specified against.
+
+    Entities with aliases, one ``set`` of ``(s, p, o)`` rows and a dict of
+    provenance lists: no ids, no indexes, every read a scan.  What it pins:
+
+    * term identity is Python equality and the first-seen representative
+      wins for good (``0``, ``0.0`` and ``False`` are one term; a term is
+      never forgotten, which is also what ``n_id_terms`` counts);
+    * provenance accumulates per row, dies with a removed row, and moves
+      with a row that a merge rewrites;
+    * a merge rewrites the dropped entity's outgoing rows and then, reading
+      again, its incoming ones — a ``(drop, p, drop)`` loop counts twice;
+      merging an entity into itself is rejected;
+    * lineage is one observation per provenance-carrying add and one merge
+      record per merge.
+    """
+
+    def __init__(self):
+        self.entities = {}  # id -> (name, set of aliases)
+        self.rows = set()
+        self.provenance = {}  # row -> [Provenance, ...]
+        self._representative = {}
+
+    def add_entity(self, entity_id, name, aliases=()):
+        self.entities[entity_id] = (name, set(aliases))
+
+    def add_alias(self, entity_id, alias):
+        self.entities[entity_id][1].add(alias)
+
+    def _row(self, triple):
+        first_seen = self._representative.setdefault
+        return tuple(first_seen(term, term) for term in triple.as_tuple())
+
+    def add(self, triple, provenance=None):
+        if triple.subject not in self.entities:
+            raise ValueError(f"unknown subject entity: {triple.subject!r}")
+        row = self._row(triple)
+        is_new = row not in self.rows
+        self.rows.add(row)
+        if provenance is not None:
+            self.provenance.setdefault(row, []).append(provenance)
+            obs_lineage.record_observation(
+                *triple.as_tuple(),
+                source=provenance.source,
+                extractor=provenance.extractor,
+                confidence=provenance.confidence,
+                stage="graph.add_triple",
+            )
+        return is_new
+
+    def add_batch(self, items):
+        """Per-item adds; an unknown subject raises with the earlier items kept."""
+        n_new = 0
+        for item in items:
+            triple, provenance = item if type(item) is tuple else (item, None)
+            n_new += self.add(triple, provenance)
+        return n_new
+
+    def remove(self, triple):
+        row = triple.as_tuple()
+        if row not in self.rows:
+            return False
+        self.rows.discard(row)
+        self.provenance.pop(row, None)
+        return True
+
+    def merge(self, keep_id, drop_id):
+        keep_name, keep_aliases = self.entities[keep_id]
+        drop_name, drop_aliases = self.entities[drop_id]
+        if keep_id == drop_id:
+            raise ValueError(f"cannot merge entity {keep_id!r} into itself")
+        rewritten = 0
+        for position in (0, 2):  # outgoing rows, then incoming
+            for row in [row for row in self.rows if row[position] == drop_id]:
+                records = self.provenance.get(row, [])
+                self.remove(Triple(*row))
+                new = Triple(*(row[:position] + (keep_id,) + row[position + 1 :]))
+                self.add(new)
+                if records:
+                    self.provenance.setdefault(self._row(new), []).extend(records)
+                rewritten += 1
+        keep_aliases |= drop_aliases | {drop_name}
+        keep_aliases.discard(keep_name)
+        del self.entities[drop_id]
+        obs_lineage.record_merge(
+            keep_id, drop_id, n_rewritten=rewritten, stage="graph.merge_entities"
+        )
+        return rewritten
+
+    def copy(self):
+        return copy.deepcopy(self)
+
+    def query(self, subject=None, predicate=None, obj=None):
+        pattern = (subject, predicate, obj)
+        return {
+            Triple(*row)
+            for row in self.rows
+            if all(want is None or want == term for want, term in zip(pattern, row))
+        }
+
+    def find_by_name(self, name):
+        return sorted(
+            entity_id
+            for entity_id, (own, aliases) in self.entities.items()
+            if name.lower() in {alias.lower() for alias in aliases | {own}}
+        )
+
+    def stats(self):
+        n_edges = sum(
+            1 for _, _, obj in self.rows if isinstance(obj, str) and obj in self.entities
+        )
+        return {
+            "n_entities": len(self.entities),
+            "n_triples": len(self.rows),
+            "n_entity_edges": n_edges,
+            "n_attribute_triples": len(self.rows) - n_edges,
+            "n_id_terms": len(self._representative),
+        }
+
+    def state(self):
+        """What :func:`public_state` reads off a ``KnowledgeGraph``."""
+        triples = sorted(Triple(*row) for row in self.rows)
+        return {
+            "triples": triples,
+            "provenance": {
+                triple: records
+                for triple in triples
+                if (records := self.provenance.get(triple.as_tuple()))
+            },
+            "entities": sorted(self.entities),
+            "aliases": {
+                entity_id: sorted(aliases)
+                for entity_id, (_, aliases) in self.entities.items()
+            },
+            "names": {
+                name: self.find_by_name(name) for name, _ in self.entities.values()
+            },
+        }
+
+
+def public_state(graph):
+    """A ``KnowledgeGraph``'s observable state, from public reads only."""
+    triples = sorted(graph.query(), key=lambda t: t._sort_key())
+    entities = list(graph.entities())
+    return {
+        "triples": triples,
+        "provenance": {
+            triple: records
+            for triple in triples
+            if (records := graph.provenance(triple))
+        },
+        "entities": sorted(e.entity_id for e in entities),
+        "aliases": {e.entity_id: sorted(e.aliases) for e in entities},
+        "names": {
+            e.name: sorted(m.entity_id for m in graph.find_by_name(e.name))
+            for e in entities
+        },
+    }
+
+
+def assert_graph_matches(graph, model):
+    """Every public read of ``graph`` answers as the ``SetGraph`` does.
+
+    State, size statistics, and — through a sample of present rows plus
+    one absent row — all eight binding shapes of ``query`` with their
+    ``pattern_cardinality``, membership, and the row helpers.
+    """
+    assert public_state(graph) == model.state()
+    assert len(graph) == len(model.rows)
+    stats = graph.stats()
+    assert {key: stats[key] for key in model.stats()} == model.stats()
+    probes = sorted(model.rows, key=repr)[:10] + [("ghost", "nope", -1)]
+    for subject, predicate, obj in probes:
+        for pattern in product((None, subject), (None, predicate), (None, obj)):
+            answer = graph.query(*pattern)
+            assert set(answer) == model.query(*pattern)
+            assert len(answer) == len(set(answer)) == graph.pattern_cardinality(*pattern)
+        triple = Triple(subject, predicate, obj)
+        assert (triple in graph) == (triple.as_tuple() in model.rows)
+        objects = {t.object for t in model.query(subject, predicate)}
+        assert set(graph.objects(subject, predicate)) == objects
+        assert graph.one_object(subject, predicate) == (
+            next(iter(objects)) if len(objects) == 1 else None
+        )
+        assert graph.subjects(predicate, obj) == sorted(
+            t.subject for t in model.query(None, predicate, obj)
+        )
+        assert graph.neighbors(subject) == sorted(
+            [
+                (t.predicate, t.object, True)
+                for t in model.query(subject)
+                if isinstance(t.object, str) and t.object in model.entities
+            ]
+            + [
+                (t.predicate, t.subject, False)
+                for t in model.query(obj=subject)
+                if t.subject in model.entities
+            ]
+        )

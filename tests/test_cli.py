@@ -1,6 +1,7 @@
 """Tests for the experiment CLI."""
 
 import json
+import os
 
 import pytest
 
@@ -361,12 +362,31 @@ class TestStorageCli:
         assert main(["save", "NOPE", "-o", str(tmp_path / "x.rkgs")]) == 2
         assert "unknown serve fixture" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("backend", ["columnar", "dict"])
-    def test_load_round_trip(self, snapshot_path, backend, capsys):
-        assert main(["load", str(snapshot_path), "--backend", backend]) == 0
+    def test_load_round_trip(self, snapshot_path, capsys):
+        assert main(["load", str(snapshot_path)]) == 0
         output = capsys.readouterr().out
-        assert f"({backend} backend)" in output
         assert "triples" in output and "id terms" in output
+
+    def test_load_legacy_typed_terms_fixture(self, capsys):
+        fixture = os.path.join(os.path.dirname(__file__), "data", "typed_terms_v1.rkgs")
+        assert main(["load", fixture]) == 0
+        assert "6 triples, 3 entities, 8 id terms" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--snapshot", "x.rkgs", "--backend", "columnar"],
+            ["load", "x.rkgs", "--backend", "dict"],
+            ["compact", "wal-dir", "--backend", "columnar"],
+        ],
+        ids=["serve", "load", "compact"],
+    )
+    def test_backend_flag_is_gone(self, argv, capsys):
+        """There is one storage layout; the old selector fails loudly."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
     def test_load_missing_file(self, tmp_path, capsys):
         assert main(["load", str(tmp_path / "ghost.rkgs")]) == 2

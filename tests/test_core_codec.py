@@ -11,29 +11,45 @@ from repro.core.ontology import Ontology
 from repro.core.triple import Provenance, Triple
 from repro.obs import enabled_scope
 from repro.obs.lineage import get_ledger
+from tests.oracles import SetGraph, assert_graph_matches
+
+TYPED_TERMS_FIXTURE = os.path.join(
+    os.path.dirname(__file__), "data", "typed_terms_v1.rkgs"
+)
+
+_SAMPLE_ENTITIES = (
+    ("p1", "Ada", "Person", ["A. Lovelace"]),
+    ("p2", "Alan", "Person", []),
+    ("t1", "Thing One", "Thing", []),
+)
+_SAMPLE_TRIPLES = (
+    (Triple("p1", "knows", "p2"), Provenance(source="web", extractor="ex1", confidence=0.9)),
+    (Triple("p1", "born", 1815), None),
+    (Triple("p2", "score", 0.75), None),
+    (Triple("t1", "flag", True), None),
+    (Triple("p2", "knows", "p1"), Provenance(source="kb", extractor=None, confidence=0.5)),
+)
 
 
-def _sample_graph(backend="columnar"):
+def _sample_graph():
     ontology = Ontology(name="sample")
     ontology.add_class("Thing")
     ontology.add_class("Person", "Thing")
     ontology.add_relation("knows", "Person", "Person")
-    graph = KnowledgeGraph(ontology=ontology, name="sample", backend=backend)
-    graph.add_entity("p1", "Ada", "Person", aliases=["A. Lovelace"])
-    graph.add_entity("p2", "Alan", "Person")
-    graph.add_entity("t1", "Thing One", "Thing")
-    graph.add_triple(
-        Triple("p1", "knows", "p2"),
-        provenance=Provenance(source="web", extractor="ex1", confidence=0.9),
-    )
-    graph.add_triple(Triple("p1", "born", 1815))
-    graph.add_triple(Triple("p2", "score", 0.75))
-    graph.add_triple(Triple("t1", "flag", True))
-    graph.add_triple(
-        Triple("p2", "knows", "p1"),
-        provenance=Provenance(source="kb", extractor=None, confidence=0.5),
-    )
+    graph = KnowledgeGraph(ontology=ontology, name="sample")
+    for entity_id, name, entity_class, aliases in _SAMPLE_ENTITIES:
+        graph.add_entity(entity_id, name, entity_class, aliases=aliases)
+    for triple, provenance in _SAMPLE_TRIPLES:
+        graph.add_triple(triple, provenance=provenance)
     return graph
+
+
+def _sample_model():
+    model = SetGraph()
+    for entity_id, name, _, aliases in _SAMPLE_ENTITIES:
+        model.add_entity(entity_id, name, aliases)
+    model.add_batch(_SAMPLE_TRIPLES)
+    return model
 
 
 def _triples(graph):
@@ -50,16 +66,14 @@ def _provenance_map(graph):
 
 
 class TestSnapshotRoundTrip:
-    @pytest.mark.parametrize("source_backend", ["dict", "columnar"])
-    @pytest.mark.parametrize("load_backend", ["dict", "columnar"])
-    def test_state_survives_round_trip(self, tmp_path, source_backend, load_backend):
-        graph = _sample_graph(backend=source_backend)
+    def test_state_survives_round_trip(self, tmp_path):
+        graph = _sample_graph()
         path = str(tmp_path / "g.rkgs")
         n_bytes = codec.save_graph(graph, path, include_lineage=False)
         assert n_bytes == os.path.getsize(path)
-        loaded = codec.load_graph(path, backend=load_backend)
-        assert loaded.backend == load_backend
+        loaded = codec.load_graph(path)
         assert loaded.name == "sample"
+        assert_graph_matches(loaded, _sample_model())
         assert _triples(loaded) == _triples(graph)
         assert _provenance_map(loaded) == _provenance_map(graph)
         assert sorted(e.entity_id for e in loaded.entities()) == ["p1", "p2", "t1"]
@@ -93,7 +107,7 @@ class TestSnapshotRoundTrip:
     def test_empty_graph_round_trip(self, tmp_path):
         ontology = Ontology()
         ontology.add_class("Thing")
-        graph = KnowledgeGraph(ontology=ontology, backend="columnar")
+        graph = KnowledgeGraph(ontology=ontology)
         path = str(tmp_path / "empty.rkgs")
         codec.save_graph(graph, path)
         loaded = codec.load_graph(path)
@@ -165,53 +179,85 @@ class TestMmapLoad:
 
 
 class TestTypedTermRoundTrip:
-    """Numerically equal terms of different types survive a snapshot.
+    """Numerically equal terms of different types, through a snapshot.
 
-    Python conflates ``0 == 0.0 == False`` as dict keys, but the dict
-    backend stores exact object types; the save path keeps one term id
-    per *typed* term (and iterates triples in sorted order, so the bytes
-    do not depend on the process hash seed)."""
+    Term identity is Python equality: ``0``, ``0.0`` and ``False`` are one
+    term and the first-seen representative is what reads return.  Files
+    written before the dict/set storage was retired kept one term id per
+    *typed* value (``tests/data/typed_terms_v1.rkgs`` is one); loading
+    folds those ids together so every read path agrees."""
 
-    def _mixed_graph(self):
+    _MIXED = (
+        Triple("e1", "p", 0),
+        Triple("e2", "p", 0.0),
+        Triple("e3", "p", False),
+        Triple("e4", "p", True),
+        Triple("e5", "p", 1),
+    )
+
+    def _mixed_pair(self):
         ontology = Ontology()
         ontology.add_class("Thing")
-        graph = KnowledgeGraph(ontology=ontology, name="mixed", backend="dict")
+        graph, model = KnowledgeGraph(ontology=ontology, name="mixed"), SetGraph()
         for entity_id in ("e1", "e2", "e3", "e4", "e5"):
             graph.add_entity(entity_id, entity_id.upper(), "Thing")
-        for triple in (
-            Triple("e1", "p", 0),
-            Triple("e2", "p", 0.0),
-            Triple("e3", "p", False),
-            Triple("e4", "p", True),
-            Triple("e5", "p", 1),
-        ):
+            model.add_entity(entity_id, entity_id.upper())
+        for triple in self._MIXED:
             graph.add_triple(triple)
-        return graph
+            model.add(triple)
+        return graph, model
 
-    @pytest.mark.parametrize("load_backend", ["dict", "columnar"])
-    def test_types_preserved_exactly(self, tmp_path, load_backend):
-        graph = self._mixed_graph()
+    def test_first_seen_representative_survives(self, tmp_path):
+        graph, model = self._mixed_pair()
         file_path = str(tmp_path / "mixed.rkgs")
         codec.save_graph(graph, file_path, include_lineage=False)
-        loaded = codec.load_graph(file_path, backend=load_backend)
-        key = lambda t: t._sort_key()  # noqa: E731
-        original = sorted(graph.query(), key=key)
-        restored = sorted(loaded.query(), key=key)
-        assert restored == original
-        assert [type(t.object) for t in restored] == [
-            type(t.object) for t in original
-        ]
+        loaded = codec.load_graph(file_path)
+        for candidate in (graph, loaded):
+            assert_graph_matches(candidate, model)
+            assert [(t.subject, t.object, type(t.object)) for t in candidate.query()] == [
+                ("e1", 0, int),
+                ("e2", 0, int),
+                ("e3", 0, int),
+                ("e4", True, bool),
+                ("e5", True, bool),
+            ]
+
+    def test_legacy_typed_terms_load_consistently(self):
+        """The committed file holds (e1,p,0), (e2,p,0.0), (e3,p,False) under
+        three term ids; before the fix ``query`` saw e2's row while ``in``,
+        ``remove_triple``, ``subjects`` and ``pattern_cardinality`` did not."""
+        loaded = codec.load_graph(TYPED_TERMS_FIXTURE)
+        assert loaded.query(subject="e2", predicate="p") == [Triple("e2", "p", 0.0)]
+        assert Triple("e2", "p", 0.0) in loaded
+        assert loaded.subjects("p", 0) == ["e1", "e2", "e3"]
+        assert loaded.pattern_cardinality(predicate="p", obj=0) == 3
+        assert loaded.subjects("q", True) == ["e1", "e2"]
+        model = SetGraph()
+        for entity_id in ("e1", "e2", "e3"):
+            model.add_entity(entity_id, entity_id.upper())
+        model.add(Triple("e1", "p", 0), Provenance(source="s1", confidence=0.9))
+        model.add(Triple("e2", "p", 0.0), Provenance(source="s2", confidence=0.8))
+        model.add_batch(
+            [
+                Triple("e3", "p", False),
+                Triple("e1", "q", 1),
+                Triple("e2", "q", True),
+                Triple("e3", "knows", "e1"),
+            ]
+        )
+        assert loaded.remove_triple(Triple("e2", "p", 0.0))
+        assert model.remove(Triple("e2", "p", 0.0))
+        assert_graph_matches(loaded, model)
 
     def test_resave_is_byte_stable(self, tmp_path):
-        graph = self._mixed_graph()
-        first = str(tmp_path / "first.rkgs")
-        second = str(tmp_path / "second.rkgs")
-        codec.save_graph(graph, first, include_lineage=False)
-        codec.save_graph(
-            codec.load_graph(first, backend="dict"), second, include_lineage=False
-        )
-        with open(first, "rb") as a, open(second, "rb") as b:
-            assert a.read() == b.read()
+        legacy = codec.load_graph(TYPED_TERMS_FIXTURE)
+        for tag, graph in (("mixed", self._mixed_pair()[0]), ("legacy", legacy)):
+            first = str(tmp_path / f"{tag}-first.rkgs")
+            second = str(tmp_path / f"{tag}-second.rkgs")
+            codec.save_graph(graph, first, include_lineage=False)
+            codec.save_graph(codec.load_graph(first), second, include_lineage=False)
+            with open(first, "rb") as a, open(second, "rb") as b:
+                assert a.read() == b.read()
 
 
 class TestSnapshotCorruption:
@@ -290,7 +336,7 @@ class TestTripleWAL:
         ontology.add_class("Thing")
         ontology.add_class("Person", "Thing")
         ontology.add_relation("knows", "Person", "Person")
-        graph = KnowledgeGraph(ontology=ontology, name="sample", backend="columnar")
+        graph = KnowledgeGraph(ontology=ontology, name="sample")
         for entity in sorted(reference.entities(), key=lambda e: e.entity_id):
             graph.add_entity(
                 entity.entity_id, entity.name, entity.entity_class, entity.aliases
@@ -331,7 +377,7 @@ class TestTripleWAL:
         wal = TripleWAL(str(tmp_path / "wal"))
         ontology = Ontology()
         ontology.add_class("Thing")
-        graph = KnowledgeGraph(ontology=ontology, backend="columnar")
+        graph = KnowledgeGraph(ontology=ontology)
         for index in range(5):
             graph.add_entity(f"e{index}", f"E{index}", "Thing")
         for record in self._entity_records(graph):
@@ -540,7 +586,7 @@ class TestWALConcurrency:
             wal.append({"op": "add", "s": "e0", "p": "attr", "o": index})
         ontology = Ontology(name="canon")
         ontology.add_class("Thing")
-        canonical = KnowledgeGraph(ontology=ontology, name="canon", backend="columnar")
+        canonical = KnowledgeGraph(ontology=ontology, name="canon")
         canonical.add_entity("e0", "E0", "Thing")
         canonical.add_triple(Triple("e0", "only", "this"))
         stats = wal.checkpoint(canonical)

@@ -2,7 +2,8 @@
 
 Random graphs — arbitrary term types, unicode strings, float/int/bool
 objects, random provenance — must round-trip byte-exactly through the
-snapshot format and replay exactly through the WAL, on both backends.
+snapshot format and replay exactly through the WAL, and the loaded graph
+must answer every read as the set-of-rows model in ``tests/oracles.py``.
 Random corruption (truncation at any byte, any single flipped byte) must
 never produce a wrong graph: it either raises :class:`CodecError` or, for
 byte flips that only touch a not-yet-read section, is caught by that
@@ -20,6 +21,7 @@ from repro.core.codec import CodecError, TripleWAL
 from repro.core.graph import KnowledgeGraph
 from repro.core.ontology import Ontology
 from repro.core.triple import Provenance, Triple
+from tests.oracles import SetGraph, assert_graph_matches, public_state
 
 _ENTITY_IDS = ["e0", "e1", "e2", "e3"]
 
@@ -46,10 +48,10 @@ _items = st.lists(
 )
 
 
-def _build(items, backend):
+def _build(items):
     ontology = Ontology()
     ontology.add_class("Thing")
-    graph = KnowledgeGraph(ontology=ontology, name="prop", backend=backend)
+    graph = KnowledgeGraph(ontology=ontology, name="prop")
     for entity_id in _ENTITY_IDS:
         graph.add_entity(entity_id, entity_id.upper(), "Thing")
     graph.add_triples_batch(
@@ -58,28 +60,23 @@ def _build(items, backend):
     return graph
 
 
-def _state(graph):
-    graph._materialize_provenance()
-    return (
-        sorted(graph.query()),
-        {
-            triple: list(records)
-            for triple, records in graph._provenance.items()
-            if records
-        },
-        sorted(e.entity_id for e in graph.entities()),
-    )
+def _model(items):
+    model = SetGraph()
+    for entity_id in _ENTITY_IDS:
+        model.add_entity(entity_id, entity_id.upper())
+    model.add_batch((Triple(s, p, o), prov) for s, p, o, prov in items)
+    return model
 
 
-@given(items=_items, backend=st.sampled_from(["dict", "columnar"]))
+@given(items=_items)
 @settings(max_examples=50, deadline=None)
-def test_snapshot_roundtrip(tmp_path_factory, items, backend):
-    graph = _build(items, backend)
+def test_snapshot_roundtrip(tmp_path_factory, items):
+    graph = _build(items)
     path = str(tmp_path_factory.mktemp("codec") / "graph.rkgs")
     codec.save_graph(graph, path, include_lineage=False)
-    for load_backend in ("dict", "columnar"):
-        loaded = codec.load_graph(path, backend=load_backend)
-        assert _state(loaded) == _state(graph)
+    loaded = codec.load_graph(path)
+    assert public_state(loaded) == public_state(graph)
+    assert_graph_matches(loaded, _model(items))
 
 
 @given(items=_items)
@@ -89,7 +86,7 @@ def test_wal_replay_roundtrip(tmp_path_factory, items):
     wal = TripleWAL(wal_dir, segment_bytes=4096)
     ontology = Ontology()
     ontology.add_class("Thing")
-    graph = KnowledgeGraph(ontology=ontology, name="prop", backend="columnar")
+    graph = KnowledgeGraph(ontology=ontology, name="prop")
     for entity_id in _ENTITY_IDS:
         graph.add_entity(entity_id, entity_id.upper(), "Thing")
         wal.append(
@@ -110,7 +107,7 @@ def test_wal_replay_roundtrip(tmp_path_factory, items):
         graph.add_triple(Triple(s, "readd", o))
     wal.close()
     recovered = TripleWAL(wal_dir).recover()
-    assert _state(recovered) == _state(graph)
+    assert public_state(recovered) == public_state(graph)
 
 
 @given(
@@ -119,7 +116,7 @@ def test_wal_replay_roundtrip(tmp_path_factory, items):
 )
 @settings(max_examples=30, deadline=None)
 def test_truncated_snapshot_never_loads_wrong(tmp_path_factory, items, cut):
-    graph = _build(items, "columnar")
+    graph = _build(items)
     path = str(tmp_path_factory.mktemp("codec") / "graph.rkgs")
     codec.save_graph(graph, path, include_lineage=False)
     size = os.path.getsize(path)
@@ -138,7 +135,7 @@ def test_truncated_snapshot_never_loads_wrong(tmp_path_factory, items, cut):
 )
 @settings(max_examples=50, deadline=None)
 def test_flipped_byte_never_loads_wrong(tmp_path_factory, items, position, flip):
-    graph = _build(items, "columnar")
+    graph = _build(items)
     path = str(tmp_path_factory.mktemp("codec") / "graph.rkgs")
     codec.save_graph(graph, path, include_lineage=False)
     with open(path, "rb") as handle:
@@ -155,7 +152,7 @@ def test_flipped_byte_never_loads_wrong(tmp_path_factory, items, position, flip)
     # provenance is first read; everything else was checksum-verified, so
     # the loaded triples must already be correct.
     try:
-        assert _state(loaded)[0] == _state(graph)[0]
+        assert public_state(loaded)["triples"] == public_state(graph)["triples"]
     except CodecError:
         return
 

@@ -1,17 +1,24 @@
-"""Property tests: index consistency and fast/naive equivalence under churn.
+"""Property tests: the graph against its set-of-rows model, under churn.
 
 Random interleavings of ``add_triple`` / ``add_triples_batch`` /
-``remove_triple`` / ``merge_entities`` are applied twice — once through the
-fast paths (batch ingestion with deferred index rows, index-walk merges)
-and once through the naive reference paths (per-call adds, full-scan
-merges from :mod:`repro.evalx.bench`).  Both runs must end in identical
-graph state and identical lineage ledgers, and the SPO/POS/OSP indexes
-must always be exactly the triples' projections with no empty shells.
+``remove_triple`` / ``merge_entities`` are applied to a graph and to
+``tests.oracles.SetGraph``; every index-backed read must be exactly the
+model's projection.  The same interleavings run through the fast paths
+(batch ingestion, index-walk merges) and the naive reference paths
+(per-call adds, full-scan merges from :mod:`repro.evalx.bench`) must end
+in identical public state and identical lineage ledgers.  A stateful
+machine adds aliases, copies and snapshot round trips, and checks
+``graph == model`` after every step.
 """
+
+import os
+import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.core import codec
 from repro.core.graph import KnowledgeGraph
 from repro.core.ontology import Ontology
 from repro.core.parallel import pmap
@@ -19,6 +26,7 @@ from repro.core.triple import Provenance, Triple
 from repro.evalx.bench import naive_merge_entities
 from repro.obs import enabled_scope
 from repro.obs.lineage import get_ledger
+from tests.oracles import SetGraph, assert_graph_matches, public_state
 
 _ENTITY_IDS = ("e0", "e1", "e2", "e3", "e4")
 _subjects = st.sampled_from(_ENTITY_IDS)
@@ -27,16 +35,19 @@ _objects = st.one_of(
     st.sampled_from(_ENTITY_IDS),
     st.sampled_from(("x", "y", "z")),
     st.integers(0, 9),
+    # Equal to some of the ints above without being the same term type.
+    st.sampled_from((0.0, 1.0, 2.5, False, True)),
 )
 _prov_index = st.one_of(st.none(), st.integers(0, 2))
 _spec = st.tuples(_subjects, _predicates, _objects, _prov_index)
+_picks = st.tuples(st.integers(0, 9), st.integers(0, 9))
 
 _add_op = st.tuples(st.just("add"), _spec)
 _batch_op = st.tuples(st.just("batch"), st.lists(_spec, max_size=8))
 _remove_op = st.tuples(
     st.just("remove"), st.tuples(_subjects, _predicates, _objects)
 )
-_merge_op = st.tuples(st.just("merge"), st.tuples(st.integers(0, 9), st.integers(0, 9)))
+_merge_op = st.tuples(st.just("merge"), _picks)
 
 _op_lists = st.lists(
     st.one_of(_add_op, _batch_op, _remove_op, _merge_op), max_size=25
@@ -58,21 +69,37 @@ def _fresh_graph():
     return graph
 
 
+def _fresh_model():
+    model = SetGraph()
+    for entity_id in _ENTITY_IDS:
+        model.add_entity(entity_id, entity_id.upper())
+    return model
+
+
+def _items(specs, entity_ids):
+    return [
+        (Triple(subject, predicate, obj), _provenance(prov))
+        for subject, predicate, obj, prov in specs
+        if subject in entity_ids
+    ]
+
+
+def _merge_pair(entity_ids, picks):
+    """Two of the remaining entities, or None when the picks coincide."""
+    ids = sorted(entity_ids)
+    keep, drop = ids[picks[0] % len(ids)], ids[picks[1] % len(ids)]
+    return None if keep == drop else (keep, drop)
+
+
 def _apply_ops(graph, ops, fast):
     """Run one op sequence; ``fast`` picks batch/index-walk vs naive paths."""
     for kind, payload in ops:
+        entity_ids = {entity.entity_id for entity in graph.entities()}
         if kind == "add":
-            subject, predicate, obj, prov = payload
-            if graph.has_entity(subject):
-                graph.add_triple(
-                    Triple(subject, predicate, obj), provenance=_provenance(prov)
-                )
+            for triple, provenance in _items([payload], entity_ids):
+                graph.add_triple(triple, provenance=provenance)
         elif kind == "batch":
-            items = [
-                (Triple(subject, predicate, obj), _provenance(prov))
-                for subject, predicate, obj, prov in payload
-                if graph.has_entity(subject)
-            ]
+            items = _items(payload, entity_ids)
             if fast:
                 graph.add_triples_batch(items)
             else:
@@ -80,55 +107,27 @@ def _apply_ops(graph, ops, fast):
                     graph.add_triple(triple, provenance=provenance)
         elif kind == "remove":
             graph.remove_triple(Triple(*payload))
-        else:  # merge
-            ids = sorted(graph._entities)
-            keep = ids[payload[0] % len(ids)]
-            drop = ids[payload[1] % len(ids)]
-            if keep == drop:
-                continue
-            if fast:
-                graph.merge_entities(keep, drop)
-            else:
-                naive_merge_entities(graph, keep, drop)
+        else:
+            pair = _merge_pair(entity_ids, payload)
+            if pair is not None and fast:
+                graph.merge_entities(*pair)
+            elif pair is not None:
+                naive_merge_entities(graph, *pair)
 
 
-def _expected_indexes(graph):
-    spo, pos, osp = {}, {}, {}
-    for triple in graph._triples:
-        subject, predicate, obj = triple.subject, triple.predicate, triple.object
-        spo.setdefault(subject, {}).setdefault(predicate, set()).add(obj)
-        pos.setdefault(predicate, {}).setdefault(obj, set()).add(subject)
-        osp.setdefault(obj, {}).setdefault(subject, set()).add(predicate)
-    return spo, pos, osp
-
-
-def _actual_indexes(graph):
-    graph._ensure_indexes()
-
-    def materialize(index):
-        return {
-            key: {inner: set(values) for inner, values in row.items()}
-            for key, row in index.items()
-        }
-
-    return (
-        materialize(graph._spo),
-        materialize(graph._pos),
-        materialize(graph._osp),
-    )
-
-
-def _state(graph):
-    return {
-        "triples": set(graph._triples),
-        "provenance": {
-            triple: list(records)
-            for triple, records in graph._provenance.items()
-            if records
-        },
-        "entities": sorted(graph._entities),
-        "indexes": _actual_indexes(graph),
-    }
+def _apply_ops_to_model(model, ops):
+    for kind, payload in ops:
+        if kind == "add":
+            for triple, provenance in _items([payload], model.entities):
+                model.add(triple, provenance)
+        elif kind == "batch":
+            model.add_batch(_items(payload, model.entities))
+        elif kind == "remove":
+            model.remove(Triple(*payload))
+        else:
+            pair = _merge_pair(model.entities, payload)
+            if pair is not None:
+                model.merge(*pair)
 
 
 def _ledger_events():
@@ -141,12 +140,18 @@ def _ledger_events():
 @given(_op_lists)
 @settings(max_examples=30, deadline=None)
 def test_indexes_always_exact_projection(ops):
-    """Actual indexes equal the triples' projections — no stale or empty rows."""
-    graph = _fresh_graph()
-    _apply_ops(graph, ops, fast=True)
-    assert _actual_indexes(graph) == _expected_indexes(graph)
-    # Exact equality above also forbids empty shells: an empty row/set in
-    # the actual index could never appear in the projection.
+    """Every index-backed read equals the model rows' projection — no stale
+    rows, no resurrected ones, and the same lineage events on the way."""
+    with enabled_scope():
+        graph = _fresh_graph()
+        _apply_ops(graph, ops, fast=True)
+        graph_events = _ledger_events()
+    with enabled_scope():
+        model = _fresh_model()
+        _apply_ops_to_model(model, ops)
+        model_events = _ledger_events()
+    assert_graph_matches(graph, model)
+    assert graph_events == model_events
 
 
 @given(_op_lists)
@@ -156,18 +161,79 @@ def test_fast_and_naive_paths_equivalent(ops):
     with enabled_scope():
         fast = _fresh_graph()
         _apply_ops(fast, ops, fast=True)
-        fast_state = _state(fast)
+        fast_state = public_state(fast)
         fast_events = _ledger_events()
         fast_sequence = get_ledger()._sequence
     with enabled_scope():
         naive = _fresh_graph()
         _apply_ops(naive, ops, fast=False)
-        naive_state = _state(naive)
+        naive_state = public_state(naive)
         naive_events = _ledger_events()
         naive_sequence = get_ledger()._sequence
     assert fast_state == naive_state
     assert fast_events == naive_events
     assert fast_sequence == naive_sequence
+
+
+class GraphMachine(RuleBasedStateMachine):
+    """``KnowledgeGraph`` and ``SetGraph`` driven through the same steps."""
+
+    def __init__(self):
+        super().__init__()
+        self.graph = _fresh_graph()
+        self.model = _fresh_model()
+
+    @rule(spec=_spec)
+    def add(self, spec):
+        for triple, provenance in _items([spec], self.model.entities):
+            assert self.graph.add_triple(triple, provenance=provenance) == (
+                self.model.add(triple, provenance)
+            )
+
+    @rule(specs=st.lists(_spec, max_size=8))
+    def add_batch(self, specs):
+        items = _items(specs, self.model.entities)
+        assert self.graph.add_triples_batch(items) == self.model.add_batch(items)
+
+    @rule(row=st.tuples(_subjects, _predicates, _objects))
+    def remove(self, row):
+        triple = Triple(*row)
+        assert self.graph.remove_triple(triple) == self.model.remove(triple)
+
+    @rule(picks=_picks)
+    def merge(self, picks):
+        pair = _merge_pair(self.model.entities, picks)
+        if pair is not None:
+            assert self.graph.merge_entities(*pair) == self.model.merge(*pair)
+
+    @rule(pick=st.integers(0, 9), alias=st.sampled_from(("Ann", "ann", "Bo", "E0")))
+    def add_alias(self, pick, alias):
+        ids = sorted(self.model.entities)
+        entity_id = ids[pick % len(ids)]
+        self.graph.add_alias(entity_id, alias)
+        self.model.add_alias(entity_id, alias)
+
+    @rule()
+    def copy(self):
+        self.graph = self.graph.copy()
+        self.model = self.model.copy()
+
+    @rule()
+    def save_and_load(self):
+        with tempfile.TemporaryDirectory() as tmp_dir:
+            path = os.path.join(tmp_dir, "machine.rkgs")
+            codec.save_graph(self.graph, path, include_lineage=False)
+            self.graph = codec.load_graph(path)
+
+    @invariant()
+    def graph_equals_model(self):
+        assert_graph_matches(self.graph, self.model)
+
+
+TestGraphMachine = GraphMachine.TestCase
+TestGraphMachine.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None
+)
 
 
 def _double(x):

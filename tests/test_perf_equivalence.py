@@ -1,13 +1,13 @@
 """Fast paths must be byte-identical to the naive reference algorithms.
 
-Every optimization in the performance layer (batch ingestion with deferred
-index builds, index-walk merges, join reordering, pmap fan-out) claims to
+Every optimization in the performance layer (batch ingestion through the
+bulk loader, index-walk merges, join reordering, pmap fan-out) claims to
 change *speed only*.  These tests pin that claim: graph state, provenance,
 lineage ledgers, and query answers are compared structure-for-structure
-against the naive implementations the fast paths replaced.
+against the naive implementations the fast paths replaced, and the
+columnar store against the set-of-rows model in ``tests/oracles.py``.
+Only public reads are compared.
 """
-
-import os
 
 import pytest
 
@@ -18,6 +18,8 @@ from repro.core.triple import Provenance, Triple
 from repro.evalx import bench
 from repro.obs import enabled_scope
 from repro.obs.lineage import get_ledger
+from tests.oracles import SetGraph, assert_graph_matches
+from tests.oracles import public_state as _public_state
 
 
 def _ledger_events():
@@ -29,38 +31,17 @@ def _ledger_events():
     }
 
 
-def _index_snapshot(graph):
-    """All three indexes as plain nested dicts (empty rows dropped)."""
-    graph._ensure_indexes()
-
-    def norm(index):
-        return {
-            key: {inner: set(values) for inner, values in row.items() if values}
-            for key, row in index.items()
-            if row
-        }
-
-    return norm(graph._spo), norm(graph._pos), norm(graph._osp)
-
-
 def _graph_state(graph):
-    return {
-        "triples": set(graph._triples),
-        "provenance": {
-            triple: list(records)
-            for triple, records in graph._provenance.items()
-            if records
-        },
-        "entities": sorted(graph._entities),
-        "aliases": {
-            entity_id: set(entity.aliases)
-            for entity_id, entity in graph._entities.items()
-        },
-        "name_index": {
-            name: set(ids) for name, ids in graph._name_index.items() if ids
-        },
-        "indexes": _index_snapshot(graph),
-    }
+    """Public state plus the size statistics."""
+    return {**_public_state(graph), "stats": graph.stats()}
+
+
+def _oracle(n_entities):
+    """The ``SetGraph`` twin of ``bench._empty_graph``."""
+    oracle = SetGraph()
+    for index in range(n_entities):
+        oracle.add_entity(f"e{index}", f"Entity {index}")
+    return oracle
 
 
 @pytest.fixture
@@ -123,16 +104,6 @@ class TestBatchIngestEquivalence:
         assert Triple("e1", "p", "z") not in graph
         assert graph.query(subject="e0") == [Triple("e0", "p", "x")]
 
-    def test_deferred_indexes_invisible_to_readers(self, items):
-        graph = bench._empty_graph(60)
-        graph.add_triples_batch(items)
-        # Before any read the rows are pending; every read path drains them.
-        sample = items[0][0]
-        assert sample in graph
-        assert graph.query(subject=sample.subject, predicate=sample.predicate)
-        assert graph.pattern_cardinality(subject=sample.subject) > 0
-        assert not graph._pending_index
-
 
 class TestMergeEquivalence:
     def _linked_graph(self):
@@ -148,6 +119,10 @@ class TestMergeEquivalence:
             ]
             fast_state = _graph_state(fast)
             fast_events = _ledger_events()
+        oracle = _oracle(40)
+        oracle.add_batch(bench.make_triples(40, 400))
+        assert [oracle.merge(keep, drop) for keep, drop in pairs] == fast_rewrites
+        assert_graph_matches(fast, oracle)
         with enabled_scope():
             slow = self._linked_graph()
             slow_rewrites = [
@@ -188,21 +163,30 @@ class TestMergeEquivalence:
             graph.add_entity("drop", "Drop", "Thing")
             graph.add("drop", "knows", "drop")
             merge(graph, "keep", "drop")
-            assert set(graph._triples) == {Triple("keep", "knows", "keep")}
+            assert list(graph.triples()) == [Triple("keep", "knows", "keep")]
 
 
 class TestRemoveTriplePruning:
     def test_empty_rows_are_pruned(self):
-        graph = bench._empty_graph(3)
-        graph.add("e0", "p", "x")
-        graph.add("e0", "q", "e1")
+        """A removed row leaves nothing behind on any read path."""
+        graph, oracle = bench._empty_graph(3), _oracle(3)
+        for triple in (Triple("e0", "p", "x"), Triple("e0", "q", "e1")):
+            graph.add_triple(triple)
+            oracle.add(triple)
         assert graph.remove_triple(Triple("e0", "p", "x"))
-        assert "p" not in graph._spo.get("e0", {})
-        assert "p" not in graph._pos
-        assert "x" not in graph._osp
+        assert oracle.remove(Triple("e0", "p", "x"))
+        assert graph.query(subject="e0", predicate="p") == []
+        assert graph.query(predicate="p") == graph.query(obj="x") == []
+        assert graph.pattern_cardinality(predicate="p") == 0
+        assert graph.pattern_cardinality(obj="x") == 0
+        assert graph.objects("e0", "p") == []
+        assert_graph_matches(graph, oracle)
         assert graph.remove_triple(Triple("e0", "q", "e1"))
-        assert "e0" not in graph._spo
-        assert "e1" not in graph._osp
+        assert oracle.remove(Triple("e0", "q", "e1"))
+        assert graph.query(subject="e0") == graph.query(obj="e1") == []
+        assert graph.neighbors("e0") == graph.neighbors("e1") == []
+        assert len(graph) == 0
+        assert_graph_matches(graph, oracle)
 
     def test_remove_missing_is_false(self):
         graph = bench._empty_graph(2)
@@ -264,145 +248,112 @@ class TestQueryEquivalence:
         assert checked > 0
 
 
-def _public_state(graph):
-    """Backend-agnostic observable state, built only from public APIs.
-
-    ``_graph_state`` reaches into the dict backend's internals
-    (``_triples``, ``_spo``); the columnar backend has neither, so
-    cross-backend equivalence is pinned on what callers can actually
-    see: query answers, provenance, entities, aliases, and name lookups.
-    """
-    graph._materialize_provenance()
-    triples = sorted(graph.query(), key=lambda t: t._sort_key())
-    return {
-        "triples": triples,
-        "provenance": {
-            triple: records
-            for triple in triples
-            if (records := graph.provenance(triple))
-        },
-        "entities": sorted(e.entity_id for e in graph.entities()),
-        "aliases": {
-            e.entity_id: sorted(e.aliases) for e in graph.entities()
-        },
-        "names": {
-            e.name: sorted(m.entity_id for m in graph.find_by_name(e.name))
-            for e in graph.entities()
-        },
-    }
-
-
 class TestColumnarBackendEquivalence:
-    """The columnar store must be observably identical to the dict backend."""
+    """The columnar store must be observably identical to the set model."""
 
     def _pair(self, items):
-        graphs = []
-        for backend in ("dict", "columnar"):
-            graph = bench._empty_graph(60, backend=backend)
-            graph.add_triples_batch(items)
-            graphs.append(graph)
-        return graphs
+        graph, oracle = bench._empty_graph(60), _oracle(60)
+        assert graph.add_triples_batch(items) == oracle.add_batch(items)
+        return graph, oracle
 
     def test_batch_ingest_state_identical(self, items):
-        dict_graph, columnar_graph = self._pair(items)
-        assert _public_state(dict_graph) == _public_state(columnar_graph)
+        assert_graph_matches(*self._pair(items))
 
     def test_lineage_ledger_identical(self, items):
-        states = {}
-        for backend in ("dict", "columnar"):
+        states = []
+        for ingest in (
+            lambda: bench._empty_graph(60).add_triples_batch(items),
+            lambda: _oracle(60).add_batch(items),
+        ):
             with enabled_scope():
-                graph = bench._empty_graph(60, backend=backend)
-                graph.add_triples_batch(items)
-                states[backend] = (_ledger_events(), get_ledger()._sequence)
-        assert states["dict"] == states["columnar"]
+                ingest()
+                states.append((_ledger_events(), get_ledger()._sequence))
+        assert states[0] == states[1]
+        assert states[0][0]  # the ledger actually recorded something
 
     def test_per_call_ingest_state_identical(self, items):
-        graphs = []
-        for backend in ("dict", "columnar"):
-            graph = bench._empty_graph(60, backend=backend)
-            for triple, provenance in items:
-                graph.add_triple(triple, provenance=provenance)
-            graphs.append(graph)
-        assert _public_state(graphs[0]) == _public_state(graphs[1])
+        graph, oracle = bench._empty_graph(60), _oracle(60)
+        for triple, provenance in items:
+            assert graph.add_triple(triple, provenance=provenance) == oracle.add(
+                triple, provenance
+            )
+        assert_graph_matches(graph, oracle)
 
     def test_merge_and_remove_state_identical(self, items):
-        dict_graph, columnar_graph = self._pair(items)
+        graph, oracle = self._pair(items)
         victims = [items[3][0], items[11][0], items[40][0]]
         merges = [("e0", "e1"), ("e2", "e3")]
-        results = []
-        for graph in (dict_graph, columnar_graph):
+        with enabled_scope():
             removed = [graph.remove_triple(t) for t in victims]
             rewritten = [graph.merge_entities(k, d) for k, d in merges]
-            results.append((removed, rewritten))
-        assert results[0] == results[1]
-        assert _public_state(dict_graph) == _public_state(columnar_graph)
+            graph_events = _ledger_events()
+        with enabled_scope():
+            assert [oracle.remove(t) for t in victims] == removed
+            assert [oracle.merge(k, d) for k, d in merges] == rewritten
+            assert _ledger_events() == graph_events
+        assert_graph_matches(graph, oracle)
 
     def test_query_answers_identical(self, items):
-        dict_graph, columnar_graph = self._pair(items)
+        graph, oracle = self._pair(items)
         probes = [
             {"subject": "e0"},
             {"predicate": "related_to"},
             {"obj": "e1"},
             {"subject": "e0", "predicate": "related_to"},
             {"predicate": "related_to", "obj": "e1"},
+            {"subject": "e0", "obj": "e1"},
             {"subject": "ghost"},
             {},
         ]
         for probe in probes:
-            assert sorted(
-                dict_graph.query(**probe), key=lambda t: t._sort_key()
-            ) == sorted(columnar_graph.query(**probe), key=lambda t: t._sort_key())
-            assert dict_graph.pattern_cardinality(
-                **probe
-            ) == columnar_graph.pattern_cardinality(**probe)
-        for entity_id in ("e0", "e7", "ghost"):
-            assert sorted(dict_graph.neighbors(entity_id)) == sorted(
-                columnar_graph.neighbors(entity_id)
-            )
+            answer = graph.query(**probe)
+            assert answer == sorted(oracle.query(**probe))
+            assert graph.pattern_cardinality(**probe) == len(answer)
 
     def test_copy_preserves_backend_and_state(self, items):
-        _, columnar_graph = self._pair(items)
-        clone = columnar_graph.copy()
-        assert clone.backend == "columnar"
-        assert _public_state(clone) == _public_state(columnar_graph)
+        """The clone owns its own store and holds the same state."""
+        graph, oracle = self._pair(items)
+        clone = graph.copy()
+        assert_graph_matches(clone, oracle.copy())
         # Mutating the clone must not leak into the original.
         sample = items[0][0]
         clone.remove_triple(sample)
-        assert sample in columnar_graph
+        assert sample in graph
+        assert_graph_matches(graph, oracle)
 
     def test_stats_report_id_table(self, items):
-        dict_graph, columnar_graph = self._pair(items)
-        for graph in (dict_graph, columnar_graph):
-            stats = graph.stats()
-            assert stats["n_id_terms"] > 0
-            assert stats["n_triples"] == len(graph)
+        graph, oracle = self._pair(items)
+        stats = graph.stats()
+        assert stats["n_id_terms"] == oracle.stats()["n_id_terms"] > 0
+        assert stats["n_triples"] == len(graph)
+        # Ids are never recycled: removing rows keeps their terms counted.
+        for triple, _ in items[:50]:
+            graph.remove_triple(triple)
+            oracle.remove(triple)
+        assert graph.stats()["n_id_terms"] == stats["n_id_terms"]
+        assert_graph_matches(graph, oracle)
 
 
 class TestMutationBeforeFirstIndexRead:
-    """Satellite: mutations racing the deferred index build.
+    """Mutations issued right after a bulk load, before any read.
 
-    ``add_triples_batch`` defers index rows (``_pending_index`` on the
-    dict backend, the bulk-load column install on the columnar one).
+    A batch landing in an empty graph installs sorted columns in one go.
     A ``remove_triple`` or ``merge_entities`` issued *before* the first
     index-backed read must neither resurrect removed rows nor leave
-    orphaned drop-id rows once the indexes materialize.
+    orphaned drop-id rows.
     """
 
-    @pytest.mark.parametrize("backend", ["dict", "columnar"])
-    def test_remove_before_first_read_stays_removed(self, backend, items):
-        graph = bench._empty_graph(60, backend=backend)
+    def test_remove_before_first_read_stays_removed(self, items):
+        graph = bench._empty_graph(60)
         graph.add_triples_batch(items)
         victim = items[0][0]
         assert graph.remove_triple(victim)  # no read has happened yet
         assert victim not in graph
         assert victim not in graph.query(subject=victim.subject)
         assert victim.object not in graph.objects(victim.subject, victim.predicate)
-        if backend == "dict":
-            assert not graph._pending_index
 
-    @pytest.mark.parametrize("backend", ["dict", "columnar"])
-    def test_merge_before_first_read_leaves_no_orphans(self, backend):
-        graph = bench._empty_graph(4, backend=backend)
+    def test_merge_before_first_read_leaves_no_orphans(self):
+        graph = bench._empty_graph(4)
         graph.add_triples_batch(
             [
                 Triple("e0", "p", "e1"),
@@ -414,20 +365,16 @@ class TestMutationBeforeFirstIndexRead:
         assert not graph.has_entity("e1")
         assert graph.query(subject="e1") == []
         assert graph.query(obj="e1") == []
+        assert graph.pattern_cardinality(subject="e1") == 0
+        assert graph.pattern_cardinality(obj="e1") == 0
         assert set(graph.query()) == {
             Triple("e0", "p", "e0"),
             Triple("e0", "q", "x"),
             Triple("e2", "r", "e0"),
         }
-        if backend == "dict":
-            spo, pos, osp = _index_snapshot(graph)
-            assert "e1" not in spo
-            assert all("e1" not in row for row in pos.values())
-            assert "e1" not in osp
 
-    @pytest.mark.parametrize("backend", ["dict", "columnar"])
-    def test_remove_then_readd_before_first_read(self, backend, items):
-        graph = bench._empty_graph(60, backend=backend)
+    def test_remove_then_readd_before_first_read(self, items):
+        graph = bench._empty_graph(60)
         graph.add_triples_batch(items)
         victim = items[5][0]
         assert graph.remove_triple(victim)
@@ -438,21 +385,24 @@ class TestMutationBeforeFirstIndexRead:
             set(graph.query(subject=victim.subject))
         )
 
-    @pytest.mark.parametrize("backend", ["dict", "columnar"])
-    def test_interleaved_mutations_match_per_call_reference(self, backend, items):
-        fast = bench._empty_graph(60, backend=backend)
+    def test_interleaved_mutations_match_per_call_reference(self, items):
+        fast, oracle = bench._empty_graph(60), _oracle(60)
         fast.add_triples_batch(items)
+        oracle.add_batch(items)
         fast.remove_triple(items[2][0])
+        oracle.remove(items[2][0])
         fast.merge_entities("e4", "e5")
+        oracle.merge("e4", "e5")
 
-        slow = bench._empty_graph(60, backend=backend)
+        slow = bench._empty_graph(60)
         for triple, provenance in items:
             slow.add_triple(triple, provenance=provenance)
-        slow.query()  # force indexes live before mutating
+        slow.query()  # a read between the load and the mutations
         slow.remove_triple(items[2][0])
         slow.merge_entities("e4", "e5")
 
-        assert _public_state(fast) == _public_state(slow)
+        assert _graph_state(fast) == _graph_state(slow)
+        assert_graph_matches(fast, oracle)
 
 
 class TestPmapPipelineEquivalence:
