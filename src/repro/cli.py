@@ -8,12 +8,10 @@ Usage::
     python -m repro info T-LLMQA         # claim + bench path for one id
     python -m repro trace FIG4           # traced in-process run -> JSONL
     python -m repro report FIG4A         # traced run -> md/json/prom report
-    python -m repro bench                # perf workloads -> BENCH_core.json
-    python -m repro bench --quick        # small scales (CI smoke)
     python -m repro runs list            # the persistent run registry
     python -m repro runs drift           # trajectory drift check (median+MAD)
     python -m repro serve WORLD          # publish a fixture KG, serve HTTP
-    python -m repro loadgen WORLD        # load-test -> BENCH_serve.json
+    python -m repro loadgen WORLD        # drive traffic, print latency table
 
 ``run`` shells out to pytest with ``--benchmark-only`` so the output is
 identical to running the benchmark directly.  ``trace`` instead runs a
@@ -24,26 +22,22 @@ writes ``results/report_<id>.md`` / ``.json`` / ``.prom`` — span tree,
 metric tables, quality snapshots, lineage samples — and, when a previous
 ``report_<id>.json`` exists (or ``--baseline`` points at one), diffs the
 quality snapshots against it and exits non-zero on regressions.
-``trace``, ``report``, and ``bench`` each also append one record (git
-SHA, per-stage wall/CPU, peak RSS, quality snapshots, flat metrics) to
-the persistent run registry under ``results/runs/``, which ``runs
-[list|show|diff|drift]`` queries — ``drift`` scores the latest run
+``trace``, ``report``, ``build``, and ``stream`` each also append one
+record (git SHA, per-stage wall/CPU, peak RSS, quality snapshots, flat
+metrics) to the persistent run registry under ``results/runs/``, which
+``runs [list|show|diff|drift]`` queries — ``drift`` scores the latest run
 against the rolling median+MAD trajectory and exits non-zero when a
 metric drops off it, and ``report`` applies the same check as a second
 regression gate.
-``bench`` runs the core performance workloads (batch ingestion,
-merge-heavy linkage, the query mix, fusion), appends a git-SHA-keyed
-entry to the ``BENCH_core.json`` trajectory, and exits non-zero when any
-workload's throughput regresses beyond ``--tolerance`` vs the previous
-same-mode entry (``--warn-only`` downgrades that to a warning).
 ``serve`` builds one of the serving fixtures (``WORLD``, ``FIG4A``),
 publishes it as an immutable snapshot across ``--shards`` replicas, and
 serves the four-route JSON API over HTTP until interrupted (or for
 ``--duration`` seconds).  ``loadgen`` drives a running server (pass its
 URL) or an in-process service (pass a fixture id) with a deterministic
 request mix in a closed or open loop, prints throughput and latency
-percentiles, and appends an entry to the ``BENCH_serve.json`` trajectory
-with the same regression gate as ``bench``.
+percentiles, and exits 1 on any 5xx.  Performance itself is measured and
+gated outside this CLI, by ``python3 -m bench.run`` and
+``python3 -m bench.compare`` (``BENCHMARK.json``, ``bench/README.md``).
 """
 
 from __future__ import annotations
@@ -52,7 +46,7 @@ import argparse
 import os
 import subprocess
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.evalx.registry import EXPERIMENTS
 
@@ -341,85 +335,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         if alert.direction == "rise":
             print(f"drift (rise, not gating): {alert.describe()}")
     return exit_code
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the core perf workloads; append a BENCH_core.json trajectory entry."""
-    from repro.evalx import bench
-    from repro.evalx.tables import render_table
-
-    run = bench.run_bench(
-        quick=args.quick, workloads=args.workload or None, repeats=args.repeats
-    )
-    entry = run.to_entry()
-    output_path = args.output or os.path.join(_repo_root(), bench.TRAJECTORY_BASENAME)
-    document = bench.load_trajectory(output_path)
-    baseline = bench.previous_entry(document, quick=args.quick)
-    bench.append_entry(output_path, entry)
-
-    rows = []
-    for name, result in sorted(run.results.items()):
-        speedup = result.speedup_vs_naive
-        rows.append(
-            [
-                name,
-                result.n_ops,
-                f"{result.wall_s:.4f}",
-                f"{result.ops_per_s:.1f}",
-                f"{speedup:.2f}x" if speedup is not None else "-",
-            ]
-        )
-    mode = "quick" if args.quick else "full"
-    print(
-        render_table(
-            title=f"bench core ({mode}) @ {entry['git_sha'][:12]}",
-            columns=["workload", "ops", "wall_s", "ops_per_s", "vs_naive"],
-            rows=rows,
-            note=f"entry {len(document['entries']) + 1} -> {output_path}",
-        )
-    )
-
-    from repro.obs import profiling, runs
-
-    _append_run_record(
-        args,
-        runs.RunRecord(
-            kind="bench",
-            experiment_id=f"BENCH-{mode.upper()}",
-            config={
-                "quick": bool(args.quick),
-                "repeats": args.repeats,
-                "workloads": sorted(run.results),
-            },
-            resources=profiling.rusage(),
-            metrics={
-                f"{name}.ops_per_s": float(result.ops_per_s)
-                for name, result in run.results.items()
-            },
-        ),
-    )
-
-    regressions = bench.check_regressions(entry, baseline, tolerance=args.tolerance)
-    if not regressions:
-        if baseline is None:
-            print("no previous same-mode entry; this run starts the trajectory")
-        else:
-            print(
-                f"no regressions beyond {args.tolerance:.0%} vs entry "
-                f"{baseline.get('git_sha', 'unknown')[:12]}"
-            )
-        return 0
-    stream = sys.stdout if args.warn_only else sys.stderr
-    print(
-        f"{len(regressions)} throughput regression(s) beyond {args.tolerance:.0%}:",
-        file=stream,
-    )
-    for regression in regressions:
-        print(f"  {regression.describe()}", file=stream)
-    if args.warn_only:
-        print("warn-only mode: not failing the run")
-        return 0
-    return 1
 
 
 def _graph_public_state(graph):
@@ -1126,7 +1041,7 @@ def cmd_compact(args: argparse.Namespace) -> int:
 
 
 def cmd_loadgen(args: argparse.Namespace) -> int:
-    """Load-test a server (URL) or fixture (id); extend BENCH_serve.json."""
+    """Drive traffic at a server (URL) or fixture (id); exit 1 on any 5xx."""
     from repro.evalx import loadgen
     from repro.evalx.tables import render_table
     from repro.serve.server import HTTPClient, InProcessClient
@@ -1161,14 +1076,18 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         client = InProcessClient(service)
         where = f"in-process {fixture_id}"
 
-    report = loadgen.run_loadgen(
-        client,
-        duration_s=args.duration,
-        mode=args.mode,
-        rps=args.rps,
-        concurrency=args.concurrency,
-        seed=args.seed,
-    )
+    try:
+        report = loadgen.run_loadgen(
+            client,
+            duration_s=args.duration,
+            mode=args.mode,
+            rps=args.rps,
+            concurrency=args.concurrency,
+            seed=args.seed,
+        )
+    except loadgen.TargetUnavailable as exc:
+        print(f"loadgen {target}: {exc}", file=sys.stderr)
+        return 2
 
     rows = []
     for route in sorted({outcome.route for outcome in report.outcomes}):
@@ -1207,36 +1126,14 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         )
     )
 
-    output_path = args.output or os.path.join(_repo_root(), loadgen.TRAJECTORY_BASENAME)
-    entry, regressions = loadgen.record_trajectory(
-        report, output_path, tolerance=args.tolerance
-    )
-    print(f"trajectory entry ({'quick' if entry['quick'] else 'full'}) -> {output_path}")
-    exit_code = 0
     if report.n_server_errors:
         print(f"{report.n_server_errors} server error(s) (5xx)", file=sys.stderr)
-        exit_code = 1
-    if regressions:
-        print(
-            f"{len(regressions)} throughput regression(s) beyond {args.tolerance:.0%}:",
-            file=sys.stderr,
-        )
-        for regression in regressions:
-            print(f"  {regression.describe()}", file=sys.stderr)
-        exit_code = 1
-    if args.warn_only and exit_code:
-        print("warn-only mode: not failing the run")
-        return 0
-    return exit_code
+        return 1
+    return 0
 
 
 def _loadgen_obs_compare(args: argparse.Namespace, fixture_id: str, scale: str) -> int:
-    """Back-to-back obs-off/obs-on closed loops; gate the p95 overhead.
-
-    Both runs append to the trajectory (tagged ``"obs": "off"/"on"``), so
-    ``BENCH_serve.json`` carries the overhead evidence alongside the
-    regular entries.
-    """
+    """Back-to-back obs-off/obs-on closed loops; gate the p95 overhead."""
     from repro.evalx import loadgen
     from repro.evalx.tables import render_table
     from repro.serve.admission import AdmissionController
@@ -1298,12 +1195,6 @@ def _loadgen_obs_compare(args: argparse.Namespace, fixture_id: str, scale: str) 
             ),
         )
     )
-    output_path = args.output or os.path.join(_repo_root(), loadgen.TRAJECTORY_BASENAME)
-    for label in ("off", "on"):
-        entry, _regressions = loadgen.record_trajectory(
-            comparison[label], output_path, tolerance=args.tolerance
-        )
-        print(f"trajectory entry (obs {label}) -> {output_path}")
     if comparison["passed"]:
         print(
             f"observability overhead within budget: "
@@ -1315,9 +1206,6 @@ def _loadgen_obs_compare(args: argparse.Namespace, fixture_id: str, scale: str) 
         f"the {comparison['max_p95_overhead']:.0%} gate",
         file=sys.stderr,
     )
-    if args.warn_only:
-        print("warn-only mode: not failing the run")
-        return 0
     return 1
 
 
@@ -1364,6 +1252,9 @@ def cmd_slo(args: argparse.Namespace) -> int:
                 seed=args.seed,
             )
             payload = service.statusz()
+        except loadgen.TargetUnavailable as exc:
+            print(f"slo {target}: {exc}", file=sys.stderr)
+            return 2
         finally:
             if not previous_enabled:
                 profiling.disable()
@@ -1418,6 +1309,67 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
+    # Options shared by several subcommands are declared once, here, and
+    # handed out through argparse's ``parents=``.  A parent's Action object
+    # is shared by every parser that takes it, so an option whose default
+    # differs per command (--port, --duration) stays with its command.
+    runs_dir = argparse.ArgumentParser(add_help=False)
+    runs_dir.add_argument(
+        "--runs-dir",
+        default=None,
+        help="run-registry directory (default: results/runs/; for `report`, "
+        "runs/ under its output directory)",
+    )
+    run_registry = argparse.ArgumentParser(add_help=False, parents=[runs_dir])
+    run_registry.add_argument(
+        "--no-runs",
+        action="store_true",
+        help="do not record this run in the persistent run registry "
+        "(`report` then also skips its trajectory drift gate)",
+    )
+    progress = argparse.ArgumentParser(add_help=False)
+    progress.add_argument(
+        "--progress",
+        action="store_true",
+        help="show a live build-progress line on stderr while running",
+    )
+    progress.add_argument(
+        "--progress-log",
+        default=None,
+        help="append build-progress heartbeats (JSONL) to this path",
+    )
+    fixture_world = argparse.ArgumentParser(add_help=False)
+    fixture_world.add_argument(
+        "--people",
+        type=int,
+        default=120,
+        help="ground-truth people in the fixture world (default: 120)",
+    )
+    fixture_world.add_argument(
+        "--movies",
+        type=int,
+        default=80,
+        help="ground-truth movies in the fixture world (default: 80)",
+    )
+    fixture_world.add_argument(
+        "--seed", type=int, default=11, help="fixture world seed (default: 11)"
+    )
+    quick = argparse.ArgumentParser(add_help=False)
+    quick.add_argument(
+        "--quick", action="store_true", help="small fixture scale (CI smoke)"
+    )
+    shards = argparse.ArgumentParser(add_help=False)
+    shards.add_argument(
+        "--shards", type=int, default=1, help="serving shard count (default: 1)"
+    )
+    traffic = argparse.ArgumentParser(add_help=False)
+    traffic.add_argument(
+        "--concurrency", type=int, default=8, help="worker threads (default: 8)"
+    )
+    traffic.add_argument(
+        "--seed", type=int, default=31, help="request-plan seed (default: 31)"
+    )
+
     list_parser = subparsers.add_parser("list", help="list registered experiments")
     list_parser.set_defaults(func=cmd_list)
 
@@ -1430,7 +1382,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.set_defaults(func=cmd_run)
 
     trace_parser = subparsers.add_parser(
-        "trace", help="run an experiment in-process and write a JSONL trace"
+        "trace",
+        parents=[progress, run_registry],
+        help="run an experiment in-process and write a JSONL trace",
     )
     trace_parser.add_argument("experiment_id", help="a traceable experiment id")
     trace_parser.add_argument(
@@ -1444,30 +1398,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="summarize an existing trace JSONL file instead of running",
     )
-    trace_parser.add_argument(
-        "--progress",
-        action="store_true",
-        help="show a live build-progress line on stderr while running",
-    )
-    trace_parser.add_argument(
-        "--progress-log",
-        default=None,
-        help="append build-progress heartbeats (JSONL) to this path",
-    )
-    trace_parser.add_argument(
-        "--no-runs",
-        action="store_true",
-        help="do not record this run in the persistent run registry",
-    )
-    trace_parser.add_argument(
-        "--runs-dir",
-        default=None,
-        help="run-registry directory (default: results/runs/)",
-    )
     trace_parser.set_defaults(func=cmd_trace)
 
     report_parser = subparsers.add_parser(
-        "report", help="run an experiment and write md/json/prom run reports"
+        "report",
+        parents=[progress, run_registry],
+        help="run an experiment and write md/json/prom run reports",
     )
     report_parser.add_argument("experiment_id", help="a traceable experiment id")
     report_parser.add_argument(
@@ -1489,26 +1425,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="allowed relative drop in count-like quality metrics (default: 0.02)",
     )
     report_parser.add_argument(
-        "--progress",
-        action="store_true",
-        help="show a live build-progress line on stderr while running",
-    )
-    report_parser.add_argument(
-        "--progress-log",
-        default=None,
-        help="append build-progress heartbeats (JSONL) to this path",
-    )
-    report_parser.add_argument(
-        "--no-runs",
-        action="store_true",
-        help="skip the run registry (and its trajectory drift gate)",
-    )
-    report_parser.add_argument(
-        "--runs-dir",
-        default=None,
-        help="run-registry directory (default: the output directory's runs/)",
-    )
-    report_parser.add_argument(
         "--drift-window",
         type=int,
         default=10,
@@ -1522,55 +1438,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report_parser.set_defaults(func=cmd_report)
 
-    bench_parser = subparsers.add_parser(
-        "bench", help="run core perf workloads and extend BENCH_core.json"
-    )
-    bench_parser.add_argument(
-        "--quick", action="store_true", help="small scales, one repeat (CI smoke)"
-    )
-    bench_parser.add_argument(
-        "-o",
-        "--output",
-        default=None,
-        help="trajectory file (default: BENCH_core.json at the repo root)",
-    )
-    bench_parser.add_argument(
-        "--workload",
-        action="append",
-        default=None,
-        help="run only this workload (repeatable; default: all)",
-    )
-    bench_parser.add_argument(
-        "--repeats",
-        type=int,
-        default=None,
-        help="timing repeats per workload, best-of wins (default: 3, quick: 1)",
-    )
-    bench_parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.20,
-        help="allowed relative throughput drop vs the previous entry (default: 0.20)",
-    )
-    bench_parser.add_argument(
-        "--warn-only",
-        action="store_true",
-        help="print regressions but exit 0 (PR smoke mode)",
-    )
-    bench_parser.add_argument(
-        "--no-runs",
-        action="store_true",
-        help="do not record this run in the persistent run registry",
-    )
-    bench_parser.add_argument(
-        "--runs-dir",
-        default=None,
-        help="run-registry directory (default: results/runs/)",
-    )
-    bench_parser.set_defaults(func=cmd_bench)
-
     build_parser = subparsers.add_parser(
         "build",
+        parents=[fixture_world, run_registry],
         help="partition-parallel fixture build (shard, link, fuse, stitch)",
     )
     build_parser.add_argument(
@@ -1591,35 +1461,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the built graph to this .rkgs snapshot path",
     )
-    build_parser.add_argument(
-        "--people",
-        type=int,
-        default=120,
-        help="ground-truth people in the fixture world (default: 120)",
-    )
-    build_parser.add_argument(
-        "--movies",
-        type=int,
-        default=80,
-        help="ground-truth movies in the fixture world (default: 80)",
-    )
-    build_parser.add_argument(
-        "--seed", type=int, default=11, help="fixture world seed (default: 11)"
-    )
-    build_parser.add_argument(
-        "--no-runs",
-        action="store_true",
-        help="do not record this run in the persistent run registry",
-    )
-    build_parser.add_argument(
-        "--runs-dir",
-        default=None,
-        help="run-registry directory (default: results/runs/)",
-    )
     build_parser.set_defaults(func=cmd_build)
 
     stream_parser = subparsers.add_parser(
         "stream",
+        parents=[fixture_world, shards, run_registry],
         help="continuous construction: drain deltas, publish live snapshots",
     )
     stream_parser.add_argument(
@@ -1674,9 +1520,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="port for --serve (0 = OS-assigned; default: 8902)",
     )
     stream_parser.add_argument(
-        "--shards", type=int, default=1, help="serving shard count (default: 1)"
-    )
-    stream_parser.add_argument(
         "--wal-dir",
         default=None,
         help="WAL directory (default: a fresh temp dir); followable by "
@@ -1695,31 +1538,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write each published snapshot (and the canonical final one) "
         "to this .rkgs path",
     )
-    stream_parser.add_argument(
-        "--people",
-        type=int,
-        default=120,
-        help="ground-truth people in the fixture world (default: 120)",
-    )
-    stream_parser.add_argument(
-        "--movies",
-        type=int,
-        default=80,
-        help="ground-truth movies in the fixture world (default: 80)",
-    )
-    stream_parser.add_argument(
-        "--seed", type=int, default=11, help="fixture world seed (default: 11)"
-    )
-    stream_parser.add_argument(
-        "--no-runs",
-        action="store_true",
-        help="do not record this run in the persistent run registry",
-    )
-    stream_parser.add_argument(
-        "--runs-dir",
-        default=None,
-        help="run-registry directory (default: results/runs/)",
-    )
     stream_parser.set_defaults(func=cmd_stream)
 
     runs_parser = subparsers.add_parser(
@@ -1727,24 +1545,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     runs_subparsers = runs_parser.add_subparsers(dest="runs_command", required=True)
 
-    runs_list = runs_subparsers.add_parser("list", help="list recorded runs")
+    runs_list = runs_subparsers.add_parser(
+        "list", parents=[runs_dir], help="list recorded runs"
+    )
     runs_list.add_argument(
         "--experiment", default=None, help="only runs of this experiment id"
     )
-    runs_list.add_argument(
-        "--runs-dir", default=None, help="registry directory (default: results/runs/)"
-    )
     runs_list.set_defaults(func=cmd_runs)
 
-    runs_show = runs_subparsers.add_parser("show", help="print one run's full record")
-    runs_show.add_argument("run_id", help="a run id from `runs list` (e.g. r0004)")
-    runs_show.add_argument(
-        "--runs-dir", default=None, help="registry directory (default: results/runs/)"
+    runs_show = runs_subparsers.add_parser(
+        "show", parents=[runs_dir], help="print one run's full record"
     )
+    runs_show.add_argument("run_id", help="a run id from `runs list` (e.g. r0004)")
     runs_show.set_defaults(func=cmd_runs)
 
     runs_diff = runs_subparsers.add_parser(
-        "diff", help="diff two runs' quality snapshots (exit 1 on regressions)"
+        "diff",
+        parents=[runs_dir],
+        help="diff two runs' quality snapshots (exit 1 on regressions)",
     )
     runs_diff.add_argument("run_a", help="baseline run id")
     runs_diff.add_argument("run_b", help="current run id")
@@ -1754,13 +1572,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.02,
         help="allowed relative drop in count-like quality metrics (default: 0.02)",
     )
-    runs_diff.add_argument(
-        "--runs-dir", default=None, help="registry directory (default: results/runs/)"
-    )
     runs_diff.set_defaults(func=cmd_runs)
 
     runs_drift = runs_subparsers.add_parser(
         "drift",
+        parents=[runs_dir],
         help="score the latest run(s) vs the rolling trajectory "
         "(exit 1 on drop-direction drift)",
     )
@@ -1779,13 +1595,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=3.0,
         help="modified z-score that flags drift (default: 3.0)",
     )
-    runs_drift.add_argument(
-        "--runs-dir", default=None, help="registry directory (default: results/runs/)"
-    )
     runs_drift.set_defaults(func=cmd_runs)
 
     serve_parser = subparsers.add_parser(
-        "serve", help="publish a fixture KG snapshot and serve the JSON API"
+        "serve",
+        parents=[quick, shards],
+        help="publish a fixture KG snapshot and serve the JSON API",
     )
     serve_parser.add_argument(
         "fixture_id",
@@ -1819,16 +1634,10 @@ def build_parser() -> argparse.ArgumentParser:
         "-p", "--port", type=int, default=8901, help="port (0 = OS-assigned; default: 8901)"
     )
     serve_parser.add_argument(
-        "--shards", type=int, default=1, help="read-replica shard count (default: 1)"
-    )
-    serve_parser.add_argument(
         "--duration",
         type=float,
         default=None,
         help="serve for this many seconds then exit (default: until Ctrl-C)",
-    )
-    serve_parser.add_argument(
-        "--quick", action="store_true", help="small fixture scale (CI smoke)"
     )
     serve_parser.add_argument(
         "--no-lm", action="store_true", help="skip the LM; `ask` answers KG-only"
@@ -1859,7 +1668,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.set_defaults(func=cmd_serve)
 
     save_parser = subparsers.add_parser(
-        "save", help="build a serve fixture and write a binary graph snapshot"
+        "save",
+        parents=[quick],
+        help="build a serve fixture and write a binary graph snapshot",
     )
     save_parser.add_argument("fixture_id", help="a serve fixture id (WORLD, FIG4A)")
     save_parser.add_argument(
@@ -1867,9 +1678,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--output",
         required=True,
         help="snapshot file to write (e.g. results/world.rkgs)",
-    )
-    save_parser.add_argument(
-        "--quick", action="store_true", help="small fixture scale (CI smoke)"
     )
     save_parser.set_defaults(func=cmd_save)
 
@@ -1891,7 +1699,9 @@ def build_parser() -> argparse.ArgumentParser:
     compact_parser.set_defaults(func=cmd_compact)
 
     loadgen_parser = subparsers.add_parser(
-        "loadgen", help="load-test a serving endpoint and extend BENCH_serve.json"
+        "loadgen",
+        parents=[quick, shards, traffic],
+        help="drive traffic at a serving endpoint; exit 1 on any 5xx",
     )
     loadgen_parser.add_argument(
         "target", help="a server URL (http://...) or a fixture id for in-process"
@@ -1909,35 +1719,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--duration", type=float, default=10.0, help="seconds to run (default: 10)"
     )
     loadgen_parser.add_argument(
-        "--concurrency", type=int, default=8, help="worker threads (default: 8)"
-    )
-    loadgen_parser.add_argument(
-        "--shards", type=int, default=1, help="shards for in-process targets (default: 1)"
-    )
-    loadgen_parser.add_argument(
-        "--quick", action="store_true", help="small fixture scale for in-process targets"
-    )
-    loadgen_parser.add_argument(
-        "--seed", type=int, default=31, help="request-plan seed (default: 31)"
-    )
-    loadgen_parser.add_argument(
-        "-o",
-        "--output",
-        default=None,
-        help="trajectory file (default: BENCH_serve.json at the repo root)",
-    )
-    loadgen_parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.20,
-        help="allowed relative throughput drop vs the previous entry (default: 0.20)",
-    )
-    loadgen_parser.add_argument(
-        "--warn-only",
-        action="store_true",
-        help="print regressions/errors but exit 0 (PR smoke mode)",
-    )
-    loadgen_parser.add_argument(
         "--obs-compare",
         action="store_true",
         help="run obs-off then obs-on closed loops against fresh fixtures and "
@@ -1952,7 +1733,9 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen_parser.set_defaults(func=cmd_loadgen)
 
     slo_parser = subparsers.add_parser(
-        "slo", help="print a serving endpoint's rolling SLO summary"
+        "slo",
+        parents=[quick, shards, traffic],
+        help="print a serving endpoint's rolling SLO summary",
     )
     slo_parser.add_argument(
         "target", help="a server URL (scrapes /statusz) or a fixture id "
@@ -1963,18 +1746,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=5.0,
         help="seconds of traffic to drive for fixture targets (default: 5)",
-    )
-    slo_parser.add_argument(
-        "--concurrency", type=int, default=8, help="worker threads (default: 8)"
-    )
-    slo_parser.add_argument(
-        "--shards", type=int, default=1, help="shards for fixture targets (default: 1)"
-    )
-    slo_parser.add_argument(
-        "--quick", action="store_true", help="small fixture scale (CI smoke)"
-    )
-    slo_parser.add_argument(
-        "--seed", type=int, default=31, help="request-plan seed (default: 31)"
     )
     slo_parser.add_argument(
         "--fail-on-burn",

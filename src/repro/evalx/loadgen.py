@@ -1,4 +1,4 @@
-"""``repro loadgen`` — the serving load-test harness.
+"""``repro loadgen`` — the serving traffic driver.
 
 Drives a serving endpoint (the in-process client or the HTTP client from
 :mod:`repro.serve.server` — both expose the same ``(status, body)``
@@ -15,10 +15,10 @@ one of two loops:
   controller's degradation ladder honestly.
 
 Each run produces a :class:`LoadgenReport` — throughput, p50/p95/p99
-latency (overall and per route), status and degradation counts — and
-appends one trajectory entry to ``BENCH_serve.json`` through the same
-machinery :mod:`repro.evalx.bench` uses for ``BENCH_core.json``, so the
-serving trajectory gates regressions exactly like the core one.
+latency (overall and per route), status and degradation counts.  It is a
+traffic source (for ``repro slo``, the T-SERVE / T-OBS workloads, the CI
+serve-smoke job and :func:`measure_obs_overhead`), not a benchmark:
+serving performance is measured and gated by ``python3 -m bench.run``.
 """
 
 from __future__ import annotations
@@ -30,24 +30,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.evalx.bench import (
-    append_entry,
-    check_regressions,
-    current_git_sha,
-    load_trajectory,
-    previous_entry,
-    Regression,
-)
-from repro.obs.metrics import MetricsRegistry
-
-#: Default trajectory file for serving runs (repo root, next to BENCH_core).
-TRAJECTORY_BASENAME = "BENCH_serve.json"
-
 #: Route mix weights: read-heavy, like real KG serving traffic (Sec. 1).
 DEFAULT_MIX: Dict[str, float] = {"lookup": 0.45, "query": 0.20, "paths": 0.15, "ask": 0.20}
 
-#: A run is "quick" (CI smoke scale) at or under this duration.
-QUICK_DURATION_S = 5.0
+
+class TargetUnavailable(RuntimeError):
+    """The endpoint's ``/stats`` did not answer, so there is nothing to plan over."""
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +114,6 @@ class RequestOutcome:
     route: str
     status_code: int
     latency_ms: float
-    cached: bool = False
     degraded: Optional[str] = None
 
 
@@ -140,14 +127,13 @@ def _percentile(sorted_values: Sequence[float], fraction: float) -> float:
 
 @dataclass
 class LoadgenReport:
-    """One load-test run's results (and its trajectory entry)."""
+    """One load-test run's results."""
 
     mode: str
     duration_s: float
     target_rps: Optional[float]
     concurrency: int
     outcomes: List[RequestOutcome] = field(default_factory=list)
-    registry: MetricsRegistry = field(default_factory=MetricsRegistry)
     #: "on"/"off" for obs-overhead comparison runs, None for plain runs.
     obs: Optional[str] = None
 
@@ -195,53 +181,6 @@ class LoadgenReport:
             "p99_ms": round(_percentile(values, 0.99), 3),
         }
 
-    def cache_hit_count(self) -> int:
-        return sum(1 for outcome in self.outcomes if outcome.cached)
-
-    def to_entry(self) -> Dict[str, object]:
-        """A ``BENCH_serve.json`` trajectory entry.
-
-        Per-route blocks carry ``ops_per_s`` so the bench machinery's
-        regression gate applies unchanged; latency percentiles ride
-        along for the report.
-        """
-        routes = sorted({outcome.route for outcome in self.outcomes})
-        workloads: Dict[str, object] = {}
-        for route in routes:
-            summary = self.latency_summary(route)
-            n_ops = int(summary["n"])
-            workloads[f"route_{route}"] = {
-                "n_ops": n_ops,
-                "ops_per_s": round(n_ops / self.duration_s, 3) if self.duration_s else 0.0,
-                "p50_ms": summary["p50_ms"],
-                "p95_ms": summary["p95_ms"],
-                "p99_ms": summary["p99_ms"],
-            }
-        overall = self.latency_summary()
-        workloads["overall"] = {
-            "n_ops": self.n_requests,
-            "ops_per_s": round(self.throughput_rps, 3),
-            "p50_ms": overall["p50_ms"],
-            "p95_ms": overall["p95_ms"],
-            "p99_ms": overall["p99_ms"],
-        }
-        return {
-            "git_sha": current_git_sha(),
-            "timestamp": round(time.time(), 3),
-            "quick": self.duration_s <= QUICK_DURATION_S,
-            "obs": self.obs,
-            "mode": self.mode,
-            "target_rps": self.target_rps,
-            "concurrency": self.concurrency,
-            "duration_s": round(self.duration_s, 3),
-            "workloads": workloads,
-            "status_counts": self.status_counts(),
-            "degraded": self.degraded_counts(),
-            "n_server_errors": self.n_server_errors,
-            "cache_hits": self.cache_hit_count(),
-            "metrics": self.registry.snapshot(),
-        }
-
 
 # ---------------------------------------------------------------------------
 # the two loops
@@ -266,7 +205,6 @@ def _issue(client, planned: PlannedRequest) -> RequestOutcome:
         route=planned.route,
         status_code=status_code,
         latency_ms=latency_ms,
-        cached=bool(body.get("cached")),
         degraded=body.get("degraded"),
     )
 
@@ -383,7 +321,10 @@ def run_loadgen(
     if entity_sample is None:
         status_code, stats = client.stats()
         if status_code != 200:
-            raise RuntimeError(f"/stats returned {status_code}; cannot build request plan")
+            raise TargetUnavailable(
+                f"/stats returned {status_code} ({stats.get('error', 'no error text')}); "
+                "cannot build request plan"
+            )
         entity_sample = stats.get("entity_sample", [])
     plan_size = max(64, int(duration_s * (rps if mode == "open" else 200)))
     plan = build_request_plan(entity_sample, n_requests=plan_size, mix=mix, seed=seed)
@@ -397,20 +338,13 @@ def run_loadgen(
         _run_open_loop(client, plan, duration_s, rps, concurrency, outcomes, lock)
     wall = time.perf_counter() - started
 
-    report = LoadgenReport(
+    return LoadgenReport(
         mode=mode,
         duration_s=wall,
         target_rps=rps if mode == "open" else None,
         concurrency=concurrency,
         outcomes=outcomes,
     )
-    for outcome in outcomes:
-        report.registry.histogram(f"loadgen.{outcome.route}.seconds").observe(
-            outcome.latency_ms / 1000.0
-        )
-        report.registry.counter(f"loadgen.status.{outcome.status_code}").inc()
-    report.registry.gauge("loadgen.throughput_rps").set(report.throughput_rps)
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +397,7 @@ def measure_obs_overhead(
       one round, and trimming it symmetrically keeps one stall from
       deciding the gate.
 
-    Returns the median round's two reports (for trajectory recording),
+    Returns the median round's two reports (for the printed table),
     the pooled p95s, the per-round overheads (for transparency), and
     whether the pooled overhead stayed under ``max_p95_overhead`` (the
     <5% acceptance gate).
@@ -551,23 +485,3 @@ def measure_obs_overhead(
         "max_p95_overhead": max_p95_overhead,
         "passed": overhead <= max_p95_overhead,
     }
-
-
-# ---------------------------------------------------------------------------
-# trajectory recording (shared by the CLI and the CI smoke job)
-
-
-def record_trajectory(
-    report: LoadgenReport, path: str, tolerance: float = 0.20
-) -> Tuple[Dict[str, object], List[Regression]]:
-    """Append the report to ``path``; returns (entry, regressions).
-
-    Regressions compare per-route throughput against the most recent
-    previous entry of the same quick/full mode, with the same tolerance
-    semantics as the core bench trajectory.
-    """
-    entry = report.to_entry()
-    document = load_trajectory(path)
-    baseline = previous_entry(document, bool(entry["quick"]))
-    append_entry(path, entry)
-    return entry, check_regressions(entry, baseline, tolerance=tolerance)

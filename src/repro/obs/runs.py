@@ -3,8 +3,8 @@
 Dong's paper judges an industrial KG pipeline across *runs* — drift in
 quality between yesterday's build and today's is the dominant failure
 mode, and no single-run report can see it.  This module is the durable
-side of the observability layer: every ``repro trace`` / ``repro
-report`` / ``repro bench`` invocation appends one :class:`RunRecord`
+side of the observability layer: every ``repro trace`` / ``report`` /
+``build`` / ``stream`` invocation appends one :class:`RunRecord`
 (git SHA, config, per-stage wall/CPU, peak RSS, the full quality
 snapshots, and flat metrics) to an append-only JSONL file under
 ``results/runs/``, and :meth:`RunRegistry.drift` answers "did the latest
@@ -67,11 +67,11 @@ def git_sha() -> str:
 class RunRecord:
     """One pipeline run's durable summary.
 
-    ``kind`` is ``"trace"``, ``"report"``, or ``"bench"`` — which CLI
-    surface produced it.  ``stages`` carries per-stage wall/CPU seconds,
-    ``resources`` the process peak-RSS/CPU split, ``quality`` the full
-    snapshot dicts, and ``metrics`` a flat name→value dict (bench
-    throughputs, counter totals) that drift detection tracks alongside
+    ``kind`` is ``"trace"``, ``"report"``, ``"build"``, or ``"stream"`` —
+    which CLI surface produced it.  ``stages`` carries per-stage wall/CPU
+    seconds, ``resources`` the process peak-RSS/CPU split, ``quality`` the
+    full snapshot dicts, and ``metrics`` a flat name→value dict (build
+    throughput, counter totals) that drift detection tracks alongside
     the quality scalars.
     """
 

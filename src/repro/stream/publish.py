@@ -27,8 +27,8 @@ Two cooperating pieces:
     records enqueued but not yet ingested at publish time (the
     :meth:`~repro.stream.source.DeltaQueue.pending_records` gauge).
 
-  Samples are kept so the bench can fold p50/p95 percentiles into
-  ``BENCH_core.json``.
+  Samples are kept so ``repro stream`` can fold p50/p95 percentiles
+  into its table and run record (:meth:`StreamPublisher.freshness`).
 """
 
 from __future__ import annotations
@@ -217,7 +217,7 @@ class StreamPublisher:
         }
 
     def freshness(self) -> Dict[str, float]:
-        """The bench/run-record slice: publish + lag percentiles."""
+        """The run-record slice: publish + lag percentiles."""
         summary = {"n_publishes": float(self.n_publishes)}
         for key, value in percentiles(self.staleness_samples).items():
             summary[f"staleness_{key}_s"] = value

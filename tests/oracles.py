@@ -2,14 +2,20 @@
 
 Slow, obvious, and memo-free on purpose: the row-by-row Levenshtein DP that
 ``repro.ml.similarity.levenshtein`` used to be, ``pair_score`` composed
-from it with every name re-tokenized and every token pair re-scored, and
-``SetGraph``, the set-of-rows model of ``repro.core.graph.KnowledgeGraph``.
+from it with every name re-tokenized and every token pair re-scored,
+``SetGraph``, the set-of-rows model of ``repro.core.graph.KnowledgeGraph``,
+and the full-scan ``merge_entities`` the index walk replaced.  The seeded
+generators at the bottom give the equivalence suites identical work.
 """
 
 import copy
+import random
 from itertools import product
 
-from repro.core.triple import Triple
+from repro.core.graph import KnowledgeGraph
+from repro.core.ontology import Ontology
+from repro.core.triple import Provenance, Triple
+from repro.integrate.fusion import ValueClaim
 from repro.ml.similarity import jaro_winkler, numeric_similarity, tokenize
 from repro.obs import lineage as obs_lineage
 
@@ -273,3 +279,123 @@ def assert_graph_matches(graph, model):
                 if t.subject in model.entities
             ]
         )
+
+
+# ---------------------------------------------------------------------------
+# the full-scan merge (the pre-optimization algorithm, on a real graph)
+
+
+def naive_merge_entities(graph, keep_id, drop_id):
+    """Full-scan entity merge: the O(|T|) algorithm the index walk replaced.
+
+    Scans ``graph.triples()`` twice per merge.  Its final graph state,
+    provenance, and lineage records must match ``merge_entities`` exactly.
+    """
+    keep = graph.entity(keep_id)
+    drop = graph.entity(drop_id)
+    if keep_id == drop_id:
+        raise ValueError(f"cannot merge entity {keep_id!r} into itself")
+    rewritten = 0
+    for triple in [t for t in graph.triples() if t.subject == drop_id]:
+        _naive_rewrite(graph, triple, triple.replace_subject(keep_id))
+        rewritten += 1
+    for triple in [t for t in graph.triples() if t.object == drop_id]:
+        _naive_rewrite(graph, triple, triple.replace_object(keep_id))
+        rewritten += 1
+    for alias in drop.all_names():
+        keep.aliases.add(alias)
+        graph._name_index[alias.lower()].discard(drop_id)
+        graph._name_index[alias.lower()].add(keep_id)
+    keep.aliases.discard(keep.name)
+    del graph._entities[drop_id]
+    graph._generation += 1
+    obs_lineage.record_merge(
+        keep_id, drop_id, n_rewritten=rewritten, stage="graph.merge_entities"
+    )
+    return rewritten
+
+
+def _naive_rewrite(graph, old, new):
+    """Replace ``old`` with ``new``; provenance moves without re-observing it."""
+    records = graph.provenance(old)
+    graph.remove_triple(old)
+    graph.add_triple(new)
+    if records:
+        graph._provenance[new].extend(records)
+
+
+# ---------------------------------------------------------------------------
+# synthetic data (seeded, so both sides of a comparison get identical work)
+
+
+def build_graph(n_entities, n_triples):
+    """A seeded scale-free-ish KG: entity edges plus attribute triples."""
+    graph = empty_graph(n_entities)
+    for triple, provenance in make_triples(n_entities, n_triples):
+        graph.add_triple(triple, provenance=provenance)
+    return graph
+
+
+def empty_graph(n_entities):
+    ontology = Ontology()
+    ontology.add_class("Thing")
+    graph = KnowledgeGraph(ontology=ontology, name="equiv")
+    for index in range(n_entities):
+        graph.add_entity(f"e{index}", f"Entity {index}", "Thing")
+    return graph
+
+
+#: Predicates mix entity-valued relations and literal attributes.
+_RELATIONS = ("related_to", "part_of", "derived_from")
+_ATTRIBUTES = ("label", "score", "year")
+
+
+def make_triples(n_entities, n_triples, seed=7):
+    """Deterministic (triple, provenance) pairs over ``e0..e{n-1}``."""
+    rng = random.Random(seed)
+    sources = [f"src{j}" for j in range(5)]
+    items = []
+    for _ in range(n_triples):
+        subject = f"e{rng.randrange(n_entities)}"
+        if rng.random() < 0.6:
+            predicate = rng.choice(_RELATIONS)
+            obj = f"e{rng.randrange(n_entities)}"
+        else:
+            predicate = rng.choice(_ATTRIBUTES)
+            obj = (
+                rng.randrange(1900, 2030)
+                if predicate == "year"
+                else f"value-{rng.randrange(2000)}"
+            )
+        provenance = Provenance(
+            source=rng.choice(sources), confidence=round(rng.random(), 3)
+        )
+        items.append((Triple(subject, predicate, obj), provenance))
+    return items
+
+
+def make_claims(n_items, n_sources=4, seed=11):
+    """Conflicting per-item claims for the fusion equivalence tests."""
+    rng = random.Random(seed)
+    claims = []
+    for index in range(n_items):
+        truth = f"v{rng.randrange(50)}"
+        for source_index in range(n_sources):
+            value = truth if rng.random() < 0.7 else f"v{rng.randrange(50)}"
+            claims.append(
+                ValueClaim(
+                    subject=f"item{index}",
+                    attribute="attr",
+                    value=value,
+                    source=f"s{source_index}",
+                )
+            )
+    return claims
+
+
+def merge_pairs(n_entities, n_merges, seed=13):
+    """Disjoint (keep, drop) pairs: every entity appears at most once."""
+    rng = random.Random(seed)
+    ids = [f"e{i}" for i in range(n_entities)]
+    rng.shuffle(ids)
+    return [(ids[2 * k], ids[2 * k + 1]) for k in range(min(n_merges, len(ids) // 2))]

@@ -80,13 +80,76 @@ class TestCli:
             "run",
             "trace",
             "report",
-            "bench",
             "serve",
             "loadgen",
             "slo",
             "runs",
         ):
             assert subcommand in output, f"--help missing subcommand {subcommand!r}"
+
+    def test_bench_command_is_gone(self, capsys):
+        """Performance is measured by `python3 -m bench.run`, not by this CLI."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--quick"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+#: Every subcommand that takes a shared option group, with the values the
+#: group's options must parse to (given, then default).
+_RUN_REGISTRY = (
+    ["--no-runs", "--runs-dir", "r"],
+    {"no_runs": True, "runs_dir": "r"},
+    {"no_runs": False, "runs_dir": None},
+)
+_PROGRESS = (
+    ["--progress", "--progress-log", "p.jsonl"],
+    {"progress": True, "progress_log": "p.jsonl"},
+    {"progress": False, "progress_log": None},
+)
+_FIXTURE_WORLD = (
+    ["--people", "7", "--movies", "5", "--seed", "3"],
+    {"people": 7, "movies": 5, "seed": 3},
+    {"people": 120, "movies": 80, "seed": 11},
+)
+_RUNS_DIR = (["--runs-dir", "r"], {"runs_dir": "r"}, {"runs_dir": None})
+_QUICK = (["--quick"], {"quick": True}, {"quick": False})
+_SHARDS = (["--shards", "4"], {"shards": 4}, {"shards": 1})
+_TRAFFIC = (
+    ["--concurrency", "2", "--seed", "5"],
+    {"concurrency": 2, "seed": 5},
+    {"concurrency": 8, "seed": 31},
+)
+_SHARED_OPTIONS = {
+    "trace": (["trace", "X"], [_PROGRESS, _RUN_REGISTRY]),
+    "report": (["report", "X"], [_PROGRESS, _RUN_REGISTRY]),
+    "build": (["build"], [_FIXTURE_WORLD, _RUN_REGISTRY]),
+    "stream": (["stream"], [_FIXTURE_WORLD, _SHARDS, _RUN_REGISTRY]),
+    "runs-list": (["runs", "list"], [_RUNS_DIR]),
+    "runs-show": (["runs", "show", "r0001"], [_RUNS_DIR]),
+    "runs-diff": (["runs", "diff", "r0001", "r0002"], [_RUNS_DIR]),
+    "runs-drift": (["runs", "drift"], [_RUNS_DIR]),
+    "serve": (["serve", "WORLD"], [_QUICK, _SHARDS]),
+    "save": (["save", "WORLD", "-o", "w.rkgs"], [_QUICK]),
+    "loadgen": (["loadgen", "WORLD"], [_QUICK, _SHARDS, _TRAFFIC]),
+    "slo": (["slo", "WORLD"], [_QUICK, _SHARDS, _TRAFFIC]),
+}
+
+
+class TestSharedOptions:
+    """Option groups are declared once (argparse ``parents=``) and must
+    parse the same under every subcommand that takes them."""
+
+    @pytest.mark.parametrize("command", sorted(_SHARED_OPTIONS))
+    def test_parses_given_and_default(self, command):
+        base, groups = _SHARED_OPTIONS[command]
+        given = vars(
+            build_parser().parse_args(base + [flag for g in groups for flag in g[0]])
+        )
+        default = vars(build_parser().parse_args(base))
+        for _flags, expected, expected_default in groups:
+            assert {key: given[key] for key in expected} == expected
+            assert {key: default[key] for key in expected} == expected_default
 
 
 class TestTraceCommand:
@@ -328,6 +391,17 @@ class TestObservabilityFlags:
         defaults = build_parser().parse_args(["loadgen", "WORLD"])
         assert defaults.obs_compare is False and defaults.max_obs_overhead == 0.05
 
+    @pytest.mark.parametrize(
+        "flag", [["-o", "x.json"], ["--tolerance", "0.2"], ["--warn-only"]],
+        ids=["-o", "--tolerance", "--warn-only"],
+    )
+    def test_loadgen_trajectory_flags_are_gone(self, flag, capsys):
+        """`repro loadgen` drives traffic; it records and gates nothing."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["loadgen", "WORLD", "--quick", *flag])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
     def test_serve_observability_flags(self):
         args = build_parser().parse_args(
             [
@@ -342,6 +416,58 @@ class TestObservabilityFlags:
         assert args.trace_sample == 0.25
         assert args.access_log == "/tmp/a.jsonl"
         assert args.access_log_sample == 0.5
+
+
+class TestLoadgenExitCodes:
+    """`repro loadgen` exits 1 on any 5xx, 2 when the target is not there."""
+
+    #: The CI serve-smoke invocation.
+    _ARGV = ["loadgen", "http://127.0.0.1:1", "--mode", "open", "--rps", "50", "--duration", "1"]
+
+    @pytest.mark.parametrize("status_code, exit_code", [(500, 1), (200, 0)])
+    def test_exit_code_follows_5xx(self, monkeypatch, capsys, status_code, exit_code):
+        from repro.evalx import loadgen
+
+        def ten_outcomes(client, **kwargs):
+            return loadgen.LoadgenReport(
+                mode=kwargs["mode"],
+                duration_s=1.0,
+                target_rps=kwargs["rps"],
+                concurrency=kwargs["concurrency"],
+                outcomes=[
+                    loadgen.RequestOutcome("lookup", status_code, 1.0) for _ in range(10)
+                ],
+            )
+
+        monkeypatch.setattr(loadgen, "run_loadgen", ten_outcomes)
+        assert main(self._ARGV) == exit_code
+        captured = capsys.readouterr()
+        assert f"5xx {10 if exit_code else 0}" in captured.out
+        assert ("10 server error(s) (5xx)" in captured.err) == bool(exit_code)
+
+    def test_unreachable_url_is_one_line_error(self, capsys):
+        import socket
+
+        with socket.socket() as probe:  # a port nobody listens on
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        assert main(["loadgen", f"http://127.0.0.1:{port}", "--duration", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert "/stats returned 599" in err
+        assert len(err.strip().splitlines()) == 1  # actionable, not a traceback
+
+    def test_slo_fixture_without_stats_is_one_line_error(self, monkeypatch, capsys):
+        from repro import obs
+        from repro.serve.server import InProcessClient
+
+        monkeypatch.setattr(
+            InProcessClient, "stats", lambda self: (503, {"error": "no snapshot"})
+        )
+        assert main(["slo", "WORLD", "--quick", "--duration", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert "/stats returned 503 (no snapshot)" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not obs.enabled()  # the fixture-mode scope was unwound
 
 
 class TestStorageCli:

@@ -5,7 +5,7 @@ Random interleavings of ``add_triple`` / ``add_triples_batch`` /
 ``tests.oracles.SetGraph``; every index-backed read must be exactly the
 model's projection.  The same interleavings run through the fast paths
 (batch ingestion, index-walk merges) and the naive reference paths
-(per-call adds, full-scan merges from :mod:`repro.evalx.bench`) must end
+(per-call adds, the full-scan merge in ``tests.oracles``) must end
 in identical public state and identical lineage ledgers.  A stateful
 machine adds aliases, copies and snapshot round trips, and checks
 ``graph == model`` after every step.
@@ -23,10 +23,9 @@ from repro.core.graph import KnowledgeGraph
 from repro.core.ontology import Ontology
 from repro.core.parallel import pmap
 from repro.core.triple import Provenance, Triple
-from repro.evalx.bench import naive_merge_entities
 from repro.obs import enabled_scope
 from repro.obs.lineage import get_ledger
-from tests.oracles import SetGraph, assert_graph_matches, public_state
+from tests.oracles import SetGraph, assert_graph_matches, naive_merge_entities, public_state
 
 _ENTITY_IDS = ("e0", "e1", "e2", "e3", "e4")
 _subjects = st.sampled_from(_ENTITY_IDS)

@@ -15,9 +15,9 @@ from repro.core.graph import KnowledgeGraph
 from repro.core.ontology import Ontology
 from repro.core.query import PathQuery, TriplePattern, conjunctive_query
 from repro.core.triple import Provenance, Triple
-from repro.evalx import bench
 from repro.obs import enabled_scope
 from repro.obs.lineage import get_ledger
+from tests import oracles
 from tests.oracles import SetGraph, assert_graph_matches
 from tests.oracles import public_state as _public_state
 
@@ -37,7 +37,7 @@ def _graph_state(graph):
 
 
 def _oracle(n_entities):
-    """The ``SetGraph`` twin of ``bench._empty_graph``."""
+    """The ``SetGraph`` twin of ``oracles.empty_graph``."""
     oracle = SetGraph()
     for index in range(n_entities):
         oracle.add_entity(f"e{index}", f"Entity {index}")
@@ -46,26 +46,32 @@ def _oracle(n_entities):
 
 @pytest.fixture
 def items():
-    return bench.make_triples(n_entities=60, n_triples=700, seed=11)
+    return oracles.make_triples(n_entities=60, n_triples=700, seed=11)
+
+
+def test_make_triples_deterministic():
+    first = oracles.make_triples(30, 200, seed=9)
+    assert first == oracles.make_triples(30, 200, seed=9)
+    assert len(first) == 200
 
 
 class TestBatchIngestEquivalence:
     def test_state_identical_to_per_call_loop(self, items):
-        fast = bench._empty_graph(60)
+        fast = oracles.empty_graph(60)
         fast.add_triples_batch(items)
-        slow = bench._empty_graph(60)
+        slow = oracles.empty_graph(60)
         for triple, provenance in items:
             slow.add_triple(triple, provenance=provenance)
         assert _graph_state(fast) == _graph_state(slow)
 
     def test_lineage_ledger_identical(self, items):
         with enabled_scope():
-            fast = bench._empty_graph(60)
+            fast = oracles.empty_graph(60)
             fast.add_triples_batch(items)
             fast_events = _ledger_events()
             fast_sequence = get_ledger()._sequence
         with enabled_scope():
-            slow = bench._empty_graph(60)
+            slow = oracles.empty_graph(60)
             for triple, provenance in items:
                 slow.add_triple(triple, provenance=provenance)
             slow_events = _ledger_events()
@@ -74,13 +80,13 @@ class TestBatchIngestEquivalence:
         assert fast_sequence == slow_sequence
 
     def test_returns_new_triple_count(self, items):
-        graph = bench._empty_graph(60)
+        graph = oracles.empty_graph(60)
         n_new = graph.add_triples_batch(items)
         assert n_new == len(graph)
         assert graph.add_triples_batch(items) == 0  # all duplicates now
 
     def test_mixed_bare_and_provenanced_items(self):
-        graph = bench._empty_graph(4)
+        graph = oracles.empty_graph(4)
         mixed = [
             Triple("e0", "p", "x"),
             (Triple("e1", "p", "y"), Provenance(source="s1")),
@@ -91,7 +97,7 @@ class TestBatchIngestEquivalence:
         assert graph.provenance(Triple("e0", "p", "x")) == []
 
     def test_unknown_subject_raises_and_keeps_partial_state(self):
-        graph = bench._empty_graph(2)
+        graph = oracles.empty_graph(2)
         batch = [
             (Triple("e0", "p", "x"), None),
             (Triple("ghost", "p", "y"), None),
@@ -107,11 +113,11 @@ class TestBatchIngestEquivalence:
 
 class TestMergeEquivalence:
     def _linked_graph(self):
-        graph = bench._build_graph(40, 400)
+        graph = oracles.build_graph(40, 400)
         return graph
 
     def test_fast_merge_matches_naive_scan(self):
-        pairs = bench._merge_pairs(bench.WorkloadScale(40, 400, 12, 0, 0))
+        pairs = oracles.merge_pairs(40, 12)
         with enabled_scope():
             fast = self._linked_graph()
             fast_rewrites = [
@@ -120,13 +126,13 @@ class TestMergeEquivalence:
             fast_state = _graph_state(fast)
             fast_events = _ledger_events()
         oracle = _oracle(40)
-        oracle.add_batch(bench.make_triples(40, 400))
+        oracle.add_batch(oracles.make_triples(40, 400))
         assert [oracle.merge(keep, drop) for keep, drop in pairs] == fast_rewrites
         assert_graph_matches(fast, oracle)
         with enabled_scope():
             slow = self._linked_graph()
             slow_rewrites = [
-                bench.naive_merge_entities(slow, keep, drop) for keep, drop in pairs
+                oracles.naive_merge_entities(slow, keep, drop) for keep, drop in pairs
             ]
             slow_state = _graph_state(slow)
             slow_events = _ledger_events()
@@ -135,13 +141,13 @@ class TestMergeEquivalence:
         assert fast_events == slow_events
 
     def test_merge_after_batch_ingest(self, items):
-        fast = bench._empty_graph(60)
+        fast = oracles.empty_graph(60)
         fast.add_triples_batch(items)
-        slow = bench._empty_graph(60)
+        slow = oracles.empty_graph(60)
         for triple, provenance in items:
             slow.add_triple(triple, provenance=provenance)
         fast.merge_entities("e0", "e1")
-        bench.naive_merge_entities(slow, "e0", "e1")
+        oracles.naive_merge_entities(slow, "e0", "e1")
         assert _graph_state(fast) == _graph_state(slow)
 
     def test_self_merge_rejected_by_both_paths(self):
@@ -149,12 +155,12 @@ class TestMergeEquivalence:
         with pytest.raises(ValueError, match="into itself"):
             graph.merge_entities("e0", "e0")
         with pytest.raises(ValueError, match="into itself"):
-            bench.naive_merge_entities(graph, "e0", "e0")
+            oracles.naive_merge_entities(graph, "e0", "e0")
 
     def test_self_loop_triple_rewrites_like_scan(self):
         for merge in (
             KnowledgeGraph.merge_entities,
-            bench.naive_merge_entities,
+            oracles.naive_merge_entities,
         ):
             ontology = Ontology()
             ontology.add_class("Thing")
@@ -169,7 +175,7 @@ class TestMergeEquivalence:
 class TestRemoveTriplePruning:
     def test_empty_rows_are_pruned(self):
         """A removed row leaves nothing behind on any read path."""
-        graph, oracle = bench._empty_graph(3), _oracle(3)
+        graph, oracle = oracles.empty_graph(3), _oracle(3)
         for triple in (Triple("e0", "p", "x"), Triple("e0", "q", "e1")):
             graph.add_triple(triple)
             oracle.add(triple)
@@ -189,13 +195,13 @@ class TestRemoveTriplePruning:
         assert_graph_matches(graph, oracle)
 
     def test_remove_missing_is_false(self):
-        graph = bench._empty_graph(2)
+        graph = oracles.empty_graph(2)
         assert not graph.remove_triple(Triple("e0", "p", "x"))
 
 
 class TestQueryEquivalence:
     def test_conjunctive_reorder_same_solutions(self):
-        graph = bench._build_graph(50, 600)
+        graph = oracles.build_graph(50, 600)
         patterns = [
             TriplePattern("?a", "related_to", "?b"),
             TriplePattern("?b", "part_of", "?c"),
@@ -211,7 +217,7 @@ class TestQueryEquivalence:
         assert reordered  # non-degenerate join
 
     def test_paths_match_recursive_reference(self):
-        graph = bench._build_graph(25, 200)
+        graph = oracles.build_graph(25, 200)
         query = PathQuery(graph, max_length=3)
 
         def reference_paths(start, goal, max_paths):
@@ -252,7 +258,7 @@ class TestColumnarBackendEquivalence:
     """The columnar store must be observably identical to the set model."""
 
     def _pair(self, items):
-        graph, oracle = bench._empty_graph(60), _oracle(60)
+        graph, oracle = oracles.empty_graph(60), _oracle(60)
         assert graph.add_triples_batch(items) == oracle.add_batch(items)
         return graph, oracle
 
@@ -262,7 +268,7 @@ class TestColumnarBackendEquivalence:
     def test_lineage_ledger_identical(self, items):
         states = []
         for ingest in (
-            lambda: bench._empty_graph(60).add_triples_batch(items),
+            lambda: oracles.empty_graph(60).add_triples_batch(items),
             lambda: _oracle(60).add_batch(items),
         ):
             with enabled_scope():
@@ -272,7 +278,7 @@ class TestColumnarBackendEquivalence:
         assert states[0][0]  # the ledger actually recorded something
 
     def test_per_call_ingest_state_identical(self, items):
-        graph, oracle = bench._empty_graph(60), _oracle(60)
+        graph, oracle = oracles.empty_graph(60), _oracle(60)
         for triple, provenance in items:
             assert graph.add_triple(triple, provenance=provenance) == oracle.add(
                 triple, provenance
@@ -344,7 +350,7 @@ class TestMutationBeforeFirstIndexRead:
     """
 
     def test_remove_before_first_read_stays_removed(self, items):
-        graph = bench._empty_graph(60)
+        graph = oracles.empty_graph(60)
         graph.add_triples_batch(items)
         victim = items[0][0]
         assert graph.remove_triple(victim)  # no read has happened yet
@@ -353,7 +359,7 @@ class TestMutationBeforeFirstIndexRead:
         assert victim.object not in graph.objects(victim.subject, victim.predicate)
 
     def test_merge_before_first_read_leaves_no_orphans(self):
-        graph = bench._empty_graph(4)
+        graph = oracles.empty_graph(4)
         graph.add_triples_batch(
             [
                 Triple("e0", "p", "e1"),
@@ -374,7 +380,7 @@ class TestMutationBeforeFirstIndexRead:
         }
 
     def test_remove_then_readd_before_first_read(self, items):
-        graph = bench._empty_graph(60)
+        graph = oracles.empty_graph(60)
         graph.add_triples_batch(items)
         victim = items[5][0]
         assert graph.remove_triple(victim)
@@ -386,7 +392,7 @@ class TestMutationBeforeFirstIndexRead:
         )
 
     def test_interleaved_mutations_match_per_call_reference(self, items):
-        fast, oracle = bench._empty_graph(60), _oracle(60)
+        fast, oracle = oracles.empty_graph(60), _oracle(60)
         fast.add_triples_batch(items)
         oracle.add_batch(items)
         fast.remove_triple(items[2][0])
@@ -394,7 +400,7 @@ class TestMutationBeforeFirstIndexRead:
         fast.merge_entities("e4", "e5")
         oracle.merge("e4", "e5")
 
-        slow = bench._empty_graph(60)
+        slow = oracles.empty_graph(60)
         for triple, provenance in items:
             slow.add_triple(triple, provenance=provenance)
         slow.query()  # a read between the load and the mutations
@@ -422,7 +428,7 @@ class TestPmapPipelineEquivalence:
     def test_fusion_identical_across_modes(self, modes):
         from repro.integrate.fusion import AccuFusion, majority_vote
 
-        claims = bench.make_claims(n_items=80, n_sources=5, seed=5)
+        claims = oracles.make_claims(n_items=80, n_sources=5, seed=5)
 
         def run():
             fusion = AccuFusion(n_iterations=4)
