@@ -20,12 +20,32 @@ pure functions that record no observability state — so the resulting graph
 state, provenance, lineage ledger, and ``.rkgs`` snapshot bytes are
 partition-count-invariant (pinned by ``tests/test_perf_equivalence.py``
 and the Hypothesis property in ``tests/test_core_partition_property.py``).
+
+This module also holds the **link half of the construction kernel** — the
+one copy of how a record becomes claims (:func:`extract_claims` over
+:func:`clean_reason`), which records may be compared
+(:func:`blocking_keys`, :func:`block_pairs`), how alike two records are
+(:func:`pair_score`) and how matches become clusters (:class:`Clusters`).
+:func:`run_partition`, :func:`repro.integrate.exchange.exchange` and
+:class:`repro.stream.ingest.StreamIngestor` are only *how inputs arrive*:
+all at once, per shard, or per delta.  The fusion half is
+:class:`repro.integrate.fusion.AccuFusion`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Collection,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 from zlib import crc32
 
 from repro.core.parallel import pmap
@@ -48,6 +68,10 @@ from repro.ml.similarity import (
 
 #: Canonical year-like attributes (used by cleaning and pair scoring).
 _YEAR_ATTRIBUTES = ("release_year", "birth_year")
+
+Pair = Tuple[str, str]
+#: A claim cleaning refused: (record id, attribute, value, reason).
+Rejection = Tuple[str, str, Value, str]
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +152,39 @@ def clean_reason(attribute: str, value: Value) -> Optional[str]:
     return None
 
 
+def extract_claims(
+    record: CanonicalRecord,
+) -> Tuple[List[ValueClaim], List[Rejection]]:
+    """One record's scalar attributes as claims, and the ones cleaning refused.
+
+    ``name`` identifies the record and multi-valued extras are not
+    claimable scalars; every other attribute is either a
+    :class:`~repro.integrate.fusion.ValueClaim` or a ``(record id,
+    attribute, value, reason)`` rejection, in attribute order.
+    """
+    claims: List[ValueClaim] = []
+    rejections: List[Rejection] = []
+    for attribute in sorted(record.fields):
+        if attribute == "name":
+            continue
+        value = record.fields[attribute]
+        if isinstance(value, (list, tuple, set, dict)):
+            continue
+        reason = clean_reason(attribute, value)
+        if reason is not None:
+            rejections.append((record.record_id, attribute, value, reason))
+        else:
+            claims.append(
+                ValueClaim(
+                    subject=record.record_id,
+                    attribute=attribute,
+                    value=value,
+                    source=record.source,
+                )
+            )
+    return claims, rejections
+
+
 # ---------------------------------------------------------------------------
 # link: deterministic pair scoring (pure, shared by partitions and exchange)
 
@@ -172,6 +229,85 @@ def _score_pair(pair: Tuple[CanonicalRecord, CanonicalRecord]) -> float:
 
 
 # ---------------------------------------------------------------------------
+# block + cluster: which pairs may be compared, and what matches add up to
+
+
+def blocking_keys(
+    strategy: BlockingStrategy, record: CanonicalRecord
+) -> Tuple[str, ...]:
+    """A record's distinct blocking keys, sorted."""
+    return tuple(sorted(set(strategy.keys(record.fields))))
+
+
+def block_pairs(
+    blocks: Mapping[str, Collection[str]],
+    records: Mapping[str, CanonicalRecord],
+    max_block_size: int,
+) -> Set[Pair]:
+    """The eligibility rule: every (smaller id, larger id) pair that may be scored.
+
+    Two records are comparable iff they share a blocking key whose block
+    holds at most ``max_block_size`` records and they are of one entity
+    class.  ``blocks`` maps key to record ids.  Called on a partition's
+    local blocks, on the exchange's global ones and by the streamer's
+    re-link; a local block over the cap is a subset of a global block over
+    the cap, so skipping it locally never drops a pair the exchange keeps.
+    """
+    pairs: Set[Pair] = set()
+    for block in blocks.values():
+        if len(block) > max_block_size:
+            continue
+        members = sorted(block)
+        for i, left_id in enumerate(members):
+            left_class = records[left_id].entity_class
+            for right_id in members[i + 1 :]:
+                if records[right_id].entity_class == left_class:
+                    pairs.add((left_id, right_id))
+    return pairs
+
+
+class Clusters:
+    """Union-find over record ids whose roots are the lexicographic minima.
+
+    The final components of a union-find depend only on the edge *set*,
+    and rooting each component at its smallest member removes the last
+    trace of processing order — so the cluster map is identical no matter
+    how the match edges were discovered or ordered.  ``root_of`` (id →
+    root) and ``members`` (root → ids, unordered) are both current after
+    every :meth:`union`: the dropped root's side is relabelled, which
+    costs its size, and cluster sizes are bounded by source overlap.
+    """
+
+    def __init__(self, items: Iterable[str] = ()) -> None:
+        self.root_of: Dict[str, str] = {}
+        self.members: Dict[str, List[str]] = {}
+        for item in items:
+            self.add(item)
+
+    def add(self, item: str) -> None:
+        """Start ``item`` as its own cluster (no-op when already known)."""
+        if item not in self.root_of:
+            self.root_of[item] = item
+            self.members[item] = [item]
+
+    def union(self, left: str, right: str) -> Optional[Pair]:
+        """Join two items' clusters.
+
+        Returns ``(kept root, dropped root)`` when two clusters became
+        one, ``None`` when the items already shared a cluster.
+        """
+        left_root, right_root = self.root_of[left], self.root_of[right]
+        if left_root == right_root:
+            return None
+        keep, drop = ordered_pair(left_root, right_root)
+        dropped = self.members.pop(drop)
+        for member in dropped:
+            self.root_of[member] = keep
+        self.members[keep].extend(dropped)
+        return keep, drop
+
+
+# ---------------------------------------------------------------------------
 # routing: blocking keys as the hash domain
 
 
@@ -185,7 +321,7 @@ def home_partition(
     most candidate pairs are scored without crossing partitions.  Pure in
     the record — routing never depends on input order.
     """
-    keys = sorted(set(strategy.keys(record.fields)))
+    keys = blocking_keys(strategy, record)
     anchor = keys[0] if keys else record.record_id
     return crc32(anchor.encode("utf-8")) % n_partitions
 
@@ -219,7 +355,7 @@ class PartitionResult:
     keys: Dict[str, Tuple[str, ...]]
     scores: Dict[Tuple[str, str], float]
     claims: List[ValueClaim]
-    rejections: List[Tuple[str, str, Value, str]]
+    rejections: List[Rejection]
     fragment_terms: List[Value]
     fragment_columns: Tuple
 
@@ -241,53 +377,23 @@ def run_partition(task: PartitionTask) -> PartitionResult:
     ]
     # extract + clean
     claims: List[ValueClaim] = []
-    rejections: List[Tuple[str, str, Value, str]] = []
+    rejections: List[Rejection] = []
     for record in records:
-        for attribute in sorted(record.fields):
-            if attribute == "name":
-                continue
-            value = record.fields[attribute]
-            if isinstance(value, (list, tuple, set, dict)):
-                continue  # multi-valued extras are not claimable scalars
-            reason = clean_reason(attribute, value)
-            if reason is not None:
-                rejections.append((record.record_id, attribute, value, reason))
-            else:
-                claims.append(
-                    ValueClaim(
-                        subject=record.record_id,
-                        attribute=attribute,
-                        value=value,
-                        source=record.source,
-                    )
-                )
-    # block
-    keys: Dict[str, Tuple[str, ...]] = {
-        record.record_id: tuple(sorted(set(strategy.keys(record.fields))))
-        for record in records
-    }
-    blocks: Dict[str, List[int]] = {}
-    for position, record in enumerate(records):
-        for key in keys[record.record_id]:
-            blocks.setdefault(key, []).append(position)
-    # link: score every locally co-resident candidate pair.  A local block
-    # larger than the cap is a subset of a global block larger than the
-    # cap, so skipping it here can never drop a pair the exchange phase
-    # would have kept.
-    pairs = set()
-    for members in blocks.values():
-        if len(members) > strategy.max_block_size:
-            continue
-        for i, left_position in enumerate(members):
-            left = records[left_position]
-            for right_position in members[i + 1 :]:
-                right = records[right_position]
-                if left.entity_class != right.entity_class:
-                    continue
-                pairs.add(ordered_pair(left.record_id, right.record_id))
+        record_claims, record_rejections = extract_claims(record)
+        claims += record_claims
+        rejections += record_rejections
+    # block + link: score every locally co-resident candidate pair
     by_id = {record.record_id: record for record in records}
+    keys = {
+        record_id: blocking_keys(strategy, record) for record_id, record in by_id.items()
+    }
+    blocks: Dict[str, List[str]] = {}
+    for record_id, record_keys in keys.items():
+        for key in record_keys:
+            blocks.setdefault(key, []).append(record_id)
     scores = {
-        pair: pair_score(by_id[pair[0]], by_id[pair[1]]) for pair in sorted(pairs)
+        pair: pair_score(by_id[pair[0]], by_id[pair[1]])
+        for pair in sorted(block_pairs(blocks, by_id, strategy.max_block_size))
     }
     # local columnar fragment: claims as (record, attribute, value) rows
     store = ColumnarTripleStore()
@@ -324,11 +430,6 @@ class PartitionedBuild:
 
     strategy: BlockingStrategy = field(default_factory=BlockingStrategy)
     match_threshold: float = 0.85
-    n_distractors: int = 10
-    n_iterations: int = 10
-    initial_accuracy: float = 0.8
-    min_accuracy: float = 0.05
-    max_accuracy: float = 0.99
     graph_name: str = "kg"
     sources_key: str = "sources"
 
@@ -424,11 +525,6 @@ class _ExchangeStage(PipelineStage):
             strategy=build.strategy,
             match_threshold=build.match_threshold,
             graph_name=build.graph_name,
-            n_distractors=build.n_distractors,
-            n_iterations=build.n_iterations,
-            initial_accuracy=build.initial_accuracy,
-            min_accuracy=build.min_accuracy,
-            max_accuracy=build.max_accuracy,
         )
         context.artifacts["kg"] = outcome.graph
         context.artifacts["exchange"] = outcome

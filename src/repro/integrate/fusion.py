@@ -19,7 +19,8 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
+from zlib import crc32
 
 import numpy as np
 
@@ -55,18 +56,19 @@ class FusionResult:
     n_claims: int
 
 
-def _group_claims(
-    claims: Iterable[ValueClaim],
-) -> Dict[Tuple[str, str], List[ValueClaim]]:
-    grouped: Dict[Tuple[str, str], List[ValueClaim]] = defaultdict(list)
+#: A data item — a (subject, attribute) slot — and the item with its claims.
+ItemKey = Tuple[str, str]
+Item = Tuple[ItemKey, List[ValueClaim]]
+
+
+def _group_claims(claims: Iterable[ValueClaim]) -> Dict[ItemKey, List[ValueClaim]]:
+    grouped: Dict[ItemKey, List[ValueClaim]] = defaultdict(list)
     for claim in claims:
         grouped[(claim.subject, claim.attribute)].append(claim)
     return grouped
 
 
-def _vote_one_item(
-    entry: Tuple[Tuple[str, str], List[ValueClaim]],
-) -> FusionResult:
+def _vote_one_item(entry: Item) -> FusionResult:
     """Resolve one (subject, attribute) group by plurality."""
     (subject, attribute), item_claims = entry
     votes: Dict[Value, int] = defaultdict(int)
@@ -101,6 +103,14 @@ class AccuFusion:
     with probability ``accuracy(source)`` and otherwise picks uniformly
     among ``n_distractors`` wrong values.  EM alternates between value
     posteriors given accuracies and accuracy estimates given posteriors.
+
+    This is the fusion half of the construction kernel, and its fields are
+    the one declaration of the EM hyper-parameters.  :meth:`fuse` is the
+    only EM loop — the batch exchange calls it with one shard per
+    partition — and the four steps it is made of (:meth:`posterior`,
+    :meth:`item_statistics`, :meth:`estimate`, :meth:`decide`) are what
+    :class:`repro.stream.ingest.StreamIngestor` applies to one group at a
+    time.
     """
 
     n_distractors: int = 10
@@ -110,119 +120,186 @@ class AccuFusion:
     max_accuracy: float = 0.99
     source_accuracy_: Dict[str, float] = field(default_factory=dict, init=False)
 
+    # -- the four kernel steps ------------------------------------------
+
+    def posterior(
+        self, item_claims: Sequence[ValueClaim], accuracy: Dict[str, float]
+    ) -> Dict[Value, float]:
+        """E-step: one item's value posterior given source accuracies."""
+        candidate_values = sorted({claim.value for claim in item_claims}, key=str)
+        if len(candidate_values) == 1:
+            # exp(s - s) / exp(s - s): exactly 1.0 whatever the sources' trust.
+            return {candidate_values[0]: 1.0}
+        log_scores = {}
+        # math.log/math.exp, not np.log/np.exp: these are scalar calls in the
+        # EM hot loop, and the numpy ufunc dispatch costs ~2x per call for the
+        # same IEEE-754 result.
+        for candidate in candidate_values:
+            log_score = 0.0
+            for claim in item_claims:
+                source_accuracy = accuracy[claim.source]
+                if claim.value == candidate:
+                    log_score += math.log(source_accuracy)
+                else:
+                    log_score += math.log((1.0 - source_accuracy) / self.n_distractors)
+            log_scores[candidate] = log_score
+        peak = max(log_scores.values())
+        unnormalized = {
+            value: math.exp(score - peak) for value, score in log_scores.items()
+        }
+        total = sum(unnormalized.values())
+        return {value: score / total for value, score in unnormalized.items()}
+
+    @staticmethod
+    def item_statistics(
+        posterior: Dict[Value, float], item_claims: Sequence[ValueClaim]
+    ) -> Tuple[Dict[str, float], Dict[str, int]]:
+        """One item's sufficient statistics: per source, the posterior mass
+        of the values it claimed and how many claims it made."""
+        mass: Dict[str, float] = {}
+        counts: Dict[str, int] = {}
+        for claim in item_claims:
+            source = claim.source
+            mass[source] = mass.get(source, 0.0) + posterior.get(claim.value, 0.0)
+            counts[source] = counts.get(source, 0) + 1
+        return mass, counts
+
+    def estimate(self, mass: float, count: int) -> float:
+        """M-step: a source's accuracy from its summed statistics, clipped;
+        a source with no claims left keeps the prior."""
+        if count <= 0:
+            return self.initial_accuracy
+        return float(np.clip(mass / count, self.min_accuracy, self.max_accuracy))
+
+    def decide(
+        self,
+        item_key: ItemKey,
+        posterior: Dict[Value, float],
+        item_claims: Sequence[ValueClaim],
+        accuracy: Dict[str, float],
+        stage: str,
+    ) -> FusionResult:
+        """The verdict for one item: the most probable value wins (ties by
+        ``str(value)``), and with lineage on every candidate gets a verdict
+        carrying the learned trust of the sources that claimed the item."""
+        subject, attribute = item_key
+        value, probability = max(
+            posterior.items(), key=lambda entry: (entry[1], str(entry[0]))
+        )
+        if obs_lineage.lineage_enabled():
+            source_trust = {
+                claim.source: accuracy[claim.source] for claim in item_claims
+            }
+            for candidate, candidate_probability in sorted(
+                posterior.items(), key=lambda entry: str(entry[0])
+            ):
+                obs_lineage.record_fusion(
+                    subject,
+                    attribute,
+                    candidate,
+                    verdict="accepted" if candidate == value else "rejected",
+                    confidence=float(candidate_probability),
+                    source_trust=source_trust,
+                    stage=stage,
+                )
+        return FusionResult(
+            subject=subject,
+            attribute=attribute,
+            value=value,
+            confidence=float(probability),
+            n_claims=len(item_claims),
+        )
+
+    # -- the EM loop ----------------------------------------------------
+
     @profiled("fusion.accu")
-    def fuse(self, claims: Sequence[ValueClaim]) -> List[FusionResult]:
-        """Run EM and return the fused value per data item."""
+    def fuse(
+        self, claims: Sequence[ValueClaim], n_shards: int = 1
+    ) -> List[FusionResult]:
+        """Run EM and return the fused value per data item, sorted by item.
+
+        Each iteration runs the E-step per shard of data items (one
+        :func:`~repro.core.parallel.pmap` item each) and merges the shards'
+        sufficient statistics with ``math.fsum`` over globally sorted
+        items, so results and ``source_accuracy_`` are independent of
+        ``n_shards`` down to the last bit; the claim sort below makes them
+        independent of claim input order too.
+        """
+        claims = sorted(
+            claims,
+            key=lambda claim: (
+                claim.subject,
+                claim.attribute,
+                claim.source,
+                type(claim.value).__name__,
+                str(claim.value),
+            ),
+        )
         obs_metrics.count("fusion.claims", len(claims))
         grouped = _group_claims(claims)
         obs_metrics.count("fusion.data_items", len(grouped))
+        shards: List[List[Item]] = [[] for _ in range(max(1, n_shards))]
+        for item in sorted(grouped.items()):
+            shards[crc32(item[0][0].encode("utf-8")) % len(shards)].append(item)
         sources = sorted({claim.source for claim in claims})
         accuracy = {source: self.initial_accuracy for source in sources}
-        items = list(grouped.items())
-        posteriors: Dict[Tuple[str, str], Dict[Value, float]] = {}
+        shard_stats: list = []
         for _ in range(self.n_iterations):
-            # E-step: value posteriors per item — items are independent
-            # given the accuracies, so the per-item computation fans out
-            # through pmap (order-preserved, results zip back to items).
-            item_posteriors = pmap(
-                partial(_accu_item_posterior, self.n_distractors, accuracy),
-                [item_claims for _, item_claims in items],
+            shard_stats = pmap(partial(self._shard_statistics, accuracy), shards)
+            accuracy = self._merged_estimates(shard_stats, sources)
+        self.source_accuracy_ = accuracy
+        posteriors = {
+            item_key: posterior
+            for shard, (shard_posteriors, _, _) in zip(shards, shard_stats)
+            for (item_key, _), posterior in zip(shard, shard_posteriors)
+        }
+        results = [
+            self.decide(
+                item_key, posteriors[item_key], grouped[item_key], accuracy, "fusion.accu"
             )
-            posteriors = {
-                item: posterior
-                for (item, _), posterior in zip(items, item_posteriors)
-            }
-            # M-step: source accuracies from expected correctness.
-            totals: Dict[str, float] = defaultdict(float)
-            counts: Dict[str, int] = defaultdict(int)
-            for item, item_claims in grouped.items():
-                posterior = posteriors[item]
-                for claim in item_claims:
-                    totals[claim.source] += posterior.get(claim.value, 0.0)
-                    counts[claim.source] += 1
-            for source in sources:
-                if counts[source]:
-                    estimate = totals[source] / counts[source]
-                    accuracy[source] = float(
-                        np.clip(estimate, self.min_accuracy, self.max_accuracy)
-                    )
-        self.source_accuracy_ = dict(accuracy)
-        results = []
-        n_rejected = 0
-        record_lineage = obs_lineage.lineage_enabled()
-        for (subject, attribute), posterior in sorted(posteriors.items()):
-            value, probability = max(
-                posterior.items(), key=lambda item: (item[1], str(item[0]))
-            )
-            results.append(
-                FusionResult(
-                    subject=subject,
-                    attribute=attribute,
-                    value=value,
-                    confidence=float(probability),
-                    n_claims=len(grouped[(subject, attribute)]),
-                )
-            )
-            n_rejected += len(posterior) - 1
-            if record_lineage:
-                # The decision chain: every candidate value gets a verdict
-                # carrying the learned trust of the sources that claimed it.
-                item_claims = grouped[(subject, attribute)]
-                source_trust = {
-                    claim.source: accuracy[claim.source] for claim in item_claims
-                }
-                for candidate, candidate_probability in sorted(
-                    posterior.items(), key=lambda kv: str(kv[0])
-                ):
-                    obs_lineage.record_fusion(
-                        subject,
-                        attribute,
-                        candidate,
-                        verdict="accepted" if candidate == value else "rejected",
-                        confidence=float(candidate_probability),
-                        source_trust=source_trust,
-                        stage="fusion.accu",
-                    )
+            for item_key in sorted(posteriors)
+        ]
         obs_metrics.count("fusion.accepted", len(results))
-        obs_metrics.count("fusion.rejected", n_rejected)
+        obs_metrics.count(
+            "fusion.rejected", sum(map(len, posteriors.values())) - len(results)
+        )
         return results
 
-    def _item_posterior(
-        self, item_claims: Sequence[ValueClaim], accuracy: Dict[str, float]
-    ) -> Dict[Value, float]:
-        return _accu_item_posterior(self.n_distractors, accuracy, item_claims)
+    def _shard_statistics(self, accuracy: Dict[str, float], items: Sequence[Item]):
+        """One shard's E-step pass: each item's posterior and, per source,
+        its ``(item, mass)`` rows and its claim count."""
+        posteriors = []
+        rows: Dict[str, List[Tuple[ItemKey, float]]] = {}
+        counts: Dict[str, int] = {}
+        for item_key, item_claims in items:
+            posterior = self.posterior(item_claims, accuracy)
+            posteriors.append(posterior)
+            mass, item_counts = self.item_statistics(posterior, item_claims)
+            for source, value in mass.items():
+                rows.setdefault(source, []).append((item_key, value))
+                counts[source] = counts.get(source, 0) + item_counts[source]
+        return posteriors, rows, counts
 
+    def _merged_estimates(
+        self, shard_stats: Sequence[tuple], sources: Sequence[str]
+    ) -> Dict[str, float]:
+        """Merge the shards' sufficient statistics into new source accuracies.
 
-def _accu_item_posterior(
-    n_distractors: int,
-    accuracy: Dict[str, float],
-    item_claims: Sequence[ValueClaim],
-) -> Dict[Value, float]:
-    """Posterior over one item's candidate values given source accuracies.
-
-    Module-level (not a method) so process-mode :func:`pmap` can pickle it.
-    """
-    candidate_values = sorted({claim.value for claim in item_claims}, key=str)
-    if len(candidate_values) == 1:
-        # exp(s - s) / exp(s - s): exactly 1.0 whatever the sources' trust.
-        return {candidate_values[0]: 1.0}
-    log_scores = {}
-    # math.log/math.exp, not np.log/np.exp: these are scalar calls in the
-    # EM hot loop, and the numpy ufunc dispatch costs ~2x per call for the
-    # same IEEE-754 result.
-    for candidate in candidate_values:
-        log_score = 0.0
-        for claim in item_claims:
-            source_accuracy = accuracy[claim.source]
-            if claim.value == candidate:
-                log_score += math.log(source_accuracy)
-            else:
-                log_score += math.log((1.0 - source_accuracy) / n_distractors)
-        log_scores[candidate] = log_score
-    peak = max(log_scores.values())
-    unnormalized = {value: math.exp(score - peak) for value, score in log_scores.items()}
-    total = sum(unnormalized.values())
-    return {value: score / total for value, score in unnormalized.items()}
+        Each (item, source) row lives in exactly one shard (items are
+        atomic), so re-sorting the union by data item and summing with
+        ``math.fsum`` yields totals that are bit-identical no matter how
+        many shards the items were split across.
+        """
+        accuracy = {}
+        for source in sources:
+            rows = sorted(
+                row
+                for _, shard_rows, _ in shard_stats
+                for row in shard_rows.get(source, ())
+            )
+            count = sum(counts.get(source, 0) for _, _, counts in shard_stats)
+            accuracy[source] = self.estimate(math.fsum(mass for _, mass in rows), count)
+        return accuracy
 
 
 def claims_from_sources(

@@ -275,23 +275,6 @@ class LineageLedger:
         with self._lock:
             return sorted(self._events)
 
-    def fused_attributes(self, subject: str) -> List[str]:
-        """Sorted attributes with any fusion verdict recorded for ``subject``.
-
-        This is the re-fusion index the streaming ingestor consults when a
-        cluster merge re-roots ``subject``: every ``(subject, attribute)``
-        group the ledger has seen fused must be fused again under the new
-        root.
-        """
-        attributes = set()
-        with self._lock:
-            for (event_subject, predicate, _), events in self._events.items():
-                if event_subject != subject:
-                    continue
-                if any(event.kind == "fusion" for event in events):
-                    attributes.add(predicate)
-        return sorted(attributes)
-
     def fused_keys(self, verdict: str = "accepted") -> List[TripleKey]:
         """Triple keys whose latest fusion event carries ``verdict``."""
         matched = []

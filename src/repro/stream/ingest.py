@@ -7,26 +7,31 @@ Delta` at a time, mutating a *live* :class:`~repro.core.graph.
 KnowledgeGraph` (WAL-attached, so followers and publishers can tail it)
 after every micro-batch:
 
+It is a driver over the construction kernel, not a second copy of it:
+claims come from :func:`~repro.core.partition.extract_claims`, keys from
+:func:`~repro.core.partition.blocking_keys`, clusters live in one
+:class:`~repro.core.partition.Clusters`, and every fusion step is a method
+of :class:`~repro.integrate.fusion.AccuFusion`.
+
 * **incremental linkage** — only the blocking keys touched by the delta
   are re-blocked; new candidate pairs are scored with the identical pure
   :func:`~repro.core.partition.pair_score` the partitions use, and match
-  edges feed an incremental union-find.  When a delta pushes a block
-  over the ``max_block_size`` cap (or replaces a record), pair
-  eligibility can shrink, so the ingestor falls back to a full re-link —
-  counted in ``stream.relinks`` so the (rare) O(pairs) events are
-  visible;
+  edges are unioned as they appear.  When a delta pushes a block over the
+  ``max_block_size`` cap (or replaces a record), pair eligibility can
+  shrink, so the ingestor falls back to a full re-link over
+  :func:`~repro.core.partition.block_pairs` — counted in
+  ``stream.relinks`` so the (rare) O(pairs) events are visible;
 * **online Accu EM** — per-source sufficient statistics (posterior mass
-  + claim counts, the same quantities :func:`repro.integrate.exchange.
-  fuse_sharded` merges with ``fsum``) are updated by subtracting each
-  re-fused group's previous contribution and adding its new one, so
-  source accuracies track the stream without re-running EM over the
-  world;
-* **ledger-consulted re-fusion** — only the ``(subject, predicate)``
-  groups touched by the delta are re-fused: the groups the delta's
-  claims land in, plus — when a cluster merge re-roots records — the
-  groups the lineage ledger has fusion verdicts for under the old roots
-  (:meth:`~repro.obs.lineage.LineageLedger.fused_attributes`).  Fused
-  groups per delta is the sub-linearity contract the tests assert.
+  + claim counts, the quantities :meth:`AccuFusion.fuse` merges with
+  ``fsum``) are updated by subtracting each re-fused group's previous
+  contribution and adding its new one, so source accuracies track the
+  stream without re-running EM over the world;
+* **indexed re-fusion** — only the ``(subject, predicate)`` groups
+  touched by the delta are re-fused: the groups the delta's claims land
+  in, plus — when a cluster merge re-roots records — the groups the
+  always-on ``_fused`` index holds under the old roots.  The work done
+  does not depend on whether observability is on.  Fused groups per
+  delta is the sub-linearity contract the tests assert.
 
 The live graph is an *approximation*: accuracies lag full EM, and block
 overflows can transiently merge entities a batch build would keep apart.
@@ -45,28 +50,30 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-import numpy as np
-
 from repro.core.graph import KnowledgeGraph
 from repro.core.ontology import Ontology
 from repro.core.partition import (
     CanonicalRecord,
+    Clusters,
+    Pair,
     PartitionedBuild,
     PartitionResult,
-    clean_reason,
+    Rejection,
+    block_pairs,
+    blocking_keys,
+    extract_claims,
     ordered_pair,
     pair_score,
     transform_record,
 )
 from repro.core.store import ColumnarTripleStore
-from repro.core.triple import Provenance, Triple, Value
-from repro.integrate.exchange import EXTRACTOR, ExchangeOutcome, _UnionFind, exchange
-from repro.integrate.fusion import ValueClaim, _accu_item_posterior
+from repro.core.triple import Provenance, Triple
+from repro.integrate.exchange import EXTRACTOR, ExchangeOutcome, exchange
+from repro.integrate.fusion import AccuFusion, ValueClaim
 from repro.obs import lineage as obs_lineage
 from repro.obs import metrics as obs_metrics
 from repro.stream.source import Delta
 
-Pair = Tuple[str, str]
 GroupKey = Tuple[str, str]
 
 
@@ -102,22 +109,22 @@ class StreamIngestor:
         self.records: Dict[str, CanonicalRecord] = {}
         self.keys: Dict[str, Tuple[str, ...]] = {}
         self.claims: Dict[str, List[ValueClaim]] = {}
-        self.rejections: Dict[str, List[Tuple[str, str, Value, str]]] = {}
+        self.rejections: Dict[str, List[Rejection]] = {}
         self.scores: Dict[Pair, float] = {}
         self._blocks: Dict[str, Set[str]] = {}
         self._pair_index: Dict[str, Set[Pair]] = {}
         self._matches: Set[Pair] = set()
-        self._root_of: Dict[str, str] = {}
-        self._members: Dict[str, Set[str]] = {}
+        self._clusters = Clusters()
         self._dirty = False
         # Online EM state: global per-source sufficient statistics plus the
         # cached per-group contribution that gets retracted on re-fusion.
+        self._fusion = AccuFusion()
         self._em_mass: Dict[str, float] = {}
         self._em_count: Dict[str, int] = {}
         self._accuracy: Dict[str, float] = {}
         self._group_mass: Dict[GroupKey, Dict[str, float]] = {}
         self._group_count: Dict[GroupKey, Dict[str, int]] = {}
-        # Fallback re-fusion index for when lineage recording is off.
+        # The re-fusion index: root -> attributes fused under it.
         self._fused: Dict[str, Set[str]] = {}
         self.n_deltas = 0
         self.n_relinks = 0
@@ -153,7 +160,7 @@ class StreamIngestor:
 
         touched = self._apply_cluster_changes(merge_events, moved)
         for canonical in arrived:
-            root = self._root_of[canonical.record_id]
+            root = self._clusters.root_of[canonical.record_id]
             self._ensure_entity(root)
             if canonical.record_id != root:
                 self._add_member_alias(root, canonical)
@@ -197,7 +204,7 @@ class StreamIngestor:
         if record_id in self.records:
             self._retract(record_id)
         self.records[record_id] = canonical
-        keys = tuple(sorted(set(self.build.strategy.keys(canonical.fields))))
+        keys = blocking_keys(self.build.strategy, canonical)
         self.keys[record_id] = keys
         cap = self.build.strategy.max_block_size
         for key in keys:
@@ -207,31 +214,12 @@ class StreamIngestor:
                 # relied on it stop being eligible, so re-link globally.
                 self._dirty = True
             block.add(record_id)
-        self._root_of.setdefault(record_id, record_id)
-        self._members.setdefault(record_id, {record_id})
-        claims: List[ValueClaim] = []
-        rejections: List[Tuple[str, str, Value, str]] = []
-        for attribute in sorted(canonical.fields):
-            if attribute == "name":
-                continue
-            value = canonical.fields[attribute]
-            if isinstance(value, (list, tuple, set, dict)):
-                continue  # multi-valued extras are not claimable scalars
-            reason = clean_reason(attribute, value)
-            if reason is not None:
-                rejections.append((record_id, attribute, value, reason))
-                obs_lineage.record_rejection(
-                    record_id, attribute, value, reason=reason, stage="stream.clean"
-                )
-            else:
-                claims.append(
-                    ValueClaim(
-                        subject=record_id,
-                        attribute=attribute,
-                        value=value,
-                        source=canonical.source,
-                    )
-                )
+        self._clusters.add(record_id)
+        claims, rejections = extract_claims(canonical)
+        for _, attribute, value, reason in rejections:
+            obs_lineage.record_rejection(
+                record_id, attribute, value, reason=reason, stage="stream.clean"
+            )
         self.claims[record_id] = claims
         self.rejections[record_id] = rejections
 
@@ -282,7 +270,10 @@ class StreamIngestor:
             block = self._blocks[key]
             if len(block) > cap:
                 continue
-            for other_id in block:
+            # Sorted, so that when the record bridges two clusters the union
+            # order — and with it the merge events, the live aliases and the
+            # WAL bytes followers replicate — does not vary with the hash seed.
+            for other_id in sorted(block):
                 if other_id == record_id:
                     continue
                 other = self.records[other_id]
@@ -296,21 +287,10 @@ class StreamIngestor:
                     and pair not in self._matches
                 ):
                     self._matches.add(pair)
-                    self._union(pair[0], pair[1], merge_events)
+                    merged = self._clusters.union(*pair)
+                    if merged is not None:
+                        merge_events.append(merged)
         return n_scored
-
-    def _union(
-        self, left: str, right: str, merge_events: List[Tuple[str, str]]
-    ) -> None:
-        left_root = self._root_of[left]
-        right_root = self._root_of[right]
-        if left_root == right_root:
-            return
-        keep, drop = sorted((left_root, right_root))
-        for member in self._members[drop]:
-            self._root_of[member] = keep
-        self._members[keep] |= self._members.pop(drop)
-        merge_events.append((keep, drop))
 
     def _relink(self):
         """Full linkage rebuild from cached scores + current eligibility.
@@ -321,46 +301,31 @@ class StreamIngestor:
         *global* block is within the cap and its pure score clears the
         threshold — so recompute exactly that, then diff the root map.
         """
-        cap = self.build.strategy.max_block_size
         n_scored = 0
         matches: Set[Pair] = set()
-        for key in self._blocks:
-            block = self._blocks[key]
-            if len(block) > cap:
-                continue
-            members = sorted(block)
-            for i, left_id in enumerate(members):
-                left = self.records[left_id]
-                for right_id in members[i + 1 :]:
-                    if self.records[right_id].entity_class != left.entity_class:
-                        continue
-                    pair = ordered_pair(left_id, right_id)
-                    if pair not in self.scores:
-                        n_scored += 1
-                    if self._score(pair) >= self.build.match_threshold:
-                        matches.add(pair)
-        union_find = _UnionFind()
-        for pair in sorted(matches):
-            union_find.union(*pair)
-        old_root_of = self._root_of
+        for pair in block_pairs(
+            self._blocks, self.records, self.build.strategy.max_block_size
+        ):
+            if pair not in self.scores:
+                n_scored += 1
+            if self._score(pair) >= self.build.match_threshold:
+                matches.add(pair)
+        old_root_of = self._clusters.root_of
         self._matches = matches
-        self._root_of = {
-            record_id: union_find.find(record_id) for record_id in self.records
-        }
-        self._members = {}
-        for record_id, root in self._root_of.items():
-            self._members.setdefault(root, set()).add(record_id)
+        self._clusters = Clusters(self.records)
+        for pair in matches:
+            self._clusters.union(*pair)
+        root_of = self._clusters.root_of
         moved = {
             record_id: (old_root_of.get(record_id, record_id), root)
-            for record_id, root in self._root_of.items()
+            for record_id, root in root_of.items()
             if old_root_of.get(record_id, record_id) != root
         }
         merge_events = sorted(
             {
-                (self._root_of[old_root], old_root)
+                (root_of[old_root], old_root)
                 for old_root, _ in moved.values()
-                if old_root in self._root_of
-                and self._root_of[old_root] != old_root
+                if old_root in root_of and root_of[old_root] != old_root
             }
         )
         self._dirty = False
@@ -368,20 +333,6 @@ class StreamIngestor:
 
     # ------------------------------------------------------------------
     # live-graph reconciliation
-
-    def _fused_attributes(self, root: str) -> List[str]:
-        """The groups previously fused under ``root`` — ledger first.
-
-        When lineage recording is on, the ledger's fusion verdicts are the
-        authoritative index of which ``(s, p)`` groups exist; the internal
-        set is the always-on fallback so correctness never depends on
-        observability being enabled.
-        """
-        if obs_lineage.lineage_enabled():
-            from_ledger = obs_lineage.get_ledger().fused_attributes(root)
-            if from_ledger:
-                return from_ledger
-        return sorted(self._fused.get(root, ()))
 
     def _apply_cluster_changes(
         self,
@@ -391,10 +342,10 @@ class StreamIngestor:
         touched: Set[GroupKey] = set()
         graph = self.graph
         for keep, drop in sorted(merge_events):
-            for attribute in self._fused_attributes(drop):
+            for attribute in self._fused.get(drop, ()):
                 touched.add((drop, attribute))
                 touched.add((keep, attribute))
-            for attribute in self._fused_attributes(keep):
+            for attribute in self._fused.get(keep, ()):
                 touched.add((keep, attribute))
             self._ensure_entity(keep)
             if graph.has_entity(drop):
@@ -416,7 +367,7 @@ class StreamIngestor:
             self._ensure_entity(new_root)
             if record_id != new_root and record_id in self.records:
                 self._add_member_alias(new_root, self.records[record_id])
-            for attribute in self._fused_attributes(old_root):
+            for attribute in self._fused.get(old_root, ()):
                 touched.add((old_root, attribute))
             for claim in self.claims.get(record_id, ()):
                 touched.add((old_root, claim.attribute))
@@ -453,18 +404,6 @@ class StreamIngestor:
         for source, value in counts.items():
             self._em_count[source] -= value
 
-    def _update_accuracy(self, sources) -> None:
-        build = self.build
-        for source in sources:
-            count = self._em_count.get(source, 0)
-            if count <= 0:
-                self._accuracy[source] = build.initial_accuracy
-            else:
-                estimate = self._em_mass.get(source, 0.0) / count
-                self._accuracy[source] = float(
-                    np.clip(estimate, build.min_accuracy, build.max_accuracy)
-                )
-
     def _refuse_group(
         self, group: GroupKey, adds: List[Tuple[Triple, Provenance]]
     ) -> None:
@@ -473,7 +412,7 @@ class StreamIngestor:
         self._retract_group_stats(group)
         group_claims = [
             claim
-            for member in sorted(self._members.get(root, ()))
+            for member in sorted(self._clusters.members.get(root, ()))
             for claim in self.claims.get(member, ())
             if claim.attribute == attribute
         ]
@@ -486,46 +425,24 @@ class StreamIngestor:
             if fused is not None:
                 fused.discard(attribute)
             return
+        fusion = self._fusion
         for claim in group_claims:
-            if claim.source not in self._accuracy:
-                self._accuracy[claim.source] = self.build.initial_accuracy
-        posterior = _accu_item_posterior(
-            self.build.n_distractors, self._accuracy, group_claims
-        )
-        winner, probability = max(
-            posterior.items(), key=lambda entry: (entry[1], str(entry[0]))
-        )
+            self._accuracy.setdefault(claim.source, fusion.initial_accuracy)
+        posterior = fusion.posterior(group_claims, self._accuracy)
         # Fold this group's fresh sufficient statistics into the global
         # per-source totals (previous contribution already retracted).
-        mass: Dict[str, float] = {}
-        counts: Dict[str, int] = {}
-        for claim in group_claims:
-            mass[claim.source] = mass.get(claim.source, 0.0) + posterior.get(
-                claim.value, 0.0
-            )
-            counts[claim.source] = counts.get(claim.source, 0) + 1
+        mass, counts = fusion.item_statistics(posterior, group_claims)
         self._group_mass[group] = mass
         self._group_count[group] = counts
         for source in mass:
             self._em_mass[source] = self._em_mass.get(source, 0.0) + mass[source]
             self._em_count[source] = self._em_count.get(source, 0) + counts[source]
-        self._update_accuracy(sorted(mass))
-        if obs_lineage.lineage_enabled():
-            source_trust = {
-                claim.source: self._accuracy[claim.source] for claim in group_claims
-            }
-            for candidate, candidate_probability in sorted(
-                posterior.items(), key=lambda kv: str(kv[0])
-            ):
-                obs_lineage.record_fusion(
-                    root,
-                    attribute,
-                    candidate,
-                    verdict="accepted" if candidate == winner else "rejected",
-                    confidence=float(candidate_probability),
-                    source_trust=source_trust,
-                    stage="stream.fusion",
-                )
+            self._accuracy[source] = fusion.estimate(
+                self._em_mass[source], self._em_count[source]
+            )
+        winner = fusion.decide(
+            group, posterior, group_claims, self._accuracy, "stream.fusion"
+        ).value
         self._ensure_entity(root)
         winner_triple = Triple(root, attribute, winner)
         supporters = sorted(
@@ -593,9 +510,4 @@ class StreamIngestor:
             strategy=build.strategy,
             match_threshold=build.match_threshold,
             graph_name=build.graph_name,
-            n_distractors=build.n_distractors,
-            n_iterations=build.n_iterations,
-            initial_accuracy=build.initial_accuracy,
-            min_accuracy=build.min_accuracy,
-            max_accuracy=build.max_accuracy,
         )

@@ -3,12 +3,15 @@
 Slow, obvious, and memo-free on purpose: the row-by-row Levenshtein DP that
 ``repro.ml.similarity.levenshtein`` used to be, ``pair_score`` composed
 from it with every name re-tokenized and every token pair re-scored,
-``SetGraph``, the set-of-rows model of ``repro.core.graph.KnowledgeGraph``,
-and the full-scan ``merge_entities`` the index walk replaced.  The seeded
-generators at the bottom give the equivalence suites identical work.
+``accu_fuse``, the textbook Accu EM that ``AccuFusion.fuse`` (the only EM
+loop in ``src/``) is compared with, ``SetGraph``, the set-of-rows model of
+``repro.core.graph.KnowledgeGraph``, and the full-scan ``merge_entities``
+the index walk replaced.  The seeded generators at the bottom give the
+equivalence suites identical work.
 """
 
 import copy
+import math
 import random
 from itertools import product
 
@@ -73,6 +76,47 @@ def pair_score(left, right) -> float:
         if left_year is not None and right_year is not None:
             return 0.75 * name_sim + 0.25 * numeric_similarity(left_year, right_year)
     return name_sim
+
+
+def accu_fuse(
+    claims,
+    n_distractors=10,
+    n_iterations=10,
+    initial_accuracy=0.8,
+    min_accuracy=0.05,
+    max_accuracy=0.99,
+):
+    """Textbook Accu EM over ``claims`` as given: no sort, no shards, plain
+    ``sum``.  Returns ``(posterior per (subject, attribute), accuracy per
+    source)`` — what ``AccuFusion.fuse`` must agree with to rounding."""
+    grouped = {}
+    for claim in claims:
+        grouped.setdefault((claim.subject, claim.attribute), []).append(claim)
+    accuracy = {claim.source: initial_accuracy for claim in claims}
+    posteriors = {}
+    for _ in range(n_iterations):
+        mass = dict.fromkeys(accuracy, 0.0)
+        count = dict.fromkeys(accuracy, 0)
+        for item, item_claims in grouped.items():
+            likelihood = {
+                candidate: math.prod(
+                    accuracy[claim.source]
+                    if claim.value == candidate
+                    else (1.0 - accuracy[claim.source]) / n_distractors
+                    for claim in item_claims
+                )
+                for candidate in {claim.value for claim in item_claims}
+            }
+            total = sum(likelihood.values())
+            posteriors[item] = {value: p / total for value, p in likelihood.items()}
+            for claim in item_claims:
+                mass[claim.source] += posteriors[item][claim.value]
+                count[claim.source] += 1
+        accuracy = {
+            source: min(max_accuracy, max(min_accuracy, mass[source] / count[source]))
+            for source in accuracy
+        }
+    return posteriors, accuracy
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,18 @@
 pipeline, the exchange phase, and the sharded-EM fusion invariants."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.parallel import pmap
 from repro.core.partition import (
     CanonicalRecord,
+    Clusters,
     PartitionedBuild,
+    block_pairs,
+    blocking_keys,
     clean_reason,
+    extract_claims,
     fixture_sources,
     home_partition,
     ordered_pair,
@@ -223,6 +229,129 @@ class TestRunPartition:
             assert get_ledger().export_state()["events"] == []
 
 
+_IDS = [f"r{index:02d}" for index in range(12)]
+
+
+class TestClusters:
+    @staticmethod
+    def _components(edges):
+        """Brute force: grow each item's component until nothing joins."""
+        component = {item: {item} for item in _IDS}
+        changed = True
+        while changed:
+            changed = False
+            for left, right in edges:
+                if component[left] is not component[right]:
+                    merged = component[left] | component[right]
+                    for item in merged:
+                        component[item] = merged
+                    changed = True
+        return component
+
+    @given(
+        edges=st.lists(st.tuples(st.sampled_from(_IDS), st.sampled_from(_IDS)), max_size=30),
+        order_seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_any_edge_order_and_orientation_gives_minimum_roots(self, edges, order_seed):
+        import random
+
+        rng = random.Random(order_seed)
+        shuffled = [edge if rng.random() < 0.5 else edge[::-1] for edge in edges]
+        rng.shuffle(shuffled)
+        clusters = Clusters(_IDS)
+        for done, (left, right) in enumerate(shuffled):
+            before = self._components(shuffled[:done])
+            merged = clusters.union(left, right)
+            # a pair comes back exactly when two components join
+            if before[left] is before[right]:
+                assert merged is None
+            else:
+                assert merged == tuple(sorted((min(before[left]), min(before[right]))))
+            # and both maps are current after every union
+            component = self._components(shuffled[: done + 1])
+            assert clusters.root_of == {item: min(component[item]) for item in _IDS}
+            assert {root: sorted(ms) for root, ms in clusters.members.items()} == {
+                min(members): sorted(members) for members in component.values()
+            }
+        # members partitions the items
+        assert sorted(m for ms in clusters.members.values() for m in ms) == _IDS
+
+    def test_add_is_idempotent(self):
+        clusters = Clusters(["b", "a"])
+        assert clusters.union("b", "a") == ("a", "b")
+        clusters.add("b")
+        assert clusters.root_of == {"a": "a", "b": "a"}
+        assert clusters.union("a", "b") is None
+
+
+class TestBlockPairs:
+    @given(
+        blocks=st.dictionaries(
+            st.sampled_from(["k0", "k1", "k2", "k3"]),
+            st.lists(st.sampled_from(_IDS), max_size=8, unique=True),
+            max_size=4,
+        ),
+        classes=st.lists(
+            st.sampled_from(["Person", "Movie"]), min_size=len(_IDS), max_size=len(_IDS)
+        ),
+        cap=st.integers(min_value=0, max_value=8),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_brute_force_double_loop(self, blocks, classes, cap):
+        records = {
+            record_id: _record(record_id, entity_class=entity_class)
+            for record_id, entity_class in zip(_IDS, classes)
+        }
+        expected = set()
+        for left in _IDS:
+            for right in _IDS:
+                if left < right and classes[_IDS.index(left)] == classes[_IDS.index(right)]:
+                    if any(
+                        left in block and right in block and len(block) <= cap
+                        for block in blocks.values()
+                    ):
+                        expected.add((left, right))
+        assert block_pairs(blocks, records, cap) == expected
+        # set-valued blocks (the streamer's) answer the same
+        as_sets = {key: set(block) for key, block in blocks.items()}
+        assert block_pairs(as_sets, records, cap) == expected
+
+    def test_block_over_the_cap_contributes_nothing(self):
+        records = {record_id: _record(record_id) for record_id in _IDS}
+        blocks = {"crowd": _IDS[:5], "pair": _IDS[:2]}
+        assert block_pairs(blocks, records, 4) == {("r00", "r01")}
+        assert len(block_pairs(blocks, records, 5)) == 10
+
+
+class TestExtractClaims:
+    def test_claims_and_rejections_in_attribute_order(self):
+        record = _record(
+            "a:1",
+            source="imdb",
+            name="Heat",
+            runtime=9000,
+            release_year=1995,
+            genre="crime",
+            cast=["x", "y"],
+            tagline="",
+        )
+        claims, rejections = extract_claims(record)
+        assert claims == [
+            ValueClaim("a:1", "genre", "crime", "imdb"),
+            ValueClaim("a:1", "release_year", 1995, "imdb"),
+        ]
+        assert rejections == [
+            ("a:1", "runtime", 9000, "implausible runtime"),
+            ("a:1", "tagline", "", "empty value"),
+        ]
+
+    def test_blocking_keys_are_sorted_and_distinct(self):
+        record = _record(name="Ada Ada Lovelace", birth_year=1815)
+        keys = blocking_keys(BlockingStrategy(), record)
+        assert list(keys) == sorted(set(keys)) and keys
+
+
 class TestStageValidation:
     def test_partitions_must_be_positive_int(self):
         build = PartitionedBuild()
@@ -272,17 +401,89 @@ class TestFuseSharded:
         claims = self._claims()
         assert fuse_sharded(list(reversed(claims)), 4) == fuse_sharded(claims, 4)
 
+    @staticmethod
+    def _assert_matches_oracle(claims, n_shards):
+        """Winners equal (an exact tie may break either way), confidences
+        and accuracies to 1e-9."""
+        results, accuracy = fuse_sharded(claims, n_shards)
+        posteriors, oracle_accuracy = oracles.accu_fuse(claims)
+        assert [(r.subject, r.attribute) for r in results] == sorted(posteriors)
+        for result in results:
+            posterior = posteriors[(result.subject, result.attribute)]
+            assert posterior[result.value] == pytest.approx(
+                max(posterior.values()), abs=1e-9
+            )
+            assert result.confidence == pytest.approx(posterior[result.value], abs=1e-9)
+            assert result.n_claims == sum(
+                (claim.subject, claim.attribute) == (result.subject, result.attribute)
+                for claim in claims
+            )
+        assert accuracy == pytest.approx(oracle_accuracy, abs=1e-9)
+        return accuracy
+
     def test_matches_accu_fusion(self):
-        """Sharded EM must reproduce the reference AccuFusion verdicts."""
-        claims = self._claims()
-        results, accuracy = fuse_sharded(claims, 4)
-        fusion = AccuFusion()
-        reference = fusion.fuse(claims)
-        assert [(r.subject, r.attribute, r.value) for r in results] == sorted(
-            (r.subject, r.attribute, r.value) for r in reference
-        )
-        assert accuracy == pytest.approx(fusion.source_accuracy_)
+        """The one EM loop must reproduce the textbook EM in
+        ``tests/oracles.py`` — comparing it with ``AccuFusion().fuse``
+        would compare the loop with itself."""
+        accuracy = self._assert_matches_oracle(self._claims(), 4)
         assert accuracy["good"] > accuracy["noisy"]
+
+    def test_matches_accu_fusion_on_the_fixture(self):
+        sources = fixture_sources(n_people=20, n_movies=15, seed=5)
+        pipeline, context = partitioned_pipeline(sources, name="unit")
+        context = pipeline.run(context, partitions=2)
+        root_of = {
+            member: root
+            for root, members in context.artifacts["exchange"].clusters.items()
+            for member in members
+        }
+        claims = [
+            ValueClaim(root_of[claim.subject], claim.attribute, claim.value, claim.source)
+            for result in context.artifacts["partition_results"]
+            for claim in result.claims
+        ]
+        assert len({claim.subject for claim in claims}) < len(root_of)  # linked
+        self._assert_matches_oracle(claims, 2)
+
+    @given(
+        n_items=st.integers(min_value=1, max_value=25),
+        n_sources=st.integers(min_value=1, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**16),
+        n_shards=st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_accu_fusion_on_any_claim_table(
+        self, n_items, n_sources, seed, n_shards
+    ):
+        claims = oracles.make_claims(n_items, n_sources=n_sources, seed=seed)
+        self._assert_matches_oracle(claims, n_shards)
+
+    def test_accu_fusion_is_the_same_loop(self):
+        """``AccuFusion().fuse`` and ``fuse_sharded`` are one implementation."""
+        claims = self._claims()
+        fusion = AccuFusion()
+        assert (fusion.fuse(claims), fusion.source_accuracy_) == fuse_sharded(claims, 4)
+
+
+class TestKernelOptions:
+    def test_build_em_options_are_gone(self):
+        """``AccuFusion``'s fields are the one declaration of the EM
+        hyper-parameters; the build path forwards none of them."""
+        from repro.integrate.exchange import exchange
+
+        for option in (
+            "n_distractors",
+            "n_iterations",
+            "initial_accuracy",
+            "min_accuracy",
+            "max_accuracy",
+        ):
+            with pytest.raises(TypeError, match=option):
+                PartitionedBuild(**{option: 4})
+            with pytest.raises(TypeError, match=option):
+                exchange([], strategy=BlockingStrategy(), **{option: 4})
+            with pytest.raises(TypeError, match=option):
+                fuse_sharded([], 1, **{option: 4})
 
 
 class TestExchangeOutcome:

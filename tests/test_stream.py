@@ -9,7 +9,12 @@ follower's replica tracks the live graph, and the publisher records
 staleness / catch-up-lag on every hot swap.
 """
 
+import contextlib
+import dataclasses
+import json
 import os
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -83,6 +88,50 @@ def _stream(sources, batch_size, tmp_path, order_seed=None, tag="s"):
         ledger_state = get_ledger().export_state()
     reset_all()
     return outcome, ledger_state, reports, ingestor, wal
+
+
+_WAL_DIGEST_SCRIPT = """
+import hashlib, json, os, sys
+from repro.core.codec import TripleWAL
+from repro.core.partition import fixture_sources
+from repro.stream import StreamIngestor, micro_batches
+
+wal_dir = sys.argv[1]
+ingestor = StreamIngestor(wal=TripleWAL(wal_dir))
+for delta in micro_batches(fixture_sources(n_people=120, n_movies=80, seed=11), 25):
+    ingestor.ingest(delta)
+digest = hashlib.sha256()
+for name in sorted(os.listdir(wal_dir)):
+    with open(os.path.join(wal_dir, name), "rb") as handle:
+        digest.update(name.encode() + handle.read())
+entities = sorted(
+    (e.entity_id, e.name, sorted(e.aliases)) for e in ingestor.graph.entities()
+)
+print(json.dumps({"wal": digest.hexdigest(), "entities": entities}))
+"""
+
+
+class TestHashSeedIndependence:
+    def test_live_view_and_wal_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
+        """A record that bridges two clusters must union them in one order
+        in every process: the merge events, the surviving entity's aliases
+        and the WAL bytes followers replicate come from that order."""
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        outputs = []
+        for hash_seed in ("0", "3", "4"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            completed = subprocess.run(
+                [sys.executable, "-c", _WAL_DIGEST_SCRIPT, str(tmp_path / f"wal-{hash_seed}")],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            )
+            outputs.append(json.loads(completed.stdout))
+        assert outputs[0]["entities"]
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
 
 
 class TestDeltaSources:
@@ -290,21 +339,29 @@ class TestIncrementalWork:
         assert tail_report.n_fused_groups < total_groups / 4
         assert tail_report.n_fused_groups <= 6 * len(deltas[-1].records)
 
-    def test_ledger_identifies_refused_groups(self):
-        """With lineage on, re-fusion consults the ledger's fusion
-        verdicts for merged-away roots (fused_attributes)."""
-        reset_all()
-        with enabled_scope():
+    def test_obs_on_and_off_do_the_same_work(self):
+        """Re-fusion reads the always-on ``_fused`` index, never the
+        ledger: with lineage on and off a stream does the same work per
+        delta and leaves the same live view."""
+
+        def run(obs_on):
+            reset_all()
             ingestor = StreamIngestor()
-            for delta in micro_batches(SOURCES, 12):
-                ingestor.ingest(delta)
-            ledger = get_ledger()
-            roots = {root for root, _ in ingestor._group_mass}
-            some_root = sorted(roots)[0]
-            assert ledger.fused_attributes(some_root) == sorted(
-                ingestor._fused[some_root]
-            )
-        reset_all()
+            with enabled_scope() if obs_on else contextlib.nullcontext():
+                reports = [
+                    ingestor.ingest(delta)
+                    for delta in micro_batches(SOURCES, 12, order_seed=3)
+                ]
+                assert bool(get_ledger().export_state()["events"]) == obs_on
+            reset_all()
+            work = [
+                {**dataclasses.asdict(report), "wall_s": None} for report in reports
+            ]
+            return work, _public_state(ingestor.graph), ingestor._accuracy
+
+        off, on = run(False), run(True)
+        assert sum(report["n_cluster_merges"] for report in off[0]) > 0
+        assert off == on
 
     def test_relink_on_block_overflow_keeps_equivalence(self, tmp_path):
         """Push one blocking key over the cap mid-stream: the ingestor
