@@ -145,11 +145,47 @@ def _append_run_record(args: argparse.Namespace, record) -> None:
     print(f"run {record.run_id} -> {registry.path}")
 
 
+def _traced_run_record(kind: str, result, config):
+    """The RunRecord of one ``run_trace`` result (``trace`` and ``report``)."""
+    from repro.obs import profiling, runs
+
+    return runs.RunRecord(
+        kind=kind,
+        experiment_id=result.experiment_id,
+        config=config,
+        stages=runs.stages_from_spans(result.spans),
+        resources=profiling.rusage(),
+        quality=[dict(record) for record in result.quality],
+        metrics={
+            f"counter.{name}": float(value)
+            for name, value in result.snapshot.get("counters", {}).items()
+        },
+    )
+
+
+def _run_trace(args: argparse.Namespace):
+    """``run_trace`` for ``trace`` / ``report``: an unknown id prints
+    ``run_trace``'s own message and returns None (the caller exits 2)."""
+    from repro.evalx.tracerun import TRACE_WORKLOADS, run_trace
+
+    try:
+        return run_trace(
+            args.experiment_id,
+            progress_log=args.progress_log,
+            progress_tty=args.progress,
+        )
+    except KeyError as exc:
+        if args.experiment_id.upper() in TRACE_WORKLOADS:
+            raise  # raised inside the workload: a bug, not a bad id
+        print(exc.args[0], file=sys.stderr)
+        return None
+
+
 def cmd_trace(args: argparse.Namespace) -> int:
     """Run one experiment in-process with observability on; write the trace."""
     import json
 
-    from repro.evalx.tracerun import TRACE_WORKLOADS, TraceResult, run_trace
+    from repro.evalx.tracerun import TraceResult
 
     experiment_id = args.experiment_id.upper()
 
@@ -173,18 +209,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
         )
         return 0
 
-    if experiment_id not in TRACE_WORKLOADS:
-        print(
-            f"no trace workload for experiment {args.experiment_id!r}; "
-            f"traceable ids: {', '.join(sorted(TRACE_WORKLOADS))}",
-            file=sys.stderr,
-        )
+    result = _run_trace(args)
+    if result is None:
         return 2
-    result = run_trace(
-        experiment_id,
-        progress_log=args.progress_log,
-        progress_tty=args.progress,
-    )
 
     output_path = args.output
     if output_path is None:
@@ -205,22 +232,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
     _print_trace_summary(result, note=f"{len(result.spans)} spans -> {output_path}")
 
-    from repro.obs import profiling, runs
-
     _append_run_record(
-        args,
-        runs.RunRecord(
-            kind="trace",
-            experiment_id=experiment_id,
-            config={"output": output_path},
-            stages=runs.stages_from_spans(result.spans),
-            resources=profiling.rusage(),
-            quality=[dict(record) for record in result.quality],
-            metrics={
-                f"counter.{name}": float(value)
-                for name, value in result.snapshot.get("counters", {}).items()
-            },
-        ),
+        args, _traced_run_record("trace", result, {"output": output_path})
     )
     return 0
 
@@ -233,18 +246,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         load_baseline,
         write_report,
     )
-    from repro.evalx.tracerun import TRACE_WORKLOADS, run_trace
     from repro.obs.quality import RegressionThresholds
 
     experiment_id = args.experiment_id.upper()
-    if experiment_id not in TRACE_WORKLOADS:
-        print(
-            f"no trace workload for experiment {args.experiment_id!r}; "
-            f"traceable ids: {', '.join(sorted(TRACE_WORKLOADS))}",
-            file=sys.stderr,
-        )
-        return 2
-
     directory = args.output_dir or os.path.join(_repo_root(), "results")
     basename = f"report_{experiment_id.lower().replace('-', '_')}"
     baseline_path = args.baseline or os.path.join(directory, f"{basename}.json")
@@ -254,11 +258,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(str(exc), file=sys.stderr)
         return 1
 
-    result = run_trace(
-        experiment_id,
-        progress_log=args.progress_log,
-        progress_tty=args.progress,
-    )
+    result = _run_trace(args)
+    if result is None:
+        return 2
     thresholds = RegressionThresholds(relative_tolerance=args.relative_tolerance)
     report = build_report(
         result,
@@ -277,22 +279,15 @@ def cmd_report(args: argparse.Namespace) -> int:
     # diff above cannot see.
     drift_alerts = []
     if not args.no_runs:
-        from repro.obs import profiling, runs
+        from repro.obs import runs
 
         runs_dir = args.runs_dir or runs.default_runs_dir(directory)
         registry = runs.RunRegistry(runs_dir)
         record = registry.append(
-            runs.RunRecord(
-                kind="report",
-                experiment_id=experiment_id,
-                config={"baseline": baseline_path if baseline is not None else None},
-                stages=runs.stages_from_spans(result.spans),
-                resources=profiling.rusage(),
-                quality=[dict(q) for q in result.quality],
-                metrics={
-                    f"counter.{name}": float(value)
-                    for name, value in result.snapshot.get("counters", {}).items()
-                },
+            _traced_run_record(
+                "report",
+                result,
+                {"baseline": baseline_path if baseline is not None else None},
             )
         )
         print(f"run {record.run_id} -> {registry.path}")
@@ -389,6 +384,44 @@ def _run_partitioned_build(args: argparse.Namespace, partitions: int):
     return pipeline, context, wall_s, ledger_state, n_records
 
 
+def _check_equal(
+    args: argparse.Namespace, graph, ledger_state, what: str, reference_name: str
+) -> bool:
+    """``--check-equal``: compare a build against the single-shard reference.
+
+    Re-runs the fixture at ``partitions=1`` and compares observable graph
+    state, the lineage ledger and the ``.rkgs`` bytes; prints one line per
+    check and the verdict, and returns whether all three are equal.
+    """
+    import tempfile
+
+    from repro.core import codec
+
+    _, reference, _, reference_ledger, _ = _run_partitioned_build(args, 1)
+    reference_graph = reference.artifacts["kg"]
+
+    def snapshot_bytes(g) -> bytes:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "check.rkgs")
+            codec.save_graph(g, path, include_lineage=False)
+            with open(path, "rb") as handle:
+                return handle.read()
+
+    checks = {
+        "state": _graph_public_state(graph) == _graph_public_state(reference_graph),
+        "lineage": ledger_state == reference_ledger,
+        "snapshot_bytes": snapshot_bytes(graph) == snapshot_bytes(reference_graph),
+    }
+    for name, ok in checks.items():
+        print(f"check {name}: {'equal' if ok else 'DIFFERS'}")
+    equal = all(checks.values())
+    if equal:
+        print(f"{what} is byte-identical to {reference_name}")
+    else:
+        print(f"{what} DIVERGES from {reference_name}", file=sys.stderr)
+    return equal
+
+
 def cmd_build(args: argparse.Namespace) -> int:
     """Partition-parallel fixture build; optionally prove it shard-invariant."""
     from repro.evalx.tables import render_table
@@ -421,41 +454,13 @@ def cmd_build(args: argparse.Namespace) -> int:
 
     equal = None
     if args.check_equal:
-        import tempfile
-
-        from repro.core import codec
-
-        _, reference, _, reference_ledger, _ = _run_partitioned_build(args, 1)
-        reference_graph = reference.artifacts["kg"]
-
-        def snapshot_bytes(g) -> bytes:
-            with tempfile.TemporaryDirectory() as tmp:
-                path = os.path.join(tmp, "check.rkgs")
-                codec.save_graph(g, path, include_lineage=False)
-                with open(path, "rb") as handle:
-                    return handle.read()
-
-        checks = {
-            "state": _graph_public_state(graph)
-            == _graph_public_state(reference_graph),
-            "lineage": ledger_state == reference_ledger,
-            "snapshot_bytes": snapshot_bytes(graph)
-            == snapshot_bytes(reference_graph),
-        }
-        equal = all(checks.values())
-        for name, ok in checks.items():
-            print(f"check {name}: {'equal' if ok else 'DIFFERS'}")
-        if equal:
-            print(
-                f"partitions={args.partitions} is byte-identical to the "
-                "single-shard build"
-            )
-        else:
-            print(
-                f"partitions={args.partitions} DIVERGES from the single-shard "
-                "build",
-                file=sys.stderr,
-            )
+        equal = _check_equal(
+            args,
+            graph,
+            ledger_state,
+            f"partitions={args.partitions}",
+            "the single-shard build",
+        )
 
     if args.out:
         from repro.core import codec
@@ -624,39 +629,13 @@ def cmd_stream(args: argparse.Namespace) -> int:
 
         equal = None
         if args.check_equal:
-            from repro.core import codec
-
-            _, reference, _, reference_ledger, _ = _run_partitioned_build(args, 1)
-            reference_graph = reference.artifacts["kg"]
-
-            def snapshot_bytes(g) -> bytes:
-                with tempfile.TemporaryDirectory() as tmp:
-                    path = os.path.join(tmp, "check.rkgs")
-                    codec.save_graph(g, path, include_lineage=False)
-                    with open(path, "rb") as handle:
-                        return handle.read()
-
-            checks = {
-                "state": _graph_public_state(outcome.graph)
-                == _graph_public_state(reference_graph),
-                "lineage": ledger_state == reference_ledger,
-                "snapshot_bytes": snapshot_bytes(outcome.graph)
-                == snapshot_bytes(reference_graph),
-            }
-            equal = all(checks.values())
-            for name, ok in checks.items():
-                print(f"check {name}: {'equal' if ok else 'DIFFERS'}")
-            if equal:
-                print(
-                    f"streamed build (batch-size {args.batch_size}) is "
-                    "byte-identical to the one-shot batch build"
-                )
-            else:
-                print(
-                    f"streamed build (batch-size {args.batch_size}) DIVERGES "
-                    "from the one-shot batch build",
-                    file=sys.stderr,
-                )
+            equal = _check_equal(
+                args,
+                outcome.graph,
+                ledger_state,
+                f"streamed build (batch-size {args.batch_size})",
+                "the one-shot batch build",
+            )
 
         metrics = {
             "wall_s": round(stream_wall_s, 6),

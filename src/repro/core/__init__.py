@@ -9,7 +9,8 @@ This subpackage realizes the paper's two structural generations:
 
 Both share the triple/ontology/provenance vocabulary defined here, plus a
 pattern/path query engine and the construction-pipeline framework that the
-Fig. 4 architectures are assembled from.
+Fig. 4 architectures are assembled from.  ``save_graph`` / ``load_graph``
+are :mod:`repro.core.codec`'s — ``.rkgs`` is the one on-disk format.
 """
 
 from repro.core.triple import Provenance, Triple
@@ -19,7 +20,7 @@ from repro.core.textrich import AttributeValue, TextRichKG
 from repro.core.query import PathQuery, TriplePattern, match_pattern
 from repro.core.pipeline import ConstructionPipeline, PipelineContext, PipelineStage, StageReport
 from repro.core.lifecycle import CycleStage
-from repro.core.io import load_graph, load_text_rich, save_graph, save_text_rich
+from repro.core.codec import load_graph, save_graph
 from repro.core.panel import KnowledgePanel, render_panel
 
 __all__ = [
@@ -41,9 +42,7 @@ __all__ = [
     "StageReport",
     "CycleStage",
     "load_graph",
-    "load_text_rich",
     "save_graph",
-    "save_text_rich",
     "KnowledgePanel",
     "render_panel",
 ]

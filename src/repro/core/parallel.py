@@ -5,23 +5,18 @@ boundaries — blocking keys per record, similarity features per candidate
 pair, fusion posteriors per (subject, attribute) item, distant labels per
 page.  :func:`pmap` is the one choke point those stages fan out through:
 
-* ``mode="serial"`` (the default) — a plain list comprehension, zero
-  overhead, always available;
-* ``mode="thread"`` — a thread pool; wins when the callable releases the
-  GIL (I/O, numpy) and costs little otherwise;
-* ``mode="process"`` — a process pool with chunking; wins for CPU-bound
-  Python when the callable and items pickle.  Unpicklable work degrades
-  to serial instead of failing, so call sites never need mode-specific
-  guards — but never silently: every degradation increments the
-  ``pmap.degraded`` counter, so a pipeline that *thinks* it is running
-  on processes and is not shows up on the first metrics snapshot.
+* ``mode="serial"`` (the default) — a plain list comprehension that also
+  feeds the ``--progress`` item counts;
+* ``mode="process"`` — a process pool with chunking, for CPU-bound Python
+  whose callable and items pickle.  Only the call sites that pass it fork
+  (the per-partition pipeline and boundary-pair scoring); nothing in the
+  environment turns a serial site into a forking one.  An unpicklable
+  callable fails loudly, like an unknown mode does.
 
 Results are **always** returned in input order, regardless of mode,
 chunking, or completion order — parallelism must never change what a
-pipeline computes, only how fast.  ``REPRO_PMAP_MODE`` overrides the
-mode process-wide — *including over an explicit ``mode=`` argument* (an
-operator flipping a whole pipeline wins over per-call-site defaults);
-``REPRO_PMAP_WORKERS`` overrides the default pool size the same way.
+pipeline computes, only how fast.  ``REPRO_PMAP_WORKERS`` overrides the
+default pool size process-wide.
 
 Observability crosses the process boundary: when tracing is enabled,
 each worker chunk runs under a fresh collector set inside a
@@ -37,9 +32,8 @@ from __future__ import annotations
 
 import os
 import pickle
-import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
 
 from repro.obs import metrics as obs_metrics
@@ -49,15 +43,11 @@ from repro.obs._flags import FLAGS as _OBS_FLAGS
 ItemT = TypeVar("ItemT")
 ResultT = TypeVar("ResultT")
 
-#: Environment variable that picks the process-wide mode.  A valid value
-#: beats even an explicit ``mode=`` argument at a call site.
-MODE_ENV_VAR = "REPRO_PMAP_MODE"
-
 #: Environment variable overriding the default pool size (``max_workers``
 #: arguments at call sites still win; this replaces the cpu-count default).
 WORKERS_ENV_VAR = "REPRO_PMAP_WORKERS"
 
-_MODES = ("serial", "thread", "process")
+_MODES = ("serial", "process")
 
 
 class PmapWorkerError(Exception):
@@ -90,34 +80,12 @@ class _ShippedChunk:
         self.obs = obs
 
 
-def default_mode() -> str:
-    """The mode used when a call site passes ``mode=None``."""
-    return resolve_mode(None)
-
-
-def resolve_mode(mode: Optional[str]) -> str:
-    """The effective mode: a valid ``REPRO_PMAP_MODE`` beats everything.
-
-    An explicit but unknown ``mode`` argument raises (a typo at a call
-    site is a bug); an unknown *environment* value is ignored (a typo in
-    a shell must not break the pipeline it was trying to tune).
-    """
-    if mode is not None and mode not in _MODES:
-        raise ValueError(f"unknown pmap mode {mode!r}; use one of {_MODES}")
-    env_mode = os.environ.get(MODE_ENV_VAR, "").strip().lower()
-    if env_mode in _MODES:
-        return env_mode
-    if mode is not None:
-        return mode
-    return "serial"
-
-
 def default_workers() -> int:
     """Pool size when a call site passes ``max_workers=None``.
 
     ``REPRO_PMAP_WORKERS`` (a positive integer) wins; otherwise
     ``min(8, cpu_count)``.  The env override matters on single-core CI
-    runners, where the cpu-count default collapses every parallel mode
+    runners, where the cpu-count default collapses ``mode="process"``
     back to serial before a worker ever forks — which is exactly why a
     malformed value raises instead of being silently ignored: an operator
     who set it wants the pool they asked for, not a quiet fallback.
@@ -182,37 +150,6 @@ def _apply_chunk_shipped(
     return _ShippedChunk(failure if failure is not None else results, payload)
 
 
-def _apply_chunk_linked(
-    fn: Callable[[ItemT], ResultT],
-    chunk: Sequence[ItemT],
-    link,
-    chunk_index: int,
-):
-    """Thread-worker body under observability: span in the parent's trace.
-
-    Threads share the global tracer, so nothing ships — but the pool
-    thread's span stack is empty, so the ``pmap.worker`` span links to
-    the submitting thread's captured context explicitly, keeping the
-    trace a single connected tree.
-    """
-    from repro.obs import tracing as obs_tracing
-
-    tracer = obs_tracing.get_tracer()
-    opened = tracer.start_span(
-        "pmap.worker", parent_link=link, chunk=chunk_index, n_items=len(chunk)
-    )
-    wall_start = time.perf_counter()
-    cpu_start = time.process_time()
-    try:
-        return _apply_chunk(fn, chunk)
-    finally:
-        tracer.finish_span(
-            opened,
-            wall_seconds=time.perf_counter() - wall_start,
-            cpu_seconds=time.process_time() - cpu_start,
-        )
-
-
 #: Target chunks per worker when a call site does not pass ``chunk_size``.
 #: >1 so an uneven workload can rebalance (a worker that drew cheap chunks
 #: picks up more); small enough that per-chunk dispatch overhead amortizes.
@@ -232,10 +169,9 @@ def _chunked(items: Sequence[ItemT], chunk_size: int) -> List[Sequence[ItemT]]:
     return [items[start : start + chunk_size] for start in range(0, len(items), chunk_size)]
 
 
-def _picklable(*objects: object) -> bool:
+def _picklable(obj: object) -> bool:
     try:
-        for obj in objects:
-            pickle.dumps(obj)
+        pickle.dumps(obj)
     except Exception:
         return False
     return True
@@ -265,9 +201,8 @@ def pmap(
     Parameters
     ----------
     mode:
-        ``"serial"``, ``"thread"``, or ``"process"``; ``None`` reads
-        ``REPRO_PMAP_MODE`` (default serial).  A valid ``REPRO_PMAP_MODE``
-        also *overrides* an explicit argument — the operator knob wins.
+        ``"serial"`` (also what ``None`` means) or ``"process"``; anything
+        else raises ``ValueError``.
     max_workers:
         Pool size; defaults to ``REPRO_PMAP_WORKERS`` or
         ``min(8, cpu_count)``.
@@ -277,30 +212,22 @@ def pmap(
         across ~:data:`CHUNKS_PER_WORKER` chunks per worker (amortizes
         task dispatch without starving the pool).
 
-    Returns results in input order in every mode.
+    Returns results in input order in both modes.
     """
+    if mode is not None and mode not in _MODES:
+        raise ValueError(f"unknown pmap mode {mode!r}; use one of {_MODES}")
     materialized = items if isinstance(items, (list, tuple)) else list(items)
-    resolved_mode = resolve_mode(mode)
     n_items = len(materialized)
-    if resolved_mode == "serial" or n_items <= 1:
+    if mode != "process" or n_items <= 1:
         return _serial_map(fn, materialized)
     workers = max_workers if max_workers is not None else default_workers()
     workers = min(workers, n_items)
     if workers <= 1:
         return _serial_map(fn, materialized)
-    if resolved_mode == "process" and not (
-        _picklable(fn) and _picklable(materialized[0])
-    ):
-        # Closures / local state can't cross a process boundary; degrade
-        # rather than fail so call sites stay mode-agnostic — but count
-        # it, so silent serial execution is visible in any snapshot.
-        obs_metrics.count("pmap.degraded")
-        return _serial_map(fn, materialized)
     if chunk_size is None:
         chunk_size = default_chunk_size(n_items, workers)
     chunks = _chunked(materialized, chunk_size)
-    pool_class = ThreadPoolExecutor if resolved_mode == "thread" else ProcessPoolExecutor
-    obs_metrics.count(f"parallel.pmap.{resolved_mode}_calls")
+    obs_metrics.count("parallel.pmap.process_calls")
 
     observing = _OBS_FLAGS.enabled
     context = None
@@ -310,21 +237,13 @@ def pmap(
         context = obs_tracing.capture_context()
         obs_progress.add_total(n_items)
 
-    shipping = observing and resolved_mode == "process" and context.recording
-    with pool_class(max_workers=workers) as pool:
+    shipping = observing and context.recording
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         # map() yields chunk results in submission order — determinism is
         # structural, not sorted after the fact.
         if shipping:
             mapped = pool.map(
                 _apply_chunk_shipped, [fn] * len(chunks), chunks, range(len(chunks))
-            )
-        elif observing and resolved_mode == "thread" and context.recording:
-            mapped = pool.map(
-                _apply_chunk_linked,
-                [fn] * len(chunks),
-                chunks,
-                [context] * len(chunks),
-                range(len(chunks)),
             )
         else:
             mapped = pool.map(_apply_chunk, [fn] * len(chunks), chunks)

@@ -306,25 +306,3 @@ class SequenceTagger:
         self._totals = {}
         self._timestamps = defaultdict(int)
 
-
-def make_context_feature_extractor(
-    context_features: Callable[[Sequence[str]], List[str]],
-    base: FeatureExtractor = default_token_features,
-) -> FeatureExtractor:
-    """Wrap a base extractor, appending sentence-level context features.
-
-    This is the hook TXtract (type embedding buckets) and AdaTag (attribute
-    identity) use to condition one shared model on task context, which is
-    exactly the "one-size-fits-all" trick of Sec. 3.3.
-    """
-
-    def extractor(tokens: Sequence[str], position: int) -> List[str]:
-        features = base(tokens, position)
-        for context in context_features(tokens):
-            features.append(context)
-            # Conjoin context with the token identity so the model can learn
-            # context-specific vocabularies.
-            features.append(f"{context}&w={tokens[position].lower()}")
-        return features
-
-    return extractor

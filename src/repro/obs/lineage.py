@@ -248,11 +248,6 @@ class LineageLedger:
 
     # ---- inspection ----------------------------------------------------
 
-    def _subject_closure(self, subject: str) -> List[str]:
-        """The subject plus every entity id merged into it, transitively."""
-        with self._lock:
-            return [subject] + sorted(self._absorbed.get(subject, set()))
-
     def explain(self, subject: str, predicate: str, obj: object) -> LineageChain:
         """The decision chain for one triple (empty chain when untracked).
 

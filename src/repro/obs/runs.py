@@ -245,15 +245,6 @@ class RunRegistry:
                 return record
         return None
 
-    def for_experiment(self, experiment_id: str) -> List[RunRecord]:
-        """Runs of one experiment, in append (chronological) order."""
-        experiment_id = experiment_id.upper()
-        return [
-            record
-            for record in self.load()
-            if record.experiment_id.upper() == experiment_id
-        ]
-
     def diff(
         self,
         run_id_a: str,

@@ -137,16 +137,8 @@ class Tracer:
         stack = self._stack()
         return stack[-1] if stack else None
 
-    def start_span(
-        self, name: str, parent_link: Optional[TraceContext] = None, **tags: object
-    ) -> Span:
-        """Open a span as a child of the current one; caller must finish it.
-
-        ``parent_link`` attaches the span under an explicitly captured
-        :class:`TraceContext` when this thread's own stack is empty — the
-        thread-pool case, where pmap worker threads have no ancestry of
-        their own but the submitting thread captured one.
-        """
+    def start_span(self, name: str, **tags: object) -> Span:
+        """Open a span as a child of the current one; caller must finish it."""
         stack = self._stack()
         parent = stack[-1] if stack else None
         with self._lock:
@@ -155,9 +147,6 @@ class Tracer:
             if parent is not None:
                 trace_id = parent.trace_id
                 parent_id: Optional[str] = parent.span_id
-            elif parent_link is not None and parent_link.trace_id is not None:
-                trace_id = parent_link.trace_id
-                parent_id = parent_link.parent_span_id
             else:
                 self._next_trace += 1
                 trace_id = f"t{self._next_trace}"

@@ -86,8 +86,8 @@ def new_request_id() -> str:
 class RequestContext:
     """One serving request's identity, labels, deadline, and span buffer.
 
-    Thread-safe where it must be: the shard fan-out records child spans
-    from pool threads, so the span buffer and id counter are locked.
+    Thread-safe where it must be: the span buffer and id counter are
+    locked, so a context handed to another thread can still record spans.
     ``labels`` is the tenant-ready label set — today it carries the
     route (and whatever the transport adds); the multi-tenant roadmap
     item will add ``tenant`` without touching any consumer.
@@ -172,10 +172,6 @@ class RequestContext:
         with self._lock:
             return list(self._spans)
 
-    def force_sample(self) -> None:
-        """Keep this request's trace regardless of the head decision."""
-        self.forced = True
-
     @property
     def keep_trace(self) -> bool:
         return self.sampled or self.forced
@@ -230,13 +226,8 @@ def current_request_span() -> Optional[Span]:
 def use_context(
     context: Optional[RequestContext], parent_span: Optional[Span] = None
 ) -> Iterator[None]:
-    """Adopt ``context`` (and its active span) on the current thread.
-
-    The shard fan-out runs per-shard probes on pool threads where
-    contextvars do not propagate; workers wrap their body in
-    ``use_context(ctx, parent)`` so child spans still join the request's
-    tree.
-    """
+    """Adopt ``context`` (and its active span) on the current thread,
+    so child spans opened inside the block join that request's tree."""
     context_token = _CONTEXT.set(context)
     span_token = _ACTIVE_SPAN.set(parent_span)
     try:
@@ -312,12 +303,11 @@ def shard_span(
     name: str,
     **tags: object,
 ) -> Iterator[Span]:
-    """A child span recorded from a worker thread with explicit parentage.
+    """A child span with explicit parentage.
 
-    Pool threads cannot read the request contextvars, so the scatter
-    paths capture ``(context, parent)`` before fanning out and hand them
-    to each probe.  Falls back to a plain tracer span (or the null span)
-    exactly like :func:`request_span`.
+    The scatter paths read ``(context, parent)`` once before fanning out
+    and hand them to each probe.  Falls back to a plain tracer span (or
+    the null span) exactly like :func:`request_span`.
     """
     if context is None or not FLAGS.enabled:
         if context is None and FLAGS.enabled:

@@ -72,11 +72,6 @@ class RouteResponse:
     def http_status(self) -> int:
         return self.HTTP_STATUS.get(self.status, 500)
 
-    @property
-    def is_server_error(self) -> bool:
-        """5xx-equivalence (what the overload acceptance gate counts)."""
-        return self.http_status >= 500
-
     def to_dict(self) -> Dict[str, object]:
         """The JSON body the HTTP server writes (and the client parses)."""
         return {

@@ -49,6 +49,10 @@ ClientResult = Tuple[int, Dict[str, object]]
 #: Sentinel for a ``timeout_s`` parameter that failed to parse.
 _INVALID_TIMEOUT = object()
 
+#: Largest POST body the server will read.  ``/query`` bodies are a list
+#: of patterns (a few hundred bytes); anything bigger is refused unread.
+MAX_BODY_BYTES = 1 << 20
+
 
 def _make_handler(service: KGService):
     """A request-handler class bound to one service instance."""
@@ -217,7 +221,22 @@ def _make_handler(service: KGService):
         def do_POST(self) -> None:  # noqa: N802 - stdlib naming
             self._begin_request()
             route = urllib.parse.urlparse(self.path).path.rstrip("/") or "/"
-            length = int(self.headers.get("Content-Length", 0) or 0)
+            raw_length = (self.headers.get("Content-Length") or "0").strip()
+            refusal = None
+            if not (raw_length.isascii() and raw_length.isdigit()):
+                refusal = (
+                    400,
+                    f"Content-Length must be a non-negative integer, got {raw_length!r}",
+                )
+            elif int(raw_length) > MAX_BODY_BYTES:
+                refusal = (413, f"request body exceeds {MAX_BODY_BYTES} bytes")
+            if refusal is not None:
+                # The body stays unread, so the connection cannot carry
+                # another request.
+                self.close_connection = True
+                self._write_json(refusal[0], {"error": refusal[1]})
+                return
+            length = int(raw_length)
             raw = self.rfile.read(length) if length else b"{}"
             try:
                 body = json.loads(raw.decode("utf-8") or "{}")

@@ -24,9 +24,9 @@ regardless of shard count (the shard-invariance tests pin this):
   (incoming and outgoing edges gathered across shards), so
   :class:`repro.core.query.PathQuery` runs against the planner unchanged.
 
-Fan-out goes through :func:`repro.core.parallel.pmap`, so the per-shard
-work can be flipped to a thread pool process-wide (``REPRO_PMAP_MODE=
-thread``) without touching call sites.
+Fan-out is a loop over the shards on the request's own thread: under one
+GIL a pool would not help, and a request must not advance the *build*
+progress heartbeat.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import zlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.graph import Entity, KnowledgeGraph
-from repro.core.parallel import pmap
 from repro.core.query import (
     Binding,
     PathQuery,
@@ -143,14 +142,12 @@ class ScatterGatherPlanner:
             return self.owning_shard(subject).query(
                 subject=subject, predicate=predicate, obj=obj
             )
-        # Capture the request context *before* fanning out: pmap's pool
-        # threads cannot see the contextvars, so each probe gets explicit
-        # (context, parent) and its child span still joins the request tree.
+        # Read the request context once, not per shard: each probe's child
+        # span joins the request tree through explicit (context, parent).
         context = serve_context.current_context()
         parent = serve_context.current_request_span()
 
-        def probe(indexed: Tuple[int, KnowledgeGraph]) -> List[Triple]:
-            index, shard = indexed
+        def probe(index: int, shard: KnowledgeGraph) -> List[Triple]:
             with serve_context.shard_span(
                 context, parent, "serve.shard.query", shard=index
             ) as span_:
@@ -158,12 +155,11 @@ class ScatterGatherPlanner:
                 span_.set_tag("rows", len(rows))
                 return rows
 
-        per_shard = pmap(probe, list(enumerate(self.shards)))
-        gathered: List[Triple] = []
-        for rows in per_shard:
-            gathered.extend(rows)
-        gathered.sort()
-        return gathered
+        return sorted(
+            row
+            for index, shard in enumerate(self.shards)
+            for row in probe(index, shard)
+        )
 
     def pattern_cardinality(
         self,
@@ -190,8 +186,7 @@ class ScatterGatherPlanner:
         context = serve_context.current_context()
         parent = serve_context.current_request_span()
 
-        def probe(indexed: Tuple[int, KnowledgeGraph]) -> List[Tuple[str, str, bool]]:
-            index, shard = indexed
+        def probe(index: int, shard: KnowledgeGraph) -> List[Tuple[str, str, bool]]:
             with serve_context.shard_span(
                 context, parent, "serve.shard.neighbors", shard=index
             ) as span_:
@@ -199,11 +194,11 @@ class ScatterGatherPlanner:
                 span_.set_tag("rows", len(rows))
                 return rows
 
-        per_shard = pmap(probe, list(enumerate(self.shards)))
-        gathered: List[Tuple[str, str, bool]] = []
-        for rows in per_shard:
-            gathered.extend(rows)
-        return sorted(gathered)
+        return sorted(
+            row
+            for index, shard in enumerate(self.shards)
+            for row in probe(index, shard)
+        )
 
     # ------------------------------------------------------------------
     # conjunctive queries (the Sec. 1 "understanding" workload)

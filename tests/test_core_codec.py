@@ -127,6 +127,22 @@ class TestSnapshotRoundTrip:
             assert set(restored) == set(saved_events)
 
 
+class TestOneOnDiskFormat:
+    """``.rkgs`` is the only format; the JSONL codec stays gone."""
+
+    def test_jsonl_module_is_gone(self):
+        with pytest.raises(ImportError):
+            import repro.core.io  # noqa: F401
+
+    def test_package_exports_are_the_codec(self):
+        import repro.core
+
+        assert repro.core.save_graph is codec.save_graph
+        assert repro.core.load_graph is codec.load_graph
+        assert not hasattr(repro.core, "save_text_rich")
+        assert not hasattr(repro.core, "load_text_rich")
+
+
 class TestMmapLoad:
     """Snapshot loads map the file and slice columns zero-copy."""
 

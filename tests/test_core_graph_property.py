@@ -239,14 +239,6 @@ def _double(x):
     return 2 * x
 
 
-@given(st.lists(st.integers(-100, 100), max_size=40), st.integers(1, 5))
-@settings(max_examples=25, deadline=None)
-def test_pmap_serial_and_thread_agree(values, chunk_size):
-    expected = [_double(value) for value in values]
-    assert pmap(_double, values, mode="serial") == expected
-    assert pmap(_double, values, mode="thread", chunk_size=chunk_size) == expected
-
-
 def test_pmap_process_agrees_once():
     """Process mode checked outside hypothesis (pool startup is slow)."""
     values = list(range(64))

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.graph import KnowledgeGraph
-from repro.core.io import load_graph, save_graph
+from repro.core import load_graph, save_graph
 from repro.core.ontology import Ontology
 
 _entity_ids = st.sampled_from(["e0", "e1", "e2", "e3"])
@@ -34,7 +34,7 @@ def test_random_graph_roundtrip(tmp_path_factory, triples, aliases):
         graph.add_entity(entity_id, entity_id.upper(), "Thing", aliases=aliases)
     for subject, predicate, obj in triples:
         graph.add(subject, predicate, obj)
-    path = str(tmp_path_factory.mktemp("io") / "graph.jsonl")
+    path = str(tmp_path_factory.mktemp("io") / "graph.rkgs")
     save_graph(graph, path)
     loaded = load_graph(path)
     assert list(loaded.triples()) == list(graph.triples())

@@ -1,16 +1,15 @@
-"""pmap: ordering, chunking, mode selection, and graceful degradation."""
+"""pmap: ordering, chunking, the two modes, and worker failures."""
+
+import pickle
 
 import pytest
 
 from repro.core import parallel
 from repro.core.parallel import (
-    MODE_ENV_VAR,
     WORKERS_ENV_VAR,
     PmapWorkerError,
-    default_mode,
     default_workers,
     pmap,
-    resolve_mode,
 )
 from repro.obs import enabled_scope, get_registry
 
@@ -42,47 +41,54 @@ def _raise_unpicklable(x):
     return x
 
 
+def _fail_on_even(x):
+    if x % 2 == 0:
+        raise ValueError(f"even {x}")
+    return x
+
+
 class TestModes:
     def test_serial_matches_comprehension(self):
         items = list(range(37))
         assert pmap(_square, items, mode="serial") == [x * x for x in items]
 
-    @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("mode", ["serial", "process"])
     def test_all_modes_agree(self, mode):
         items = list(range(53))
-        assert pmap(_square, items, mode=mode) == [x * x for x in items]
+        assert pmap(_square, items, mode=mode, max_workers=2) == [
+            x * x for x in items
+        ]
 
     def test_unknown_mode_raises(self):
         with pytest.raises(ValueError, match="unknown pmap mode"):
             pmap(_square, [1, 2], mode="gpu")
 
+    def test_thread_mode_is_gone(self):
+        with pytest.raises(ValueError, match="unknown pmap mode"):
+            pmap(_square, [1, 2], mode="thread")
+
     def test_env_default(self, monkeypatch):
-        monkeypatch.setenv(MODE_ENV_VAR, "thread")
-        assert default_mode() == "thread"
-        monkeypatch.setenv(MODE_ENV_VAR, "not-a-mode")
-        assert default_mode() == "serial"
-        monkeypatch.delenv(MODE_ENV_VAR)
-        assert default_mode() == "serial"
-
-    def test_env_default_is_used_by_pmap(self, monkeypatch):
-        monkeypatch.setenv(MODE_ENV_VAR, "thread")
-        assert pmap(_square, range(10)) == [x * x for x in range(10)]
-
-    def test_valid_env_overrides_explicit_mode(self, monkeypatch):
-        """The operator knob wins even over a hard-coded call-site mode."""
-        monkeypatch.setenv(MODE_ENV_VAR, "serial")
-        assert resolve_mode("process") == "serial"
-        assert resolve_mode("thread") == "serial"
+        """Nothing in the environment turns a default call into a pool."""
+        monkeypatch.setenv("REPRO_PMAP_MODE", "process")
+        monkeypatch.setenv(WORKERS_ENV_VAR, "2")
+        with enabled_scope():
+            assert pmap(_square, range(10)) == [x * x for x in range(10)]
+            counters = get_registry().snapshot()["counters"]
+        assert "parallel.pmap.process_calls" not in counters
 
     def test_invalid_env_falls_back_to_explicit_mode(self, monkeypatch):
-        monkeypatch.setenv(MODE_ENV_VAR, "not-a-mode")
-        assert resolve_mode("thread") == "thread"
+        """Whatever the old variable says, the call site's mode is used."""
+        monkeypatch.setenv("REPRO_PMAP_MODE", "serial")
+        with enabled_scope():
+            pmap(_square, range(8), mode="process", max_workers=2)
+            counters = get_registry().snapshot()["counters"]
+        assert counters.get("parallel.pmap.process_calls") == 1.0
 
     def test_explicit_invalid_mode_raises_even_with_env(self, monkeypatch):
         # A typo at a call site is a bug regardless of the environment.
-        monkeypatch.setenv(MODE_ENV_VAR, "serial")
+        monkeypatch.setenv("REPRO_PMAP_MODE", "serial")
         with pytest.raises(ValueError, match="unknown pmap mode"):
-            resolve_mode("gpu")
+            pmap(_square, [1, 2], mode="gpu")
 
     def test_workers_env_overrides_cpu_default(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "6")
@@ -106,7 +112,7 @@ class TestModes:
 class TestOrderingAndChunking:
     def test_order_preserved_with_tiny_chunks(self):
         items = list(range(101))
-        result = pmap(_square, items, mode="thread", max_workers=4, chunk_size=3)
+        result = pmap(_square, items, mode="process", max_workers=2, chunk_size=3)
         assert result == [x * x for x in items]
 
     def test_chunked_partitions_exactly(self):
@@ -119,9 +125,9 @@ class TestOrderingAndChunking:
         assert pmap(_pair_sum, pairs, mode="process") == [2 * i + 1 for i in range(20)]
 
     def test_generator_input(self):
-        assert pmap(_square, (x for x in range(12)), mode="thread") == [
-            x * x for x in range(12)
-        ]
+        assert pmap(
+            _square, (x for x in range(12)), mode="process", max_workers=2
+        ) == [x * x for x in range(12)]
 
     def test_empty_and_singleton(self):
         assert pmap(_square, [], mode="process") == []
@@ -129,42 +135,32 @@ class TestOrderingAndChunking:
 
 
 class TestDegradation:
-    def test_unpicklable_fn_degrades_to_serial(self):
-        captured = []
-
-        def closure(x):  # closures cannot cross a process boundary
-            captured.append(x)
-            return x + 1
-
-        assert pmap(closure, [1, 2, 3], mode="process") == [2, 3, 4]
-        assert captured == [1, 2, 3]  # really ran in this process
+    def test_unpicklable_fn_fails_loudly(self):
+        """An explicit ``mode="process"`` never quietly runs in-process."""
+        # PicklingError for a lambda; older CPythons say AttributeError.
+        with pytest.raises((pickle.PicklingError, AttributeError), match="pickle"):
+            pmap(lambda x: x + 1, [1, 2, 3], mode="process", max_workers=2)
 
     def test_max_workers_one_is_serial(self):
         assert pmap(_square, range(9), mode="process", max_workers=1) == [
             x * x for x in range(9)
         ]
 
-    def test_degradation_emits_counter(self):
-        """Silent serial fallback must be visible in any metrics snapshot."""
-        with enabled_scope():
-            pmap(lambda x: x + 1, [1, 2, 3], mode="process", max_workers=2)
-            counters = get_registry().snapshot()["counters"]
-        assert counters.get("pmap.degraded") == 1.0
-
     def test_clean_process_run_emits_no_degraded_counter(self):
         with enabled_scope():
             pmap(_square, range(8), mode="process", max_workers=2, chunk_size=2)
             counters = get_registry().snapshot()["counters"]
+        assert counters.get("parallel.pmap.process_calls") == 1.0
         assert "pmap.degraded" not in counters
 
 
 class TestWorkerExceptions:
     """Worker failures re-raise the original exception, traceback chained."""
 
-    @pytest.mark.parametrize("mode", ["thread", "process"])
+    @pytest.mark.parametrize("mode", ["process"])
     def test_original_exception_type_survives(self, mode):
         # max_workers forces the pool path even on single-CPU machines,
-        # where pmap would otherwise degrade to serial.
+        # where pmap would otherwise fall back to serial.
         with pytest.raises(ValueError, match="cannot handle 7") as exc_info:
             pmap(_explode_on_seven, range(20), mode=mode, max_workers=2, chunk_size=2)
         # The worker's own stack rides along as the chained cause.
@@ -178,13 +174,8 @@ class TestWorkerExceptions:
             pmap(_explode_on_seven, range(20), mode="serial")
 
     def test_first_failure_in_input_order_wins(self):
-        def fail_on_even(x):
-            if x % 2 == 0:
-                raise ValueError(f"even {x}")
-            return x
-
         with pytest.raises(ValueError, match="even 0"):
-            pmap(fail_on_even, range(10), mode="thread", max_workers=4, chunk_size=1)
+            pmap(_fail_on_even, range(10), mode="process", max_workers=2, chunk_size=1)
 
     def test_unpicklable_exception_degrades_to_worker_error(self):
         """Process mode: an exception that cannot pickle still surfaces."""

@@ -8,8 +8,8 @@ regardless of which worker handled which chunk.
 
 import pytest
 
-from repro.core.parallel import MODE_ENV_VAR, WORKERS_ENV_VAR, pmap
-from repro.evalx.tracerun import run_trace
+from repro.core.parallel import WORKERS_ENV_VAR, pmap
+from repro.core.partition import fixture_sources, partitioned_pipeline
 from repro.obs import (
     count,
     enabled_scope,
@@ -143,20 +143,6 @@ class TestProcessShipping:
         assert counters["items.attempted"] == 8.0
 
 
-class TestThreadLinking:
-    def test_thread_worker_spans_stay_in_parent_trace(self, obs_on):
-        with span("fanout") as root:
-            result = pmap(
-                _traced_double, range(8), mode="thread", max_workers=2, chunk_size=2
-            )
-        assert result == [2 * x for x in range(8)]
-        spans = [finished.to_dict() for finished in get_tracer().spans()]
-        workers = [record for record in spans if record["name"] == "pmap.worker"]
-        assert len(workers) == 4
-        assert all(record["parent_id"] == root.span_id for record in workers)
-        assert len({record["trace_id"] for record in spans}) == 1
-
-
 def _fail_on_five(x):
     count("items.attempted")
     if x == 5:
@@ -193,42 +179,40 @@ class TestSpanTreeSignature:
         )
 
 
-class TestFig4aEquivalence:
-    """The acceptance pin: FIG4A process-mode == serial-mode observability."""
+class TestPartitionedBuildEquivalence:
+    """The acceptance pin, on the path that forks: a ``partitions=2`` build
+    records the same observability state with and without worker processes."""
 
-    def test_fig4a_process_equals_serial(self, monkeypatch):
-        monkeypatch.delenv(MODE_ENV_VAR, raising=False)
-        serial = run_trace("FIG4A")
+    @staticmethod
+    def _build(monkeypatch, workers):
+        monkeypatch.setenv(WORKERS_ENV_VAR, str(workers))
+        with enabled_scope():
+            pipeline, context = partitioned_pipeline(
+                fixture_sources(120, 80, seed=3), name="build"
+            )
+            pipeline.run(context, partitions=2)
+            return _collect_state()
 
-        monkeypatch.setenv(MODE_ENV_VAR, "process")
-        monkeypatch.setenv(WORKERS_ENV_VAR, "2")
-        process = run_trace("FIG4A")
+    def test_process_build_equals_serial_build(self, monkeypatch):
+        serial_spans, serial_snapshot, serial_lineage = self._build(monkeypatch, 1)
+        spans, snapshot, lineage = self._build(monkeypatch, 2)
 
-        workers = [r for r in process.spans if r["name"] == "pmap.worker"]
-        assert workers, "process mode must produce pmap.worker spans"
+        assert not [r for r in serial_spans if r["name"] == "pmap.worker"]
+        workers = [r for r in spans if r["name"] == "pmap.worker"]
+        assert workers, "a real pool must produce pmap.worker spans"
         # One connected tree: a single trace id and a single root span.
-        assert len({r["trace_id"] for r in process.spans}) == 1
-        known = {r["span_id"] for r in process.spans}
+        assert len({r["trace_id"] for r in spans}) == 1
+        known = {r["span_id"] for r in spans}
         roots = [
-            r
-            for r in process.spans
-            if r["parent_id"] is None or r["parent_id"] not in known
+            r for r in spans if r["parent_id"] is None or r["parent_id"] not in known
         ]
         assert len(roots) == 1
 
-        assert span_tree_signature(process.spans, exclude=("pmap.worker",)) == (
-            span_tree_signature(serial.spans)
+        assert span_tree_signature(spans, exclude=("pmap.worker",)) == (
+            span_tree_signature(serial_spans)
         )
-        serial_counters = {
-            k: v
-            for k, v in serial.snapshot["counters"].items()
-            if not k.startswith("parallel.pmap.")
-        }
-        process_counters = {
-            k: v
-            for k, v in process.snapshot["counters"].items()
-            if not k.startswith("parallel.pmap.")
-        }
-        assert process_counters == serial_counters
-        assert process.quality == serial.quality
-        assert process.lineage == serial.lineage
+        for counters in (serial_snapshot["counters"], snapshot["counters"]):
+            for name in [n for n in counters if n.startswith("parallel.pmap.")]:
+                del counters[name]
+        assert snapshot["counters"] == serial_snapshot["counters"]
+        assert lineage == serial_lineage

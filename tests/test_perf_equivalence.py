@@ -411,53 +411,6 @@ class TestMutationBeforeFirstIndexRead:
         assert_graph_matches(fast, oracle)
 
 
-class TestPmapPipelineEquivalence:
-    """Whole pipeline stages give identical results in every pmap mode."""
-
-    @pytest.fixture
-    def modes(self, monkeypatch):
-        def run_in(mode, fn):
-            monkeypatch.setenv("REPRO_PMAP_MODE", mode)
-            try:
-                return fn()
-            finally:
-                monkeypatch.delenv("REPRO_PMAP_MODE", raising=False)
-
-        return run_in
-
-    def test_fusion_identical_across_modes(self, modes):
-        from repro.integrate.fusion import AccuFusion, majority_vote
-
-        claims = oracles.make_claims(n_items=80, n_sources=5, seed=5)
-
-        def run():
-            fusion = AccuFusion(n_iterations=4)
-            return (
-                majority_vote(claims),
-                fusion.fuse(claims),
-                dict(fusion.source_accuracy_),
-            )
-
-        serial = modes("serial", run)
-        assert modes("thread", run) == serial
-        assert modes("process", run) == serial
-
-    def test_linkage_features_identical_across_modes(self, modes):
-        from repro.integrate.blocking import BlockingStrategy, candidate_pairs
-
-        left = [{"name": f"Movie number {i}", "release_year": 1990 + i % 9} for i in range(40)]
-        right = [{"name": f"Movie number {i}", "release_year": 1990 + i % 9} for i in range(40)]
-        strategy = BlockingStrategy()
-
-        def run():
-            return candidate_pairs(left, right, strategy)
-
-        serial = modes("serial", run)
-        assert serial  # blocking actually produced candidates
-        assert modes("thread", run) == serial
-        assert modes("process", run) == serial
-
-
 class TestPartitionedBuildEquivalence:
     """The tentpole contract: ``partitions=N`` is byte-identical to ``=1``.
 
@@ -519,10 +472,8 @@ class TestPartitionedBuildEquivalence:
     def test_process_mode_workers_identical(self, monkeypatch, tmp_path):
         """Real multiprocess fan-out must not change a byte either."""
         reference, reference_ledger, _ = self._build(1)
-        monkeypatch.setenv("REPRO_PMAP_MODE", "process")
         monkeypatch.setenv("REPRO_PMAP_WORKERS", "2")
         sharded, sharded_ledger, _ = self._build(4)
-        monkeypatch.delenv("REPRO_PMAP_MODE")
         monkeypatch.delenv("REPRO_PMAP_WORKERS")
         assert _public_state(sharded) == _public_state(reference)
         assert sharded_ledger == reference_ledger

@@ -1,6 +1,8 @@
 """The serving spine end-to-end: router semantics, HTTP transport, overload."""
 
+import socket
 import threading
+import urllib.parse
 
 import pytest
 
@@ -294,6 +296,26 @@ class TestHTTPServer:
             headers={"Content-Type": "application/json"},
         )
         assert code == 400
+
+    @pytest.mark.parametrize(
+        "content_length, expected",
+        [("abc", 400), ("-1", 400), ("99999999999", 413)],
+    )
+    def test_hostile_content_length_gets_a_status(self, http, content_length, expected):
+        """A bad header is refused within a second, body unread — it must
+        not raise in, block, or exhaust the handler thread."""
+        address = urllib.parse.urlsplit(http.base_url)
+        with socket.create_connection((address.hostname, address.port), timeout=1.0) as raw:
+            raw.sendall(
+                b"POST /query HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Type: application/json\r\n"
+                + f"Content-Length: {content_length}\r\n\r\n".encode("ascii")
+            )
+            status_line = raw.makefile("rb").readline().decode("ascii")
+        assert status_line.startswith(f"HTTP/1.1 {expected} ")
+        # The server is still answering, on a fresh connection.
+        code, body = http.query([["?s", "color", "?c"]])
+        assert code == 200 and body["payload"]["n_bindings"] == 2
 
     def test_concurrent_http_load_zero_5xx(self):
         """Hammer the HTTP server from threads; nothing may 5xx."""
