@@ -528,7 +528,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
 
     from repro.core.codec import TripleWAL
     from repro.core.partition import fixture_sources
-    from repro.obs import enabled_scope, profiling, reset_all, runs
+    from repro.obs import enabled_scope, get_tracer, profiling, reset_all, runs
     from repro.obs.lineage import get_ledger
     from repro.serve.snapshot import SnapshotStore
     from repro.stream import (
@@ -585,6 +585,11 @@ def cmd_stream(args: argparse.Namespace) -> int:
                 time.sleep(args.delta_interval)
         publisher.publish(queue_records=queue.pending_records())
         stream_wall_s = time.perf_counter() - started
+        publish_split = " / ".join(
+            f"{1e3 * sum(span_.wall_seconds for span_ in get_tracer().spans(name)):.1f}"
+            for name in ("serve.snapshot.copy", "serve.snapshot.build_shards",
+                         "stream.publish.poll")
+        )
 
     # Finalize under a fresh observability scope: the canonical exchange
     # over the drained union records the batch build's exact ledger.
@@ -610,6 +615,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
             ["catch-up p50/p95 (records)",
              f"{freshness['catchup_p50_records']:.0f} / {freshness['catchup_p95_records']:.0f}"],
             ["stream wall (s)", f"{stream_wall_s:.3f}"],
+            ["publish copy / shards / poll (ms)", publish_split],
             ["finalize wall (s)", f"{finalize_wall_s:.3f}"],
         ]
         print(

@@ -286,7 +286,8 @@ class KnowledgeGraph:
             self._generation += 1
         if provenance is not None:
             self._materialize_provenance()
-            self._provenance[triple].append(provenance)
+            # Replace, never append: copies share installed lists.
+            self._provenance[triple] = self._provenance.get(triple, []) + [provenance]
             obs_lineage.record_observation(
                 triple.subject,
                 triple.predicate,
@@ -349,7 +350,8 @@ class KnowledgeGraph:
         else:
             loader = store.bulk_loader()
             store_add = loader.add
-        provenance_row = self._provenance.setdefault
+        provenance_of = self._provenance
+        provenance_get = provenance_of.get
         ontology = self.ontology
         lineage_on = obs_lineage.lineage_enabled()
         wal = self._wal if not self._wal_suspended else None
@@ -377,7 +379,7 @@ class KnowledgeGraph:
                 if is_new:
                     n_new += 1
                 if provenance is not None:
-                    provenance_row(triple, []).append(provenance)
+                    provenance_of[triple] = provenance_get(triple, []) + [provenance]
                     if lineage_on:
                         pending_append(
                             (
@@ -636,7 +638,7 @@ class KnowledgeGraph:
         self.remove_triple(old)
         self.add_triple(new)
         if records:
-            self._provenance[new].extend(records)
+            self._provenance[new] = self._provenance.get(new, []) + records
 
     # ------------------------------------------------------------------
     # stats
@@ -665,17 +667,24 @@ class KnowledgeGraph:
         }
 
     def copy(self) -> "KnowledgeGraph":
-        """Deep-enough copy: entities, triples, and provenance."""
+        """An independent graph: mutating either side never shows in the other.
+
+        Entities are new objects with copied alias sets, and the name index
+        is copied.  Two things are shared by reference because they are
+        never written in place: the store's base columns (see
+        :meth:`ColumnarTripleStore.clone`) and each triple's provenance
+        list — every mutation installs a new list instead of appending.
+        """
         clone = KnowledgeGraph(ontology=self.ontology, name=self.name)
-        for entity in self._entities.values():
-            clone.add_entity(
-                entity.entity_id, entity.name, entity.entity_class, aliases=entity.aliases
-            )
+        clone._entities = {
+            entity_id: Entity(entity_id, entity.name, entity.entity_class, set(entity.aliases))
+            for entity_id, entity in self._entities.items()
+        }
+        clone._name_index.update((name, set(ids)) for name, ids in self._name_index.items())
         self._materialize_provenance()
         clone._store = self._store.clone()
-        if len(clone._store):
-            clone._generation += 1
-        for triple, records in self._provenance.items():
-            if records:
-                clone._provenance[triple].extend(records)
+        clone._generation = len(clone._entities) + (1 if len(clone._store) else 0)
+        clone._provenance.update(
+            (triple, records) for triple, records in self._provenance.items() if records
+        )
         return clone

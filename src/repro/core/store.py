@@ -362,13 +362,7 @@ class ColumnarTripleStore:
         """Fold delta adds and tombstones into fresh sorted base columns."""
         if not self._n_delta and not self._tombstones:
             return
-        rows = list(self._iter_base_rows())
-        for s, by_predicate in self._delta_spo.items():
-            for p, objects in by_predicate.items():
-                for o in objects:
-                    rows.append((s, p, o))
-        rows.sort()
-        self._load_sorted_unique(rows)
+        self._load_sorted_unique(sorted(self.iter_rows()))
         self._delta_spo = {}
         self._delta_pos = {}
         self._delta_osp = {}
@@ -403,6 +397,14 @@ class ColumnarTripleStore:
     # ------------------------------------------------------------------
     # iteration
 
+    def iter_rows(self) -> Iterator[Tuple[int, int, int]]:
+        """All live rows as ``(s, p, o)`` ids: base in SPO order, then delta."""
+        yield from self._iter_base_rows()
+        for s, by_predicate in self._delta_spo.items():
+            for p, objects in by_predicate.items():
+                for o in objects:
+                    yield (s, p, o)
+
     def _iter_base_rows(self) -> Iterator[Tuple[int, int, int]]:
         """Live base rows (tombstones skipped), in SPO order."""
         s_col, p_col, o_col = self._spo
@@ -419,14 +421,8 @@ class ColumnarTripleStore:
     def iter_triples(self) -> Iterator[Tuple[str, str, Value]]:
         """All live triples as decoded terms (order unspecified)."""
         decode = self._terms.decode
-        for s, p, o in self._iter_base_rows():
+        for s, p, o in self.iter_rows():
             yield (decode(s), decode(p), decode(o))
-        for s, by_predicate in self._delta_spo.items():
-            subject = decode(s)
-            for p, objects in by_predicate.items():
-                predicate = decode(p)
-                for o in objects:
-                    yield (subject, predicate, decode(o))
 
     # ------------------------------------------------------------------
     # base range scans (binary search on the permutation columns)
@@ -675,11 +671,16 @@ class ColumnarTripleStore:
         return store
 
     def clone(self) -> "ColumnarTripleStore":
+        """An independent store that shares the nine base columns.
+
+        Invariant: a base ``array('q')`` column is never written in place
+        — :meth:`_load_sorted_unique` always installs fresh arrays — so
+        sharing them by reference is safe.  Only the delta overlay, the
+        tombstones and the term dictionary are copied.
+        """
         clone = ColumnarTripleStore()
         clone._terms = self._terms.clone()
-        clone._spo = tuple(array("q", col) for col in self._spo)  # type: ignore[assignment]
-        clone._pos = tuple(array("q", col) for col in self._pos)  # type: ignore[assignment]
-        clone._osp = tuple(array("q", col) for col in self._osp)  # type: ignore[assignment]
+        clone._spo, clone._pos, clone._osp = self._spo, self._pos, self._osp
         clone._n_base = self._n_base
         clone._delta_spo = {
             a: {b: set(c) for b, c in row.items()} for a, row in self._delta_spo.items()

@@ -2,11 +2,11 @@
 
 A snapshot's triples are partitioned across ``N`` replica graphs by a
 stable hash of the triple's subject (``crc32``, so the placement is
-deterministic across processes and runs).  Entity records are small and
-every query path needs them (name resolution, entity-object checks in
-``neighbors``), so *entities are replicated to every shard* while triples
-live on exactly one — the classic "partition the edges, replicate the
-vertex directory" layout.
+deterministic across processes and runs).  Every query path needs the
+entity records (name resolution, entity-object checks in ``neighbors``),
+so *every shard sees the whole entity directory* — shared by reference,
+never copied — while triples live on exactly one: the classic "partition
+the edges, replicate the vertex directory" layout.
 
 The :class:`ScatterGatherPlanner` answers the same queries
 :mod:`repro.core.query` answers over one graph, with identical results
@@ -41,6 +41,7 @@ from repro.core.query import (
     TriplePattern,
     is_variable,
 )
+from repro.core.store import _build_from_rows
 from repro.core.triple import Triple, Value
 from repro.serve import context as serve_context
 
@@ -56,28 +57,34 @@ def build_shards(graph: KnowledgeGraph, n_shards: int) -> List[KnowledgeGraph]:
     """Partition ``graph`` into subject-hash shard replicas.
 
     With one shard the graph itself is returned (the snapshot layer
-    already owns a private copy, so no second copy is needed).  Shards
-    carry entities (replicated) and triples (partitioned); provenance
-    stays on the snapshot's full graph — serving reads never consult it.
+    already owns a private copy, so no second copy is needed).  Otherwise
+    the store's id rows are split by their subject's shard — hashed once
+    per distinct subject id — and each shard's columns are built straight
+    from its rows.  Shards share ``graph``'s term dictionary, entity
+    directory and name index by reference, so ``graph`` must not be
+    mutated while they are in use.  Provenance stays on ``graph`` —
+    serving reads never consult it.
     """
     if n_shards < 1:
         raise ValueError(f"n_shards must be >= 1, got {n_shards}")
     if n_shards == 1:
         return [graph]
-    shards = [
-        KnowledgeGraph(ontology=graph.ontology, name=f"{graph.name}.shard{index}")
-        for index in range(n_shards)
-    ]
-    for entity in graph.entities():
-        for shard in shards:
-            shard.add_entity(
-                entity.entity_id, entity.name, entity.entity_class, aliases=entity.aliases
-            )
-    batches: List[List[Triple]] = [[] for _ in range(n_shards)]
-    for triple in graph.triples():
-        batches[shard_of(triple.subject, n_shards)].append(triple)
-    for shard, batch in zip(shards, batches):
-        shard.add_triples_batch(batch)
+    store = graph._store
+    decode = store._terms.decode
+    owner: Dict[int, List[Tuple[int, int, int]]] = {}
+    buckets: List[List[Tuple[int, int, int]]] = [[] for _ in range(n_shards)]
+    for row in store.iter_rows():
+        bucket = owner.get(row[0])
+        if bucket is None:
+            bucket = owner[row[0]] = buckets[shard_of(decode(row[0]), n_shards)]
+        bucket.append(row)
+    shards = []
+    for index, rows in enumerate(buckets):
+        shard = KnowledgeGraph(ontology=graph.ontology, name=f"{graph.name}.shard{index}")
+        shard._store = _build_from_rows(store._terms, rows)
+        shard._entities = graph._entities
+        shard._name_index = graph._name_index
+        shards.append(shard)
     return shards
 
 

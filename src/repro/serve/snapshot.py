@@ -6,10 +6,15 @@ online service cannot read that moving target: a query must see one
 consistent graph from its first index probe to its last.  The snapshot
 layer separates the two worlds:
 
-* :meth:`SnapshotStore.publish` deep-copies the construction graph (so
-  later ``merge_entities`` / ``add_triple`` calls never leak into served
+* :meth:`SnapshotStore.publish` copies the construction graph (so later
+  ``merge_entities`` / ``add_triple`` calls never leak into served
   answers), builds the shard replicas, and installs the result as the
-  *current* snapshot with a single reference swap under a lock;
+  *current* snapshot with a single reference swap under a lock.  The copy
+  is by reference where nothing is ever written in place — the store's
+  sorted base columns and each triple's provenance list — so it costs the
+  entity directory, the delta overlay and the term dictionary, not the
+  graph; shards are split from the copy's id rows and share its
+  dictionary and entity directory;
 * a request takes one ``store.current()`` reference up front and runs
   entirely against it — in-flight requests finish on the old generation
   while new requests see the new one, with no read locks at all;
@@ -54,7 +59,8 @@ class GraphSnapshot:
         )
         self.published_unix = time.time()
         self.graph = graph
-        self.shards = build_shards(graph, n_shards)
+        with obs_span("serve.snapshot.build_shards", n_shards=n_shards):
+            self.shards = build_shards(graph, n_shards)
         self.planner = ScatterGatherPlanner(self.shards)
 
     @property
@@ -106,7 +112,11 @@ class SnapshotStore:
         started = time.perf_counter()
         with obs_span("serve.snapshot.publish", n_shards=self.n_shards) as span_:
             source_generation = graph.generation
-            frozen = graph.copy() if copy else graph
+            if copy:
+                with obs_span("serve.snapshot.copy"):
+                    frozen = graph.copy()
+            else:
+                frozen = graph
             with self._lock:
                 self._next_version += 1
                 version = self._next_version
@@ -119,8 +129,9 @@ class SnapshotStore:
             with self._lock:
                 if self._current is not None:
                     self._history.append(self._current)
-                    if len(self._history) > self._keep_history:
-                        self._history = self._history[-self._keep_history :]
+                    excess = len(self._history) - self._keep_history
+                    if excess > 0:
+                        del self._history[:excess]
                 self._current = snapshot
             span_.set_tag("version", snapshot.version)
         obs_metrics.count("serve.snapshot.publishes")

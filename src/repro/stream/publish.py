@@ -47,6 +47,7 @@ from repro.core.codec import (
 from repro.core.graph import KnowledgeGraph
 from repro.core.ontology import Ontology
 from repro.obs import metrics as obs_metrics
+from repro.obs.tracing import span as obs_span
 
 
 def percentiles(
@@ -182,18 +183,23 @@ class StreamPublisher:
 
     def publish(self, queue_records: int = 0) -> Dict[str, object]:
         """Poll the follower and unconditionally swap in its graph."""
-        applied = self.follower.poll()
-        return self._swap(applied, queue_records)
+        return self._swap(self._poll(), queue_records)
 
     def publish_if_changed(
         self, queue_records: int = 0
     ) -> Optional[Dict[str, object]]:
         """Swap only when the poll surfaced new WAL records (or nothing
         has ever been published) — the follow-wal serve loop's cadence."""
-        applied = self.follower.poll()
+        applied = self._poll()
         if applied == 0 and self._last_publish is not None:
             return None
         return self._swap(applied, queue_records)
+
+    def _poll(self) -> int:
+        with obs_span("stream.publish.poll") as span_:
+            applied = self.follower.poll()
+            span_.set_tag("applied", applied)
+        return applied
 
     def _swap(self, applied: int, queue_records: int) -> Dict[str, object]:
         now = self._clock()

@@ -365,7 +365,7 @@ def _naive_rewrite(graph, old, new):
     graph.remove_triple(old)
     graph.add_triple(new)
     if records:
-        graph._provenance[new].extend(records)
+        graph._provenance[new] = graph._provenance.get(new, []) + records
 
 
 # ---------------------------------------------------------------------------

@@ -605,3 +605,14 @@ class TestBuildCli:
         err = capsys.readouterr().err
         assert "REPRO_PMAP_WORKERS" in err
         assert "Traceback" not in err
+
+    def test_stream_prints_publish_split(self, tmp_path, capsys):
+        """The stream table sums the publish spans: copy, shard split, poll."""
+        args = ["stream", "--shards", "2", "--wal-dir", str(tmp_path), *self._ARGS]
+        assert main(args) == 0
+        row = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("publish copy / shards / poll (ms)")
+        )
+        copy_ms, shards_ms, poll_ms = (float(part) for part in row.split()[-5::2])
+        assert copy_ms > 0 and shards_ms > 0 and poll_ms > 0

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import codec
 from repro.core.graph import KnowledgeGraph
 from repro.core.ontology import Ontology
 from repro.core.triple import Provenance, Triple
@@ -191,6 +192,20 @@ class TestMerge:
         clone.add("m1", "directed_by", "p1")
         assert len(graph) == 1
         assert len(clone) == 2
+
+    def test_copy_saves_identical_bytes(self, tmp_path):
+        """A copy shares base columns and provenance lists; its snapshot
+        file is byte-for-byte the original's, base rows and delta alike."""
+        graph = _graph()
+        graph.add_triple(Triple("m1", "directed_by", "p1"), provenance=Provenance(source="a"))
+        graph.add_triple(Triple("m1", "directed_by", "p1"), provenance=Provenance(source="b"))
+        graph._store.compact()
+        graph.add_triple(Triple("m2", "release_year", 1999), provenance=Provenance(source="c"))
+        graph.add_alias("p1", "J. Doe")
+        clone = graph.copy()
+        codec.save_graph(clone, str(tmp_path / "clone.rkgs"), include_lineage=False)
+        codec.save_graph(graph, str(tmp_path / "graph.rkgs"), include_lineage=False)
+        assert (tmp_path / "clone.rkgs").read_bytes() == (tmp_path / "graph.rkgs").read_bytes()
 
 
 # ----------------------------------------------------------------------

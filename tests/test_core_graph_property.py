@@ -8,7 +8,10 @@ model's projection.  The same interleavings run through the fast paths
 (per-call adds, the full-scan merge in ``tests.oracles``) must end
 in identical public state and identical lineage ledgers.  A stateful
 machine adds aliases, copies and snapshot round trips, and checks
-``graph == model`` after every step.
+``graph == model`` after every step; it also keeps up to three frozen
+copies aside and checks that none of them moves while the live graph goes
+on — copies share base columns and provenance lists by reference, so a
+write into either in place would show up there.
 """
 
 import os
@@ -181,6 +184,7 @@ class GraphMachine(RuleBasedStateMachine):
         super().__init__()
         self.graph = _fresh_graph()
         self.model = _fresh_model()
+        self.frozen = []
 
     @rule(spec=_spec)
     def add(self, spec):
@@ -193,6 +197,32 @@ class GraphMachine(RuleBasedStateMachine):
     def add_batch(self, specs):
         items = _items(specs, self.model.entities)
         assert self.graph.add_triples_batch(items) == self.model.add_batch(items)
+
+    @rule(
+        pick=st.integers(0, 99),
+        other=st.one_of(st.none(), st.integers(0, 9)),
+        prov=st.integers(0, 2),
+        batch=st.booleans(),
+    )
+    def add_again(self, pick, other, prov, batch):
+        """Re-add a present row with provenance, as is or under another
+        subject — so provenance lists grow and later merges collide."""
+        if not self.model.rows:
+            return
+        subject, predicate, obj = sorted(self.model.rows, key=repr)[
+            pick % len(self.model.rows)
+        ]
+        if other is not None:
+            ids = sorted(self.model.entities)
+            subject = ids[other % len(ids)]
+        triple, provenance = Triple(subject, predicate, obj), _provenance(prov)
+        if batch:
+            items = [(triple, provenance)]
+            assert self.graph.add_triples_batch(items) == self.model.add_batch(items)
+        else:
+            assert self.graph.add_triple(triple, provenance=provenance) == (
+                self.model.add(triple, provenance)
+            )
 
     @rule(row=st.tuples(_subjects, _predicates, _objects))
     def remove(self, row):
@@ -218,6 +248,18 @@ class GraphMachine(RuleBasedStateMachine):
         self.model = self.model.copy()
 
     @rule()
+    def freeze(self):
+        """Set a copy aside (at most three); later rules mutate only the
+        live graph."""
+        self.frozen = self.frozen[-2:] + [(self.graph.copy(), self.model.copy())]
+
+    @rule()
+    def compact(self):
+        """Fold the delta into new base columns — the one place columns
+        are (re)built, far below the auto-compaction threshold here."""
+        self.graph._store.compact()
+
+    @rule()
     def save_and_load(self):
         with tempfile.TemporaryDirectory() as tmp_dir:
             path = os.path.join(tmp_dir, "machine.rkgs")
@@ -227,6 +269,11 @@ class GraphMachine(RuleBasedStateMachine):
     @invariant()
     def graph_equals_model(self):
         assert_graph_matches(self.graph, self.model)
+
+    @invariant()
+    def frozen_copies_unchanged(self):
+        for graph, model in self.frozen:
+            assert_graph_matches(graph, model)
 
 
 TestGraphMachine = GraphMachine.TestCase

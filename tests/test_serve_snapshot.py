@@ -4,6 +4,10 @@ import pytest
 
 from repro.core.graph import KnowledgeGraph
 from repro.core.ontology import Ontology
+from repro.core.query import TriplePattern
+from repro.core.triple import Provenance, Triple
+from repro.obs import enabled_scope, get_tracer, reset_all
+from repro.serve.service import KGService
 from repro.serve.snapshot import SnapshotStore
 
 
@@ -87,6 +91,16 @@ class TestSnapshotStore:
         history = store.history()
         assert [snapshot.version for snapshot in history] == [3, 4]
 
+    @pytest.mark.parametrize("keep", [0, 1, 3])
+    def test_history_keeps_exactly_k(self, keep):
+        """``keep_history=0`` retains nothing (``[-0:]`` is the whole list)."""
+        store = SnapshotStore(keep_history=keep)
+        graph = small_graph(4)
+        for _ in range(5):
+            store.publish(graph)
+        history = store.history()
+        assert [snapshot.version for snapshot in history] == list(range(5 - keep, 5))
+
     def test_sharded_publish(self):
         store = SnapshotStore(n_shards=3)
         snapshot = store.publish(small_graph())
@@ -108,3 +122,81 @@ class TestSnapshotStore:
     def test_invalid_shard_count_rejected(self):
         with pytest.raises(ValueError):
             SnapshotStore(n_shards=0)
+
+
+def _answers(snapshot):
+    """Every planner read a request can make, plus ``describe()``."""
+    planner = snapshot.planner
+    description = dict(snapshot.describe())
+    description.pop("published_unix")
+    return {
+        "describe": description,
+        "lookup": [planner.lookup(f"e{i}", "label") for i in range(12)],
+        "query": planner.query(predicate="related_to"),
+        "all": planner.query(),
+        "names": [
+            [entity.entity_id for entity in planner.find_by_name(f"Entity {i}")]
+            for i in range(12)
+        ],
+        "aliases": [sorted(planner.entity(f"e{i}").aliases) for i in range(12)],
+        "neighbors": [planner.neighbors(f"e{i}") for i in range(12)],
+        "join": planner.conjunctive_query(
+            [
+                TriplePattern("?a", "related_to", "?b"),
+                TriplePattern("?b", "label", "?v"),
+            ]
+        ),
+        "paths": planner.paths("e0", "e5", max_length=6),
+        "cardinality": planner.pattern_cardinality(predicate="label"),
+        "shards": planner.shard_sizes(),
+    }
+
+
+class TestPublishIsolation:
+    def test_old_snapshot_unchanged_while_source_ingests(self):
+        """A sharded snapshot shares base columns and provenance lists with
+        its source; deltas ingested into the source afterwards — adds with
+        provenance, removes, merges, aliases, and enough churn to compact
+        the source's columns — never show in it."""
+        service = KGService(n_shards=2)
+        graph = small_graph()
+        shared = Triple("e1", "label", "value-1")
+        graph.add_triple(shared, provenance=Provenance(source="a"))
+        graph.add_triple(Triple("e5", "label", "value-1"), provenance=Provenance(source="m"))
+        graph._store.compact()  # so the copy has base columns to share
+        graph.add("e4", "label", "in-delta")
+        old = service.publish(graph)
+        before = _answers(old)
+        old_provenance = old.graph.provenance(shared)
+
+        # Each provenance-writing path touches the shared list of ``shared``.
+        graph.add_triple(shared, provenance=Provenance(source="b"))
+        graph.add_triples_batch(
+            [(shared, Provenance(source="c"))]
+            + [(Triple("e2", "label", f"bulk-{i}"), Provenance(source="c")) for i in range(4200)]
+        )
+        graph.merge_entities("e1", "e5")
+        graph.remove_triple(Triple("e3", "related_to", "e4"))
+        graph.add_alias("e6", "Entity 7")
+        graph.add_entity("e99", "Entity 0", "Thing")
+        assert graph._store.n_compactions >= 1
+        new = service.publish(graph)
+
+        assert _answers(old) == before
+        assert [record.source for record in old_provenance] == ["a"]
+        assert old.graph.provenance(shared) == old_provenance
+        assert [record.source for record in graph.provenance(shared)] == ["a", "b", "c", "m"]
+        assert new.describe()["n_triples"] == len(graph)
+        assert sum(new.planner.shard_sizes().values()) == len(graph)
+
+
+class TestPublishSpans:
+    def test_publish_is_attributed_to_copy_and_build_shards(self):
+        reset_all()
+        with enabled_scope():
+            SnapshotStore(n_shards=2).publish(small_graph())
+            spans = {span_.name: span_ for span_ in get_tracer().spans("serve.snapshot.")}
+        reset_all()
+        publish = spans["serve.snapshot.publish"]
+        for child in ("serve.snapshot.copy", "serve.snapshot.build_shards"):
+            assert spans[child].parent_id == publish.span_id

@@ -23,7 +23,7 @@ from repro.core import codec
 from repro.core.codec import TripleWAL
 from repro.core.partition import fixture_sources, partitioned_pipeline
 from repro.datagen.sources import SourceRecord, StructuredSource
-from repro.obs import enabled_scope, reset_all
+from repro.obs import enabled_scope, get_tracer, reset_all
 from repro.obs.lineage import get_ledger
 from repro.serve.snapshot import SnapshotStore
 from repro.stream import (
@@ -434,8 +434,11 @@ class TestFollowerAndPublisher:
             from repro.obs.metrics import get_registry
 
             snapshot = get_registry().snapshot()
+            polls = get_tracer().spans("stream.publish.poll")
         reset_all()
         assert versions == list(range(1, len(deltas) + 1))
+        assert len(polls) == len(deltas)
+        assert all(span_.tags["applied"] > 0 for span_ in polls)
         current = store.current()
         assert current is not None and current.version == versions[-1]
         assert _public_state(current.graph) == _public_state(ingestor.graph)
