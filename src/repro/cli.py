@@ -590,6 +590,11 @@ def cmd_stream(args: argparse.Namespace) -> int:
             for name in ("serve.snapshot.copy", "serve.snapshot.build_shards",
                          "stream.publish.poll")
         )
+        follower_mode = (
+            "view of the ingestor's graph"
+            if follower.is_view
+            else f"replica ({follower.n_bootstraps} bootstraps)"
+        )
 
     # Finalize under a fresh observability scope: the canonical exchange
     # over the drained union records the batch build's exact ledger.
@@ -600,7 +605,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
         outcome = ingestor.finalize()
         ledger_state = get_ledger().export_state()
         stats = wal.checkpoint(outcome.graph)
-        publisher.publish()  # base changed -> follower re-bootstraps canonical
+        publisher.publish()  # the checkpoint ended the view: replica of the canonical base
         finalize_wall_s = time.perf_counter() - finalize_started
 
         freshness = publisher.freshness()
@@ -616,6 +621,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
              f"{freshness['catchup_p50_records']:.0f} / {freshness['catchup_p95_records']:.0f}"],
             ["stream wall (s)", f"{stream_wall_s:.3f}"],
             ["publish copy / shards / poll (ms)", publish_split],
+            ["follower", follower_mode],
             ["finalize wall (s)", f"{finalize_wall_s:.3f}"],
         ]
         print(

@@ -28,7 +28,10 @@ A :class:`~repro.core.graph.KnowledgeGraph` with an attached WAL
 (:meth:`~repro.core.graph.KnowledgeGraph.attach_wal`) logs every
 mutation; :meth:`TripleWAL.recover` replays base + segments through the
 public graph API, so recovery reproduces state, provenance, and (when
-observability is on) lineage events exactly.
+observability is on) lineage events exactly.  While a log holds nothing
+but one empty-at-attach graph's mutations, that graph is its
+:attr:`TripleWAL.writer`, and :func:`writer_log` finds it by directory:
+the state a replay would rebuild already exists in this process.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import mmap
 import os
 import struct
 import threading
+import weakref
 import zlib
 from array import array
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
@@ -588,6 +592,26 @@ def _load_snapshot(blob, path: str, restore_lineage: bool) -> KnowledgeGraph:
 # ---------------------------------------------------------------------------
 # the append-only WAL
 
+#: Open logs that have a :attr:`TripleWAL.writer`, by real directory path.
+#: Process-wide on purpose: a follower is given only a directory, and the
+#: directory is what identifies the log.  Weak, so a dropped log leaves.
+_WRITER_LOGS: "weakref.WeakValueDictionary[str, TripleWAL]" = (
+    weakref.WeakValueDictionary()
+)
+
+
+def writer_log(directory: str) -> Optional["TripleWAL"]:
+    """The open log of ``directory`` whose writer graph this thread may read.
+
+    None when no such log is open, when the directory may hold more than
+    its writer's mutations, or when the caller is not on the thread that
+    attached the writer (another thread could read the graph mid-mutation).
+    """
+    log = _WRITER_LOGS.get(os.path.realpath(directory))
+    if log is None or log._writer_thread != threading.get_ident():
+        return None
+    return log
+
 
 class TripleWAL:
     """Append-only triple log: size-rotated segments + base compaction.
@@ -597,6 +621,15 @@ class TripleWAL:
     snapshot that :meth:`compact` folds replayed segments into.  Attach
     to a graph with :meth:`KnowledgeGraph.attach_wal`; recover with
     :meth:`recover`.
+
+    :attr:`writer` is the attached graph when the directory holds nothing
+    else: the directory was empty when this handle opened it, and the
+    graph was empty when attached.  Replaying the directory then rebuilds
+    exactly that graph.  :func:`writer_log` hands it out only on the thread
+    that attached it.  The binding ends for good at :meth:`close` (and so
+    at :meth:`compact` / :meth:`checkpoint`), at
+    :meth:`KnowledgeGraph.detach_wal`, or when another handle opens the
+    same directory.
     """
 
     BASE_BASENAME = "base.rkgs"
@@ -614,7 +647,17 @@ class TripleWAL:
         # another thread appends (or replays) would otherwise race the
         # segment list against the files on disk.
         self._lock = threading.RLock()
+        self.writer: Optional[KnowledgeGraph] = None
+        self._writer_thread: Optional[int] = None
+        self.n_appended = 0
+        self._key = os.path.realpath(directory)
+        # This handle may append or fold: another one's writer stops being
+        # the whole directory.
+        other = _WRITER_LOGS.get(self._key)
+        if other is not None:
+            other.release_writer()
         existing = self.segment_paths()
+        self._fresh = not existing and not os.path.exists(self.base_path)
         if existing:
             self._segment_index = self._index_of(existing[-1])
             self._open_segment(existing[-1], create=False)
@@ -677,6 +720,7 @@ class TripleWAL:
                 raise ValueError("WAL is closed")
             self._handle.write(b"".join(chunks))
             self._handle.flush()
+            self.n_appended += len(records)
             obs_metrics.count("store.wal.records", len(records))
             if self._handle.tell() >= self.segment_bytes:
                 self._rotate()
@@ -688,10 +732,27 @@ class TripleWAL:
         obs_metrics.count("store.wal.rotations")
         obs_metrics.gauge("store.wal.segments", len(self.segment_paths()))
 
+    def bind_writer(self, graph: KnowledgeGraph) -> None:
+        """Make ``graph`` the :attr:`writer` if the log holds nothing else."""
+        with self._lock:
+            if self._fresh and not self.n_appended and not len(graph) and not graph._entities:
+                self.writer = graph
+                self._writer_thread = threading.get_ident()
+                _WRITER_LOGS[self._key] = self
+
+    def release_writer(self) -> None:
+        """End the :attr:`writer` binding (idempotent)."""
+        with self._lock:
+            self.writer = None
+            self._fresh = False
+            if _WRITER_LOGS.get(self._key) is self:
+                del _WRITER_LOGS[self._key]
+
     def close(self) -> None:
         """Close the write handle (the WAL can be reopened by constructing
         a new :class:`TripleWAL` on the same directory)."""
         with self._lock:
+            self.release_writer()
             if self._handle is not None:
                 self._handle.close()
                 self._handle = None

@@ -81,7 +81,10 @@ class Entity:
     """A node with real-world identity.
 
     "Most entities in entity-based KG are *named* entities, each
-    corresponding to a real-world entity" (Sec. 2).
+    corresponding to a real-world entity" (Sec. 2).  An entity installed
+    in a graph is never mutated: graph copies share it, and
+    :meth:`KnowledgeGraph.add_alias` / ``merge_entities`` install a
+    replacement instead.
     """
 
     entity_id: str
@@ -112,6 +115,9 @@ class KnowledgeGraph:
         # The triple table and its SPO/POS/OSP indexes.
         self._store = ColumnarTripleStore()
         self._name_index: Dict[str, Set[str]] = defaultdict(set)
+        # Name-index keys whose id set this graph installed since its last
+        # copy(): no copy shares them, so they are updated in place.
+        self._owned_names: Set[str] = set()
         # Optional write-ahead log (codec.TripleWAL); suspended while
         # merge_entities rewrites triples so a merge logs one record.
         self._wal: Optional["TripleWAL"] = None
@@ -172,13 +178,18 @@ class KnowledgeGraph:
 
         Attach before building: only mutations made while attached are
         logged (recover pre-existing state from the WAL's base snapshot).
+        An empty graph attached to a fresh log becomes its
+        :attr:`~repro.core.codec.TripleWAL.writer`.
         """
         self._wal = wal
+        wal.bind_writer(self)
 
     def detach_wal(self) -> Optional["TripleWAL"]:
         """Stop logging; returns the previously attached WAL (if any)."""
         wal = self._wal
         self._wal = None
+        if wal is not None:
+            wal.release_writer()
         return wal
 
     # ------------------------------------------------------------------
@@ -207,8 +218,7 @@ class KnowledgeGraph:
             aliases=set(aliases),
         )
         self._entities[entity.entity_id] = entity
-        for alias in entity.all_names():
-            self._name_index[alias.lower()].add(entity_id)
+        self._index_names(entity.all_names(), entity_id)
         self._generation += 1
         if self._wal is not None and not self._wal_suspended:
             self._wal.append(
@@ -249,11 +259,36 @@ class KnowledgeGraph:
         ids = self._name_index.get(name.lower(), set())
         return [self._entities[entity_id] for entity_id in sorted(ids)]
 
+    def _index_names(
+        self, names: Iterable[str], entity_id: str, drop_id: Optional[str] = None
+    ) -> None:
+        """Point ``names`` at ``entity_id`` (instead of ``drop_id``).
+
+        An id set a copy may share is replaced, never mutated; the
+        replacement is this graph's own until the next :meth:`copy`, so
+        a name shared by k entities costs O(k) once, not per insert.
+        """
+        index, owned = self._name_index, self._owned_names
+        for name in names:
+            key = name.lower()
+            if key in owned:
+                ids = index[key]
+                ids.discard(drop_id)
+                ids.add(entity_id)
+                continue
+            ids = index.get(key)
+            index[key] = {entity_id} if ids is None else (ids - {drop_id}) | {entity_id}
+            owned.add(key)
+
     def add_alias(self, entity_id: str, alias: str) -> None:
         """Record an additional surface form for an entity."""
         entity = self.entity(entity_id)
-        entity.aliases.add(alias)
-        self._name_index[alias.lower()].add(entity_id)
+        # Replace, never mutate: copies share installed entities.
+        self._entities[entity_id] = Entity(
+            entity.entity_id, entity.name, entity.entity_class, entity.aliases | {alias}
+        )
+        self._entities_view_generation = -1
+        self._index_names((alias,), entity_id)
         if self._wal is not None and not self._wal_suspended:
             self._wal.append({"op": "alias", "id": entity_id, "alias": alias})
 
@@ -618,11 +653,14 @@ class KnowledgeGraph:
                 rewritten += 1
         finally:
             self._wal_suspended = wal_was_suspended
-        for alias in drop.all_names():
-            keep.aliases.add(alias)
-            self._name_index[alias.lower()].discard(drop_id)
-            self._name_index[alias.lower()].add(keep_id)
-        keep.aliases.discard(keep.name)
+        dropped_names = drop.all_names()
+        self._index_names(dropped_names, keep_id, drop_id)
+        self._entities[keep_id] = Entity(
+            keep.entity_id,
+            keep.name,
+            keep.entity_class,
+            (keep.aliases | dropped_names) - {keep.name},
+        )
         del self._entities[drop_id]
         self._generation += 1
         obs_lineage.record_merge(
@@ -669,22 +707,20 @@ class KnowledgeGraph:
     def copy(self) -> "KnowledgeGraph":
         """An independent graph: mutating either side never shows in the other.
 
-        Entities are new objects with copied alias sets, and the name index
-        is copied.  Two things are shared by reference because they are
-        never written in place: the store's base columns (see
-        :meth:`ColumnarTripleStore.clone`) and each triple's provenance
-        list — every mutation installs a new list instead of appending.
+        The dictionaries are copied; what they hold is shared by reference,
+        because none of it is written in place once shared — every
+        mutation installs a replacement: the store's base columns (see
+        :meth:`ColumnarTripleStore.clone`), each triple's provenance list,
+        each :class:`Entity` with its alias set, and each name-index id
+        set (which this graph again owns, and may update in place, once it
+        has replaced it).
         """
         clone = KnowledgeGraph(ontology=self.ontology, name=self.name)
-        clone._entities = {
-            entity_id: Entity(entity_id, entity.name, entity.entity_class, set(entity.aliases))
-            for entity_id, entity in self._entities.items()
-        }
-        clone._name_index.update((name, set(ids)) for name, ids in self._name_index.items())
+        clone._entities = dict(self._entities)
+        clone._name_index = defaultdict(set, self._name_index)
+        self._owned_names = set()
         self._materialize_provenance()
         clone._store = self._store.clone()
         clone._generation = len(clone._entities) + (1 if len(clone._store) else 0)
-        clone._provenance.update(
-            (triple, records) for triple, records in self._provenance.items() if records
-        )
+        clone._provenance = defaultdict(list, self._provenance)
         return clone

@@ -10,11 +10,11 @@ layer separates the two worlds:
   ``merge_entities`` / ``add_triple`` calls never leak into served
   answers), builds the shard replicas, and installs the result as the
   *current* snapshot with a single reference swap under a lock.  The copy
-  is by reference where nothing is ever written in place — the store's
-  sorted base columns and each triple's provenance list — so it costs the
-  entity directory, the delta overlay and the term dictionary, not the
-  graph; shards are split from the copy's id rows and share its
-  dictionary and entity directory;
+  shares everything that is never written in place — the store's sorted
+  base columns, each triple's provenance list, each entity and each
+  name-index id set — so it costs flat copies of the directories, the
+  delta overlay and the term dictionary, not the graph; shards are split
+  from the copy's id rows and share its dictionary and entity directory;
 * a request takes one ``store.current()`` reference up front and runs
   entirely against it — in-flight requests finish on the old generation
   while new requests see the new one, with no read locks at all;

@@ -1,17 +1,22 @@
-"""Live snapshot publishing: tail the WAL, hot-swap the serving store.
+"""Live snapshot publishing: follow the WAL, hot-swap the serving store.
 
 Two cooperating pieces:
 
-* :class:`WALFollower` maintains a replica graph by tailing a
-  :class:`~repro.core.codec.TripleWAL` directory with the shared
+* :class:`WALFollower` keeps the graph a
+  :class:`~repro.core.codec.TripleWAL` directory holds.  On the thread
+  that writes the log, that graph already exists: the follower is a
+  *view* of the writer's graph (:attr:`TripleWAL.writer`), and a poll
+  only counts the records appended since the last one.  Anywhere else —
+  ``repro serve --follow-wal`` in another process, another thread, or
+  once the writer's log is closed, checkpointed or compacted — it is a
+  *replica* built by tailing segments with the shared
   :func:`~repro.core.codec.read_segment_records` /
-  :func:`~repro.core.codec.apply_wal_records` primitives.  It never
-  takes the writer's lock — torn frames at the tail are simply retried
-  on the next poll, and a checkpoint/compaction (the ``base.rkgs``
+  :func:`~repro.core.codec.apply_wal_records` primitives.  A replica
+  never takes the writer's lock: torn frames at the tail are retried on
+  the next poll, and a checkpoint/compaction (the ``base.rkgs``
   signature changes, or the tailed segment vanishes) triggers a full
-  re-bootstrap from the new base.  This is the same replica a separate
-  ``repro serve --follow-wal`` process builds, so the streamer's
-  publishes and the follower's republishes go through one code path.
+  re-bootstrap from the new base.  Both modes publish through one code
+  path.
 
 * :class:`StreamPublisher` turns follower state into serving traffic on
   a cadence: poll the follower, optionally persist a fresh ``.rkgs``
@@ -43,6 +48,7 @@ from repro.core.codec import (
     load_graph,
     read_segment_records,
     save_graph,
+    writer_log,
 )
 from repro.core.graph import KnowledgeGraph
 from repro.core.ontology import Ontology
@@ -66,17 +72,26 @@ def percentiles(
 
 
 class WALFollower:
-    """A read-only replica built by tailing WAL segments."""
+    """The graph a WAL directory holds: a view of the in-process writer's
+    graph when there is one, else a replica built by tailing segments.
+
+    A view's ``graph`` is the writer's live graph; the view exists only on
+    the writer's thread, so it is read (and published) between the
+    writer's mutations, never during one.
+    """
 
     def __init__(self, directory: str) -> None:
         self.directory = directory
         self.graph: KnowledgeGraph = KnowledgeGraph(ontology=Ontology(), name="wal")
+        # The writer's log while this follower is a view of its graph.
+        self._view: Optional[TripleWAL] = None
+        self._n_viewed = 0
         self._base_signature: Optional[tuple] = None
         self._segment: Optional[str] = None
         self._offset = 0
         self.n_applied = 0
         self.n_bootstraps = 0
-        self._bootstrap()
+        self._refresh()
 
     # ------------------------------------------------------------------
 
@@ -142,23 +157,47 @@ class WALFollower:
             self._segment = later[0]
             self._offset = 0
 
-    def poll(self) -> int:
-        """Apply newly visible WAL records; returns how many were applied.
+    def _refresh(self) -> int:
+        log = writer_log(self.directory)
+        if log is not None:
+            # Entering a view counts as change, like a bootstrap.
+            applied = (
+                log.n_appended - self._n_viewed
+                if log is self._view
+                else log.n_appended + 1
+            )
+            self._view, self._n_viewed, self.graph = log, log.n_appended, log.writer
+            return applied
+        if (
+            self._view is not None
+            or not self.n_bootstraps
+            or self._signature(self._base_path) != self._base_signature
+        ):
+            self._view = None
+            return self._bootstrap()
+        try:
+            return self._drain_segments()
+        except FileNotFoundError:
+            return self._bootstrap()
 
-        A changed ``base.rkgs`` (checkpoint/compaction) or a vanished
-        segment forces a full re-bootstrap, which also counts as change.
+    def poll(self) -> int:
+        """Catch up with the log; returns how many new records it reflects.
+
+        A view only counts them.  A replica applies them; a changed
+        ``base.rkgs`` (checkpoint/compaction), a vanished segment or a
+        view that ended forces a full re-bootstrap, which also counts as
+        change.
         """
-        if self._signature(self._base_path) != self._base_signature:
-            applied = self._bootstrap()
-        else:
-            try:
-                applied = self._drain_segments()
-            except FileNotFoundError:
-                applied = self._bootstrap()
+        applied = self._refresh()
         self.n_applied += applied
         if applied:
             obs_metrics.count("stream.follower.applied_records", applied)
         return applied
+
+    @property
+    def is_view(self) -> bool:
+        """True while ``graph`` is the in-process writer's own graph."""
+        return self._view is not None
 
 
 class StreamPublisher:

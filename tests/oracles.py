@@ -12,10 +12,12 @@ equivalence suites identical work.
 
 import copy
 import math
+import os
 import random
 from itertools import product
 
-from repro.core.graph import KnowledgeGraph
+from repro.core import codec
+from repro.core.graph import Entity, KnowledgeGraph
 from repro.core.ontology import Ontology
 from repro.core.triple import Provenance, Triple
 from repro.integrate.fusion import ValueClaim
@@ -259,7 +261,9 @@ class SetGraph:
                 for entity_id, (_, aliases) in self.entities.items()
             },
             "names": {
-                name: self.find_by_name(name) for name, _ in self.entities.values()
+                name: self.find_by_name(name)
+                for own, aliases in self.entities.values()
+                for name in aliases | {own}
             },
         }
 
@@ -278,8 +282,9 @@ def public_state(graph):
         "entities": sorted(e.entity_id for e in entities),
         "aliases": {e.entity_id: sorted(e.aliases) for e in entities},
         "names": {
-            e.name: sorted(m.entity_id for m in graph.find_by_name(e.name))
+            name: sorted(m.entity_id for m in graph.find_by_name(name))
             for e in entities
+            for name in e.all_names()
         },
     }
 
@@ -346,11 +351,17 @@ def naive_merge_entities(graph, keep_id, drop_id):
     for triple in [t for t in graph.triples() if t.object == drop_id]:
         _naive_rewrite(graph, triple, triple.replace_object(keep_id))
         rewritten += 1
+    # Installed entities and name-index sets are replaced, never mutated:
+    # graph copies share them.
     for alias in drop.all_names():
-        keep.aliases.add(alias)
-        graph._name_index[alias.lower()].discard(drop_id)
-        graph._name_index[alias.lower()].add(keep_id)
-    keep.aliases.discard(keep.name)
+        key = alias.lower()
+        graph._name_index[key] = (graph._name_index.get(key, set()) - {drop_id}) | {keep_id}
+    graph._entities[keep_id] = Entity(
+        keep.entity_id,
+        keep.name,
+        keep.entity_class,
+        (keep.aliases | drop.all_names()) - {keep.name},
+    )
     del graph._entities[drop_id]
     graph._generation += 1
     obs_lineage.record_merge(
@@ -366,6 +377,28 @@ def _naive_rewrite(graph, old, new):
     graph.add_triple(new)
     if records:
         graph._provenance[new] = graph._provenance.get(new, []) + records
+
+
+# ---------------------------------------------------------------------------
+# the replayed WAL replica (what an in-process follower's view must equal)
+
+
+def replay_wal_directory(directory):
+    """A WAL directory's graph rebuilt from ``base.rkgs`` plus every segment.
+
+    Reads the files directly: opening a ``TripleWAL`` handle would end the
+    writer's view it is compared with.
+    """
+    base = os.path.join(directory, codec.TripleWAL.BASE_BASENAME)
+    if os.path.exists(base):
+        graph = codec.load_graph(base)
+    else:
+        graph = KnowledgeGraph(ontology=Ontology(), name="wal")
+    for name in sorted(os.listdir(directory)):
+        if name.startswith("wal-") and name.endswith(".log"):
+            path = os.path.join(directory, name)
+            codec.apply_wal_records(graph, codec.read_segment_records(path)[0], path)
+    return graph
 
 
 # ---------------------------------------------------------------------------

@@ -616,3 +616,12 @@ class TestBuildCli:
         )
         copy_ms, shards_ms, poll_ms = (float(part) for part in row.split()[-5::2])
         assert copy_ms > 0 and shards_ms > 0 and poll_ms > 0
+
+    def test_stream_publishes_a_view_of_the_ingestor(self, tmp_path, capsys):
+        """In-process publishes read the ingestor's own graph, not a replica."""
+        assert main(["stream", "--wal-dir", str(tmp_path), *self._ARGS]) == 0
+        row = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("follower")
+        )
+        assert "view of the ingestor's graph" in row

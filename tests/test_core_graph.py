@@ -207,6 +207,40 @@ class TestMerge:
         codec.save_graph(graph, str(tmp_path / "graph.rkgs"), include_lineage=False)
         assert (tmp_path / "clone.rkgs").read_bytes() == (tmp_path / "graph.rkgs").read_bytes()
 
+    def test_copy_shares_entities_until_replaced(self):
+        """A copy shares entity objects and name-index sets; an alias or a
+        merge on either side installs replacements instead of writing them."""
+        graph = _graph()
+        graph.add_alias("p1", "J. Doe")
+        clone = graph.copy()
+        assert clone.entity("p1") is graph.entity("p1")
+        assert clone._name_index["j. doe"] is graph._name_index["j. doe"]
+        graph.add_alias("p1", "Johnny")
+        graph.merge_entities("m1", "m2")
+        assert sorted(graph.entity("p1").aliases) == ["J. Doe", "Johnny"]
+        assert [e.entity_id for e in graph.find_by_name("the silent river")] == ["m1"]
+        assert sorted(clone.entity("p1").aliases) == ["J. Doe"]
+        assert clone.find_by_name("johnny") == []
+        assert [e.entity_id for e in clone.find_by_name("the silent river")] == ["m2"]
+        assert clone.entity("m1").aliases == set()
+        assert sorted(e.entity_id for e in clone.entities()) == ["m1", "m2", "p1"]
+
+    def test_shared_name_is_copied_once_per_copy(self):
+        """A name many entities share is updated in place until a copy
+        shares its id set; then it is replaced once and owned again."""
+        graph = _graph()  # p1 is a "Jane Doe"
+        ids = graph._name_index["jane doe"]
+        for i in range(2, 50):
+            graph.add_entity(f"p{i}", "Jane Doe", "Person")
+        assert graph._name_index["jane doe"] is ids and len(ids) == 49
+        clone = graph.copy()
+        graph.add_entity("p50", "Jane Doe", "Person")
+        replaced = graph._name_index["jane doe"]
+        graph.add_alias("p50", "jane DOE")
+        assert replaced is not ids and graph._name_index["jane doe"] is replaced
+        assert len(graph.find_by_name("Jane Doe")) == 50
+        assert len(clone.find_by_name("Jane Doe")) == 49
+
 
 # ----------------------------------------------------------------------
 # property-based index invariant: every query answer agrees with a scan.

@@ -10,8 +10,9 @@ in identical public state and identical lineage ledgers.  A stateful
 machine adds aliases, copies and snapshot round trips, and checks
 ``graph == model`` after every step; it also keeps up to three frozen
 copies aside and checks that none of them moves while the live graph goes
-on — copies share base columns and provenance lists by reference, so a
-write into either in place would show up there.
+on — copies share base columns, provenance lists, entities and name-index
+id sets by reference, so a write into any of them in place would show up
+there.
 """
 
 import os

@@ -5,8 +5,9 @@ must reproduce the one-shot batch build *byte-for-byte* — graph state,
 provenance, lineage ledger, and ``.rkgs`` snapshot bytes — for any
 micro-batch split and delta order.  Alongside it, the operational
 properties: per-delta work stays sub-linear in graph size, the WAL
-follower's replica tracks the live graph, and the publisher records
-staleness / catch-up-lag on every hot swap.
+follower is a view of the live graph in the writer's process and a
+replica that tracks it elsewhere, and the publisher records staleness /
+catch-up-lag on every hot swap.
 """
 
 import contextlib
@@ -36,6 +37,7 @@ from repro.stream import (
     micro_batches,
     percentiles,
 )
+from tests.oracles import replay_wal_directory
 
 SOURCES = fixture_sources(n_people=25, n_movies=15, seed=11)
 N_RECORDS = sum(len(source) for source in SOURCES)
@@ -397,7 +399,10 @@ class TestFollowerAndPublisher:
         with enabled_scope():
             wal = TripleWAL(str(tmp_path / "wal-follow"))
             ingestor = StreamIngestor(wal=wal)
+            # Tail the segments as a follower in another process would.
+            wal.release_writer()
             follower = WALFollower(str(tmp_path / "wal-follow"))
+            assert not follower.is_view
             for delta in micro_batches(SOURCES, 10):
                 ingestor.ingest(delta)
                 follower.poll()
@@ -408,7 +413,10 @@ class TestFollowerAndPublisher:
 
     def test_follower_rebootstraps_after_checkpoint(self, tmp_path):
         outcome, _, _, ingestor, wal = _stream(SOURCES, 10, tmp_path, tag="boot")
+        # A replica notices the checkpoint by the base signature.
+        wal.release_writer()
         follower = WALFollower(wal.directory)
+        assert not follower.is_view
         assert _public_state(follower.graph) == _public_state(ingestor.graph)
         bootstraps_before = follower.n_bootstraps
         wal.checkpoint(outcome.graph)
@@ -421,8 +429,10 @@ class TestFollowerAndPublisher:
         with enabled_scope():
             wal = TripleWAL(str(tmp_path / "wal-pub"))
             ingestor = StreamIngestor(wal=wal)
+            wal.release_writer()  # publish a replica, as --follow-wal does
             store = SnapshotStore(n_shards=2)
             publisher = StreamPublisher(store, WALFollower(str(tmp_path / "wal-pub")))
+            assert not publisher.follower.is_view
             versions = []
             deltas = micro_batches(SOURCES, 15)
             remaining = N_RECORDS
@@ -456,9 +466,11 @@ class TestFollowerAndPublisher:
         with enabled_scope():
             wal = TripleWAL(str(tmp_path / "wal-quiet"))
             ingestor = StreamIngestor(wal=wal)
+            wal.release_writer()  # a replica tails segments, as --follow-wal does
             publisher = StreamPublisher(
                 SnapshotStore(), WALFollower(str(tmp_path / "wal-quiet"))
             )
+            assert not publisher.follower.is_view
             assert publisher.publish_if_changed() is not None  # first boot
             assert publisher.publish_if_changed() is None  # nothing new
             ingestor.ingest(micro_batches(SOURCES, N_RECORDS)[0])
@@ -468,3 +480,127 @@ class TestFollowerAndPublisher:
     def test_percentiles_empty_and_single(self):
         assert percentiles([]) == {"p50": 0.0, "p95": 0.0}
         assert percentiles([3.0]) == {"p50": 3.0, "p95": 3.0}
+
+
+class TestFollowerView:
+    """In the writer's process the follower is a view of the writer's graph:
+    what it publishes must be what a replay of the directory rebuilds."""
+
+    def test_follower_is_a_view_of_the_writer(self, tmp_path):
+        wal = TripleWAL(str(tmp_path / "wal"))
+        ingestor = StreamIngestor(wal=wal)
+        follower = WALFollower(wal.directory)
+        assert follower.is_view and follower.graph is ingestor.graph
+        assert follower.n_bootstraps == 0
+        ingestor.ingest(micro_batches(SOURCES, 20)[0])
+        assert follower.poll() == wal.n_appended > 0
+        assert follower.poll() == 0
+        assert follower.graph is ingestor.graph
+
+    def test_view_publishes_what_a_replay_rebuilds(self, tmp_path):
+        wal = TripleWAL(str(tmp_path / "wal"))
+        ingestor = StreamIngestor(wal=wal)
+        store = SnapshotStore(n_shards=2)
+        publisher = StreamPublisher(store, WALFollower(wal.directory))
+        published = []
+        for delta in micro_batches(SOURCES, 12, order_seed=3):
+            ingestor.ingest(delta)
+            publisher.publish()
+            snapshot = store.current()
+            replayed = replay_wal_directory(wal.directory)
+            assert _public_state(snapshot.graph) == _public_state(replayed)
+            published.append((snapshot, _public_state(snapshot.graph)))
+        assert publisher.follower.is_view and publisher.follower.n_bootstraps == 0
+        # Snapshots are copies: later ingests never show in earlier ones.
+        for snapshot, state in published:
+            assert _public_state(snapshot.graph) == state
+
+    @pytest.mark.parametrize("end", ["close", "detach", "second_handle", "checkpoint"])
+    def test_replica_takes_over_when_the_view_ends(self, tmp_path, end):
+        wal = TripleWAL(str(tmp_path / "wal"))
+        ingestor = StreamIngestor(wal=wal)
+        follower = WALFollower(wal.directory)
+        deltas = micro_batches(SOURCES, 20)
+        ingestor.ingest(deltas[0])
+        follower.poll()
+        if end == "close":
+            wal.close()
+        elif end == "detach":
+            ingestor.graph.detach_wal()
+        elif end == "second_handle":
+            TripleWAL(wal.directory)
+        else:
+            wal.checkpoint(ingestor.finalize().graph)
+        assert codec.writer_log(wal.directory) is None
+        assert follower.poll() > 0
+        assert not follower.is_view and follower.n_bootstraps == 1
+        assert follower.graph is not ingestor.graph
+        replayed = replay_wal_directory(wal.directory)
+        assert _public_state(follower.graph) == _public_state(replayed)
+
+    def test_no_view_when_the_log_holds_more_than_the_writer(self, tmp_path):
+        first = StreamIngestor(wal=TripleWAL(str(tmp_path / "wal")))
+        first.ingest(micro_batches(SOURCES, 20)[0])
+        first.wal.close()
+        reopened = TripleWAL(str(tmp_path / "wal"))
+        StreamIngestor(wal=reopened)
+        assert reopened.writer is None
+        follower = WALFollower(reopened.directory)
+        assert not follower.is_view
+        assert _public_state(follower.graph) == _public_state(first.graph)
+
+    def test_follower_opened_first_becomes_a_view(self, tmp_path):
+        directory = str(tmp_path / "wal")
+        os.makedirs(directory)
+        follower = WALFollower(directory)
+        assert not follower.is_view
+        ingestor = StreamIngestor(wal=TripleWAL(directory))
+        ingestor.ingest(micro_batches(SOURCES, 20)[0])
+        assert follower.poll() > 0
+        assert follower.is_view and follower.graph is ingestor.graph
+
+    def test_publishing_records_no_lineage(self, tmp_path):
+        """The ledger holds what ingest recorded, however often the stream
+        publishes (a replayed replica used to record every event again)."""
+        ledgers = []
+        for publish in (False, True):
+            reset_all()
+            with enabled_scope():
+                wal = TripleWAL(str(tmp_path / f"wal-{publish}"))
+                ingestor = StreamIngestor(wal=wal)
+                publisher = StreamPublisher(SnapshotStore(), WALFollower(wal.directory))
+                for delta in micro_batches(SOURCES, 10):
+                    ingestor.ingest(delta)
+                    if publish:
+                        publisher.publish()
+                ledgers.append(get_ledger().export_state())
+            reset_all()
+        assert ledgers[0] == ledgers[1]
+
+    def test_view_publish_if_changed_skips_quiet_polls(self, tmp_path):
+        wal = TripleWAL(str(tmp_path / "wal"))
+        ingestor = StreamIngestor(wal=wal)
+        publisher = StreamPublisher(SnapshotStore(), WALFollower(wal.directory))
+        assert publisher.follower.is_view
+        assert publisher.publish_if_changed() is not None  # first publish
+        assert publisher.publish_if_changed() is None  # nothing appended
+        ingestor.ingest(micro_batches(SOURCES, N_RECORDS)[0])
+        assert publisher.publish_if_changed() is not None
+        assert publisher.publish_if_changed() is None
+
+    def test_other_threads_get_a_replica(self, tmp_path):
+        """Only the writer's thread may read its live graph: a follower
+        polled elsewhere could see the graph mid-mutation."""
+        wal = TripleWAL(str(tmp_path / "wal"))
+        ingestor = StreamIngestor(wal=wal)
+        ingestor.ingest(micro_batches(SOURCES, 20)[0])
+        followers = []
+        thread = threading.Thread(
+            target=lambda: followers.append(WALFollower(wal.directory))
+        )
+        thread.start()
+        thread.join()
+        assert codec.writer_log(wal.directory) is wal
+        assert not followers[0].is_view
+        assert followers[0].graph is not ingestor.graph
+        assert _public_state(followers[0].graph) == _public_state(ingestor.graph)

@@ -5,7 +5,8 @@ ANY shuffle of the record stream, draining the deltas and finalizing
 produces exactly the batch build over the same source union — graph
 state with provenance, the lineage ledger, and the ``.rkgs`` snapshot
 bytes.  Nothing about how the records trickled in can change a single
-observable bit.
+observable bit.  Mid-stream, whatever the split, order and publish
+cadence, each published snapshot is what a replay of the WAL rebuilds.
 """
 
 import os
@@ -19,7 +20,9 @@ from repro.core.codec import TripleWAL
 from repro.core.partition import fixture_sources, partitioned_pipeline
 from repro.obs import enabled_scope, reset_all
 from repro.obs.lineage import get_ledger
-from repro.stream import StreamIngestor, micro_batches
+from repro.serve.snapshot import SnapshotStore
+from repro.stream import StreamIngestor, StreamPublisher, WALFollower, micro_batches
+from tests.oracles import replay_wal_directory
 
 _SOURCES = fixture_sources(n_people=12, n_movies=8, seed=3)
 _N_RECORDS = sum(len(source) for source in _SOURCES)
@@ -82,3 +85,34 @@ def test_any_split_any_order_finalizes_identically(batch_size, order_seed):
         assert _state(outcome.graph) == _REFERENCE[0]
         assert ledger_state == _REFERENCE[1]
         assert _snapshot_bytes(outcome.graph) == _REFERENCE[2]
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    batch_size=st.integers(min_value=1, max_value=_N_RECORDS + 5),
+    order_seed=st.integers(min_value=0, max_value=2**16),
+    cadence=st.integers(min_value=1, max_value=4),
+)
+def test_any_split_publishes_what_a_replay_rebuilds(batch_size, order_seed, cadence):
+    """The in-process follower is a view of the ingestor's graph; every
+    snapshot it publishes is what replaying the WAL directory rebuilds, and
+    stays so while the stream goes on."""
+    with tempfile.TemporaryDirectory() as wal_dir:
+        ingestor = StreamIngestor(wal=TripleWAL(wal_dir))
+        store = SnapshotStore(n_shards=2)
+        publisher = StreamPublisher(store, WALFollower(wal_dir))
+        published = []
+        deltas = micro_batches(_SOURCES, batch_size, order_seed=order_seed)
+        for index, delta in enumerate(deltas, start=1):
+            ingestor.ingest(delta)
+            if index % cadence == 0 or index == len(deltas):
+                publisher.publish()
+                snapshot = store.current()
+                state = _state(snapshot.graph)
+                assert state == _state(replay_wal_directory(wal_dir))
+                assert sum(snapshot.planner.shard_sizes().values()) == len(snapshot.graph)
+                published.append((snapshot, state))
+        assert publisher.follower.is_view
+        for snapshot, state in published:
+            assert _state(snapshot.graph) == state
+        ingestor.wal.close()
