@@ -20,16 +20,22 @@ provenance, so a snapshot boot pays only for what it reads.
 (entity/alias/add/add_batch/remove/merge records, length+crc32-framed
 JSON; batch ingests commit as one ``add_batch`` record) in
 size-rotated segments, with :meth:`TripleWAL.compact` folding replayed
-segments into a ``base.rkgs`` snapshot.  A truncated final record in the
-*last* segment is tolerated (a crash mid-append is the normal case); any
-other corruption raises :class:`CodecError` unless ``allow_partial``.
+segments into a ``base.rkgs`` snapshot.  The log has one reader:
+:func:`segment_paths` lists the segments, :func:`read_segment_records`
+scans frames, and :class:`WALReplay` applies them to a graph —
+recovery and live followers alike.  Replay always yields a prefix of
+the log: it stops at the first frame that is not whole, which on the
+last segment is a torn tail (a crash mid-append) and anywhere else
+raises :class:`CodecError` — or, with ``allow_partial``, ends the
+replay there.  Opening a log cuts a torn tail off its last segment, so
+new appends follow the last whole record.
 
 A :class:`~repro.core.graph.KnowledgeGraph` with an attached WAL
 (:meth:`~repro.core.graph.KnowledgeGraph.attach_wal`) logs every
-mutation; :meth:`TripleWAL.recover` replays base + segments through the
-public graph API, so recovery reproduces state, provenance, and (when
-observability is on) lineage events exactly.  While a log holds nothing
-but one empty-at-attach graph's mutations, that graph is its
+mutation; replay goes through the public graph API, so recovery
+reproduces state, provenance, and (when observability is on) lineage
+events exactly.  While a log holds nothing but one empty-at-attach
+graph's mutations, that graph is its
 :attr:`TripleWAL.writer`, and :func:`writer_log` finds it by directory:
 the state a replay would rebuild already exists in this process.
 """
@@ -44,7 +50,7 @@ import threading
 import weakref
 import zlib
 from array import array
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.graph import Entity, KnowledgeGraph
 from repro.core.ontology import Ontology
@@ -613,6 +619,20 @@ def writer_log(directory: str) -> Optional["TripleWAL"]:
     return log
 
 
+def segment_paths(directory: str) -> List[str]:
+    """The ``wal-<n>.log`` segments of ``directory``, oldest first."""
+    try:
+        names = os.listdir(directory)
+    except FileNotFoundError:
+        return []
+    # Zero-padded indexes sort lexicographically in index order.
+    return [
+        os.path.join(directory, name)
+        for name in sorted(names)
+        if name.startswith("wal-") and name.endswith(".log")
+    ]
+
+
 class TripleWAL:
     """Append-only triple log: size-rotated segments + base compaction.
 
@@ -660,7 +680,7 @@ class TripleWAL:
         self._fresh = not existing and not os.path.exists(self.base_path)
         if existing:
             self._segment_index = self._index_of(existing[-1])
-            self._open_segment(existing[-1], create=False)
+            self._open_segment(existing[-1], create=not self._cut_torn_tail(existing[-1]))
         else:
             self._segment_index = 1
             self._open_segment(self._segment_path(1), create=True)
@@ -682,19 +702,30 @@ class TripleWAL:
 
     def segment_paths(self) -> List[str]:
         """Existing segment files, oldest first."""
-        try:
-            names = os.listdir(self.directory)
-        except FileNotFoundError:
-            return []
-        segments = [
-            name
-            for name in names
-            if name.startswith("wal-") and name.endswith(".log")
-        ]
-        return [os.path.join(self.directory, name) for name in sorted(segments)]
+        return segment_paths(self.directory)
 
     # ------------------------------------------------------------------
     # writing
+
+    @staticmethod
+    def _cut_torn_tail(path: str) -> int:
+        """Truncate ``path`` after its last whole frame; returns that end.
+
+        Appending after a torn frame (a crash mid-append) would bury every
+        later record behind bytes no reader gets past.  Only frame lengths
+        are walked: a checksum mismatch, or a header that is not this
+        format's, stays in place for recovery to report.  0 means the
+        header itself is incomplete.
+        """
+        size = os.path.getsize(path)
+        try:
+            _, end = read_segment_records(path, verify=False)
+        except CodecError:
+            return size
+        if end < size:
+            os.truncate(path, end)
+            obs_metrics.count("store.wal.truncated_tail")
+        return end
 
     def _open_segment(self, path: str, create: bool) -> None:
         if create:
@@ -704,24 +735,15 @@ class TripleWAL:
 
     def append(self, record: Dict[str, object]) -> None:
         """Append one mutation record (flushed before returning)."""
-        self.append_many([record])
-
-    def append_many(self, records: List[Dict[str, object]]) -> None:
-        """Append a batch of records under one write + flush."""
-        if not records:
-            return
-        chunks = []
-        for record in records:
-            payload = json.dumps(record, sort_keys=True).encode("utf-8")
-            chunks.append(_WAL_FRAME.pack(len(payload), zlib.crc32(payload)))
-            chunks.append(payload)
+        payload = json.dumps(record, sort_keys=True).encode("utf-8")
+        frame = _WAL_FRAME.pack(len(payload), zlib.crc32(payload)) + payload
         with self._lock:
             if self._handle is None:
                 raise ValueError("WAL is closed")
-            self._handle.write(b"".join(chunks))
+            self._handle.write(frame)
             self._handle.flush()
-            self.n_appended += len(records)
-            obs_metrics.count("store.wal.records", len(records))
+            self.n_appended += 1
+            obs_metrics.count("store.wal.records")
             if self._handle.tell() >= self.segment_bytes:
                 self._rotate()
 
@@ -758,101 +780,21 @@ class TripleWAL:
                 self._handle = None
 
     # ------------------------------------------------------------------
-    # reading
-
-    def _iter_segment(
-        self, path: str, is_last: bool, allow_partial: bool
-    ) -> Iterator[Dict[str, object]]:
-        with open(path, "rb") as handle:
-            blob = handle.read()
-        if len(blob) < _HEADER.size:
-            raise CodecError(
-                f"{path}: WAL segment shorter than its header; delete the "
-                f"segment or run `repro compact` with --allow-partial"
-            )
-        magic, version, _flags = _HEADER.unpack_from(blob, 0)
-        if magic != WAL_MAGIC:
-            raise CodecError(
-                f"{path}: not a repro WAL segment (magic {magic!r}, expected "
-                f"{WAL_MAGIC!r}); remove foreign files from the WAL directory"
-            )
-        if version != FORMAT_VERSION:
-            raise CodecError(
-                f"{path}: WAL format v{version} is not the supported "
-                f"v{FORMAT_VERSION}; compact it with the checkout that wrote it"
-            )
-        offset = _HEADER.size
-        total = len(blob)
-        while offset < total:
-            tail = total - offset
-            if tail < _WAL_FRAME.size:
-                if is_last or allow_partial:
-                    obs_metrics.count("store.wal.truncated_tail")
-                    return
-                raise CodecError(
-                    f"{path}: truncated record frame at byte {offset} in a "
-                    f"non-final segment; restore the segment or replay with "
-                    f"allow_partial=True"
-                )
-            length, crc = _WAL_FRAME.unpack_from(blob, offset)
-            if offset + _WAL_FRAME.size + length > total:
-                if is_last or allow_partial:
-                    obs_metrics.count("store.wal.truncated_tail")
-                    return
-                raise CodecError(
-                    f"{path}: truncated record payload at byte {offset} in a "
-                    f"non-final segment; restore the segment or replay with "
-                    f"allow_partial=True"
-                )
-            payload = blob[
-                offset + _WAL_FRAME.size : offset + _WAL_FRAME.size + length
-            ]
-            actual = zlib.crc32(payload)
-            if actual != crc:
-                if allow_partial:
-                    obs_metrics.count("store.wal.corrupt_records")
-                    return
-                raise CodecError(
-                    f"{path}: record checksum mismatch at byte {offset} (stored "
-                    f"{crc:#010x}, computed {actual:#010x}); the WAL is corrupt "
-                    f"— replay with allow_partial=True to keep the prefix"
-                )
-            offset += _WAL_FRAME.size + length
-            try:
-                yield json.loads(payload.decode("utf-8"))
-            except ValueError as exc:
-                raise CodecError(
-                    f"{path}: record at byte {offset - length} passed its "
-                    f"checksum but is not JSON; the WAL is corrupt"
-                ) from exc
-
-    # ------------------------------------------------------------------
     # recovery
 
     def recover(self, allow_partial: bool = False) -> KnowledgeGraph:
         """Rebuild the graph: load ``base.rkgs`` (if any), replay segments.
 
-        Replay goes through the public graph API, so provenance — and,
-        when observability is enabled, lineage events — are reproduced
-        exactly as the original mutations recorded them.  Consecutive
-        ``add``/``add_batch`` records coalesce into one
-        ``add_triples_batch`` call, which on an empty graph hits the
-        store's bulk-load path.
+        A :class:`WALReplay` under the log's lock, so the result is a
+        prefix of the log: a torn tail of the last segment is left out,
+        and damage anywhere else raises :class:`CodecError` — or, with
+        ``allow_partial``, ends the replay just before it.
         """
         with self._lock:
-            if os.path.exists(self.base_path):
-                graph = load_graph(self.base_path)
-            else:
-                graph = KnowledgeGraph(ontology=Ontology(), name="wal")
-            segments = self.segment_paths()
-            n_records = 0
-            for position, path in enumerate(segments):
-                is_last = position == len(segments) - 1
-                n_records += apply_wal_records(
-                    graph, self._iter_segment(path, is_last, allow_partial), path
-                )
+            replay = WALReplay(self.directory)
+            n_records = replay.catch_up(allow_partial)
         obs_metrics.count("store.wal.replayed_records", n_records)
-        return graph
+        return replay.graph
 
     # ------------------------------------------------------------------
     # compaction
@@ -928,7 +870,80 @@ class TripleWAL:
 
 
 # ---------------------------------------------------------------------------
-# shared WAL replay (recovery + live followers)
+# the one WAL reader (recovery, followers, open-time repair)
+
+
+def _wal_damage(path: str, allow_partial: bool, message: str) -> None:
+    """Raise for damage at ``path`` unless the caller stops before it."""
+    if not allow_partial:
+        raise CodecError(f"{path}: {message}")
+
+
+def read_segment_records(
+    path: str, offset: int = 0, allow_partial: bool = False, verify: bool = True
+) -> Tuple[List[Dict[str, object]], int]:
+    """The whole records of one WAL segment from ``offset``, and their end.
+
+    Returns ``(records, next_offset)``; ``offset`` 0 starts at the header,
+    and ``next_offset`` stays 0 while the header is incomplete.  The scan
+    stops before a torn frame (fewer bytes than its length claims) and
+    leaves it to the caller to tell a writer mid-append from damage.  A
+    foreign header, a checksum mismatch or a checksummed record that is
+    not JSON raises :class:`CodecError`; with ``allow_partial`` the scan
+    stops before it instead.  ``verify=False`` walks frame lengths only
+    and returns no records.
+    """
+    with open(path, "rb") as handle:
+        if offset <= _HEADER.size:
+            header = handle.read(_HEADER.size)
+            if len(header) < _HEADER.size:
+                return [], 0
+            magic, version, _flags = _HEADER.unpack(header)
+            if (magic, version) != (WAL_MAGIC, FORMAT_VERSION):
+                _wal_damage(
+                    path,
+                    allow_partial,
+                    f"not a v{FORMAT_VERSION} repro WAL segment (magic {magic!r}, "
+                    f"version {version}); remove foreign files from the WAL "
+                    f"directory, or compact it with the checkout that wrote it",
+                )
+                return [], 0
+            offset = _HEADER.size
+        else:
+            handle.seek(offset)
+        blob = handle.read()
+    records: List[Dict[str, object]] = []
+    position = 0
+    total = len(blob)
+    while position + _WAL_FRAME.size <= total:
+        length, crc = _WAL_FRAME.unpack_from(blob, position)
+        end = position + _WAL_FRAME.size + length
+        if end > total:
+            break
+        if verify:
+            payload = blob[position + _WAL_FRAME.size : end]
+            actual = zlib.crc32(payload)
+            if actual != crc:
+                _wal_damage(
+                    path,
+                    allow_partial,
+                    f"record checksum mismatch at byte {offset + position} (stored "
+                    f"{crc:#010x}, computed {actual:#010x}); the WAL is corrupt — "
+                    f"replay with allow_partial=True to keep the prefix",
+                )
+                break
+            try:
+                records.append(json.loads(payload.decode("utf-8")))
+            except ValueError:
+                _wal_damage(
+                    path,
+                    allow_partial,
+                    f"record at byte {offset + position} passed its checksum but "
+                    f"is not JSON; the WAL is corrupt",
+                )
+                break
+        position = end
+    return records, offset + position
 
 
 def apply_wal_records(
@@ -943,9 +958,7 @@ def apply_wal_records(
     columnar graph).  Entity/merge application is idempotent, so
     re-replaying a prefix after a partially-complete compaction — or a
     follower restarting mid-stream — converges on the same state.
-    Returns the number of records applied.  Shared by
-    :meth:`TripleWAL.recover` and the live :class:`repro.stream.publish.
-    WALFollower`.
+    Returns the number of records applied.
     """
     n_records = 0
     pending_adds: List[Tuple[Triple, Optional[Provenance]]] = []
@@ -958,30 +971,16 @@ def apply_wal_records(
     for record in records:
         n_records += 1
         op = record.get("op")
-        if op == "add":
-            prov = record.get("prov")
-            pending_adds.append(
-                (
-                    Triple(record["s"], record["p"], record["o"]),
-                    None
-                    if prov is None
-                    else Provenance(
-                        source=prov[0], extractor=prov[1], confidence=prov[2]
-                    ),
-                )
+        if op == "add" or op == "add_batch":
+            # One row path: an ``add`` is a batch of one [s, p, o, prov] row.
+            rows = (
+                record["rows"]
+                if op == "add_batch"
+                else ((record["s"], record["p"], record["o"], record.get("prov")),)
             )
-            continue
-        if op == "add_batch":
             pending_adds.extend(
-                (
-                    Triple(s, p, o),
-                    None
-                    if prov is None
-                    else Provenance(
-                        source=prov[0], extractor=prov[1], confidence=prov[2]
-                    ),
-                )
-                for s, p, o, prov in record["rows"]
+                (Triple(s, p, o), None if prov is None else Provenance(*prov))
+                for s, p, o, prov in rows
             )
             continue
         flush_adds()
@@ -1015,65 +1014,72 @@ def apply_wal_records(
     return n_records
 
 
-def read_segment_records(
-    path: str, offset: int = 0
-) -> Tuple[List[Dict[str, object]], int]:
-    """Incrementally read complete records from one WAL segment.
+class WALReplay:
+    """The graph a WAL directory holds, replayed from its files.
 
-    Returns ``(records, next_offset)``: every fully-framed record found
-    at or after ``offset`` (0 means "start of records", just past the
-    header) plus the offset where the *next* read should resume.  A torn
-    tail — a frame or payload the writer has not finished flushing — is
-    not an error; the read simply stops before it, and a later call with
-    the returned offset picks it up once complete.  A checksum mismatch
-    on a complete frame is real corruption and raises :class:`CodecError`.
-    This is the tail-read primitive for live WAL followers; unlike
-    :meth:`TripleWAL._iter_segment` it never buffers more than the new
-    suffix and never treats incompleteness as damage.
+    ``base.rkgs`` (or an empty graph) plus the segments' records, applied
+    in order by :meth:`catch_up`; ``segment`` and ``offset`` say how far
+    it has read, so the next call applies only what was appended since.
+    It reads files only, taking no lock: :meth:`TripleWAL.recover` runs
+    one under the log's lock, and a :class:`~repro.stream.publish.
+    WALFollower` replica keeps one and catches it up on every poll.
     """
-    with open(path, "rb") as handle:
-        if offset <= _HEADER.size:
-            header = handle.read(_HEADER.size)
-            if len(header) < _HEADER.size:
-                return [], 0
-            magic, version, _flags = _HEADER.unpack(header)
-            if magic != WAL_MAGIC:
-                raise CodecError(
-                    f"{path}: not a repro WAL segment (magic {magic!r}, expected "
-                    f"{WAL_MAGIC!r}); remove foreign files from the WAL directory"
-                )
-            if version != FORMAT_VERSION:
-                raise CodecError(
-                    f"{path}: WAL format v{version} is not the supported "
-                    f"v{FORMAT_VERSION}; compact it with the checkout that wrote it"
-                )
-            offset = _HEADER.size
+
+    def __init__(self, directory: str) -> None:
+        self.directory = directory
+        self.base_signature = self._stat_base()
+        if self.base_signature is None:
+            self.graph = KnowledgeGraph(ontology=Ontology(), name="wal")
         else:
-            handle.seek(offset)
-        blob = handle.read()
-    records: List[Dict[str, object]] = []
-    position = 0
-    total = len(blob)
-    while position < total:
-        if total - position < _WAL_FRAME.size:
-            break  # torn frame header — wait for the writer
-        length, crc = _WAL_FRAME.unpack_from(blob, position)
-        if position + _WAL_FRAME.size + length > total:
-            break  # torn payload — wait for the writer
-        payload = blob[position + _WAL_FRAME.size : position + _WAL_FRAME.size + length]
-        actual = zlib.crc32(payload)
-        if actual != crc:
-            raise CodecError(
-                f"{path}: record checksum mismatch at byte {offset + position} "
-                f"(stored {crc:#010x}, computed {actual:#010x}); the WAL is "
-                f"corrupt — replay with allow_partial=True to keep the prefix"
-            )
+            self.graph = load_graph(os.path.join(directory, TripleWAL.BASE_BASENAME))
+        self.segment: Optional[str] = None
+        self.offset = 0
+
+    def _stat_base(self) -> Optional[Tuple[int, int]]:
         try:
-            records.append(json.loads(payload.decode("utf-8")))
-        except ValueError as exc:
-            raise CodecError(
-                f"{path}: record at byte {offset + position} passed its "
-                f"checksum but is not JSON; the WAL is corrupt"
-            ) from exc
-        position += _WAL_FRAME.size + length
-    return records, offset + position
+            stat = os.stat(os.path.join(self.directory, TripleWAL.BASE_BASENAME))
+        except FileNotFoundError:
+            return None
+        return (stat.st_size, stat.st_mtime_ns)
+
+    def base_changed(self) -> bool:
+        """True once ``base.rkgs`` was replaced (checkpoint or compaction)."""
+        return self._stat_base() != self.base_signature
+
+    def catch_up(self, allow_partial: bool = False) -> int:
+        """Apply the records appended since the last call; returns how many.
+
+        Reading stops at the first frame that is not whole.  On the newest
+        segment that is a torn tail (a writer mid-append, or a crash) and
+        the next call resumes there.  On an older segment it is damage:
+        :class:`CodecError`, or with ``allow_partial`` the end of the
+        replay.  Raises FileNotFoundError when the segment being read was
+        folded away.
+        """
+        applied = 0
+        while True:
+            # Listed before the read: a segment with a successor was
+            # whole by then, so a short read of it is damage, not a race.
+            segments = segment_paths(self.directory)
+            if self.segment is None:
+                if not segments:
+                    return applied
+                self.segment = segments[0]
+            if self.segment not in segments:
+                raise FileNotFoundError(self.segment)
+            records, self.offset = read_segment_records(
+                self.segment, self.offset, allow_partial
+            )
+            applied += apply_wal_records(self.graph, records, self.segment)
+            following = segments.index(self.segment) + 1
+            if following == len(segments):
+                return applied
+            if not 0 < self.offset == os.path.getsize(self.segment):
+                _wal_damage(
+                    self.segment,
+                    allow_partial,
+                    f"non-final segment ends mid-record at byte {self.offset}; "
+                    f"restore the segment or replay with allow_partial=True",
+                )
+                return applied
+            self.segment, self.offset = segments[following], 0

@@ -9,14 +9,13 @@ Two cooperating pieces:
   only counts the records appended since the last one.  Anywhere else —
   ``repro serve --follow-wal`` in another process, another thread, or
   once the writer's log is closed, checkpointed or compacted — it is a
-  *replica* built by tailing segments with the shared
-  :func:`~repro.core.codec.read_segment_records` /
-  :func:`~repro.core.codec.apply_wal_records` primitives.  A replica
-  never takes the writer's lock: torn frames at the tail are retried on
-  the next poll, and a checkpoint/compaction (the ``base.rkgs``
-  signature changes, or the tailed segment vanishes) triggers a full
-  re-bootstrap from the new base.  Both modes publish through one code
-  path.
+  *replica*: a :class:`~repro.core.codec.WALReplay`, the same replay
+  :meth:`TripleWAL.recover` runs, kept between polls so each one applies
+  only what was appended since.  A replica never takes the writer's
+  lock: a torn frame at the tail is retried on the next poll, and a
+  checkpoint/compaction (``base.rkgs`` replaced, or the tailed segment
+  gone) triggers a full re-bootstrap from the new base.  Both modes
+  publish through one code path.
 
 * :class:`StreamPublisher` turns follower state into serving traffic on
   a cadence: poll the follower, optionally persist a fresh ``.rkgs``
@@ -38,20 +37,11 @@ Two cooperating pieces:
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.core.codec import (
-    TripleWAL,
-    apply_wal_records,
-    load_graph,
-    read_segment_records,
-    save_graph,
-    writer_log,
-)
+from repro.core.codec import TripleWAL, WALReplay, save_graph, writer_log
 from repro.core.graph import KnowledgeGraph
-from repro.core.ontology import Ontology
 from repro.obs import metrics as obs_metrics
 from repro.obs.tracing import span as obs_span
 
@@ -82,80 +72,25 @@ class WALFollower:
 
     def __init__(self, directory: str) -> None:
         self.directory = directory
-        self.graph: KnowledgeGraph = KnowledgeGraph(ontology=Ontology(), name="wal")
+        self.graph: KnowledgeGraph
         # The writer's log while this follower is a view of its graph.
         self._view: Optional[TripleWAL] = None
         self._n_viewed = 0
-        self._base_signature: Optional[tuple] = None
-        self._segment: Optional[str] = None
-        self._offset = 0
+        # The replica's replay, which remembers where tailing resumes.
+        self._replay: Optional[WALReplay] = None
         self.n_applied = 0
         self.n_bootstraps = 0
         self._refresh()
 
     # ------------------------------------------------------------------
 
-    @property
-    def _base_path(self) -> str:
-        return os.path.join(self.directory, TripleWAL.BASE_BASENAME)
-
-    @staticmethod
-    def _signature(path: str) -> Optional[tuple]:
-        try:
-            stat = os.stat(path)
-        except FileNotFoundError:
-            return None
-        return (stat.st_size, stat.st_mtime_ns)
-
-    def _segment_paths(self) -> List[str]:
-        try:
-            names = os.listdir(self.directory)
-        except FileNotFoundError:
-            return []
-        # wal-%08d.log names sort lexicographically in index order.
-        return [
-            os.path.join(self.directory, name)
-            for name in sorted(names)
-            if name.startswith("wal-") and name.endswith(".log")
-        ]
-
     def _bootstrap(self) -> int:
         """(Re)build the replica from the current base + all segments."""
-        base = self._base_path
-        signature = self._signature(base)
-        if signature is not None:
-            self.graph = load_graph(base)
-        else:
-            self.graph = KnowledgeGraph(ontology=Ontology(), name="wal")
-        self._base_signature = signature
-        self._segment = None
-        self._offset = 0
+        self._replay = WALReplay(self.directory)
+        self.graph = self._replay.graph
         self.n_bootstraps += 1
         obs_metrics.count("stream.follower.bootstraps")
-        return self._drain_segments() + 1
-
-    def _drain_segments(self) -> int:
-        applied = 0
-        while True:
-            segments = self._segment_paths()
-            if not segments:
-                return applied
-            if self._segment is None:
-                self._segment = segments[0]
-                self._offset = 0
-            if self._segment not in segments:
-                # The tailed segment was folded away under us.
-                raise FileNotFoundError(self._segment)
-            records, self._offset = read_segment_records(self._segment, self._offset)
-            if records:
-                applied += apply_wal_records(self.graph, records, self._segment)
-            later = [path for path in segments if path > self._segment]
-            if not later:
-                return applied
-            # The writer rotated before we listed, so the current segment
-            # is complete (just fully consumed) — advance to the next.
-            self._segment = later[0]
-            self._offset = 0
+        return self._replay.catch_up() + 1
 
     def _refresh(self) -> int:
         log = writer_log(self.directory)
@@ -168,15 +103,11 @@ class WALFollower:
             )
             self._view, self._n_viewed, self.graph = log, log.n_appended, log.writer
             return applied
-        if (
-            self._view is not None
-            or not self.n_bootstraps
-            or self._signature(self._base_path) != self._base_signature
-        ):
+        if self._view is not None or self._replay is None or self._replay.base_changed():
             self._view = None
             return self._bootstrap()
         try:
-            return self._drain_segments()
+            return self._replay.catch_up()
         except FileNotFoundError:
             return self._bootstrap()
 

@@ -12,7 +12,6 @@ equivalence suites identical work.
 
 import copy
 import math
-import os
 import random
 from itertools import product
 
@@ -389,16 +388,9 @@ def replay_wal_directory(directory):
     Reads the files directly: opening a ``TripleWAL`` handle would end the
     writer's view it is compared with.
     """
-    base = os.path.join(directory, codec.TripleWAL.BASE_BASENAME)
-    if os.path.exists(base):
-        graph = codec.load_graph(base)
-    else:
-        graph = KnowledgeGraph(ontology=Ontology(), name="wal")
-    for name in sorted(os.listdir(directory)):
-        if name.startswith("wal-") and name.endswith(".log"):
-            path = os.path.join(directory, name)
-            codec.apply_wal_records(graph, codec.read_segment_records(path)[0], path)
-    return graph
+    replay = codec.WALReplay(directory)
+    replay.catch_up()
+    return replay.graph
 
 
 # ---------------------------------------------------------------------------

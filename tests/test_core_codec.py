@@ -9,7 +9,7 @@ from repro.core.codec import CodecError, TripleWAL
 from repro.core.graph import KnowledgeGraph
 from repro.core.ontology import Ontology
 from repro.core.triple import Provenance, Triple
-from repro.obs import enabled_scope
+from repro.obs import enabled_scope, get_registry
 from repro.obs.lineage import get_ledger
 from tests.oracles import SetGraph, assert_graph_matches
 
@@ -489,15 +489,60 @@ class TestTripleWAL:
         graph, wal = self._logged_graph(tmp_path / "wal")
         graph.merge_entities("p1", "p2")
         wal.close()
-        reopened = TripleWAL(str(tmp_path / "wal"))
         records = []
-        segments = reopened.segment_paths()
-        for position, path in enumerate(segments):
-            records.extend(
-                reopened._iter_segment(path, position == len(segments) - 1, False)
-            )
+        for path in codec.segment_paths(str(tmp_path / "wal")):
+            records.extend(codec.read_segment_records(path)[0])
         merges = [record for record in records if record["op"] == "merge"]
         assert merges == [{"op": "merge", "keep": "p1", "drop": "p2"}]
+
+    @staticmethod
+    def _logged_adds(wal_dir, values, segment_bytes=4096):
+        """A closed log of one entity then one ``add`` per value."""
+        wal = TripleWAL(str(wal_dir), segment_bytes=segment_bytes)
+        wal.append(
+            {"op": "entity", "id": "e0", "name": "E0", "class": "Thing", "aliases": []}
+        )
+        for value in values:
+            wal.append({"op": "add", "s": "e0", "p": "v", "o": value})
+        wal.close()
+        return wal
+
+    def test_allow_partial_recovery_stops_at_first_damage(self, tmp_path):
+        wal = self._logged_adds(tmp_path / "wal", range(300))
+        segments = wal.segment_paths()
+        assert len(segments) >= 3
+        with open(segments[1], "r+b") as handle:
+            handle.seek(os.path.getsize(segments[1]) // 2)
+            byte = handle.read(1)[0]
+            handle.seek(-1, os.SEEK_CUR)
+            handle.write(bytes([byte ^ 0xFF]))
+        reopened = TripleWAL(wal.directory, segment_bytes=4096)
+        with pytest.raises(CodecError):
+            reopened.recover()
+        partial = reopened.recover(allow_partial=True)
+        compacted, _stats = reopened.compact(allow_partial=True)
+        reopened.close()
+        folded = TripleWAL(wal.directory).recover()
+        for graph in (partial, compacted, folded):
+            values = sorted(triple.object for triple in graph.query())
+            # The records before the damaged one, and none after it.
+            assert 0 < len(values) < 300
+            assert values == list(range(len(values)))
+
+    def test_reopen_after_torn_tail_appends_after_last_whole_record(self, tmp_path):
+        wal = self._logged_adds(tmp_path / "wal", [1, 2])
+        segment = wal.segment_paths()[-1]
+        whole = os.path.getsize(segment)
+        os.truncate(segment, whole - 3)  # crash mid-append of the second add
+        with enabled_scope():
+            reopened = TripleWAL(wal.directory)
+            counters = get_registry().snapshot()["counters"]
+        reopened.append({"op": "add", "s": "e0", "p": "v", "o": 3})
+        reopened.close()
+        for allow_partial in (False, True):
+            recovered = TripleWAL(wal.directory).recover(allow_partial=allow_partial)
+            assert sorted(triple.object for triple in recovered.query()) == [1, 3]
+        assert counters.get("store.wal.truncated_tail") == 1
 
     def test_stats_reports_sizes(self, tmp_path):
         graph, wal = self._logged_graph(tmp_path / "wal")

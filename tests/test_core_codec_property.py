@@ -4,12 +4,15 @@ Random graphs — arbitrary term types, unicode strings, float/int/bool
 objects, random provenance — must round-trip byte-exactly through the
 snapshot format and replay exactly through the WAL, and the loaded graph
 must answer every read as the set-of-rows model in ``tests/oracles.py``.
-Random corruption (truncation at any byte, any single flipped byte) must
-never produce a wrong graph: it either raises :class:`CodecError` or, for
-byte flips that only touch a not-yet-read section, is caught by that
-section's checksum when it is read.
+Random snapshot corruption (truncation at any byte, any single flipped
+byte) must never produce a wrong graph: it either raises
+:class:`CodecError` or, for byte flips that only touch a not-yet-read
+section, is caught by that section's checksum when it is read.  A
+damaged WAL replays to a prefix of its records, never to a log with a
+gap.
 """
 
+import json
 import os
 
 import pytest
@@ -157,28 +160,114 @@ def test_flipped_byte_never_loads_wrong(tmp_path_factory, items, position, flip)
         return
 
 
-@given(items=_items, cut_bytes=st.integers(min_value=1, max_value=64))
-@settings(max_examples=25, deadline=None)
-def test_truncated_wal_tail_keeps_prefix(tmp_path_factory, items, cut_bytes):
-    wal_dir = str(tmp_path_factory.mktemp("wal"))
-    wal = TripleWAL(wal_dir)
-    wal.append(
+def _logged_records(items):
+    """One entity, then one padded ``add`` per item: 20+ items span several
+    4096-byte segments."""
+    records = [
         {"op": "entity", "id": "e0", "name": "E0", "class": "Thing", "aliases": []}
-    )
-    for s, p, o, _prov in items:
-        wal.append({"op": "add", "s": "e0", "p": p, "o": o})
+    ]
+    for index, (_s, p, o, prov) in enumerate(items):
+        record = {"op": "add", "s": "e0", "p": f"{p}-{index:03d}-{'x' * 200}", "o": o}
+        if prov is not None:
+            record["prov"] = [prov.source, prov.extractor, prov.confidence]
+        records.append(record)
+    return records
+
+
+def _frame_layout(records):
+    """``(segment index, frame end)`` of each record, as the writer lays
+    them out in 4096-byte segments."""
+    layout, segment, offset = [], 0, 8
+    for record in records:
+        offset += 8 + len(json.dumps(record, sort_keys=True).encode("utf-8"))
+        layout.append((segment, offset))
+        if offset >= 4096:  # the writer rotates after this record
+            segment, offset = segment + 1, 8
+    return layout
+
+
+def _replayed(records):
+    graph = KnowledgeGraph(ontology=Ontology(), name="wal")
+    codec.apply_wal_records(graph, records)
+    return public_state(graph)
+
+
+@given(
+    items=st.lists(
+        st.tuples(_entity_ids, _predicates, _objects, _provenances), min_size=20, max_size=40
+    ),
+    kind=st.sampled_from(["truncate", "delete", "flip"]),
+    segment=st.floats(min_value=0.0, max_value=0.999),
+    position=st.floats(min_value=0.0, max_value=0.999),
+    flip=st.integers(min_value=1, max_value=255),
+)
+@settings(max_examples=60, deadline=None)
+def test_truncated_wal_tail_keeps_prefix(
+    tmp_path_factory, items, kind, segment, position, flip
+):
+    """Damage one byte of a multi-segment log — truncate the last segment
+    there (a crash mid-append), delete it, or flip it, in any segment.
+    ``allow_partial`` recovery is exactly the first k intact records;
+    strict recovery is that too or raises."""
+    wal_dir = str(tmp_path_factory.mktemp("wal"))
+    wal = TripleWAL(wal_dir, segment_bytes=4096)
+    records = _logged_records(items)
+    for record in records:
+        wal.append(record)
     wal.close()
-    last = wal.segment_paths()[-1]
-    size = os.path.getsize(last)
-    with open(last, "rb") as handle:
+    segments = wal.segment_paths()
+    assert len(segments) > 1
+    target = len(segments) - 1 if kind == "truncate" else int(len(segments) * segment)
+    path = segments[target]
+    with open(path, "rb") as handle:
+        blob = bytearray(handle.read())
+    at = int(len(blob) * position)
+    if kind == "truncate":
+        del blob[at:]
+    elif kind == "delete":
+        del blob[at]
+    else:
+        blob[at] ^= flip
+    with open(path, "wb") as handle:
+        handle.write(bytes(blob))
+    # The records whose frames end before the damaged byte.  Bytes 6-7 are
+    # the header's reserved flags: a flip there damages nothing.
+    k = sum(seg < target or (seg == target and end <= at) for seg, end in _frame_layout(records))
+    if kind == "flip" and 6 <= at < 8:
+        k = len(records)
+
+    expected = _replayed(records[:k])
+    reopened = TripleWAL(wal_dir, segment_bytes=4096)
+    try:
+        strict = public_state(reopened.recover())
+    except CodecError:
+        assert kind != "truncate"  # a torn tail is the crash case, never an error
+    else:
+        assert strict == expected
+    assert public_state(reopened.recover(allow_partial=True)) == expected
+    reopened.close()
+
+
+@given(items=_items, cuts=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=8))
+@settings(max_examples=30, deadline=None)
+def test_split_reads_equal_one_whole_read(tmp_path_factory, items, cuts):
+    """Reading a growing segment at whatever offsets the previous reads
+    returned yields exactly one whole read's records."""
+    tmp = tmp_path_factory.mktemp("wal")
+    wal = TripleWAL(str(tmp / "wal"))
+    for record in _logged_records(items):
+        wal.append(record)
+    wal.close()
+    (segment,) = wal.segment_paths()
+    with open(segment, "rb") as handle:
         blob = handle.read()
-    with open(last, "wb") as handle:
-        handle.write(blob[: max(8, size - cut_bytes)])
-    # Truncation of the final segment is the crash-mid-append case: the
-    # surviving prefix replays — never an error, never garbage rows.  The
-    # cut may even swallow the entity record, leaving an empty graph.
-    recovered = TripleWAL(wal_dir).recover()
-    assert len(recovered) <= len(items)
-    for triple in recovered.query():
-        assert triple.subject == "e0"
-        assert recovered.has_entity("e0")
+    whole, end = codec.read_segment_records(segment)
+    assert end == len(blob)
+    growing = str(tmp / "growing.log")
+    records, offset = [], 0
+    for cut in sorted(cuts) + [1.0]:
+        with open(growing, "wb") as handle:
+            handle.write(blob[: int(len(blob) * cut)])
+        more, offset = codec.read_segment_records(growing, offset)
+        records.extend(more)
+    assert records == whole and offset == len(blob)

@@ -7,7 +7,8 @@ model's projection.  The same interleavings run through the fast paths
 (batch ingestion, index-walk merges) and the naive reference paths
 (per-call adds, the full-scan merge in ``tests.oracles``) must end
 in identical public state and identical lineage ledgers.  A stateful
-machine adds aliases, copies and snapshot round trips, and checks
+machine adds aliases, copies, snapshot round trips and WAL replays (the
+graph is logged from its first step), and checks
 ``graph == model`` after every step; it also keeps up to three frozen
 copies aside and checks that none of them moves while the live graph goes
 on — copies share base columns, provenance lists, entities and name-index
@@ -16,6 +17,7 @@ there.
 """
 
 import os
+import shutil
 import tempfile
 
 from hypothesis import given, settings
@@ -63,10 +65,12 @@ def _provenance(index):
     return Provenance(source=f"s{index}", confidence=0.5 + index / 10.0)
 
 
-def _fresh_graph():
+def _fresh_graph(wal=None):
     ontology = Ontology()
     ontology.add_class("Thing")
     graph = KnowledgeGraph(ontology=ontology, name="prop")
+    if wal is not None:
+        graph.attach_wal(wal)
     for entity_id in _ENTITY_IDS:
         graph.add_entity(entity_id, entity_id.upper(), "Thing")
     return graph
@@ -183,9 +187,17 @@ class GraphMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.graph = _fresh_graph()
+        # Logged from the first step: the log must replay to the model too.
+        self.wal_dir = tempfile.mkdtemp(prefix="graph-machine-wal-")
+        self.wal = codec.TripleWAL(self.wal_dir, segment_bytes=4096)
+        self.graph = _fresh_graph(self.wal)
         self.model = _fresh_model()
         self.frozen = []
+
+    def _log_new_graph(self):
+        """The live graph was replaced: it becomes the log's base."""
+        self.wal.checkpoint(self.graph)
+        self.graph.attach_wal(self.wal)
 
     @rule(spec=_spec)
     def add(self, spec):
@@ -247,6 +259,7 @@ class GraphMachine(RuleBasedStateMachine):
     def copy(self):
         self.graph = self.graph.copy()
         self.model = self.model.copy()
+        self._log_new_graph()
 
     @rule()
     def freeze(self):
@@ -266,6 +279,16 @@ class GraphMachine(RuleBasedStateMachine):
             path = os.path.join(tmp_dir, "machine.rkgs")
             codec.save_graph(self.graph, path, include_lineage=False)
             self.graph = codec.load_graph(path)
+        self._log_new_graph()
+
+    @rule()
+    def recover(self):
+        """Replaying the log (base + segments) rebuilds the model."""
+        assert_graph_matches(self.wal.recover(), self.model)
+
+    def teardown(self):
+        self.wal.close()
+        shutil.rmtree(self.wal_dir, ignore_errors=True)
 
     @invariant()
     def graph_equals_model(self):
