@@ -30,12 +30,13 @@ against the rolling median+MAD trajectory and exits non-zero when a
 metric drops off it, and ``report`` applies the same check as a second
 regression gate.
 ``serve`` builds one of the serving fixtures (``WORLD``, ``FIG4A``),
-publishes it as an immutable snapshot across ``--shards`` replicas, and
-serves the four-route JSON API over HTTP until interrupted (or for
-``--duration`` seconds).  ``loadgen`` drives a running server (pass its
-URL) or an in-process service (pass a fixture id) with a deterministic
-request mix in a closed or open loop, prints throughput and latency
-percentiles, and exits 1 on any 5xx.  Performance itself is measured and
+publishes it as an immutable snapshot (``--shards`` only sets the
+subject-hash partition ``/stats`` reports), and serves the four-route
+JSON API over HTTP until interrupted (or for ``--duration`` seconds).
+``loadgen`` drives a running server (pass its URL) or an in-process
+service (pass a fixture id) with a deterministic request mix in a closed
+or open loop, prints throughput and latency percentiles, and exits 1 on
+any 5xx.  Performance itself is measured and
 gated outside this CLI, by ``python3 -m bench.run`` and
 ``python3 -m bench.compare`` (``BENCHMARK.json``, ``bench/README.md``).
 """
@@ -587,8 +588,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
         stream_wall_s = time.perf_counter() - started
         publish_split = " / ".join(
             f"{1e3 * sum(span_.wall_seconds for span_ in get_tracer().spans(name)):.1f}"
-            for name in ("serve.snapshot.copy", "serve.snapshot.build_shards",
-                         "stream.publish.poll")
+            for name in ("serve.snapshot.copy", "stream.publish.poll")
         )
         follower_mode = (
             "view of the ingestor's graph"
@@ -620,7 +620,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
             ["catch-up p50/p95 (records)",
              f"{freshness['catchup_p50_records']:.0f} / {freshness['catchup_p95_records']:.0f}"],
             ["stream wall (s)", f"{stream_wall_s:.3f}"],
-            ["publish copy / shards / poll (ms)", publish_split],
+            ["publish copy / poll (ms)", publish_split],
             ["follower", follower_mode],
             ["finalize wall (s)", f"{finalize_wall_s:.3f}"],
         ]
@@ -1351,7 +1351,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     shards = argparse.ArgumentParser(add_help=False)
     shards.add_argument(
-        "--shards", type=int, default=1, help="serving shard count (default: 1)"
+        "--shards", type=int, default=1, help="subject-hash partitions /stats reports (default: 1)"
     )
     traffic = argparse.ArgumentParser(add_help=False)
     traffic.add_argument(

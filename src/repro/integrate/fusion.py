@@ -22,8 +22,6 @@ from functools import partial
 from typing import Dict, Iterable, List, Sequence, Tuple
 from zlib import crc32
 
-import numpy as np
-
 from repro.core.parallel import pmap
 from repro.core.triple import Value
 from repro.obs import lineage as obs_lineage
@@ -169,7 +167,9 @@ class AccuFusion:
         a source with no claims left keeps the prior."""
         if count <= 0:
             return self.initial_accuracy
-        return float(np.clip(mass / count, self.min_accuracy, self.max_accuracy))
+        # min/max, not np.clip: the same float for a finite quotient, without
+        # a numpy scalar dispatch (~10x the cost) once per re-fused group.
+        return min(max(mass / count, self.min_accuracy), self.max_accuracy)
 
     def decide(
         self,

@@ -8,9 +8,9 @@ answers queries under load:
 
 * :mod:`repro.serve.snapshot` — versioned, immutable snapshots published
   from construction runs, swapped atomically;
-* :mod:`repro.serve.shard` — subject-hash sharded read replicas with a
-  scatter/gather planner over lookups, path queries, and conjunctive
-  queries;
+* :mod:`repro.serve.shard` — the planner that answers lookups, path
+  queries, and conjunctive queries from the snapshot's one frozen graph,
+  and the subject-hash partition ``/stats`` reports;
 * :mod:`repro.serve.cache` — a read-through LRU response cache keyed by
   snapshot version (publishing invalidates; stale entries survive for
   degraded serving);
@@ -28,7 +28,7 @@ from repro.serve.admission import AdmissionController, Deadline, TokenBucket
 from repro.serve.cache import ResponseCache
 from repro.serve.router import RequestRouter, RouteResponse
 from repro.serve.service import KGService, build_fixture_service
-from repro.serve.shard import ScatterGatherPlanner, build_shards, shard_of
+from repro.serve.shard import ScatterGatherPlanner, shard_of
 from repro.serve.snapshot import GraphSnapshot, SnapshotStore
 
 __all__ = [
@@ -43,6 +43,5 @@ __all__ = [
     "SnapshotStore",
     "TokenBucket",
     "build_fixture_service",
-    "build_shards",
     "shard_of",
 ]

@@ -3,17 +3,16 @@
 Every serving request gets a :class:`RequestContext` at the transport
 edge — the HTTP handler reads (or mints) an ``X-Repro-Request-Id``
 header, the in-process client mints one per call — and the context rides
-a :mod:`contextvars` variable through admission, the cache, the router,
-and the scatter/gather planner, so every layer can tag the *same* request
-without threading arguments through the stack.
+a :mod:`contextvars` variable through admission, the cache and the
+router, so every layer can tag the *same* request without threading
+arguments through the stack.
 
 Tracing is **per request**: spans opened inside a request scope land in a
-private buffer on the context (not the global tracer's thread-local
-stack, which cannot follow a request across the shard fan-out's pool
-threads).  When the request finishes, the buffered tree is flushed to
-the process-global :class:`~repro.obs.tracing.Tracer` — in the exact
-JSONL span format the rest of the stack already exports — iff the
-request was *sampled*:
+private buffer on the context, not the global tracer's thread-local
+stack, so a request's tree is kept or dropped as a whole.  When the
+request finishes, the buffered tree is flushed to the process-global
+:class:`~repro.obs.tracing.Tracer` — in the exact JSONL span format the
+rest of the stack already exports — iff the request was *sampled*:
 
 * **head-based sampling** — the keep/drop decision is drawn when the
   context is created, at the rate given by ``REPRO_TRACE_SAMPLE``
@@ -222,21 +221,6 @@ def current_request_span() -> Optional[Span]:
     return _ACTIVE_SPAN.get()
 
 
-@contextmanager
-def use_context(
-    context: Optional[RequestContext], parent_span: Optional[Span] = None
-) -> Iterator[None]:
-    """Adopt ``context`` (and its active span) on the current thread,
-    so child spans opened inside the block join that request's tree."""
-    context_token = _CONTEXT.set(context)
-    span_token = _ACTIVE_SPAN.set(parent_span)
-    try:
-        yield
-    finally:
-        _ACTIVE_SPAN.reset(span_token)
-        _CONTEXT.reset(context_token)
-
-
 def tag_request(key: str, value: object) -> None:
     """Tag the active request's root span (no-op outside a request scope).
 
@@ -294,34 +278,6 @@ def request_span(name: str, **tags: object) -> Iterator[Span]:
             wall_seconds=time.perf_counter() - wall_start,
             cpu_seconds=time.process_time() - cpu_start,
         )
-
-
-@contextmanager
-def shard_span(
-    context: Optional[RequestContext],
-    parent: Optional[Span],
-    name: str,
-    **tags: object,
-) -> Iterator[Span]:
-    """A child span with explicit parentage.
-
-    The scatter paths read ``(context, parent)`` once before fanning out
-    and hand them to each probe.  Falls back to a plain tracer span (or
-    the null span) exactly like :func:`request_span`.
-    """
-    if context is None or not FLAGS.enabled:
-        if context is None and FLAGS.enabled:
-            with tracer_span(name, **tags) as span_:
-                yield span_
-        else:
-            yield NULL_SPAN
-        return
-    if not context.keep_trace:
-        yield NULL_SPAN
-        return
-    with use_context(context, parent):
-        with request_span(name, **tags) as span_:
-            yield span_
 
 
 class request_scope:

@@ -1,4 +1,4 @@
-"""The request router: four endpoints over snapshots, shards, cache, QA.
+"""The request router: four endpoints over snapshots, cache, QA.
 
 Routes (mirroring how Sec. 1 applications consume a KG, and Sec. 4's
 answer-time routing between triples and LM parameters):
@@ -14,7 +14,7 @@ answer-time routing between triples and LM parameters):
 
 Every request: take one snapshot reference, pass admission, consult the
 read-through cache (keyed by snapshot version), compute through the
-scatter/gather planner, record per-route latency histograms and
+snapshot's planner, record per-route latency histograms and
 counters.  Requests never raise to the transport: failures become
 ``error`` responses and overload becomes ``shed`` (429-equivalent), so a
 degrading server emits zero 5xx-equivalents by construction.

@@ -6,15 +6,15 @@ online service cannot read that moving target: a query must see one
 consistent graph from its first index probe to its last.  The snapshot
 layer separates the two worlds:
 
-* :meth:`SnapshotStore.publish` copies the construction graph (so later
-  ``merge_entities`` / ``add_triple`` calls never leak into served
-  answers), builds the shard replicas, and installs the result as the
-  *current* snapshot with a single reference swap under a lock.  The copy
-  shares everything that is never written in place — the store's sorted
-  base columns, each triple's provenance list, each entity and each
-  name-index id set — so it costs flat copies of the directories, the
-  delta overlay and the term dictionary, not the graph; shards are split
-  from the copy's id rows and share its dictionary and entity directory;
+* :meth:`SnapshotStore.publish` is a copy plus a swap: it copies the
+  construction graph (so later ``merge_entities`` / ``add_triple`` calls
+  never leak into served answers) and installs the copy as the *current*
+  snapshot with a single reference swap under a lock.  The copy shares
+  everything that is never written in place — the store's sorted base
+  columns, each triple's provenance list, each entity and each name-index
+  id set — so it costs flat copies of the directories, the delta overlay
+  and the term dictionary, not the graph.  The planner reads that one
+  frozen copy; no per-shard store is built;
 * a request takes one ``store.current()`` reference up front and runs
   entirely against it — in-flight requests finish on the old generation
   while new requests see the new one, with no read locks at all;
@@ -33,17 +33,16 @@ from typing import Dict, List, Optional
 from repro.core.graph import KnowledgeGraph
 from repro.obs import metrics as obs_metrics
 from repro.obs.tracing import span as obs_span
-from repro.serve.shard import ScatterGatherPlanner, build_shards
+from repro.serve.shard import ScatterGatherPlanner
 
 
 class GraphSnapshot:
     """One published, immutable generation of the serving graph.
 
     Holds a private copy of the source graph (readers never observe
-    construction mutations), the subject-hash shard replicas, and the
-    scatter/gather planner the router queries through.  Snapshots are
-    never mutated after construction; the store only ever swaps whole
-    snapshot references.
+    construction mutations) and the planner the router queries it
+    through.  Snapshots are never mutated after construction; the store
+    only ever swaps whole snapshot references.
     """
 
     def __init__(
@@ -59,13 +58,11 @@ class GraphSnapshot:
         )
         self.published_unix = time.time()
         self.graph = graph
-        with obs_span("serve.snapshot.build_shards", n_shards=n_shards):
-            self.shards = build_shards(graph, n_shards)
-        self.planner = ScatterGatherPlanner(self.shards)
+        self.planner = ScatterGatherPlanner(graph, n_shards)
 
     @property
     def n_shards(self) -> int:
-        return len(self.shards)
+        return self.planner.n_shards
 
     def describe(self) -> Dict[str, object]:
         """JSON-serializable snapshot metadata (the ``/stats`` payload)."""
@@ -83,11 +80,11 @@ class GraphSnapshot:
 class SnapshotStore:
     """Holds the current snapshot and performs atomic publishes.
 
-    The expensive work of a publish (graph copy, shard builds) happens
-    *outside* the lock; only the final reference swap is serialized, so
-    readers are never blocked by a publish and a half-built snapshot is
-    never observable.  A bounded history of previous snapshots is kept so
-    tests (and debugging) can reach recently retired generations.
+    The expensive work of a publish (the graph copy) happens *outside* the
+    lock; only the final reference swap is serialized, so readers are
+    never blocked by a publish and a half-built snapshot is never
+    observable.  A bounded history of previous snapshots is kept so tests
+    (and debugging) can reach recently retired generations.
     """
 
     def __init__(self, n_shards: int = 1, keep_history: int = 3):
@@ -101,7 +98,7 @@ class SnapshotStore:
         self._next_version = 0
 
     def publish(self, graph: KnowledgeGraph, copy: bool = True) -> GraphSnapshot:
-        """Copy ``graph``, build shards, and atomically install the result.
+        """Copy ``graph`` and atomically install the copy.
 
         The copy is taken eagerly, so construction code is free to keep
         mutating ``graph`` the moment this returns (or concurrently — the

@@ -1,5 +1,6 @@
 """Tests for data fusion (majority vote and Bayesian ACCU-style)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,6 +96,22 @@ class TestAccuFusion:
 
     def test_empty_claims(self):
         assert AccuFusion().fuse([]) == []
+
+    def test_estimate_equals_numpy_clip(self):
+        """The M-step clip is bit-identical to ``np.clip`` at, below and
+        above both bounds; a source with no claims keeps the prior."""
+        fusion = AccuFusion()
+        lo, hi = fusion.min_accuracy, fusion.max_accuracy
+        for mass, count in [
+            (lo, 1), (hi, 1),  # at each bound
+            (0.0, 3), (lo / 2, 1), (lo * 4 - 1e-12, 4), (1e-300, 1),  # below lo
+            (0.5, 1), (1.0, 3), (lo * 4, 4), (hi * 7, 7),  # between (or rounding onto one)
+            (7.0, 7), (hi * 7 + 1e-9, 7), (5.0, 2),  # above hi
+        ]:
+            estimate = fusion.estimate(mass, count)
+            assert type(estimate) is float
+            assert estimate == float(np.clip(mass / count, lo, hi)), (mass, count)
+        assert fusion.estimate(2.5, 0) == fusion.initial_accuracy
 
     @given(
         st.lists(

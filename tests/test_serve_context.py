@@ -1,7 +1,6 @@
 """Request-scoped observability: ids, propagation, sampling, access logs."""
 
 import json
-import threading
 
 import pytest
 
@@ -19,7 +18,6 @@ from repro.serve.context import (
     request_span,
     tag_request,
     trace_sample_rate,
-    use_context,
 )
 from repro.serve.server import InProcessClient
 from repro.serve.service import KGService
@@ -99,19 +97,6 @@ class TestPropagation:
                 assert inner is outer
             # Inner exit must not tear down the outer context.
             assert serve_context.current_context() is outer
-
-    def test_use_context_carries_across_threads(self):
-        context = RequestContext("query", sample_rate=0.0)
-        seen = []
-
-        def worker():
-            with use_context(context, None):
-                seen.append(serve_context.current_context())
-
-        thread = threading.Thread(target=worker)
-        thread.start()
-        thread.join()
-        assert seen == [context]
 
     def test_tags_buffer_on_context(self):
         with request_scope("lookup", sample_rate=0.0) as context:
@@ -202,18 +187,19 @@ class TestSampling:
 
 
 class TestShardFanOut:
-    def test_per_shard_child_spans_join_the_request_tree(self, obs_on):
+    def test_sampled_scatter_query_records_no_shard_spans(self, obs_on):
+        """One probe on the snapshot's graph: the route span hangs off the
+        root and no per-shard child span is opened, at any shard count."""
         client = InProcessClient(make_service(n_shards=3, trace_sample=1.0))
         code, body = client.query([["?s", "color", "?c"]])
         assert code == 200 and body["payload"]["n_bindings"] > 0
-        spans = get_tracer().spans()
-        shard_spans = [span for span in spans if span.name == "serve.shard.query"]
-        assert {span.tags["shard"] for span in shard_spans} == {0, 1, 2}
-        request_id = client.last_request_id
-        assert all(span.trace_id == request_id for span in shard_spans)
-        # Children hang off the route span, which hangs off the root.
+        spans = [
+            span for span in get_tracer().spans() if span.trace_id == client.last_request_id
+        ]
+        root = next(span for span in spans if span.name == "serve.request")
         route = next(span for span in spans if span.name == "serve.query")
-        assert all(span.parent_id == route.span_id for span in shard_spans)
+        assert route.parent_id == root.span_id
+        assert not [span for span in get_tracer().spans() if span.name.startswith("serve.shard.")]
 
     def test_unsampled_fanout_records_no_shard_spans(self, obs_on):
         client = InProcessClient(make_service(n_shards=3, trace_sample=0.0))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import store as store_module
 from repro.core.graph import KnowledgeGraph
 from repro.core.ontology import Ontology
 from repro.core.query import TriplePattern
@@ -154,8 +155,8 @@ def _answers(snapshot):
 
 class TestPublishIsolation:
     def test_old_snapshot_unchanged_while_source_ingests(self):
-        """A sharded snapshot shares base columns and provenance lists with
-        its source; deltas ingested into the source afterwards — adds with
+        """A snapshot shares base columns and provenance lists with its
+        source; deltas ingested into the source afterwards — adds with
         provenance, removes, merges, aliases, and enough churn to compact
         the source's columns — never show in it."""
         service = KGService(n_shards=2)
@@ -190,13 +191,45 @@ class TestPublishIsolation:
         assert sum(new.planner.shard_sizes().values()) == len(graph)
 
 
+class TestPublishBuildsNoSecondStore:
+    def test_planner_reads_the_frozen_copy(self, monkeypatch):
+        """A sharded publish is a copy and a swap: the planner reads the
+        snapshot's graph, whose base columns are the source's, and no
+        store is built from rows or re-sorted on the way."""
+        graph = small_graph()
+        graph._store.compact()  # so there are base columns to share
+        built = []
+        real_build = store_module._build_from_rows
+        real_load = store_module.ColumnarTripleStore._load_sorted_unique
+        monkeypatch.setattr(
+            store_module,
+            "_build_from_rows",
+            lambda *args: built.append("_build_from_rows") or real_build(*args),
+        )
+        monkeypatch.setattr(
+            store_module.ColumnarTripleStore,
+            "_load_sorted_unique",
+            lambda *args: built.append("_load_sorted_unique") or real_load(*args),
+        )
+        snapshot = SnapshotStore(n_shards=2).publish(graph)
+        assert built == []
+        assert snapshot.planner.graph is snapshot.graph
+        for served, source in zip(
+            (snapshot.graph._store._spo, snapshot.graph._store._pos, snapshot.graph._store._osp),
+            (graph._store._spo, graph._store._pos, graph._store._osp),
+        ):
+            assert served is source
+        assert snapshot.n_shards == 2
+
+
 class TestPublishSpans:
-    def test_publish_is_attributed_to_copy_and_build_shards(self):
+    def test_publish_is_attributed_to_copy(self):
+        """The publish span has one child, the copy: no shard build."""
         reset_all()
         with enabled_scope():
             SnapshotStore(n_shards=2).publish(small_graph())
-            spans = {span_.name: span_ for span_ in get_tracer().spans("serve.snapshot.")}
+            spans = get_tracer().spans("serve.snapshot.")
         reset_all()
-        publish = spans["serve.snapshot.publish"]
-        for child in ("serve.snapshot.copy", "serve.snapshot.build_shards"):
-            assert spans[child].parent_id == publish.span_id
+        (publish,) = [span_ for span_ in spans if span_.name == "serve.snapshot.publish"]
+        children = [span_.name for span_ in spans if span_.parent_id == publish.span_id]
+        assert children == ["serve.snapshot.copy"]
