@@ -336,15 +336,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 def _graph_public_state(graph):
     """Observable graph state (query answers, provenance, entities) — the
     same surface the equivalence tests pin."""
-    graph._materialize_provenance()
-    triples = sorted(graph.query(), key=lambda t: t._sort_key())
     return {
-        "triples": triples,
-        "provenance": {
-            triple: records
-            for triple in triples
-            if (records := graph.provenance(triple))
-        },
+        "triples": graph.query(),
+        "provenance": graph.provenance(),
         "entities": sorted(
             (e.entity_id, e.name, e.entity_class, tuple(sorted(e.aliases)))
             for e in graph.entities()

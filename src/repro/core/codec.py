@@ -2,19 +2,23 @@
 
 Two durability surfaces on top of :mod:`repro.core.store`:
 
-**Snapshots** (``.rkgs``) — a versioned binary format holding the term
-dictionary, all three sorted SPO/POS/OSP permutation columns (stored
-raw, so loading is ``array.frombytes`` — no re-sort, no re-index),
-entities, ontology, provenance, and optionally the lineage ledger.
-Every section is crc32-checksummed, and every failure mode (bad magic,
-newer version, truncation, checksum mismatch) raises :class:`CodecError`
-with a one-line actionable message.  ``repro serve --snapshot`` boots
-from one of these instead of re-running construction.
+**Snapshots** (``.rkgs``, format v2) — a versioned binary format
+holding the term dictionary, all three sorted SPO/POS/OSP permutation
+columns (stored raw, so loading is ``array.frombytes`` — no re-sort, no
+re-index), entities, ontology, provenance, and optionally the lineage
+ledger.  Every section is crc32-checksummed, and every failure mode (bad
+magic, unknown version, truncation, checksum mismatch) raises
+:class:`CodecError` with a one-line actionable message.  ``repro serve
+--snapshot`` boots from one of these instead of re-running construction.
 
-Provenance is *thawed lazily*: the section is checksum-verified at load,
-but decoding its records into ``Triple``-keyed lists is deferred until
-the first provenance-touching operation.  Serving never touches
-provenance, so a snapshot boot pays only for what it reads.
+Provenance is stored as the graph's id-keyed
+:class:`~repro.core.store.ProvenanceColumns`, raw behind one zlib
+level-1 frame: a save folds the graph's provenance delta into new
+columns (and installs them as the graph's base), a load installs them
+with ``array.frombytes``.  No JSON is written or read for provenance,
+and a loaded graph answers provenance reads from the columns.  A v1 file
+(JSON provenance) still loads: its provenance is decoded into the
+graph's delta, and saving it again writes v2.
 
 **WAL** (:class:`TripleWAL`) — an append-only log of graph mutations
 (entity/alias/add/add_batch/remove/merge records, length+crc32-framed
@@ -54,14 +58,17 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.graph import Entity, KnowledgeGraph
 from repro.core.ontology import Ontology
-from repro.core.store import ColumnarTripleStore
+from repro.core.store import ColumnarTripleStore, ProvenanceColumns
 from repro.core.triple import Provenance, Triple, Value
 from repro.obs import lineage as obs_lineage
 from repro.obs import metrics as obs_metrics
 
 SNAPSHOT_MAGIC = b"RKGS"
 WAL_MAGIC = b"RKGW"
-FORMAT_VERSION = 1
+#: Snapshot format: v2 stores provenance as id-keyed columns; v1 files
+#: (JSON provenance) still load.
+SNAPSHOT_VERSION = 2
+WAL_VERSION = 1
 
 #: File header: magic, format version, reserved flags.
 _HEADER = struct.Struct("<4sHH")
@@ -69,6 +76,8 @@ _HEADER = struct.Struct("<4sHH")
 _SECTION = struct.Struct("<BQI")
 #: WAL record frame: payload length, payload crc32.
 _WAL_FRAME = struct.Struct("<II")
+#: v2 provenance section head: keyed triples, records, label-table bytes.
+_PROVENANCE_HEAD = struct.Struct("<QQQ")
 
 # Section ids.
 SEC_META = 1
@@ -95,6 +104,7 @@ _TAG_INT = 1
 _TAG_FLOAT = 2
 _TAG_BOOL = 3
 _TAG_BIGINT = 4  # ints outside i64, as a decimal string
+_TAG_NONE = 5  # a provenance label's missing extractor; never a triple term
 
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
@@ -130,6 +140,8 @@ def _encode_terms(terms: List[Value]) -> bytes:
                 append(payload)
         elif kind is float:
             append(struct.pack("<Bd", _TAG_FLOAT, term))
+        elif term is None:
+            append(struct.pack("<B", _TAG_NONE))
         else:  # pragma: no cover - Value is closed over these four types
             raise CodecError(f"cannot encode term of type {kind.__name__}")
     return b"".join(chunks)
@@ -168,6 +180,8 @@ def _decode_terms(payload: bytes, path: str) -> List[Value]:
                 offset += 4
                 terms.append(int(bytes(view[offset : offset + length]).decode("ascii")))
                 offset += length
+            elif tag == _TAG_NONE:
+                terms.append(None)  # type: ignore[arg-type]
             else:
                 raise CodecError(
                     f"{path}: unknown term tag {tag} in the terms section; "
@@ -240,55 +254,82 @@ def _load_ontology(document: Dict[str, object]) -> Ontology:
     return ontology
 
 
-def _provenance_document(graph: KnowledgeGraph) -> List[List[object]]:
-    rows: List[List[object]] = []
-    for triple, records in graph._provenance.items():
-        if not records:
-            continue
-        rows.append(
-            [
-                triple.subject,
-                triple.predicate,
-                triple.object,
-                [[p.source, p.extractor, p.confidence] for p in records],
-            ]
+def _encode_provenance(columns: Optional[ProvenanceColumns]) -> bytes:
+    """The v2 provenance section: the columns raw, behind zlib level 1."""
+    if columns is None:
+        columns = ProvenanceColumns.empty()
+    labels = _encode_terms([term for pair in columns.labels for term in pair])
+    head = _PROVENANCE_HEAD.pack(len(columns), len(columns.conf), len(labels))
+    cols = (columns.s, columns.p, columns.o, columns.start, columns.label, columns.conf)
+    return zlib.compress(b"".join([head, labels, *(col.tobytes() for col in cols)]), 1)
+
+
+def _decode_provenance(
+    payload: memoryview, n_terms: int, path: str
+) -> Optional[ProvenanceColumns]:
+    """Install a v2 provenance section's columns (None when it is empty)."""
+    body = memoryview(zlib.decompress(payload))
+    n_keys, n_records, n_label_bytes = _PROVENANCE_HEAD.unpack_from(body, 0)
+    offset = _PROVENANCE_HEAD.size + n_label_bytes
+    if len(body) != offset + 8 * (4 * n_keys + 1 + 2 * n_records):
+        raise CodecError(
+            f"{path}: provenance section holds {len(body)} bytes, not what "
+            f"{n_keys} triples and {n_records} records need; file is corrupt "
+            f"— re-create it with `repro save`"
         )
-    rows.sort(key=lambda row: (row[0], row[1], type(row[2]).__name__, str(row[2])))
-    return rows
+    flat = _decode_terms(body[_PROVENANCE_HEAD.size : offset], path)
+    columns: List[array] = []
+    for typecode, length in (
+        ("q", n_keys),
+        ("q", n_keys),
+        ("q", n_keys),
+        ("q", n_keys + 1),
+        ("q", n_records),
+        ("d", n_records),
+    ):
+        col = array(typecode)
+        col.frombytes(body[offset : offset + 8 * length])
+        columns.append(col)
+        offset += 8 * length
+    s_col, p_col, o_col, start, label, _conf = columns
+    if (
+        len(flat) % 2
+        or start[0] != 0
+        or start[-1] != n_records
+        or max(label, default=-1) >= len(flat) // 2
+        or max(max(s_col, default=-1), max(p_col, default=-1), max(o_col, default=-1))
+        >= n_terms
+    ):
+        raise CodecError(
+            f"{path}: provenance section references labels, records or terms "
+            f"it does not hold; file is corrupt — re-create it with `repro save`"
+        )
+    if not n_keys:
+        return None
+    return ProvenanceColumns(*columns, list(zip(flat[0::2], flat[1::2])))
 
 
-def _thaw_provenance(payload: bytes, path: str):
-    """A thaw hook decoding the raw provenance section into a graph's
-    ``_provenance``.
-
-    Installed on loaded graphs as ``_provenance_thaw`` and invoked by the
-    first provenance-touching operation (see ``KnowledgeGraph
-    ._materialize_provenance``).  The closure holds the *checksummed but
-    unparsed* section bytes — decompression, JSON parsing, and object
-    construction are all deferred, so snapshot boots that never read
-    provenance pay nothing for it (the JSON parse is the single largest
-    cost of an eager load).
-    """
-
-    def thaw(graph: KnowledgeGraph) -> None:
-        rows = _load_json_section(payload, "provenance", path)
-        provenance = graph._provenance
-        try:
-            for subject, predicate, obj, records in rows:  # type: ignore[union-attr]
-                provenance[Triple(subject, predicate, obj)] = [
-                    Provenance(
-                        source=source, extractor=extractor, confidence=confidence
-                    )
-                    for source, extractor, confidence in records
-                ]
-        except (AttributeError, TypeError, ValueError) as exc:
-            provenance.clear()
-            raise CodecError(
-                f"{path}: malformed provenance section ({exc!r}); file is "
-                f"corrupt — re-create it with `repro save`"
-            ) from exc
-
-    return thaw
+def _provenance_v1(
+    payload: memoryview, graph: KnowledgeGraph, path: str
+) -> Dict[Triple, List[Provenance]]:
+    """A v1 (JSON) provenance section, decoded as a provenance delta."""
+    rows = _load_json_section(payload, "provenance", path)
+    delta: Dict[Triple, List[Provenance]] = {}
+    try:
+        for subject, predicate, obj, records in rows:  # type: ignore[union-attr]
+            triple = Triple(subject, predicate, obj)
+            if triple not in graph:
+                raise ValueError(f"provenance for absent triple {triple}")
+            delta[triple] = [
+                Provenance(source=source, extractor=extractor, confidence=confidence)
+                for source, extractor, confidence in records
+            ]
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise CodecError(
+            f"{path}: malformed provenance section ({exc!r}); file is "
+            f"corrupt — re-create it with `repro save`"
+        ) from exc
+    return delta
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +341,14 @@ def save_graph(
 ) -> int:
     """Write ``graph`` to ``path`` in the binary snapshot format.
 
-    The graph's store is compacted and its columns written as-is.
+    The graph's store is compacted and its columns written as-is; its
+    provenance delta is folded into new base columns the same way.
     ``include_lineage=None`` snapshots the global
     lineage ledger exactly when lineage recording is enabled.  The write
     is atomic (temp file + rename).  Returns bytes written.
     """
     if include_lineage is None:
         include_lineage = obs_lineage.lineage_enabled()
-    graph._materialize_provenance()
 
     terms, spo, pos, osp = graph._store.sorted_columns()
     n_rows = len(spo[0])
@@ -335,13 +376,13 @@ def save_graph(
         _pack_section(SEC_ENTITIES, _json_section(entities_document)),
         _pack_section(SEC_TERMS, _encode_terms(terms)),
         _pack_section(SEC_COLUMNS, columns_payload),
-        _pack_section(SEC_PROVENANCE, _json_section(_provenance_document(graph))),
+        _pack_section(SEC_PROVENANCE, _encode_provenance(graph._fold_provenance())),
     ]
     if include_lineage:
         ledger_state = obs_lineage.get_ledger().export_state()
         sections.append(_pack_section(SEC_LINEAGE, _json_section(ledger_state)))
 
-    blob = _HEADER.pack(SNAPSHOT_MAGIC, FORMAT_VERSION, 0) + b"".join(sections)
+    blob = _HEADER.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, 0) + b"".join(sections)
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
     tmp_path = path + ".tmp"
@@ -381,7 +422,8 @@ def _read_blob(path: str) -> Tuple[object, Optional[mmap.mmap]]:
     return mapping, mapping
 
 
-def _read_sections(blob, path: str) -> Dict[int, memoryview]:
+def _read_sections(blob, path: str) -> Tuple[int, Dict[int, memoryview]]:
+    """The file's format version and its checksum-verified sections."""
     blob = memoryview(blob)  # zero-copy slicing whether bytes or mmap
     if len(blob) < _HEADER.size:
         raise CodecError(
@@ -394,10 +436,10 @@ def _read_sections(blob, path: str) -> Dict[int, memoryview]:
             f"{path}: not a repro snapshot (magic {magic!r}, expected "
             f"{SNAPSHOT_MAGIC!r}); point --snapshot at a file written by `repro save`"
         )
-    if version != FORMAT_VERSION:
+    if version not in (1, SNAPSHOT_VERSION):
         raise CodecError(
-            f"{path}: snapshot format v{version} is not the supported v"
-            f"{FORMAT_VERSION}; re-save it with this checkout's `repro save`"
+            f"{path}: snapshot format v{version} is not v1 or the current v"
+            f"{SNAPSHOT_VERSION}; re-save it with this checkout's `repro save`"
         )
     sections: Dict[int, bytes] = {}
     offset = _HEADER.size
@@ -433,7 +475,7 @@ def _read_sections(blob, path: str) -> Dict[int, memoryview]:
                 f"re-create it with `repro save`"
             )
         sections[section_id] = payload
-    return sections
+    return version, sections
 
 
 def _require(
@@ -454,15 +496,15 @@ def load_graph(path: str, restore_lineage: bool = False) -> KnowledgeGraph:
     The file's sorted columns are installed directly (no re-sort, no
     re-index).  ``restore_lineage=True`` merges the snapshot's
     lineage section (if present) into the process-global ledger.
-    Provenance decoding is deferred to the first provenance-touching
-    operation on the returned graph.
+    Provenance columns become the graph's provenance base; a v1 file's
+    JSON provenance is decoded into its delta.
 
     The file is read through a read-only ``mmap`` when possible: column
     bytes flow straight from the page cache into the ``array('q')``
     columns via ``memoryview`` slices, with no intermediate whole-file
     ``bytes`` copy (``store.snapshot.mmap_loads`` counts the mapped
-    boots).  The mapping is closed before returning — the only section
-    that outlives the load (the lazy provenance thaw) is copied out.
+    boots).  The mapping is closed before returning; nothing the graph
+    keeps refers to it.
     """
     blob, mapping = _read_blob(path)
     try:
@@ -508,7 +550,7 @@ def _load_snapshot(blob, path: str, restore_lineage: bool) -> KnowledgeGraph:
     is a local that dies when this frame returns, letting the caller
     close the mapping immediately afterwards.
     """
-    sections = _read_sections(blob, path)
+    version, sections = _read_sections(blob, path)
 
     meta = _load_json_section(_require(sections, SEC_META, path), "meta", path)
     ontology = _load_ontology(
@@ -582,11 +624,17 @@ def _load_snapshot(blob, path: str, restore_lineage: bool) -> KnowledgeGraph:
     if n_rows:
         graph._generation += 1
 
-    # The thaw closure outlives this frame (and the mmap), so it gets its
-    # own copy of the still-compressed section — small next to the columns.
-    graph._provenance_thaw = _thaw_provenance(
-        bytes(_require(sections, SEC_PROVENANCE, path)), path
-    )
+    provenance = _require(sections, SEC_PROVENANCE, path)
+    if version == 1:
+        graph._provenance = _provenance_v1(provenance, graph, path)
+    elif graph._store.n_terms != len(terms):
+        # Only v1 files hold equal terms under two ids (re-encoded above).
+        raise CodecError(
+            f"{path}: v2 terms section holds equal terms under two ids; file "
+            f"is corrupt — re-create it with `repro save`"
+        )
+    else:
+        graph._provenance_base = _decode_provenance(provenance, len(terms), path)
 
     if restore_lineage and SEC_LINEAGE in sections:
         state = _load_json_section(sections[SEC_LINEAGE], "lineage", path)
@@ -730,7 +778,7 @@ class TripleWAL:
     def _open_segment(self, path: str, create: bool) -> None:
         if create:
             with open(path, "wb") as handle:
-                handle.write(_HEADER.pack(WAL_MAGIC, FORMAT_VERSION, 0))
+                handle.write(_HEADER.pack(WAL_MAGIC, WAL_VERSION, 0))
         self._handle = open(path, "ab")
 
     def append(self, record: Dict[str, object]) -> None:
@@ -899,11 +947,11 @@ def read_segment_records(
             if len(header) < _HEADER.size:
                 return [], 0
             magic, version, _flags = _HEADER.unpack(header)
-            if (magic, version) != (WAL_MAGIC, FORMAT_VERSION):
+            if (magic, version) != (WAL_MAGIC, WAL_VERSION):
                 _wal_damage(
                     path,
                     allow_partial,
-                    f"not a v{FORMAT_VERSION} repro WAL segment (magic {magic!r}, "
+                    f"not a v{WAL_VERSION} repro WAL segment (magic {magic!r}, "
                     f"version {version}); remove foreign files from the WAL "
                     f"directory, or compact it with the checkout that wrote it",
                 )

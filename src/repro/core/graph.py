@@ -32,11 +32,15 @@ Storage: every graph owns one
 ids over sorted ``array('q')`` permutation columns under a small delta
 overlay.  Term identity is therefore Python equality (``0``, ``0.0`` and
 ``False`` are one object term; the first-seen representative is the one
-reads return).  A graph may also log every mutation to an append-only
-WAL (:meth:`attach_wal`, see :class:`repro.core.codec.TripleWAL`) and be
-saved/loaded through the binary snapshot codec; snapshot loads defer
-provenance decoding until the first provenance-touching operation
-(``_materialize_provenance``).
+reads return).  Provenance has the same two parts: an optional
+:class:`~repro.core.store.ProvenanceColumns` base keyed by the store's
+term ids, and a ``Triple``-keyed delta whose entries override it (an
+empty entry hides a removed triple's base records).  Reads check the
+delta, then bisect the base.  A graph may also log every mutation to an
+append-only WAL (:meth:`attach_wal`, see
+:class:`repro.core.codec.TripleWAL`) and be saved/loaded through the
+binary snapshot codec: a save folds the delta into a new base and
+installs it, and a load installs the file's base columns as they are.
 
 The set-of-rows model this API is specified against lives in
 ``tests/oracles.py::SetGraph``; ``tests/test_perf_equivalence.py`` and
@@ -51,19 +55,19 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     Iterable,
     Iterator,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
     Union,
 )
 
 from repro.core.ontology import Ontology
-from repro.core.store import ColumnarTripleStore
+from repro.core.store import ColumnarTripleStore, ProvenanceColumns
 from repro.core.triple import AttributedTriple, Provenance, Triple, Value
 from repro.obs import lineage as obs_lineage
 
@@ -108,10 +112,10 @@ class KnowledgeGraph:
         self.name = name
         self.ontology = ontology or Ontology()
         self._entities: Dict[str, Entity] = {}
-        self._provenance: Dict[Triple, List[Provenance]] = defaultdict(list)
-        # Snapshot loads install a thaw hook here instead of decoding
-        # provenance eagerly; drained by ``_materialize_provenance``.
-        self._provenance_thaw: Optional[Callable[["KnowledgeGraph"], None]] = None
+        # Provenance: immutable id-keyed base columns (from the last save
+        # or load) under a delta whose entries replace the base's.
+        self._provenance_base: Optional[ProvenanceColumns] = None
+        self._provenance: Dict[Triple, Sequence[Provenance]] = {}
         # The triple table and its SPO/POS/OSP indexes.
         self._store = ColumnarTripleStore()
         self._name_index: Dict[str, Set[str]] = defaultdict(set)
@@ -145,22 +149,11 @@ class KnowledgeGraph:
         """
         if self._triples_view_generation != self._generation:
             self._triples_view = sorted(
-                Triple(s, p, o) for s, p, o in self._store.iter_triples()
+                (Triple(s, p, o) for s, p, o in self._store.iter_triples()),
+                key=Triple._sort_key,
             )
             self._triples_view_generation = self._generation
         return self._triples_view
-
-    def _materialize_provenance(self) -> None:
-        """Run a pending snapshot-provenance thaw (no-op otherwise).
-
-        Called by every provenance-touching operation, so a graph booted
-        from a snapshot pays for provenance decoding only if something
-        actually reads or mutates provenance.
-        """
-        thaw = self._provenance_thaw
-        if thaw is not None:
-            self._provenance_thaw = None
-            thaw(self)
 
     def _sorted_entities(self) -> List[Entity]:
         if self._entities_view_generation != self._generation:
@@ -169,6 +162,58 @@ class KnowledgeGraph:
             )
             self._entities_view_generation = self._generation
         return self._entities_view
+
+    # ------------------------------------------------------------------
+    # provenance: base columns + delta
+
+    def _records(self, triple: Triple) -> Sequence[Provenance]:
+        """The triple's provenance: its delta entry, else its base records.
+
+        A delta list is shared with copies — callers must not mutate it.
+        """
+        base = self._provenance_base
+        if base is None:
+            return self._provenance.get(triple, ())
+        records = self._provenance.get(triple)
+        if records is not None:
+            return records
+        row = self._store.row_ids(triple.subject, triple.predicate, triple.object)
+        return () if row is None else base.lookup(row)
+
+    def _add_records(
+        self, triple: Triple, records: Sequence[Provenance], is_new: bool
+    ) -> None:
+        """Append ``records`` to the triple's provenance.
+
+        A new list is installed, never appended to: copies share the old
+        one.  A triple the store has just added (``is_new``) has no live
+        base entry — removing it left an empty delta entry — so its base
+        is not read.
+        """
+        current = self._provenance.get(triple) if is_new else self._records(triple)
+        self._provenance[triple] = current + records if current else records
+
+    def _fold_provenance(self) -> Optional[ProvenanceColumns]:
+        """Fold the delta into new base columns, install them, return them.
+
+        Called by every snapshot save (the store's columns are compacted
+        the same way).  With an empty delta the base is returned as it
+        is, so saving a saved or loaded graph again does not fold.  None
+        means no triple has provenance.
+        """
+        delta = self._provenance
+        if delta:
+            row_ids = self._store.row_ids
+            self._provenance_base = ProvenanceColumns.fold(
+                self._provenance_base,
+                (
+                    (row_ids(triple.subject, triple.predicate, triple.object), records)
+                    for triple, records in delta.items()
+                ),
+                self._store.n_terms,
+            )
+            self._provenance = {}
+        return self._provenance_base
 
     # ------------------------------------------------------------------
     # durability hooks
@@ -320,9 +365,7 @@ class KnowledgeGraph:
         if is_new:
             self._generation += 1
         if provenance is not None:
-            self._materialize_provenance()
-            # Replace, never append: copies share installed lists.
-            self._provenance[triple] = self._provenance.get(triple, []) + [provenance]
+            self._add_records(triple, [provenance], is_new)
             obs_lineage.record_observation(
                 triple.subject,
                 triple.predicate,
@@ -376,7 +419,6 @@ class KnowledgeGraph:
         rows are staged in a set and the columns sorted once, which is how
         WAL replays skip the per-add delta bookkeeping entirely.
         """
-        self._materialize_provenance()
         entities = self._entities
         store = self._store
         if store.n_base_rows or store.n_delta_rows:
@@ -387,6 +429,7 @@ class KnowledgeGraph:
             store_add = loader.add
         provenance_of = self._provenance
         provenance_get = provenance_of.get
+        records_of = self._records
         ontology = self.ontology
         lineage_on = obs_lineage.lineage_enabled()
         wal = self._wal if not self._wal_suspended else None
@@ -414,7 +457,9 @@ class KnowledgeGraph:
                 if is_new:
                     n_new += 1
                 if provenance is not None:
-                    provenance_of[triple] = provenance_get(triple, []) + [provenance]
+                    # As in _add_records (inlined: this loop is the bulk path).
+                    current = provenance_get(triple) if is_new else records_of(triple)
+                    provenance_of[triple] = current + [provenance] if current else [provenance]
                     if lineage_on:
                         pending_append(
                             (
@@ -459,8 +504,12 @@ class KnowledgeGraph:
         subject, predicate, obj = triple.subject, triple.predicate, triple.object
         if not self._store.remove(subject, predicate, obj):
             return False
-        self._materialize_provenance()
-        self._provenance.pop(triple, None)
+        if self._provenance_base is None:
+            self._provenance.pop(triple, None)
+        else:
+            # Hides the base's records; the shared empty tuple allocates
+            # nothing per removal.
+            self._provenance[triple] = ()
         self._generation += 1
         if self._wal is not None and not self._wal_suspended:
             self._wal.append({"op": "remove", "s": subject, "p": predicate, "o": obj})
@@ -476,17 +525,29 @@ class KnowledgeGraph:
         """Iterate all triples in deterministic order (cached view)."""
         return iter(self._sorted_triples())
 
-    def provenance(self, triple: Triple) -> List[Provenance]:
-        """All provenance records attached to a triple."""
-        self._materialize_provenance()
-        return list(self._provenance.get(triple, []))
+    def provenance(
+        self, triple: Optional[Triple] = None
+    ) -> Union[List[Provenance], Dict[Triple, List[Provenance]]]:
+        """All provenance records attached to a triple.
+
+        Without a triple: every triple that has records, mapped to them,
+        in triple order.
+        """
+        if triple is not None:
+            return list(self._records(triple))
+        records_of = self._records
+        return {
+            triple: list(records)
+            for triple in self._sorted_triples()
+            if (records := records_of(triple))
+        }
 
     def attributed_triples(self) -> Iterator[AttributedTriple]:
         """Iterate (triple, provenance) pairs; triples without provenance get
         a default record naming the graph itself."""
-        self._materialize_provenance()
+        records_of = self._records
         for triple in self.triples():
-            records = self._provenance.get(triple)
+            records = records_of(triple)
             if not records:
                 yield AttributedTriple(triple, Provenance(source=self.name))
             else:
@@ -515,14 +576,16 @@ class KnowledgeGraph:
             objects = store.objects(subject, predicate)
             if obj is not None:
                 objects = objects & {obj}
-            return sorted(Triple(subject, predicate, o) for o in objects)
+            return sorted(
+                (Triple(subject, predicate, o) for o in objects), key=Triple._sort_key
+            )
         if subject is not None:
             results = []
             for pred, objects in store.spo_row(subject).items():
                 for candidate in objects:
                     if obj is None or candidate == obj:
                         results.append(Triple(subject, pred, candidate))
-            return sorted(results)
+            return sorted(results, key=Triple._sort_key)
         if predicate is not None:
             results = []
             if obj is not None:
@@ -532,12 +595,12 @@ class KnowledgeGraph:
                 for candidate, subjects in store.pos_row(predicate).items():
                     for subj in subjects:
                         results.append(Triple(subj, predicate, candidate))
-            return sorted(results)
+            return sorted(results, key=Triple._sort_key)
         results = []
         for subj, predicates in store.osp_row(obj).items():
             for pred in predicates:
                 results.append(Triple(subj, pred, obj))
-        return sorted(results)
+        return sorted(results, key=Triple._sort_key)
 
     def pattern_cardinality(
         self,
@@ -622,7 +685,6 @@ class KnowledgeGraph:
         if keep_id == drop_id:
             raise ValueError(f"cannot merge entity {keep_id!r} into itself")
         store = self._store
-        self._materialize_provenance()
         rewritten = 0
         wal_was_suspended = self._wal_suspended
         self._wal_suspended = True
@@ -672,11 +734,11 @@ class KnowledgeGraph:
 
     def _rewrite_triple(self, old: Triple, new: Triple) -> None:
         """Replace ``old`` with ``new``, carrying provenance records over."""
-        records = self._provenance.get(old, [])
+        records = self._records(old)
         self.remove_triple(old)
-        self.add_triple(new)
+        is_new = self.add_triple(new)
         if records:
-            self._provenance[new] = self._provenance.get(new, []) + records
+            self._add_records(new, records, is_new)
 
     # ------------------------------------------------------------------
     # stats
@@ -710,17 +772,17 @@ class KnowledgeGraph:
         The dictionaries are copied; what they hold is shared by reference,
         because none of it is written in place once shared — every
         mutation installs a replacement: the store's base columns (see
-        :meth:`ColumnarTripleStore.clone`), each triple's provenance list,
-        each :class:`Entity` with its alias set, and each name-index id
-        set (which this graph again owns, and may update in place, once it
-        has replaced it).
+        :meth:`ColumnarTripleStore.clone`), the provenance base columns,
+        each triple's delta provenance list, each :class:`Entity` with its
+        alias set, and each name-index id set (which this graph again
+        owns, and may update in place, once it has replaced it).
         """
         clone = KnowledgeGraph(ontology=self.ontology, name=self.name)
         clone._entities = dict(self._entities)
         clone._name_index = defaultdict(set, self._name_index)
         self._owned_names = set()
-        self._materialize_provenance()
         clone._store = self._store.clone()
         clone._generation = len(clone._entities) + (1 if len(clone._store) else 0)
-        clone._provenance = defaultdict(list, self._provenance)
+        clone._provenance_base = self._provenance_base
+        clone._provenance = dict(self._provenance)
         return clone

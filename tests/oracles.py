@@ -375,7 +375,8 @@ def _naive_rewrite(graph, old, new):
     graph.remove_triple(old)
     graph.add_triple(new)
     if records:
-        graph._provenance[new] = graph._provenance.get(new, []) + records
+        # A delta entry replaces the triple's base records.
+        graph._provenance[new] = graph.provenance(new) + records
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -606,17 +607,30 @@ class TestBuildCli:
         assert "REPRO_PMAP_WORKERS" in err
         assert "Traceback" not in err
 
-    def test_stream_prints_publish_split(self, tmp_path, capsys):
+    def test_stream_prints_publish_split(self, tmp_path, capsys, monkeypatch):
         """The stream table sums the publish spans: copy and poll (a publish
-        builds no shard replicas, whatever ``--shards`` says)."""
+        builds no shard replicas, whatever ``--shards`` says).  A poll of
+        the ingestor's view takes microseconds, so each is made to last
+        1 ms: a sum over a misspelled span name then reads 0 and fails."""
+        from repro.stream.publish import WALFollower
+
+        poll = WALFollower.poll
+
+        def slow_poll(follower):
+            time.sleep(0.001)
+            return poll(follower)
+
+        monkeypatch.setattr(WALFollower, "poll", slow_poll)
         args = ["stream", "--shards", "2", "--wal-dir", str(tmp_path), *self._ARGS]
         assert main(args) == 0
-        row = next(
-            line for line in capsys.readouterr().out.splitlines()
-            if line.startswith("publish copy / poll (ms)")
-        )
-        copy_ms, poll_ms = (float(part) for part in row.split()[-3::2])
-        assert copy_ms > 0 and poll_ms >= 0
+        rows = {
+            line.split("  ")[0]: line.split()
+            for line in capsys.readouterr().out.splitlines()
+        }
+        copy_ms, poll_ms = (float(part) for part in rows["publish copy / poll (ms)"][-3::2])
+        n_publishes = int(rows["publishes"][-1])
+        # Every publish but the one after finalize polls inside the stream.
+        assert copy_ms > 0 and poll_ms >= n_publishes - 1 > 0
 
     def test_stream_publishes_a_view_of_the_ingestor(self, tmp_path, capsys):
         """In-process publishes read the ingestor's own graph, not a replica."""

@@ -57,11 +57,9 @@ def _triples(graph):
 
 
 def _provenance_map(graph):
-    graph._materialize_provenance()
     return {
         triple: [(p.source, p.extractor, p.confidence) for p in records]
-        for triple, records in graph._provenance.items()
-        if records
+        for triple, records in graph.provenance().items()
     }
 
 
@@ -81,19 +79,16 @@ class TestSnapshotRoundTrip:
         assert loaded.ontology.parent("Person") == "Thing"
         assert [e.entity_id for e in loaded.find_by_name("A. Lovelace")] == ["p1"]
 
-    def test_provenance_thaw_is_lazy(self, tmp_path):
+    def test_load_builds_no_provenance_objects(self, tmp_path):
         graph = _sample_graph()
         path = str(tmp_path / "g.rkgs")
         codec.save_graph(graph, path)
         loaded = codec.load_graph(path)
-        assert loaded._provenance_thaw is not None
-        assert not loaded._provenance  # nothing decoded yet
-        # Plain queries never thaw; provenance reads do.
-        loaded.query(subject="p1")
-        assert loaded._provenance_thaw is not None
+        assert not loaded._provenance  # the delta is empty after a load
+        assert len(loaded._provenance_base) == len(graph.provenance())
         records = loaded.provenance(Triple("p1", "knows", "p2"))
-        assert loaded._provenance_thaw is None
         assert records == [Provenance(source="web", extractor="ex1", confidence=0.9)]
+        assert not loaded._provenance  # answered from the columns
 
     def test_loaded_graph_resaves_identically(self, tmp_path):
         graph = _sample_graph()
@@ -265,6 +260,27 @@ class TestTypedTermRoundTrip:
         assert model.remove(Triple("e2", "p", 0.0))
         assert_graph_matches(loaded, model)
 
+    def test_v1_provenance_converts_and_resaves_as_v2(self, tmp_path):
+        """A v1 file's JSON provenance loads into the delta, intact; saving
+        it writes v2, and saving that again writes the same bytes."""
+        legacy = codec.load_graph(TYPED_TERMS_FIXTURE)
+        assert legacy._provenance_base is None
+        assert legacy.provenance() == {
+            Triple("e1", "p", 0): [Provenance(source="s1", confidence=0.9)],
+            Triple("e2", "p", 0): [Provenance(source="s2", confidence=0.8)],
+        }
+        first, second = str(tmp_path / "first.rkgs"), str(tmp_path / "second.rkgs")
+        codec.save_graph(legacy, first, include_lineage=False)
+        converted = codec.load_graph(first)
+        assert not converted._provenance
+        assert converted.provenance() == legacy.provenance()
+        codec.save_graph(converted, second, include_lineage=False)
+        with open(first, "rb") as a, open(second, "rb") as b:
+            blob = a.read()
+            assert blob == b.read()
+        assert blob[:6] == codec.SNAPSHOT_MAGIC + bytes([codec.SNAPSHOT_VERSION, 0])
+        assert codec.SNAPSHOT_VERSION == 2
+
     def test_resave_is_byte_stable(self, tmp_path):
         legacy = codec.load_graph(TYPED_TERMS_FIXTURE)
         for tag, graph in (("mixed", self._mixed_pair()[0]), ("legacy", legacy)):
@@ -360,7 +376,6 @@ class TestTripleWAL:
         for record in self._entity_records(graph):
             wal.append(record)
         graph.attach_wal(wal)
-        graph._materialize_provenance()
         for triple, records in sorted(
             _provenance_map(reference).items(), key=lambda kv: kv[0]
         ):

@@ -7,8 +7,10 @@ model's projection.  The same interleavings run through the fast paths
 (batch ingestion, index-walk merges) and the naive reference paths
 (per-call adds, the full-scan merge in ``tests.oracles``) must end
 in identical public state and identical lineage ledgers.  A stateful
-machine adds aliases, copies, snapshot round trips and WAL replays (the
-graph is logged from its first step), and checks
+machine adds aliases, copies, snapshot round trips (byte-stable on
+resave; later steps then read and write provenance over the loaded
+base columns) and WAL replays (the graph is logged from its first
+step), and checks
 ``graph == model`` after every step; it also keeps up to three frozen
 copies aside and checks that none of them moves while the live graph goes
 on — copies share base columns, provenance lists, entities and name-index
@@ -275,10 +277,16 @@ class GraphMachine(RuleBasedStateMachine):
 
     @rule()
     def save_and_load(self):
+        """The live graph becomes its snapshot's load, whose provenance is
+        base columns; saving that load writes the same bytes again."""
         with tempfile.TemporaryDirectory() as tmp_dir:
             path = os.path.join(tmp_dir, "machine.rkgs")
+            resaved = os.path.join(tmp_dir, "resaved.rkgs")
             codec.save_graph(self.graph, path, include_lineage=False)
             self.graph = codec.load_graph(path)
+            codec.save_graph(codec.load_graph(path), resaved, include_lineage=False)
+            with open(path, "rb") as first, open(resaved, "rb") as second:
+                assert first.read() == second.read()
         self._log_new_graph()
 
     @rule()

@@ -505,10 +505,9 @@ class TestExchangeOutcome:
         pipeline, context = partitioned_pipeline(sources, name="unit")
         context = pipeline.run(context, partitions=2)
         graph = context.artifacts["kg"]
-        graph._materialize_provenance()
-        for triple in graph.query():
-            records = graph.provenance(triple)
-            assert records
+        provenance = graph.provenance()
+        assert list(provenance) == graph.query()
+        for records in provenance.values():
             assert all(p.extractor == "partition" for p in records)
 
     def test_source_accuracy_orders_by_injected_noise(self):

@@ -51,11 +51,9 @@ def _build(sources, partitions):
     for volatile in ("captured_unix", "capture_seconds"):
         snapshot.pop(volatile, None)
     graph = context.artifacts["kg"]
-    graph._materialize_provenance()
-    triples = sorted(graph.query(), key=lambda t: t._sort_key())
     state = {
-        "triples": triples,
-        "provenance": {t: graph.provenance(t) for t in triples},
+        "triples": graph.query(),
+        "provenance": graph.provenance(),
         "entities": sorted(
             (e.entity_id, e.name, e.entity_class, tuple(sorted(e.aliases)))
             for e in graph.entities()

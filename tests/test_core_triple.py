@@ -1,8 +1,20 @@
 """Tests for triples and provenance."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.triple import AttributedTriple, Provenance, Triple
+
+_objects = st.one_of(
+    st.sampled_from([0, 0.0, -0.0, False, True, 1, 1.0, "0", "x", "x"]),
+    st.integers(-5, 5),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(min_size=1, max_size=3),
+)
+_triples = st.builds(
+    Triple, st.sampled_from(["a", "b"]), st.sampled_from(["p", "q"]), _objects
+)
 
 
 class TestTriple:
@@ -37,6 +49,15 @@ class TestTriple:
 
     def test_ordering_is_lexicographic(self):
         assert Triple("a", "p", "o") < Triple("b", "a", "a")
+
+    @given(st.lists(_triples, max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_key_order_is_lt_order(self, triples):
+        """Graph reads sort by ``_sort_key``; that is ``__lt__``'s order,
+        ties (equal keys) included, over mixed-type objects."""
+        assert sorted(triples, key=Triple._sort_key) == sorted(triples)
+        by_key = [id(triple) for triple in sorted(triples, key=Triple._sort_key)]
+        assert by_key == [id(triple) for triple in sorted(triples)]
 
     def test_str(self):
         assert str(Triple("s", "p", "o")) == "(s, p, o)"

@@ -44,11 +44,9 @@ N_RECORDS = sum(len(source) for source in SOURCES)
 
 
 def _public_state(graph):
-    graph._materialize_provenance()
-    triples = sorted(graph.query(), key=lambda t: t._sort_key())
     return {
-        "triples": triples,
-        "provenance": {t: graph.provenance(t) for t in triples},
+        "triples": graph.query(),
+        "provenance": graph.provenance(),
         "entities": sorted(
             (e.entity_id, e.name, e.entity_class, tuple(sorted(e.aliases)))
             for e in graph.entities()

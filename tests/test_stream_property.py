@@ -29,11 +29,9 @@ _N_RECORDS = sum(len(source) for source in _SOURCES)
 
 
 def _state(graph):
-    graph._materialize_provenance()
-    triples = sorted(graph.query(), key=lambda t: t._sort_key())
     return {
-        "triples": triples,
-        "provenance": {t: graph.provenance(t) for t in triples},
+        "triples": graph.query(),
+        "provenance": graph.provenance(),
         "entities": sorted(
             (e.entity_id, e.name, e.entity_class, tuple(sorted(e.aliases)))
             for e in graph.entities()
