@@ -20,28 +20,47 @@ and a loaded graph answers provenance reads from the columns.  A v1 file
 (JSON provenance) still loads: its provenance is decoded into the
 graph's delta, and saving it again writes v2.
 
-**WAL** (:class:`TripleWAL`) — an append-only log of graph mutations
-(entity/alias/add/add_batch/remove/merge records, length+crc32-framed
-JSON; batch ingests commit as one ``add_batch`` record) in
-size-rotated segments, with :meth:`TripleWAL.compact` folding replayed
-segments into a ``base.rkgs`` snapshot.  The log has one reader:
-:func:`segment_paths` lists the segments, :func:`read_segment_records`
-scans frames, and :class:`WALReplay` applies them to a graph —
-recovery and live followers alike.  Replay always yields a prefix of
-the log: it stops at the first frame that is not whole, which on the
-last segment is a torn tail (a crash mid-append) and anywhere else
-raises :class:`CodecError` — or, with ``allow_partial``, ends the
-replay there.  Opening a log cuts a torn tail off its last segment, so
-new appends follow the last whole record.
+**WAL** (:class:`TripleWAL`, format v2) — an append-only log of graph
+mutations in size-rotated segments, with :meth:`TripleWAL.compact`
+folding replayed segments into a ``base.rkgs`` snapshot.  A segment is a
+16-byte header (magic, version, flags, the number of its first record)
+then length+crc32 frames, each holding one record: its sequence number
+(counted across the whole log), its kind, and its body.  A point
+mutation (entity/alias/add/remove/merge) is one JSON record.  A batch
+ingest is one binary record: the terms its segment has not carried yet
+(in the snapshot's term encoding), its rows as ``s`` / ``p`` / ``o``
+arrays of segment-local ids (id ``k`` is the ``k``-th term the
+segment carried; the table is keyed by exact term, so ``1``, ``1.0``
+and ``True`` stay three terms), and each row's provenance as an index
+into the record's ``(source, extractor)`` table plus a confidence.
+Replay interns each new term once and installs a batch on an empty
+graph as its columns and provenance base directly; anywhere else its
+rows are added by id.  v1 segments (JSON only, unnumbered) are refused.
+
+Every append is flushed, so it survives a process crash; a segment is
+fsync-ed when it is sealed (rotation or close), and a compaction's new
+base and its directory before the segments it folds are deleted.  The
+log has one reader: :func:`segment_paths` lists the segments,
+:func:`read_segment_records` scans frames, and :class:`WALReplay`
+applies them to a graph — recovery and live followers alike.  Replay
+always yields a prefix of the log: it stops at the first frame that is
+not whole, or whose sequence number is not the next one (a record or a
+whole segment went missing).  On the last segment a frame that is not
+whole is a torn tail (a crash mid-append); anything else raises
+:class:`CodecError` — or, with ``allow_partial``, ends the replay
+there.  Opening a log cuts a torn tail off its last segment, so new
+appends follow the last whole record.
 
 A :class:`~repro.core.graph.KnowledgeGraph` with an attached WAL
 (:meth:`~repro.core.graph.KnowledgeGraph.attach_wal`) logs every
-mutation; replay goes through the public graph API, so recovery
-reproduces state, provenance, and (when observability is on) lineage
-events exactly.  While a log holds nothing but one empty-at-attach
-graph's mutations, that graph is its
-:attr:`TripleWAL.writer`, and :func:`writer_log` finds it by directory:
-the state a replay would rebuild already exists in this process.
+mutation, and replay reproduces state, provenance, and (when
+observability is on) lineage events exactly: ``save(recover())`` is
+byte-identical to ``save(writer)`` for a writer named and typed like
+the replayed graph (``"wal"``, the classes its entities use).  While a
+log holds nothing but one empty-at-attach graph's mutations, that
+graph is its :attr:`TripleWAL.writer`, and :func:`writer_log` finds it
+by directory: the state a replay would rebuild already exists in this
+process.
 """
 
 from __future__ import annotations
@@ -54,7 +73,8 @@ import threading
 import weakref
 import zlib
 from array import array
-from typing import Dict, Iterable, List, Optional, Tuple
+from itertools import islice
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.core.graph import Entity, KnowledgeGraph
 from repro.core.ontology import Ontology
@@ -68,14 +88,24 @@ WAL_MAGIC = b"RKGW"
 #: Snapshot format: v2 stores provenance as id-keyed columns; v1 files
 #: (JSON provenance) still load.
 SNAPSHOT_VERSION = 2
-WAL_VERSION = 1
+#: WAL format: v2 frames are sequenced, and a batch is one id-encoded
+#: frame; v1 segments (JSON records only) are refused.
+WAL_VERSION = 2
 
 #: File header: magic, format version, reserved flags.
 _HEADER = struct.Struct("<4sHH")
 #: Section frame: section id, payload length, payload crc32.
 _SECTION = struct.Struct("<BQI")
+#: WAL segment header: the file header, then its first record's number.
+_WAL_HEADER = struct.Struct("<4sHHQ")
 #: WAL record frame: payload length, payload crc32.
 _WAL_FRAME = struct.Struct("<II")
+#: Head of a WAL record's payload: sequence number, kind.
+_WAL_ENTRY = struct.Struct("<QB")
+#: Head of a batch record: rows, new-term bytes, label-table bytes.
+_BATCH_HEAD = struct.Struct("<III")
+_KIND_RECORD = 0  # one point mutation, JSON
+_KIND_BATCH = 1  # one batch ingest, id-encoded
 #: v2 provenance section head: keyed triples, records, label-table bytes.
 _PROVENANCE_HEAD = struct.Struct("<QQQ")
 
@@ -681,14 +711,46 @@ def segment_paths(directory: str) -> List[str]:
     ]
 
 
+def _exact(term: Value) -> object:
+    """A key telling apart terms Python calls equal: ``1``, ``1.0`` and
+    ``True``, or ``0.0`` and ``-0.0``.  A segment's term table is keyed by
+    it, so replay gives every row back the exact term it was logged with."""
+    kind = type(term)
+    if kind is str:
+        return term
+    return (kind, term.hex() if kind is float else term)
+
+
+def _term(key: object) -> Value:
+    """The term :func:`_exact` made ``key`` of."""
+    if type(key) is str:
+        return key
+    kind, value = key
+    return float.fromhex(value) if kind is float else value
+
+
+def _fsync_directory(directory: str) -> None:
+    """Make the directory's entries (created, renamed files) durable."""
+    handle = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(handle)
+    finally:
+        os.close(handle)
+
+
 class TripleWAL:
     """Append-only triple log: size-rotated segments + base compaction.
 
-    A directory of ``wal-<n>.log`` segments (length+crc32-framed JSON
-    records behind a magic header) plus an optional ``base.rkgs``
+    A directory of ``wal-<n>.log`` segments (sequenced, length+crc32
+    framed records behind a magic header) plus an optional ``base.rkgs``
     snapshot that :meth:`compact` folds replayed segments into.  Attach
     to a graph with :meth:`KnowledgeGraph.attach_wal`; recover with
     :meth:`recover`.
+
+    Every frame is flushed before an append returns, so it survives a
+    crash of the process.  A segment is ``fsync``-ed when it is sealed
+    (rotation or :meth:`close`), and a new ``base.rkgs`` and its
+    directory are ``fsync``-ed before the segments it folds are deleted.
 
     :attr:`writer` is the attached graph when the directory holds nothing
     else: the directory was empty when this handle opened it, and the
@@ -718,6 +780,15 @@ class TripleWAL:
         self.writer: Optional[KnowledgeGraph] = None
         self._writer_thread: Optional[int] = None
         self.n_appended = 0
+        # The sequence number of the next frame, and the open segment's
+        # term table (exact term key -> segment-local id).
+        self._seq = 0
+        self._carried: Dict[object, int] = {}
+        # Set when the open segment holds another handle's frames (this
+        # handle does not know their terms): the next append rotates.
+        self._rotate_due = False
+        # True while the open segment holds writes not yet fsync-ed.
+        self._dirty = False
         self._key = os.path.realpath(directory)
         # This handle may append or fold: another one's writer stops being
         # the whole directory.
@@ -728,7 +799,7 @@ class TripleWAL:
         self._fresh = not existing and not os.path.exists(self.base_path)
         if existing:
             self._segment_index = self._index_of(existing[-1])
-            self._open_segment(existing[-1], create=not self._cut_torn_tail(existing[-1]))
+            self._reopen(existing)
         else:
             self._segment_index = 1
             self._open_segment(self._segment_path(1), create=True)
@@ -755,48 +826,142 @@ class TripleWAL:
     # ------------------------------------------------------------------
     # writing
 
-    @staticmethod
-    def _cut_torn_tail(path: str) -> int:
-        """Truncate ``path`` after its last whole frame; returns that end.
+    def _reopen(self, existing: List[str]) -> None:
+        """Open the last segment, cutting a torn tail off it first.
 
         Appending after a torn frame (a crash mid-append) would bury every
         later record behind bytes no reader gets past.  Only frame lengths
         are walked: a checksum mismatch, or a header that is not this
-        format's, stays in place for recovery to report.  0 means the
-        header itself is incomplete.
+        format's, stays in place for recovery to report.  A segment that
+        already holds frames is not appended to (its term table is not
+        this handle's): the first append opens the next one.
         """
-        size = os.path.getsize(path)
+        last = existing[-1]
         try:
-            _, end = read_segment_records(path, verify=False)
+            read = read_segment_records(last, verify=False)
         except CodecError:
-            return size
-        if end < size:
-            os.truncate(path, end)
+            self._open_segment(last, create=False)
+            self._rotate_due = True
+            return
+        if not read.end:
+            # The header itself is torn: rewrite it, numbering on from the
+            # segment before.
+            if len(existing) > 1:
+                try:
+                    self._seq = read_segment_records(existing[-2], verify=False).seq or 0
+                except CodecError:
+                    pass
+            self._open_segment(last, create=True)
+            return
+        if read.end < os.path.getsize(last):
+            os.truncate(last, read.end)
             obs_metrics.count("store.wal.truncated_tail")
-        return end
+        self._seq = read.seq
+        self._open_segment(last, create=False)
+        self._rotate_due = read.end > _WAL_HEADER.size
 
     def _open_segment(self, path: str, create: bool) -> None:
         if create:
             with open(path, "wb") as handle:
-                handle.write(_HEADER.pack(WAL_MAGIC, WAL_VERSION, 0))
+                handle.write(_WAL_HEADER.pack(WAL_MAGIC, WAL_VERSION, 0, self._seq))
         self._handle = open(path, "ab")
+        self._carried = {}
+        self._rotate_due = False
 
     def append(self, record: Dict[str, object]) -> None:
         """Append one mutation record (flushed before returning)."""
-        payload = json.dumps(record, sort_keys=True).encode("utf-8")
-        frame = _WAL_FRAME.pack(len(payload), zlib.crc32(payload)) + payload
+        body = json.dumps(record, sort_keys=True).encode("utf-8")
         with self._lock:
-            if self._handle is None:
-                raise ValueError("WAL is closed")
-            self._handle.write(frame)
-            self._handle.flush()
-            self.n_appended += 1
-            obs_metrics.count("store.wal.records")
-            if self._handle.tell() >= self.segment_bytes:
-                self._rotate()
+            self._writable()
+            self._write(_KIND_RECORD, body)
+
+    def append_batch(self, rows: Sequence[Tuple[Triple, Optional[Provenance]]]) -> None:
+        """Append one batch ingest's ``(triple, provenance)`` rows as one
+        frame (flushed before returning).
+
+        The frame carries the terms this segment has not carried yet, then
+        the rows as segment-local ids and each row's provenance as an
+        index into the frame's ``(source, extractor)`` table (-1: none)
+        plus a confidence.
+        """
+        with self._lock:
+            self._writable()
+            carried = self._carried
+            n_carried = len(carried)
+            number = carried.setdefault
+            label_of: Dict[Tuple[str, Optional[str]], int] = {}
+            label = label_of.setdefault
+            try:
+                # Local ids in row order (each row's s, p, o in turn): the
+                # new terms are listed in the order the writer's store met them.
+                ids = [
+                    number(term if type(term) is str else _exact(term), len(carried))
+                    for triple, _ in rows
+                    for term in (triple.subject, triple.predicate, triple.object)
+                ]
+                labels = [
+                    -1
+                    if provenance is None
+                    else label((provenance.source, provenance.extractor), len(label_of))
+                    for _, provenance in rows
+                ]
+                confs = array(
+                    "d",
+                    [0.0 if provenance is None else provenance.confidence for _, provenance in rows],
+                )
+                terms = _encode_terms([_term(key) for key in islice(carried, n_carried, None)])
+                label_table = _encode_terms([term for pair in label_of for term in pair])
+            except BaseException:
+                # Not written, so this segment's table now holds terms the
+                # segment never carried: appends go on in a new segment.
+                self._rotate_due = True
+                raise
+            body = b"".join(
+                [
+                    _BATCH_HEAD.pack(len(rows), len(terms), len(label_table)),
+                    terms,
+                    label_table,
+                    array("i", ids[0::3]).tobytes(),
+                    array("i", ids[1::3]).tobytes(),
+                    array("i", ids[2::3]).tobytes(),
+                    array("i", labels).tobytes(),
+                    confs.tobytes(),
+                ]
+            )
+            self._write(_KIND_BATCH, body)
+
+    def _writable(self) -> None:
+        if self._handle is None:
+            raise ValueError("WAL is closed")
+        if self._rotate_due:
+            self._rotate()
+
+    def _write(self, kind: int, body: bytes) -> None:
+        """Frame ``body`` under the next sequence number and append it."""
+        payload = _WAL_ENTRY.pack(self._seq, kind) + body
+        handle = self._handle
+        handle.write(_WAL_FRAME.pack(len(payload), zlib.crc32(payload)))
+        handle.write(payload)
+        handle.flush()
+        self._seq += 1
+        self._dirty = True
+        self.n_appended += 1
+        obs_metrics.count("store.wal.records")
+        if handle.tell() >= self.segment_bytes:
+            self._rotate()
+
+    def _seal(self) -> None:
+        """fsync the open segment if it was written to, and close it."""
+        handle = self._handle
+        if self._dirty:
+            handle.flush()
+            os.fsync(handle.fileno())
+            self._dirty = False
+        handle.close()
+        self._handle = None
 
     def _rotate(self) -> None:
-        self._handle.close()
+        self._seal()
         self._segment_index += 1
         self._open_segment(self._segment_path(self._segment_index), create=True)
         obs_metrics.count("store.wal.rotations")
@@ -819,13 +984,12 @@ class TripleWAL:
                 del _WRITER_LOGS[self._key]
 
     def close(self) -> None:
-        """Close the write handle (the WAL can be reopened by constructing
-        a new :class:`TripleWAL` on the same directory)."""
+        """Seal the open segment and close it (the WAL can be reopened by
+        constructing a new :class:`TripleWAL` on the same directory)."""
         with self._lock:
             self.release_writer()
             if self._handle is not None:
-                self._handle.close()
-                self._handle = None
+                self._seal()
 
     # ------------------------------------------------------------------
     # recovery
@@ -852,12 +1016,12 @@ class TripleWAL:
     ) -> Tuple[KnowledgeGraph, Dict[str, object]]:
         """Fold all segments into ``base.rkgs``; returns (graph, stats).
 
-        Recovery runs first; the new base is written atomically; only
-        then are the folded segments deleted (a crash in between replays
-        idempotently).  A fresh empty segment is opened for new appends.
-        The whole fold happens under the WAL lock, so concurrent appends
-        and in-process replays serialize against it instead of racing the
-        segment deletions.
+        Recovery runs first; the new base is written atomically and made
+        durable; only then are the folded segments deleted (a crash in
+        between replays idempotently).  A fresh empty segment is opened
+        for new appends.  The whole fold happens under the WAL lock, so
+        concurrent appends and in-process replays serialize against it
+        instead of racing the segment deletions.
         """
         with self._lock:
             self.close()
@@ -885,8 +1049,18 @@ class TripleWAL:
     def _install_base(
         self, graph: KnowledgeGraph, segments: List[str]
     ) -> Dict[str, object]:
-        """Write ``base.rkgs`` atomically, drop ``segments``, reopen fresh."""
-        n_bytes = save_graph(graph, self.base_path)
+        """Write ``base.rkgs`` durably, drop ``segments``, reopen fresh.
+
+        The new base is fsync-ed under a staging name, renamed over the
+        old one, and the rename fsync-ed with the directory, all before
+        any segment it folds is deleted.
+        """
+        staged = self.base_path + ".new"
+        n_bytes = save_graph(graph, staged)
+        with open(staged, "rb") as handle:
+            os.fsync(handle.fileno())
+        os.replace(staged, self.base_path)
+        _fsync_directory(self.directory)
         for path in segments:
             os.remove(path)
         self._segment_index += 1
@@ -921,93 +1095,262 @@ class TripleWAL:
 # the one WAL reader (recovery, followers, open-time repair)
 
 
+class WALBatch(NamedTuple):
+    """One batch frame as read: rows of ids local to its segment.
+
+    ``terms`` are the terms the segment carries from this frame on: id
+    ``k`` of a segment is the ``k``-th term its frames carried.  Row
+    ``i`` is ``(s[i], p[i], o[i])``; its provenance is
+    ``labels[label[i]]`` with confidence ``conf[i]``, or none when
+    ``label[i]`` is -1.
+    """
+
+    terms: List[Value]
+    s: array
+    p: array
+    o: array
+    label: array
+    conf: array
+    labels: List[Tuple[str, Optional[str]]]
+
+
+class SegmentRead(NamedTuple):
+    """What one :func:`read_segment_records` call found."""
+
+    #: The whole records read: a dict per point mutation, a
+    #: :class:`WALBatch` per batch ingest.
+    records: List[Union[Dict[str, object], WALBatch]]
+    #: Offset after the last whole record (0 while the header is torn).
+    end: int
+    #: The header's first sequence number, when the read began at byte 0.
+    first: Optional[int]
+    #: The sequence number the next record must carry.
+    seq: Optional[int]
+
+
 def _wal_damage(path: str, allow_partial: bool, message: str) -> None:
     """Raise for damage at ``path`` unless the caller stops before it."""
     if not allow_partial:
         raise CodecError(f"{path}: {message}")
 
 
-def read_segment_records(
-    path: str, offset: int = 0, allow_partial: bool = False, verify: bool = True
-) -> Tuple[List[Dict[str, object]], int]:
-    """The whole records of one WAL segment from ``offset``, and their end.
+def _decode_batch(body: memoryview, path: str) -> WALBatch:
+    n_rows, n_term_bytes, n_label_bytes = _BATCH_HEAD.unpack_from(body, 0)
+    offset = _BATCH_HEAD.size + n_term_bytes + n_label_bytes
+    if len(body) != offset + 24 * n_rows:
+        raise ValueError(f"{len(body)} bytes cannot hold {n_rows} rows")
+    terms = _decode_terms(body[_BATCH_HEAD.size : _BATCH_HEAD.size + n_term_bytes], path)
+    flat = _decode_terms(body[_BATCH_HEAD.size + n_term_bytes : offset], path)
+    columns: List[array] = []
+    for typecode in "iiiid":
+        column = array(typecode)
+        column.frombytes(body[offset : offset + column.itemsize * n_rows])
+        columns.append(column)
+        offset += column.itemsize * n_rows
+    return WALBatch(terms, *columns, list(zip(flat[0::2], flat[1::2])))
 
-    Returns ``(records, next_offset)``; ``offset`` 0 starts at the header,
-    and ``next_offset`` stays 0 while the header is incomplete.  The scan
-    stops before a torn frame (fewer bytes than its length claims) and
-    leaves it to the caller to tell a writer mid-append from damage.  A
-    foreign header, a checksum mismatch or a checksummed record that is
-    not JSON raises :class:`CodecError`; with ``allow_partial`` the scan
-    stops before it instead.  ``verify=False`` walks frame lengths only
-    and returns no records.
+
+def read_segment_records(
+    path: str,
+    offset: int = 0,
+    seq: Optional[int] = None,
+    allow_partial: bool = False,
+    verify: bool = True,
+) -> SegmentRead:
+    """The whole records of one WAL segment from ``offset``.
+
+    ``offset`` 0 starts at the header, whose first sequence number the
+    first record must carry; a read resuming at a later offset passes
+    the ``seq`` the previous read returned.  The scan stops before a
+    torn frame (fewer bytes than its length claims) and leaves it to the
+    caller to tell a writer mid-append from damage.  A foreign header
+    (a v1 segment included), a checksum mismatch, a record whose
+    sequence number is not the next one, or a checksummed record that
+    does not decode raises :class:`CodecError`; with ``allow_partial``
+    the scan stops before it instead.  ``verify=False`` walks frame
+    lengths and sequence numbers only and returns no records.
     """
+    first: Optional[int] = None
     with open(path, "rb") as handle:
-        if offset <= _HEADER.size:
-            header = handle.read(_HEADER.size)
-            if len(header) < _HEADER.size:
-                return [], 0
-            magic, version, _flags = _HEADER.unpack(header)
-            if (magic, version) != (WAL_MAGIC, WAL_VERSION):
-                _wal_damage(
-                    path,
-                    allow_partial,
-                    f"not a v{WAL_VERSION} repro WAL segment (magic {magic!r}, "
-                    f"version {version}); remove foreign files from the WAL "
-                    f"directory, or compact it with the checkout that wrote it",
-                )
-                return [], 0
-            offset = _HEADER.size
+        if offset <= _WAL_HEADER.size:
+            header = handle.read(_WAL_HEADER.size)
+            if len(header) >= _HEADER.size:
+                magic, version, _flags = _HEADER.unpack_from(header)
+                if (magic, version) != (WAL_MAGIC, WAL_VERSION):
+                    _wal_damage(
+                        path,
+                        allow_partial,
+                        f"not a v{WAL_VERSION} repro WAL segment (magic {magic!r}, "
+                        f"version {version}); remove foreign files from the WAL "
+                        f"directory, or compact it with the checkout that wrote it",
+                    )
+                    return SegmentRead([], 0, None, seq)
+            if len(header) < _WAL_HEADER.size:
+                return SegmentRead([], 0, None, seq)
+            first = seq = _WAL_HEADER.unpack(header)[3]
+            offset = _WAL_HEADER.size
         else:
             handle.seek(offset)
         blob = handle.read()
-    records: List[Dict[str, object]] = []
+    records: List[Union[Dict[str, object], WALBatch]] = []
+    view = memoryview(blob)
     position = 0
     total = len(blob)
     while position + _WAL_FRAME.size <= total:
         length, crc = _WAL_FRAME.unpack_from(blob, position)
-        end = position + _WAL_FRAME.size + length
+        start = position + _WAL_FRAME.size
+        end = start + length
         if end > total:
             break
+        at = offset + position
         if verify:
-            payload = blob[position + _WAL_FRAME.size : end]
-            actual = zlib.crc32(payload)
+            actual = zlib.crc32(view[start:end])
             if actual != crc:
                 _wal_damage(
                     path,
                     allow_partial,
-                    f"record checksum mismatch at byte {offset + position} (stored "
+                    f"record checksum mismatch at byte {at} (stored "
                     f"{crc:#010x}, computed {actual:#010x}); the WAL is corrupt — "
                     f"replay with allow_partial=True to keep the prefix",
                 )
                 break
-            try:
-                records.append(json.loads(payload.decode("utf-8")))
-            except ValueError:
+        if length < _WAL_ENTRY.size:
+            if verify:
                 _wal_damage(
                     path,
                     allow_partial,
-                    f"record at byte {offset + position} passed its checksum but "
-                    f"is not JSON; the WAL is corrupt",
+                    f"record at byte {at} is too short to hold its sequence "
+                    f"number; the WAL is corrupt",
                 )
                 break
+            position = end
+            continue
+        number, kind = _WAL_ENTRY.unpack_from(blob, start)
+        if verify:
+            if seq is not None and number != seq:
+                _wal_damage(
+                    path,
+                    allow_partial,
+                    f"record at byte {at} is number {number}, not {seq}: a record "
+                    f"before it is missing — restore it or replay with "
+                    f"allow_partial=True to keep the prefix",
+                )
+                break
+            body = view[start + _WAL_ENTRY.size : end]
+            try:
+                if kind == _KIND_RECORD:
+                    records.append(json.loads(bytes(body)))
+                elif kind == _KIND_BATCH:
+                    records.append(_decode_batch(body, path))
+                else:
+                    raise ValueError(f"unknown record kind {kind}")
+            except (ValueError, CodecError, struct.error) as exc:
+                _wal_damage(
+                    path,
+                    allow_partial,
+                    f"record at byte {at} passed its checksum but does not decode "
+                    f"({exc}); the WAL is corrupt",
+                )
+                break
+        seq = number + 1
         position = end
-    return records, offset + position
+    return SegmentRead(records, offset + position, first, seq)
+
+
+class _SegmentTerms:
+    """The term table of the segment a replay is reading: each local
+    id's exact term, and its id in the replayed graph's store."""
+
+    __slots__ = ("terms", "ids")
+
+    def __init__(self) -> None:
+        self.terms: List[Value] = []
+        self.ids: List[int] = []
+
+
+def _apply_batch(
+    graph: KnowledgeGraph, batch: WALBatch, table: _SegmentTerms, path: str
+) -> None:
+    """Replay one batch frame: what its ``add_triples_batch`` did.
+
+    Each new term is interned once, in the order the writer first met
+    it, so the store assigns the writer's ids.  On an empty graph the
+    rows become the store's columns and the records its provenance base
+    directly; otherwise each row is added by id into the delta.
+    """
+    terms, ids = table.terms, table.ids
+    store = graph._store
+    terms.extend(batch.terms)
+    ids.extend(map(store._terms.add, batch.terms))
+    s_local, p_local, o_local, label, conf = batch.s, batch.p, batch.o, batch.label, batch.conf
+    labels = batch.labels
+    if s_local and not (
+        0 <= min(min(s_local), min(p_local), min(o_local))
+        and max(max(s_local), max(p_local), max(o_local)) < len(ids)
+        and -1 <= min(label)
+        and max(label) < len(labels)
+    ):
+        raise CodecError(
+            f"{path}: a batch record references terms or labels its segment "
+            f"does not carry; the WAL is corrupt"
+        )
+    s_ids = [ids[term] for term in s_local]
+    p_ids = [ids[term] for term in p_local]
+    o_ids = [ids[term] for term in o_local]
+    if not (
+        store.n_base_rows
+        or store.n_delta_rows
+        or graph._provenance_base is not None
+        or graph._provenance
+    ):
+        n = store.n_terms
+        keys = [(s * n + p) * n + o for s, p, o in zip(s_ids, p_ids, o_ids)]
+        store.install_keys(list(set(keys)))
+        graph._provenance_base = ProvenanceColumns.from_rows(keys, label, conf, labels, n)
+        if keys:
+            graph._generation += 1
+    else:
+        add_row = store.add_row
+        add_records = graph._add_records
+        n_new = 0
+        for row, id_row in enumerate(zip(s_ids, p_ids, o_ids)):
+            is_new = add_row(id_row)
+            n_new += is_new
+            if label[row] >= 0:
+                triple = Triple(terms[s_local[row]], terms[p_local[row]], terms[o_local[row]])
+                add_records(triple, [Provenance(*labels[label[row]], conf[row])], is_new)
+        if n_new:
+            graph._generation += 1
+    if obs_lineage.lineage_enabled():
+        obs_lineage.record_observation_batch(
+            (
+                (terms[s], terms[p], terms[o], *labels[index], confidence)
+                for s, p, o, index, confidence in zip(s_local, p_local, o_local, label, conf)
+                if index >= 0
+            ),
+            stage="graph.add_triple",
+        )
 
 
 def apply_wal_records(
     graph: KnowledgeGraph,
-    records: Iterable[Dict[str, object]],
+    records: Iterable[Union[Dict[str, object], WALBatch]],
     path: str = "<wal>",
+    table: Optional[_SegmentTerms] = None,
 ) -> int:
-    """Apply decoded WAL records to ``graph`` via the public API.
+    """Apply decoded WAL records to ``graph``; returns how many.
 
-    Consecutive ``add``/``add_batch`` records coalesce into one
-    ``add_triples_batch`` call (the bulk-load fast path on an empty
-    columnar graph).  Entity/merge application is idempotent, so
-    re-replaying a prefix after a partially-complete compaction — or a
-    follower restarting mid-stream — converges on the same state.
-    Returns the number of records applied.
+    ``table`` is the term table of the segment the records come from,
+    extended by its batch frames (a fresh one: the records start a
+    segment).  Batch frames replay by id (:func:`_apply_batch`); point
+    records go through the public API, consecutive ``add`` records as
+    one ``add_triples_batch`` call.  Entity/merge application is
+    idempotent, so re-replaying a prefix after a partially-complete
+    compaction — or a follower restarting mid-stream — converges on the
+    same state.
     """
+    if table is None:
+        table = _SegmentTerms()
     n_records = 0
     pending_adds: List[Tuple[Triple, Optional[Provenance]]] = []
 
@@ -1018,17 +1361,18 @@ def apply_wal_records(
 
     for record in records:
         n_records += 1
+        if type(record) is WALBatch:
+            flush_adds()
+            _apply_batch(graph, record, table, path)
+            continue
         op = record.get("op")
-        if op == "add" or op == "add_batch":
-            # One row path: an ``add`` is a batch of one [s, p, o, prov] row.
-            rows = (
-                record["rows"]
-                if op == "add_batch"
-                else ((record["s"], record["p"], record["o"], record.get("prov")),)
-            )
-            pending_adds.extend(
-                (Triple(s, p, o), None if prov is None else Provenance(*prov))
-                for s, p, o, prov in rows
+        if op == "add":
+            prov = record.get("prov")
+            pending_adds.append(
+                (
+                    Triple(record["s"], record["p"], record["o"]),
+                    None if prov is None else Provenance(*prov),
+                )
             )
             continue
         flush_adds()
@@ -1066,11 +1410,14 @@ class WALReplay:
     """The graph a WAL directory holds, replayed from its files.
 
     ``base.rkgs`` (or an empty graph) plus the segments' records, applied
-    in order by :meth:`catch_up`; ``segment`` and ``offset`` say how far
-    it has read, so the next call applies only what was appended since.
-    It reads files only, taking no lock: :meth:`TripleWAL.recover` runs
-    one under the log's lock, and a :class:`~repro.stream.publish.
-    WALFollower` replica keeps one and catches it up on every poll.
+    in order by :meth:`catch_up`; ``segment``, ``offset`` and ``seq`` say
+    how far it has read, and ``table`` holds the segment's term table, so
+    the next call applies only what was appended since.  Records are
+    numbered across the whole log, so a missing record or segment stops
+    the replay like damage does.  It reads files only, taking no lock:
+    :meth:`TripleWAL.recover` runs one under the log's lock, and a
+    :class:`~repro.stream.publish.WALFollower` replica keeps one and
+    catches it up on every poll.
     """
 
     def __init__(self, directory: str) -> None:
@@ -1081,7 +1428,12 @@ class WALReplay:
         else:
             self.graph = load_graph(os.path.join(directory, TripleWAL.BASE_BASENAME))
         self.segment: Optional[str] = None
+        self.previous: Optional[str] = None
         self.offset = 0
+        # A log without a base starts at record 0; after a base, at
+        # whatever its first segment says.
+        self.seq: Optional[int] = 0 if self.base_signature is None else None
+        self.table = _SegmentTerms()
 
     def _stat_base(self) -> Optional[Tuple[int, int]]:
         try:
@@ -1101,8 +1453,9 @@ class WALReplay:
         segment that is a torn tail (a writer mid-append, or a crash) and
         the next call resumes there.  On an older segment it is damage:
         :class:`CodecError`, or with ``allow_partial`` the end of the
-        replay.  Raises FileNotFoundError when the segment being read was
-        folded away.
+        replay.  So is a segment that does not start with the record
+        after the last one read.  Raises FileNotFoundError when the
+        segment being read was folded away.
         """
         applied = 0
         while True:
@@ -1115,10 +1468,26 @@ class WALReplay:
                 self.segment = segments[0]
             if self.segment not in segments:
                 raise FileNotFoundError(self.segment)
-            records, self.offset = read_segment_records(
-                self.segment, self.offset, allow_partial
-            )
-            applied += apply_wal_records(self.graph, records, self.segment)
+            read = read_segment_records(self.segment, self.offset, self.seq, allow_partial)
+            if read.first is not None and self.seq is not None and read.first != self.seq:
+                if self.previous is None:
+                    damaged = self.segment
+                    gap = f"the log starts at record {read.first}, not {self.seq}"
+                else:
+                    damaged = self.previous
+                    gap = (
+                        f"ends before record {self.seq}, but {self.segment} "
+                        f"starts at record {read.first}"
+                    )
+                _wal_damage(
+                    damaged,
+                    allow_partial,
+                    f"{gap}: a record or segment is missing — restore it or "
+                    f"replay with allow_partial=True to keep the prefix",
+                )
+                return applied
+            applied += apply_wal_records(self.graph, read.records, self.segment, self.table)
+            self.offset, self.seq = read.end, read.seq
             following = segments.index(self.segment) + 1
             if following == len(segments):
                 return applied
@@ -1130,4 +1499,6 @@ class WALReplay:
                     f"restore the segment or replay with allow_partial=True",
                 )
                 return applied
+            self.previous = self.segment
             self.segment, self.offset = segments[following], 0
+            self.table = _SegmentTerms()

@@ -411,13 +411,12 @@ class KnowledgeGraph:
         out of the loop and lineage recording is flushed to the ledger
         once, under a single lock acquisition.  With a WAL attached, only
         state-changing items (new triple or carried provenance) are
-        logged, as one ``add_batch`` record — one frame, one checksum, one
-        JSON document — so replaying a large ingest decodes at C speed
-        instead of parsing one record per triple.  A batch landing in an
-        *empty* store takes the
+        logged, as one id-encoded frame
+        (:meth:`~repro.core.codec.TripleWAL.append_batch`), which replay
+        installs without building a triple object per row.  A batch
+        landing in an *empty* store takes the
         :meth:`~repro.core.store.ColumnarTripleStore.bulk_loader` path:
-        rows are staged in a set and the columns sorted once, which is how
-        WAL replays skip the per-add delta bookkeeping entirely.
+        rows are staged in a set and the columns sorted once.
         """
         entities = self._entities
         store = self._store
@@ -433,7 +432,7 @@ class KnowledgeGraph:
         ontology = self.ontology
         lineage_on = obs_lineage.lineage_enabled()
         wal = self._wal if not self._wal_suspended else None
-        wal_rows: List[List[object]] = []
+        wal_rows: List[Tuple[Triple, Optional[Provenance]]] = []
         pending: List[Tuple[str, str, Value, str, Optional[str], float]] = []
         pending_append = pending.append
         n_new = 0
@@ -472,20 +471,7 @@ class KnowledgeGraph:
                             )
                         )
                 if wal is not None and (is_new or provenance is not None):
-                    wal_rows.append(
-                        [
-                            subject,
-                            triple.predicate,
-                            triple.object,
-                            None
-                            if provenance is None
-                            else [
-                                provenance.source,
-                                provenance.extractor,
-                                provenance.confidence,
-                            ],
-                        ]
-                    )
+                    wal_rows.append((triple, provenance))
         finally:
             # One generation bump and one ledger flush per batch — also on
             # mid-batch errors, so partial state matches the per-call path.
@@ -496,7 +482,7 @@ class KnowledgeGraph:
             if pending:
                 obs_lineage.record_observation_batch(pending, stage="graph.add_triple")
             if wal_rows:
-                wal.append({"op": "add_batch", "rows": wal_rows})
+                wal.append_batch(wal_rows)
         return n_new
 
     def remove_triple(self, triple: Triple) -> bool:

@@ -37,6 +37,7 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from itertools import accumulate
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -144,6 +145,16 @@ class TermDict:
         return total
 
 
+def _split_keys(keys: List[int], n: int) -> Tuple[array, array, array]:
+    """The three id columns of packed ``(a * n + b) * n + c`` row keys."""
+    n_squared = n * n
+    return (
+        array("q", [key // n_squared for key in keys]),
+        array("q", [key // n % n for key in keys]),
+        array("q", [key % n for key in keys]),
+    )
+
+
 def _build_from_rows(
     terms: TermDict, rows: Iterable[Tuple[int, int, int]]
 ) -> "ColumnarTripleStore":
@@ -157,10 +168,11 @@ def _build_from_rows(
     if terms.has_equal_terms():
         dense = TermDict()
         new_id = [dense.add(term) for term in terms.terms()]
-        rows = {(new_id[s], new_id[p], new_id[o]) for s, p, o in rows}
+        rows = [(new_id[s], new_id[p], new_id[o]) for s, p, o in rows]
         terms = dense
     store._terms = terms
-    store._load_sorted_unique(sorted(rows))
+    n = len(terms)
+    store.install_keys(list({(s * n + p) * n + o for s, p, o in rows}))
     return store
 
 
@@ -174,29 +186,40 @@ class BulkLoader:
     interrupted batch keeps exactly the rows it processed.
     """
 
-    __slots__ = ("_store", "_encode", "_rows", "_finished")
+    __slots__ = ("_store", "_known", "_encode", "_rows", "_finished")
 
     def __init__(self, store: ColumnarTripleStore) -> None:
         self._store = store
+        self._known = store._terms._id_of.get
         self._encode = store._terms.add
         self._rows: Set[Tuple[int, int, int]] = set()
         self._finished = False
 
     def add(self, subject: str, predicate: str, obj: Value) -> bool:
         """Stage a triple; True when not already staged (i.e. new)."""
-        encode = self._encode
-        row = (encode(subject), encode(predicate), encode(obj))
-        if row in self._rows:
-            return False
-        self._rows.add(row)
-        return True
+        # TermDict.add, with its lookup inlined: most terms repeat.
+        known, encode = self._known, self._encode
+        s = known(subject)
+        if s is None:
+            s = encode(subject)
+        p = known(predicate)
+        if p is None:
+            p = encode(predicate)
+        o = known(obj)
+        if o is None:
+            o = encode(obj)
+        rows = self._rows
+        n_rows = len(rows)
+        rows.add((s, p, o))
+        return len(rows) != n_rows
 
     def finish(self) -> None:
         """Sort the staged rows and install them as the store's base."""
         if self._finished:
             return
         self._finished = True
-        self._store._load_sorted_unique(sorted(self._rows))
+        n = self._store.n_terms
+        self._store.install_keys([(s * n + p) * n + o for s, p, o in self._rows])
         self._rows = set()
 
 
@@ -288,7 +311,10 @@ class ColumnarTripleStore:
     def add(self, subject: str, predicate: str, obj: Value) -> bool:
         """Insert a triple; True when it was not already present."""
         encode = self._terms.add
-        row = (encode(subject), encode(predicate), encode(obj))
+        return self.add_row((encode(subject), encode(predicate), encode(obj)))
+
+    def add_row(self, row: Tuple[int, int, int]) -> bool:
+        """:meth:`add` for a triple already encoded as dictionary ids."""
         if self._delta_contains(row):
             return False
         if self._base_contains(row):
@@ -368,7 +394,8 @@ class ColumnarTripleStore:
         """Fold delta adds and tombstones into fresh sorted base columns."""
         if not self._n_delta and not self._tombstones:
             return
-        self._load_sorted_unique(sorted(self.iter_rows()))
+        n = self.n_terms
+        self.install_keys([(s * n + p) * n + o for s, p, o in self.iter_rows()])
         self._delta_spo = {}
         self._delta_pos = {}
         self._delta_osp = {}
@@ -379,26 +406,27 @@ class ColumnarTripleStore:
         obs_metrics.gauge("store.columnar.base_rows", self._n_base)
         obs_metrics.gauge("store.columnar.terms", self.n_terms)
 
-    def _load_sorted_unique(self, rows: List[Tuple[int, int, int]]) -> None:
-        """Install ``rows`` (sorted, unique, not tombstoned) as the base.
+    def install_keys(self, keys: List[int]) -> None:
+        """Install the rows ``keys`` encode as the base (sorts ``keys``).
 
-        All transposes run at C speed: ``zip(*rows)`` splits the sorted
-        rows into columns, ``zip(col, col, col)`` re-pairs them for the
-        other permutations' sorts, and ``array('q', tuple)`` bulk-copies.
+        A row ``(s, p, o)`` is one int, ``(s * n + p) * n + o`` with ``n``
+        the dictionary size; ``keys`` are unique and not tombstoned.  Each
+        permutation is one sort of such ints, which, unlike tuples, the
+        garbage collector does not track, and each column is one list
+        comprehension over its sorted keys.
         """
-        if not rows:
-            self._spo = (array("q"), array("q"), array("q"))
-            self._pos = (array("q"), array("q"), array("q"))
-            self._osp = (array("q"), array("q"), array("q"))
-            self._n_base = 0
-            return
-        s_vals, p_vals, o_vals = zip(*rows)
-        self._spo = (array("q", s_vals), array("q", p_vals), array("q", o_vals))
-        pos_p, pos_o, pos_s = zip(*sorted(zip(p_vals, o_vals, s_vals)))
-        self._pos = (array("q", pos_p), array("q", pos_o), array("q", pos_s))
-        osp_o, osp_s, osp_p = zip(*sorted(zip(o_vals, s_vals, p_vals)))
-        self._osp = (array("q", osp_o), array("q", osp_s), array("q", osp_p))
-        self._n_base = len(rows)
+        n = self.n_terms
+        n_squared = n * n
+        keys.sort()
+        self._spo = _split_keys(keys, n)
+        # (p * n + o) * n + s and (o * n + s) * n + p, from (s * n + p) * n + o.
+        pos = [key % n_squared * n + key // n_squared for key in keys]
+        pos.sort()
+        self._pos = _split_keys(pos, n)
+        osp = [key % n * n_squared + key // n for key in keys]
+        osp.sort()
+        self._osp = _split_keys(osp, n)
+        self._n_base = len(keys)
 
     # ------------------------------------------------------------------
     # iteration
@@ -680,7 +708,7 @@ class ColumnarTripleStore:
         """An independent store that shares the nine base columns.
 
         Invariant: a base ``array('q')`` column is never written in place
-        — :meth:`_load_sorted_unique` always installs fresh arrays — so
+        — :meth:`install_keys` always installs fresh arrays — so
         sharing them by reference is safe.  Only the delta overlay, the
         tombstones and the term dictionary are copied.
         """
@@ -801,15 +829,45 @@ class ProvenanceColumns:
         # Labels are numbered in order of first appearance.
         label_of: Dict[Tuple[str, Optional[str]], int] = {}
         number = label_of.setdefault
-        n_squared = n * n
         return cls(
-            array("q", [key // n_squared for key in keys]),
-            array("q", [key // n % n for key in keys]),
-            array("q", [key % n for key in keys]),
+            *_split_keys(keys, n),
             array("q", accumulate(map(len, groups), initial=0)),
             array("q", [number((r.source, r.extractor), len(label_of)) for r in flat]),
             array("d", [r.confidence for r in flat]),
             list(label_of),
+        )
+
+    @classmethod
+    def from_rows(
+        cls,
+        keys: Sequence[int],
+        label: array,
+        conf: array,
+        labels: List[Tuple[str, Optional[str]]],
+        n_terms: int,
+    ) -> Optional["ProvenanceColumns"]:
+        """Columns of one record per row, where ``label[row]`` is not -1.
+
+        Row ``row`` is the id triple packed as ``keys[row]`` (as in
+        :meth:`fold`), its record the pair ``labels[label[row]]`` with
+        confidence ``conf[row]``.  A triple's records keep row order, and
+        the result is the one :meth:`fold` makes of the same records.
+        """
+        rows = [row for row in range(len(keys)) if label[row] >= 0]
+        if not rows:
+            return None
+        # A stable sort: each triple's records stay in row order.
+        rows.sort(key=keys.__getitem__)
+        counts = Counter([keys[row] for row in rows])
+        # Labels are renumbered in order of first appearance, as fold does.
+        label_of: Dict[int, int] = {}
+        number = label_of.setdefault
+        return cls(
+            *_split_keys(list(counts), n_terms),
+            array("q", accumulate(counts.values(), initial=0)),
+            array("q", [number(label[row], len(label_of)) for row in rows]),
+            array("d", [conf[row] for row in rows]),
+            [labels[index] for index in label_of],
         )
 
     def __len__(self) -> int:

@@ -1,6 +1,9 @@
 """Unit tests for binary snapshots and the append-only WAL."""
 
+import json
 import os
+import struct
+import zlib
 
 import pytest
 
@@ -482,6 +485,17 @@ class TestTripleWAL:
         recovered = TripleWAL(str(tmp_path / "wal")).recover()
         assert _triples(recovered) == _triples(graph)
         assert wal.stats()["base_bytes"] == stats["base_bytes"]
+        # A handle reopened on a segment holding frames appends to a new
+        # one, but after its own compaction to the fresh segment.
+        reopened = TripleWAL(str(tmp_path / "wal"), segment_bytes=4096)
+        reopened.append({"op": "add", "s": "p1", "p": "late", "o": 1})
+        reopened.close()
+        again = TripleWAL(str(tmp_path / "wal"), segment_bytes=4096)
+        again.compact()
+        again.append({"op": "add", "s": "p1", "p": "later", "o": 2})
+        again.close()
+        assert len(again.segment_paths()) == 1
+        assert len(TripleWAL(str(tmp_path / "wal")).recover()) == len(graph) + 2
 
     def test_append_after_close_raises(self, tmp_path):
         wal = TripleWAL(str(tmp_path / "wal"))
@@ -499,6 +513,54 @@ class TestTripleWAL:
         wal.close()
         with pytest.raises(CodecError, match="unknown WAL op"):
             TripleWAL(str(tmp_path / "wal")).recover()
+
+    def test_v1_segment_is_refused_with_versions_named(self, tmp_path):
+        """A segment written before WAL v2 (unnumbered JSON frames) is not
+        read, converted or appended to: recovery names the version it
+        found and the one it reads."""
+        wal_dir = tmp_path / "wal"
+        wal_dir.mkdir()
+        payload = json.dumps({"op": "add", "s": "e0", "p": "v", "o": 1}).encode("utf-8")
+        with open(wal_dir / "wal-00000001.log", "wb") as handle:
+            handle.write(struct.pack("<4sHH", codec.WAL_MAGIC, 1, 0))
+            handle.write(struct.pack("<II", len(payload), zlib.crc32(payload)) + payload)
+        size = os.path.getsize(wal_dir / "wal-00000001.log")
+        reopened = TripleWAL(str(wal_dir))
+        with pytest.raises(CodecError, match="not a v2 repro WAL segment .*version 1"):
+            reopened.recover()
+        reopened.append({"op": "add", "s": "e0", "p": "v", "o": 2})
+        # The v1 file is left as it was; the append went to a new segment.
+        assert os.path.getsize(wal_dir / "wal-00000001.log") == size
+        assert len(reopened.segment_paths()) == 2
+        with pytest.raises(CodecError, match="compact it with the checkout that wrote it"):
+            reopened.compact()
+        assert codec.WAL_VERSION == 2
+
+    def test_batch_frame_carries_only_new_terms(self, tmp_path):
+        """A batch is one frame of segment-local ids; a later batch in the
+        same segment carries only the terms the segment has not seen, and
+        typed-equal terms stay apart."""
+        wal = TripleWAL(str(tmp_path / "wal"))
+        ontology = Ontology()
+        ontology.add_class("Thing")
+        graph = KnowledgeGraph(ontology=ontology)
+        graph.attach_wal(wal)
+        graph.add_entity("e0", "E0", "Thing")
+        graph.add_triples_batch([Triple("e0", "v", 1), Triple("e0", "w", True)])
+        graph.add_triples_batch(
+            [(Triple("e0", "v", 1.0), Provenance(source="s", confidence=0.5))]
+        )
+        wal.close()
+        (segment,) = wal.segment_paths()
+        entity, first, second = codec.read_segment_records(segment).records
+        assert entity["op"] == "entity"
+        assert first.terms == ["e0", "v", 1, "w", True]
+        assert [type(term) for term in first.terms[2::2]] == [int, bool]
+        assert list(first.s) == [0, 0] and list(first.o) == [2, 4]
+        assert list(first.label) == [-1, -1]
+        assert second.terms == [1.0] and type(second.terms[0]) is float
+        assert (list(second.s), list(second.p), list(second.o)) == ([0], [1], [5])
+        assert second.labels == [("s", None)] and list(second.conf) == [0.5]
 
     def test_wal_suspended_during_merge_logs_single_record(self, tmp_path):
         graph, wal = self._logged_graph(tmp_path / "wal")
@@ -543,6 +605,33 @@ class TestTripleWAL:
             # The records before the damaged one, and none after it.
             assert 0 < len(values) < 300
             assert values == list(range(len(values)))
+
+    @pytest.mark.parametrize("damage", ["drop_last_record", "drop_segment"])
+    def test_missing_record_or_segment_stops_replay(self, tmp_path, damage):
+        """A non-final segment that lost its last whole record, or a
+        missing middle segment, reads as whole frame by frame; the
+        sequence numbers show the gap."""
+        wal = self._logged_adds(tmp_path / "wal", range(300))
+        segments = wal.segment_paths()
+        assert len(segments) >= 3
+        kept = len(codec.read_segment_records(segments[0]).records) - 1  # minus the entity
+        if damage == "drop_segment":
+            os.remove(segments[1])
+        else:
+            with open(segments[0], "rb") as handle:
+                blob = handle.read()
+            offset = 16
+            while offset < len(blob):
+                last = offset
+                offset += 8 + struct.unpack_from("<I", blob, offset)[0]
+            os.truncate(segments[0], last)
+            kept -= 1
+        reopened = TripleWAL(wal.directory, segment_bytes=4096)
+        with pytest.raises(CodecError, match=f"{os.path.basename(segments[0])}: ends before"):
+            reopened.recover()
+        partial = reopened.recover(allow_partial=True)
+        assert sorted(triple.object for triple in partial.query()) == list(range(kept))
+        reopened.close()
 
     def test_reopen_after_torn_tail_appends_after_last_whole_record(self, tmp_path):
         wal = self._logged_adds(tmp_path / "wal", [1, 2])
@@ -680,14 +769,16 @@ class TestSegmentTailReads:
         wal = TripleWAL(str(tmp_path / "wal"), segment_bytes=1 << 20)
         wal.append({"op": "add", "s": "a", "p": "b", "o": 1})
         segment = wal.segment_paths()[0]
-        records, offset = codec.read_segment_records(segment)
-        assert [record["op"] for record in records] == ["add"]
+        read = codec.read_segment_records(segment)
+        assert [record["op"] for record in read.records] == ["add"]
+        assert (read.first, read.seq) == (0, 1)
         # No new frames: same offset, no records.
-        again, offset_2 = codec.read_segment_records(segment, offset)
-        assert again == [] and offset_2 == offset
+        again = codec.read_segment_records(segment, read.end, read.seq)
+        assert again.records == [] and again.end == read.end
         wal.append({"op": "add", "s": "a", "p": "b", "o": 2})
-        fresh, _ = codec.read_segment_records(segment, offset)
-        assert [record["o"] for record in fresh] == [2]
+        fresh = codec.read_segment_records(segment, read.end, read.seq)
+        assert [record["o"] for record in fresh.records] == [2]
+        assert fresh.first is None and fresh.seq == 2
 
     def test_read_segment_records_tolerates_torn_tail(self, tmp_path):
         wal = TripleWAL(str(tmp_path / "wal"), segment_bytes=1 << 20)
@@ -701,11 +792,11 @@ class TestSegmentTailReads:
         torn = str(tmp_path / "torn.log")
         with open(torn, "wb") as handle:
             handle.write(data[: whole - 3])  # truncate inside the last frame
-        records, offset = codec.read_segment_records(torn)
-        assert [record["o"] for record in records] == [1]
+        read = codec.read_segment_records(torn)
+        assert [record["o"] for record in read.records] == [1]
         # Completing the tail makes the second record visible at the
         # returned offset.
         with open(torn, "ab") as handle:
             handle.write(data[whole - 3 :])
-        rest, _ = codec.read_segment_records(torn, offset)
-        assert [record["o"] for record in rest] == [2]
+        rest = codec.read_segment_records(torn, read.end, read.seq)
+        assert [record["o"] for record in rest.records] == [2]

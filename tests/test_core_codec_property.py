@@ -24,6 +24,8 @@ from repro.core.codec import CodecError, TripleWAL
 from repro.core.graph import KnowledgeGraph
 from repro.core.ontology import Ontology
 from repro.core.triple import Provenance, Triple
+from repro.obs import enabled_scope
+from repro.obs.lineage import get_ledger
 from tests.oracles import SetGraph, assert_graph_matches, public_state
 
 _ENTITY_IDS = ["e0", "e1", "e2", "e3"]
@@ -179,6 +181,80 @@ def test_wal_replay_roundtrip(tmp_path_factory, items):
     assert public_state(recovered) == public_state(graph)
 
 
+#: One batch: its items, records the first item's triple gets again within
+#: the batch, and where (if anywhere) an item with an unknown subject
+#: makes it raise.
+_parity_batches = st.lists(
+    st.tuples(
+        st.lists(
+            st.tuples(_entity_ids, st.sampled_from(["p", "q"]), _mixed_objects, _provenances),
+            max_size=12,
+        ),
+        st.lists(_records, max_size=3),
+        st.one_of(st.none(), st.integers(0, 12)),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+def _ledger():
+    ledger = get_ledger()
+    return ledger._sequence, {
+        key: [event.to_dict() for event in events] for key, events in ledger._events.items()
+    }
+
+
+@given(batches=_parity_batches, pad=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_recovery_parity(tmp_path_factory, batches, pad):
+    """Batches logged through the graph API recover byte for byte:
+    ``save(recover())`` equals ``save(writer)``, and with lineage on the
+    recovery records the writer's ledger events.  The batches hold
+    typed-equal terms (0 / 0.0 / False / -0.0, 1 / 1.0 / True) and
+    ``None`` extractors, repeat a triple with several records, land on a
+    non-empty graph, and may raise mid-way on an unknown subject (the
+    rows before it stay logged).  ``pad`` adds a long point write after
+    each batch, so batches also land in fresh segments whose term tables
+    start empty."""
+    tmp = tmp_path_factory.mktemp("parity")
+    wal_dir = str(tmp / "wal")
+    with enabled_scope():
+        ontology = Ontology()
+        ontology.add_class("Thing")
+        graph = KnowledgeGraph(ontology=ontology, name="wal")
+        wal = TripleWAL(wal_dir, segment_bytes=4096)
+        graph.attach_wal(wal)
+        for entity_id in _ENTITY_IDS:
+            graph.add_entity(entity_id, entity_id.upper(), "Thing")
+        for index, (items, again, fail_at) in enumerate(batches):
+            batch = [(Triple(s, p, o), prov) for s, p, o, prov in items]
+            if batch:
+                batch.extend((batch[0][0], record) for record in again)
+            if fail_at is not None:
+                batch.insert(min(fail_at, len(batch)), Triple("nobody", "p", 1))
+            try:
+                graph.add_triples_batch(batch)
+            except ValueError:
+                assert fail_at is not None
+            if pad:
+                graph.add_triple(Triple("e0", f"pad-{index}-{'x' * 1500}", index))
+        wal.close()
+        written = _ledger()
+        get_ledger().reset()
+        recovered = TripleWAL(wal_dir).recover()
+        replayed = _ledger()
+    assert replayed == written
+    assert public_state(recovered) == public_state(graph)
+    blobs = []
+    for name, kg in (("writer", graph), ("recovered", recovered)):
+        path = str(tmp / f"{name}.rkgs")
+        codec.save_graph(kg, path, include_lineage=False)
+        with open(path, "rb") as handle:
+            blobs.append(handle.read())
+    assert blobs[0] == blobs[1]
+
+
 @given(
     items=_items,
     cut=st.floats(min_value=0.0, max_value=0.999),
@@ -237,14 +313,17 @@ def _logged_records(items):
 
 
 def _frame_layout(records):
-    """``(segment index, frame end)`` of each record, as the writer lays
-    them out in 4096-byte segments."""
-    layout, segment, offset = [], 0, 8
+    """``(segment index, frame start, frame end)`` of each record, as the
+    writer lays them out in 4096-byte segments: a 16-byte segment header,
+    then per record an 8-byte frame head, its 9-byte sequence number and
+    kind, and its JSON."""
+    layout, segment, offset = [], 0, 16
     for record in records:
-        offset += 8 + len(json.dumps(record, sort_keys=True).encode("utf-8"))
-        layout.append((segment, offset))
+        start = offset
+        offset += 8 + 9 + len(json.dumps(record, sort_keys=True).encode("utf-8"))
+        layout.append((segment, start, offset))
         if offset >= 4096:  # the writer rotates after this record
-            segment, offset = segment + 1, 8
+            segment, offset = segment + 1, 16
     return layout
 
 
@@ -258,19 +337,20 @@ def _replayed(records):
     items=st.lists(
         st.tuples(_entity_ids, _predicates, _objects, _provenances), min_size=20, max_size=40
     ),
-    kind=st.sampled_from(["truncate", "delete", "flip"]),
+    kind=st.sampled_from(["truncate", "delete", "flip", "drop_frame", "drop_segment"]),
     segment=st.floats(min_value=0.0, max_value=0.999),
     position=st.floats(min_value=0.0, max_value=0.999),
     flip=st.integers(min_value=1, max_value=255),
 )
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 def test_truncated_wal_tail_keeps_prefix(
     tmp_path_factory, items, kind, segment, position, flip
 ):
-    """Damage one byte of a multi-segment log — truncate the last segment
-    there (a crash mid-append), delete it, or flip it, in any segment.
-    ``allow_partial`` recovery is exactly the first k intact records;
-    strict recovery is that too or raises."""
+    """Damage a multi-segment log: truncate the last segment at a byte (a
+    crash mid-append), delete or flip one byte in any segment, remove one
+    whole record, or remove one whole segment.  ``allow_partial``
+    recovery is exactly the records before the damage; strict recovery is
+    that too or raises."""
     wal_dir = str(tmp_path_factory.mktemp("wal"))
     wal = TripleWAL(wal_dir, segment_bytes=4096)
     records = _logged_records(items)
@@ -278,58 +358,89 @@ def test_truncated_wal_tail_keeps_prefix(
         wal.append(record)
     wal.close()
     segments = wal.segment_paths()
-    assert len(segments) > 1
-    target = len(segments) - 1 if kind == "truncate" else int(len(segments) * segment)
-    path = segments[target]
-    with open(path, "rb") as handle:
-        blob = bytearray(handle.read())
-    at = int(len(blob) * position)
-    if kind == "truncate":
-        del blob[at:]
-    elif kind == "delete":
-        del blob[at]
+    layout = _frame_layout(records)
+    # The writer may have rotated after the last record: one more, empty.
+    assert len(segments) - layout[-1][0] in (1, 2) and len(segments) > 1
+    if kind == "drop_frame":
+        # One whole record, anywhere — the last of a non-final segment too.
+        k = int(len(records) * position)
+        target, start, end = layout[k]
+        with open(segments[target], "rb") as handle:
+            blob = handle.read()
+        with open(segments[target], "wb") as handle:
+            handle.write(blob[:start] + blob[end:])
+    elif kind == "drop_segment":
+        target = int(len(segments) * segment)
+        os.remove(segments[target])
+        k = sum(seg < target for seg, _, _ in layout)
     else:
-        blob[at] ^= flip
-    with open(path, "wb") as handle:
-        handle.write(bytes(blob))
-    # The records whose frames end before the damaged byte.  Bytes 6-7 are
-    # the header's reserved flags: a flip there damages nothing.
-    k = sum(seg < target or (seg == target and end <= at) for seg, end in _frame_layout(records))
-    if kind == "flip" and 6 <= at < 8:
-        k = len(records)
+        target = len(segments) - 1 if kind == "truncate" else int(len(segments) * segment)
+        path = segments[target]
+        with open(path, "rb") as handle:
+            blob = bytearray(handle.read())
+        at = int(len(blob) * position)
+        if kind == "truncate":
+            del blob[at:]
+        elif kind == "delete":
+            del blob[at]
+        else:
+            blob[at] ^= flip
+        with open(path, "wb") as handle:
+            handle.write(bytes(blob))
+        # The records whose frames end before the damaged byte.  Bytes 6-7
+        # are the header's reserved flags: a flip there damages nothing.
+        k = sum(seg < target or (seg == target and end <= at) for seg, _, end in layout)
+        if kind == "flip" and 6 <= at < 8:
+            k = len(records)
+    # Only a cut at the very end of the log can pass for a clean one.
+    last = target == len(segments) - 1
+    clean_end = (
+        kind == "truncate"
+        or (kind == "drop_segment" and last)
+        or (kind == "drop_frame" and last and k == len(records) - 1)
+    )
 
     expected = _replayed(records[:k])
     reopened = TripleWAL(wal_dir, segment_bytes=4096)
     try:
         strict = public_state(reopened.recover())
     except CodecError:
-        assert kind != "truncate"  # a torn tail is the crash case, never an error
+        assert not clean_end  # a torn tail is the crash case, never an error
     else:
         assert strict == expected
     assert public_state(reopened.recover(allow_partial=True)) == expected
     reopened.close()
 
 
+def _log_items(wal, items):
+    """``_logged_records(items)``, then the items once more as one batch."""
+    for record in _logged_records(items):
+        wal.append(record)
+    if items:
+        wal.append_batch([(Triple("e0", p, o), prov) for _s, p, o, prov in items])
+
+
 @given(items=_items, cuts=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=8))
 @settings(max_examples=30, deadline=None)
 def test_split_reads_equal_one_whole_read(tmp_path_factory, items, cuts):
-    """Reading a growing segment at whatever offsets the previous reads
-    returned yields exactly one whole read's records."""
+    """Reading a growing segment at whatever offsets (and sequence
+    numbers) the previous reads returned yields exactly one whole read's
+    records."""
     tmp = tmp_path_factory.mktemp("wal")
     wal = TripleWAL(str(tmp / "wal"))
-    for record in _logged_records(items):
-        wal.append(record)
+    _log_items(wal, items)
     wal.close()
     (segment,) = wal.segment_paths()
     with open(segment, "rb") as handle:
         blob = handle.read()
-    whole, end = codec.read_segment_records(segment)
-    assert end == len(blob)
+    whole = codec.read_segment_records(segment)
+    assert whole.end == len(blob)
     growing = str(tmp / "growing.log")
-    records, offset = [], 0
+    records, offset, seq = [], 0, None
     for cut in sorted(cuts) + [1.0]:
         with open(growing, "wb") as handle:
             handle.write(blob[: int(len(blob) * cut)])
-        more, offset = codec.read_segment_records(growing, offset)
-        records.extend(more)
-    assert records == whole and offset == len(blob)
+        read = codec.read_segment_records(growing, offset, seq)
+        records.extend(read.records)
+        offset, seq = read.end, read.seq
+    assert records == whole.records and offset == len(blob)

@@ -200,7 +200,7 @@ class TestPublishBuildsNoSecondStore:
         graph._store.compact()  # so there are base columns to share
         built = []
         real_build = store_module._build_from_rows
-        real_load = store_module.ColumnarTripleStore._load_sorted_unique
+        real_install = store_module.ColumnarTripleStore.install_keys
         monkeypatch.setattr(
             store_module,
             "_build_from_rows",
@@ -208,8 +208,8 @@ class TestPublishBuildsNoSecondStore:
         )
         monkeypatch.setattr(
             store_module.ColumnarTripleStore,
-            "_load_sorted_unique",
-            lambda *args: built.append("_load_sorted_unique") or real_load(*args),
+            "install_keys",
+            lambda *args: built.append("install_keys") or real_install(*args),
         )
         snapshot = SnapshotStore(n_shards=2).publish(graph)
         assert built == []
