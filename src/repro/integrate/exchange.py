@@ -13,12 +13,12 @@ made:
   here with the same pure :func:`~repro.core.partition.pair_score` the
   partitions used locally; matches are unioned in one
   :class:`~repro.core.partition.Clusters`;
-* **merge EM sufficient statistics** — the one Accu EM loop
-  (:meth:`repro.integrate.fusion.AccuFusion.fuse`) runs its E-step per
-  logical shard, one per partition, and merges the shards' sufficient
-  statistics with ``math.fsum`` over globally sorted data items, so the
-  learned source accuracies — and hence the value posteriors — are
-  bit-identical for every shard count;
+* **fuse** — the one Accu EM loop
+  (:meth:`repro.integrate.fusion.AccuFusion.fuse`) runs once over every
+  rewritten claim, iterating over the contested data items only; its
+  claim sort and ``math.fsum`` M-step make the learned source accuracies
+  — and hence the value posteriors — independent of claim order and so
+  of the partition count;
 * **stitch columnar fragments** — each partition's ``TermDict``/SPO id
   columns are decoded through a per-fragment id remap (subject ids
   rewritten to their linked cluster roots) into one global row set, and
@@ -72,9 +72,10 @@ class ExchangeOutcome:
 def fuse_sharded(
     claims: Sequence[ValueClaim], n_shards: int
 ) -> Tuple[List[FusionResult], Dict[str, float]]:
-    """:meth:`AccuFusion.fuse` with its defaults, plus the learned accuracies."""
+    """:meth:`AccuFusion.fuse` with its defaults, plus the learned accuracies.
+    ``n_shards`` changes nothing; the signature stays for the benchmark."""
     fusion = AccuFusion()
-    return fusion.fuse(claims, n_shards), fusion.source_accuracy_
+    return fusion.fuse(claims), fusion.source_accuracy_
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +198,7 @@ def exchange(
             )
             n_merges += 1
 
-    # -- fuse: claims rewritten to cluster roots, EM stats merged ---------
+    # -- fuse: claims rewritten to cluster roots, one EM over them --------
     rewritten = [
         ValueClaim(
             subject=root_of[claim.subject],
@@ -208,7 +209,9 @@ def exchange(
         for result in results
         for claim in result.claims
     ]
-    fusion_results, source_accuracy = fuse_sharded(rewritten, n_shards=len(results))
+    fusion = AccuFusion()
+    fusion_results = fusion.fuse(rewritten)
+    source_accuracy = fusion.source_accuracy_
     winners = {
         (result.subject, result.attribute): result.value
         for result in fusion_results
@@ -277,6 +280,7 @@ def exchange(
         "n_entities": len(clusters),
         "n_claims": len(rewritten),
         "n_data_items": len(winners),
+        "n_contested_items": fusion.n_contested_items_,
         "n_triples": len(final_rows),
         "n_rejections": len(rejections),
     }

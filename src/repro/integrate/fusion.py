@@ -11,16 +11,18 @@ Two resolvers are provided:
   and value probabilities are estimated jointly by EM, so a careful source
   outvotes three sloppy ones.  The learned source accuracies are also the
   substrate for Knowledge-Based Trust (:mod:`repro.fuse.kbt`).
+
+Most data items are uncontested (every claim agrees), so EM folds them into
+constants once and iterates over the contested ones; an exactly rounded
+M-step keeps every float what the loop over all items gave.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Dict, Iterable, List, Sequence, Tuple
-from zlib import crc32
 
 from repro.core.parallel import pmap
 from repro.core.triple import Value
@@ -104,8 +106,8 @@ class AccuFusion:
 
     This is the fusion half of the construction kernel, and its fields are
     the one declaration of the EM hyper-parameters.  :meth:`fuse` is the
-    only EM loop — the batch exchange calls it with one shard per
-    partition — and the four steps it is made of (:meth:`posterior`,
+    only EM loop — the batch exchange and a stream's drain call it on every
+    claim at once — and the four steps it is made of (:meth:`posterior`,
     :meth:`item_statistics`, :meth:`estimate`, :meth:`decide`) are what
     :class:`repro.stream.ingest.StreamIngestor` applies to one group at a
     time.
@@ -117,6 +119,7 @@ class AccuFusion:
     min_accuracy: float = 0.05
     max_accuracy: float = 0.99
     source_accuracy_: Dict[str, float] = field(default_factory=dict, init=False)
+    n_contested_items_: int = field(default=0, init=False)
 
     # -- the four kernel steps ------------------------------------------
 
@@ -213,17 +216,17 @@ class AccuFusion:
     # -- the EM loop ----------------------------------------------------
 
     @profiled("fusion.accu")
-    def fuse(
-        self, claims: Sequence[ValueClaim], n_shards: int = 1
-    ) -> List[FusionResult]:
+    def fuse(self, claims: Sequence[ValueClaim]) -> List[FusionResult]:
         """Run EM and return the fused value per data item, sorted by item.
 
-        Each iteration runs the E-step per shard of data items (one
-        :func:`~repro.core.parallel.pmap` item each) and merges the shards'
-        sufficient statistics with ``math.fsum`` over globally sorted
-        items, so results and ``source_accuracy_`` are independent of
-        ``n_shards`` down to the last bit; the claim sort below makes them
-        independent of claim input order too.
+        Only *contested* items (more than one distinct value) are iterated.
+        An uncontested item's posterior is ``{value: 1.0}`` whatever the
+        accuracies, so it is folded once into per-source constants: each of
+        its claims adds exactly 1 to its source's mass and count.  The
+        M-step ``math.fsum``s a source's contested masses with that constant;
+        ``fsum`` is correctly rounded, so the accuracies are bit-identical to
+        summing every item's row.  The claim sort makes the result
+        independent of claim input order.
         """
         claims = sorted(
             claims,
@@ -236,70 +239,47 @@ class AccuFusion:
             ),
         )
         obs_metrics.count("fusion.claims", len(claims))
-        grouped = _group_claims(claims)
+        grouped = _group_claims(claims)  # in item order: the claims are sorted
         obs_metrics.count("fusion.data_items", len(grouped))
-        shards: List[List[Item]] = [[] for _ in range(max(1, n_shards))]
-        for item in sorted(grouped.items()):
-            shards[crc32(item[0][0].encode("utf-8")) % len(shards)].append(item)
-        sources = sorted({claim.source for claim in claims})
+        counts = Counter(claim.source for claim in claims)
+        sources = sorted(counts)
         accuracy = {source: self.initial_accuracy for source in sources}
-        shard_stats: list = []
+        posteriors: Dict[ItemKey, Dict[Value, float]] = {}
+        contested: List[Item] = []
+        for item_key, item_claims in grouped.items():
+            if len({claim.value for claim in item_claims}) > 1:
+                contested.append((item_key, item_claims))
+            else:  # what :meth:`posterior` returns for one candidate value
+                posteriors[item_key] = {item_claims[0].value: 1.0}
+        settled = counts - Counter(
+            claim.source for _, item_claims in contested for claim in item_claims
+        )
+        self.n_contested_items_ = len(contested)
         for _ in range(self.n_iterations):
-            shard_stats = pmap(partial(self._shard_statistics, accuracy), shards)
-            accuracy = self._merged_estimates(shard_stats, sources)
+            masses: Dict[str, List[float]] = {source: [] for source in sources}
+            for item_key, item_claims in contested:
+                posterior = self.posterior(item_claims, accuracy)
+                posteriors[item_key] = posterior
+                for source, mass in self.item_statistics(posterior, item_claims)[0].items():
+                    masses[source].append(mass)
+            accuracy = {
+                source: self.estimate(
+                    math.fsum(masses[source] + [settled[source]]), counts[source]
+                )
+                for source in sources
+            }
         self.source_accuracy_ = accuracy
-        posteriors = {
-            item_key: posterior
-            for shard, (shard_posteriors, _, _) in zip(shards, shard_stats)
-            for (item_key, _), posterior in zip(shard, shard_posteriors)
-        }
         results = [
             self.decide(
-                item_key, posteriors[item_key], grouped[item_key], accuracy, "fusion.accu"
+                item_key, posteriors[item_key], item_claims, accuracy, "fusion.accu"
             )
-            for item_key in sorted(posteriors)
+            for item_key, item_claims in grouped.items()
         ]
         obs_metrics.count("fusion.accepted", len(results))
         obs_metrics.count(
             "fusion.rejected", sum(map(len, posteriors.values())) - len(results)
         )
         return results
-
-    def _shard_statistics(self, accuracy: Dict[str, float], items: Sequence[Item]):
-        """One shard's E-step pass: each item's posterior and, per source,
-        its ``(item, mass)`` rows and its claim count."""
-        posteriors = []
-        rows: Dict[str, List[Tuple[ItemKey, float]]] = {}
-        counts: Dict[str, int] = {}
-        for item_key, item_claims in items:
-            posterior = self.posterior(item_claims, accuracy)
-            posteriors.append(posterior)
-            mass, item_counts = self.item_statistics(posterior, item_claims)
-            for source, value in mass.items():
-                rows.setdefault(source, []).append((item_key, value))
-                counts[source] = counts.get(source, 0) + item_counts[source]
-        return posteriors, rows, counts
-
-    def _merged_estimates(
-        self, shard_stats: Sequence[tuple], sources: Sequence[str]
-    ) -> Dict[str, float]:
-        """Merge the shards' sufficient statistics into new source accuracies.
-
-        Each (item, source) row lives in exactly one shard (items are
-        atomic), so re-sorting the union by data item and summing with
-        ``math.fsum`` yields totals that are bit-identical no matter how
-        many shards the items were split across.
-        """
-        accuracy = {}
-        for source in sources:
-            rows = sorted(
-                row
-                for _, shard_rows, _ in shard_stats
-                for row in shard_rows.get(source, ())
-            )
-            count = sum(counts.get(source, 0) for _, _, counts in shard_stats)
-            accuracy[source] = self.estimate(math.fsum(mass for _, mass in rows), count)
-        return accuracy
 
 
 def claims_from_sources(

@@ -10,10 +10,12 @@ They are also the scoring kernel under
 the three hot pieces are built for that call pattern without changing a
 single returned float: :func:`levenshtein` is the exact bit-parallel
 (Myers/Hyyrö) algorithm, :func:`name_forms` tokenizes and token-sorts each
-distinct name once, and :func:`jaro_winkler` is memoized on its *ordered*
-arguments.  Both memos are fixed-size ``functools.lru_cache`` wrappers on
-pure string functions, so a hit returns the very float a miss would compute
-(DESIGN.md §7).
+distinct name once, :func:`token_sort_similarity` computes each distinct
+pair of sorted forms once (keyed on the pair in canonical order, since edit
+distance is symmetric), and :func:`jaro_winkler` is memoized on its
+*ordered* arguments.  The three memos are fixed-size ``functools.lru_cache``
+wrappers on pure string functions, so a hit returns the very float a miss
+would compute (DESIGN.md §7).
 """
 
 from __future__ import annotations
@@ -109,12 +111,21 @@ def token_jaccard(left: str, right: str) -> float:
     return jaccard(tokenize(left), tokenize(right))
 
 
+#: Edit similarity of two sorted forms in canonical order: sources spell
+#: one entity alike, so the same pair recurs.
+_sorted_forms_similarity = lru_cache(maxsize=16384)(levenshtein_similarity)
+
+
 def token_sort_similarity(left: str, right: str) -> float:
     """Edit similarity after sorting tokens; robust to word reordering.
 
-    ``"Dong, Xin Luna"`` vs ``"Xin Luna Dong"`` scores 1.0.
+    ``"Dong, Xin Luna"`` vs ``"Xin Luna Dong"`` scores 1.0.  Both argument
+    orders share one memo entry: edit distance is symmetric.
     """
-    return levenshtein_similarity(name_forms(left)[1], name_forms(right)[1])
+    left_sorted, right_sorted = name_forms(left)[1], name_forms(right)[1]
+    if right_sorted < left_sorted:
+        left_sorted, right_sorted = right_sorted, left_sorted
+    return _sorted_forms_similarity(left_sorted, right_sorted)
 
 
 def _jaro(left: str, right: str) -> float:

@@ -341,7 +341,9 @@ class StreamIngestor:
     ) -> Set[GroupKey]:
         touched: Set[GroupKey] = set()
         graph = self.graph
-        for keep, drop in sorted(merge_events):
+        # Union order, not sorted: of a chain (b, c), (a, b), sorted order
+        # merges b into a first, then re-creates b as an orphan to absorb c.
+        for keep, drop in merge_events:
             for attribute in self._fused.get(drop, ()):
                 touched.add((drop, attribute))
                 touched.add((keep, attribute))

@@ -4,10 +4,11 @@ Slow, obvious, and memo-free on purpose: the row-by-row Levenshtein DP that
 ``repro.ml.similarity.levenshtein`` used to be, ``pair_score`` composed
 from it with every name re-tokenized and every token pair re-scored,
 ``accu_fuse``, the textbook Accu EM that ``AccuFusion.fuse`` (the only EM
-loop in ``src/``) is compared with, ``SetGraph``, the set-of-rows model of
-``repro.core.graph.KnowledgeGraph``, and the full-scan ``merge_entities``
-the index walk replaced.  The seeded generators at the bottom give the
-equivalence suites identical work.
+loop in ``src/``) is compared with, ``accu_fuse_stepwise``, the same loop
+over every data item that ``fuse`` must equal bit for bit, ``SetGraph``,
+the set-of-rows model of ``repro.core.graph.KnowledgeGraph``, and the
+full-scan ``merge_entities`` the index walk replaced.  The seeded
+generators at the bottom give the equivalence suites identical work.
 """
 
 import copy
@@ -118,6 +119,49 @@ def accu_fuse(
             for source in accuracy
         }
     return posteriors, accuracy
+
+
+def accu_fuse_stepwise(fusion, claims):
+    """``fusion.fuse(claims)`` as it ran before uncontested items were
+    folded: the four kernel steps over *every* item in every iteration and
+    one ``math.fsum`` per source over every item's mass.  Returns
+    ``(results, accuracy)``; with lineage on it records the verdicts
+    ``fuse`` records, in the same order."""
+    claims = sorted(
+        claims,
+        key=lambda claim: (
+            claim.subject,
+            claim.attribute,
+            claim.source,
+            type(claim.value).__name__,
+            str(claim.value),
+        ),
+    )
+    grouped = {}
+    for claim in claims:
+        grouped.setdefault((claim.subject, claim.attribute), []).append(claim)
+    sources = sorted({claim.source for claim in claims})
+    accuracy = dict.fromkeys(sources, fusion.initial_accuracy)
+    posteriors = {}
+    for _ in range(fusion.n_iterations):
+        rows = {source: [] for source in sources}
+        counts = dict.fromkeys(sources, 0)
+        for item_key in sorted(grouped):
+            posterior = fusion.posterior(grouped[item_key], accuracy)
+            posteriors[item_key] = posterior
+            mass, item_counts = fusion.item_statistics(posterior, grouped[item_key])
+            for source in mass:
+                rows[source].append(mass[source])
+                counts[source] += item_counts[source]
+        accuracy = {
+            source: fusion.estimate(math.fsum(rows[source]), counts[source])
+            for source in sources
+        }
+    results = [
+        fusion.decide(key, posteriors[key], grouped[key], accuracy, "fusion.accu")
+        for key in sorted(posteriors)
+    ]
+    return results, accuracy
 
 
 # ---------------------------------------------------------------------------

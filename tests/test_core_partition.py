@@ -26,7 +26,7 @@ from repro.datagen.sources import SourceRecord
 from repro.integrate.blocking import BlockingStrategy
 from repro.integrate.exchange import fuse_sharded
 from repro.integrate.fusion import AccuFusion, ValueClaim
-from repro.ml.similarity import jaro_winkler, name_forms
+from repro.ml.similarity import _sorted_forms_similarity, jaro_winkler, name_forms
 from repro.obs import enabled_scope
 from tests import oracles
 
@@ -134,6 +134,7 @@ def _fixture_candidates():
 def _clear_memos():
     jaro_winkler.cache_clear()
     name_forms.cache_clear()
+    _sorted_forms_similarity.cache_clear()
 
 
 class TestPairScoreExactness:
@@ -392,9 +393,11 @@ class TestFuseSharded:
         return claims
 
     def test_shard_count_invariant(self):
+        """``n_shards`` no longer splits anything: at every count the
+        adapter is the stepwise EM over all items, bit for bit."""
         claims = self._claims()
-        reference = fuse_sharded(claims, 1)
-        for n_shards in (2, 3, 8):
+        reference = oracles.accu_fuse_stepwise(AccuFusion(), claims)
+        for n_shards in (1, 2, 3, 8):
             assert fuse_sharded(claims, n_shards) == reference
 
     def test_claim_order_invariant(self):
@@ -493,6 +496,18 @@ class TestExchangeOutcome:
         context = pipeline.run(context, partitions=3)
         outcome = context.artifacts["exchange"]
         assert outcome.stats["n_partitions"] == 3
+        root_of = {
+            member: root for root, members in outcome.clusters.items() for member in members
+        }
+        values = {}
+        for result in context.artifacts["partition_results"]:
+            for claim in result.claims:
+                item = (root_of[claim.subject], claim.attribute)
+                values.setdefault(item, set()).add(claim.value)
+        n_contested = sum(len(item_values) > 1 for item_values in values.values())
+        assert outcome.stats["n_data_items"] == len(values)
+        assert 0 < outcome.stats["n_contested_items"] == n_contested < len(values)
+        assert pipeline.reports[-1].metrics["n_contested_items"] == n_contested
         assert outcome.stats["n_triples"] == len(context.artifacts["kg"])
         assert outcome.stats["n_entities"] == len(
             list(context.artifacts["kg"].entities())

@@ -1,11 +1,16 @@
 """Tests for data fusion (majority vote and Bayesian ACCU-style)."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.integrate.fusion import AccuFusion, ValueClaim, claims_from_sources, majority_vote
+from repro.obs import enabled_scope, reset_all
+from repro.obs.lineage import get_ledger
+from tests import oracles
 
 
 def _claims(spec):
@@ -134,6 +139,73 @@ class TestAccuFusion:
         for result in AccuFusion(n_iterations=4).fuse(claims):
             assert result.value in claimed[(result.subject, result.attribute)]
             assert 0.0 < result.confidence <= 1.0
+
+
+# Python-equal values of different types (one term), a shared NaN object
+# and fresh ones (each unequal to every value, itself included).
+_VALUES = st.one_of(
+    st.sampled_from([0, 0.0, False, 1, 1.0, True, "a", "b", math.nan]),
+    st.builds(float, st.just("nan")),
+)
+_CLAIM_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from(["e1", "e2", "e3", "e4"]),
+        st.sampled_from(["x", "y"]),
+        _VALUES,
+        st.sampled_from(["s1", "s2", "s3"]),
+    ),
+    max_size=30,
+)
+_ONE_SOURCE = [("e1", "x", 1, "s1"), ("e1", "x", 2, "s1"), ("e2", "x", "a", "s1")]
+_ALL_UNCONTESTED = [("e1", "x", 0, "s1"), ("e1", "x", 0.0, "s2"), ("e2", "y", "a", "s2")]
+_ALL_CONTESTED = [
+    ("e1", "x", "a", "s1"), ("e1", "x", "b", "s2"),
+    ("e2", "x", 1, "s3"), ("e2", "x", 2, "s1"), ("e2", "x", 2, "s2"),
+]
+
+
+class TestFoldedEMExactness:
+    """``fuse`` iterates over contested items only; the stepwise loop over
+    every item in ``tests/oracles.py`` must give the very same floats."""
+
+    @given(rows=_CLAIM_ROWS, n_iterations=st.integers(min_value=1, max_value=12))
+    @example(rows=_ONE_SOURCE, n_iterations=10)
+    @example(rows=_ALL_UNCONTESTED, n_iterations=10)
+    @example(rows=_ALL_CONTESTED, n_iterations=10)
+    @settings(max_examples=150, deadline=None)
+    def test_fuse_equals_the_stepwise_loop(self, rows, n_iterations):
+        claims = _claims(rows)
+        fusion = AccuFusion(n_iterations=n_iterations)
+        results = fusion.fuse(claims)
+        expected, accuracy = oracles.accu_fuse_stepwise(
+            AccuFusion(n_iterations=n_iterations), claims
+        )
+        assert results == expected
+        assert fusion.source_accuracy_ == accuracy
+        assert [type(result.value) for result in results] == [
+            type(result.value) for result in expected
+        ]
+        values = {}
+        for claim in claims:
+            values.setdefault((claim.subject, claim.attribute), set()).add(claim.value)
+        assert fusion.n_contested_items_ == sum(len(item) > 1 for item in values.values())
+
+    @given(rows=_CLAIM_ROWS)
+    @example(rows=_ALL_CONTESTED)
+    @settings(max_examples=40, deadline=None)
+    def test_lineage_ledgers_are_equal(self, rows):
+        claims = _claims(rows)
+        ledgers = []
+        for run in (
+            lambda: AccuFusion().fuse(claims),
+            lambda: oracles.accu_fuse_stepwise(AccuFusion(), claims),
+        ):
+            reset_all()
+            with enabled_scope():
+                run()
+                ledgers.append(repr(get_ledger().export_state()))
+            reset_all()
+        assert ledgers[0] == ledgers[1]
 
 
 class TestClaimsFromSources:

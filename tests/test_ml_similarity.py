@@ -5,6 +5,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.ml.similarity import (
+    _sorted_forms_similarity,
     feature_vector,
     jaccard,
     jaro_winkler,
@@ -100,6 +101,22 @@ class TestTokenMeasures:
     @given(oracle_text_strategy, oracle_text_strategy)
     def test_token_sort_equals_oracle(self, left, right):
         assert token_sort_similarity(left, right) == oracles.token_sort_similarity(left, right)
+
+    @given(oracle_text_strategy, oracle_text_strategy)
+    @example("Xin Luna Dong", "Dong Xin")
+    def test_token_sort_memo_is_symmetric_and_exact(self, left, right):
+        """Both argument orders share one memo entry holding the oracle's
+        float, and a cleared memo recomputes the same float."""
+        expected = oracles.token_sort_similarity(left, right)
+        assert expected == oracles.token_sort_similarity(right, left)
+        for _ in range(2):
+            assert token_sort_similarity(left, right) == expected
+            assert token_sort_similarity(right, left) == expected
+            _sorted_forms_similarity.cache_clear()
+            assert token_sort_similarity(right, left) == expected
+            hits = _sorted_forms_similarity.cache_info().hits
+            assert token_sort_similarity(left, right) == expected
+            assert _sorted_forms_similarity.cache_info().hits == hits + 1
 
     def test_set_containment(self):
         assert set_containment([1, 2], [1, 2, 3]) == 1.0

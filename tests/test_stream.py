@@ -320,6 +320,24 @@ class TestStreamedBatchEquivalence:
         assert _public_state(recovered) == _public_state(batch_graph)
 
 
+class TestLiveEntities:
+    def test_live_entities_are_the_cluster_roots_after_every_delta(self):
+        """Delta 3 of this stream links ``wiki:000060`` into ``imdb:000077``
+        and then ``imdb:000077`` into ``freebase:000071``: a chain, applied
+        in union order so no merged-away id is re-created as an orphan."""
+        ingestor = StreamIngestor()
+        deltas = micro_batches(fixture_sources(120, 80, 11), 40, order_seed=11)
+        for delta in deltas:
+            ingestor.ingest(delta)
+            live = {entity.entity_id for entity in ingestor.graph.entities()}
+            assert live == set(ingestor._clusters.members), delta.seqno
+            if delta.seqno == 3:
+                root_of = ingestor._clusters.root_of
+                assert root_of["wiki:000060"] == root_of["imdb:000077"]
+                assert root_of["imdb:000077"] == "freebase:000071"
+                assert not ingestor.graph.has_entity("imdb:000077")
+
+
 class TestIncrementalWork:
     def test_per_delta_fused_groups_are_sublinear(self, tmp_path):
         """After warm-up, one small delta re-fuses only the ``(s, p)``

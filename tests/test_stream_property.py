@@ -85,6 +85,26 @@ def test_any_split_any_order_finalizes_identically(batch_size, order_seed):
         assert _snapshot_bytes(outcome.graph) == _REFERENCE[2]
 
 
+_CHAINED_SOURCES = fixture_sources(n_people=60, n_movies=40, seed=11)
+_N_CHAINED = sum(len(source) for source in _CHAINED_SOURCES)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    batch_size=st.integers(min_value=1, max_value=_N_CHAINED + 5),
+    order_seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_any_split_any_order_keeps_one_live_entity_per_cluster(batch_size, order_seed):
+    """The live entity set is a function of the clusters after every delta:
+    one entity per cluster root, none for a merged-away record, whatever
+    chain of merges a delta brings."""
+    ingestor = StreamIngestor()
+    for delta in micro_batches(_CHAINED_SOURCES, batch_size, order_seed=order_seed):
+        ingestor.ingest(delta)
+        live = {entity.entity_id for entity in ingestor.graph.entities()}
+        assert live == set(ingestor._clusters.members)
+
+
 @settings(max_examples=8, deadline=None)
 @given(
     batch_size=st.integers(min_value=1, max_value=_N_RECORDS + 5),
