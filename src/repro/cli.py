@@ -499,6 +499,14 @@ def cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
+def _entity_rows(graph) -> set:
+    """A graph's entities as ``(id, name, class, aliases)`` rows."""
+    return {
+        (entity.entity_id, entity.name, entity.entity_class, frozenset(entity.aliases))
+        for entity in graph.entities()
+    }
+
+
 def cmd_stream(args: argparse.Namespace) -> int:
     """Continuous construction: drain fixture deltas, publish live, finalize."""
     import tempfile
@@ -598,6 +606,10 @@ def cmd_stream(args: argparse.Namespace) -> int:
         finalize_started = time.perf_counter()
         outcome = ingestor.finalize()
         ledger_state = get_ledger().export_state()
+        # How far the drained live view is from the canonical build.
+        live, final = ingestor.graph, outcome.graph
+        triple_diff = len(set(live.query()) ^ set(final.query()))
+        entity_diff = len(_entity_rows(live) ^ _entity_rows(final))
         stats = wal.checkpoint(outcome.graph)
         publisher.publish()  # the checkpoint ended the view: replica of the canonical base
         finalize_wall_s = time.perf_counter() - finalize_started
@@ -617,6 +629,10 @@ def cmd_stream(args: argparse.Namespace) -> int:
             ["publish copy / poll (ms)", publish_split],
             ["follower", follower_mode],
             ["finalize wall (s)", f"{finalize_wall_s:.3f}"],
+            [
+                "live vs final (triples / entities)",
+                f"{triple_diff} / {entity_diff}",
+            ],
         ]
         print(
             render_table(
@@ -652,6 +668,8 @@ def cmd_stream(args: argparse.Namespace) -> int:
             "n_deltas": float(len(reports)),
             "n_relinks": float(ingestor.n_relinks),
             "n_publishes": float(publisher.n_publishes),
+            "live_final_triple_diff": float(triple_diff),
+            "live_final_entity_diff": float(entity_diff),
         }
         for name, value in freshness.items():
             metrics[f"stream.{name}"] = round(value, 6)

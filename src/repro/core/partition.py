@@ -8,9 +8,11 @@ partitions by their cheapest blocking key (the same key domain
 partition runs a full pipeline — transform → extract → block → link →
 clean — as one :func:`repro.core.parallel.pmap` item in ``mode="process"``,
 and a deterministic cross-partition exchange
-(:mod:`repro.integrate.exchange`) re-blocks boundary candidates, merges
-source-trust EM sufficient statistics, and stitches the per-partition
-columnar fragments into one :class:`~repro.core.graph.KnowledgeGraph`.
+(:mod:`repro.integrate.exchange`) re-blocks boundary candidates, runs one
+Accu EM over every partition's claims, and assembles the fused survivors
+into one :class:`~repro.core.graph.KnowledgeGraph`.  A partition ships its
+records, keys, scores and claims, not encoded columns: the graph's
+``TermDict`` is the only dictionary a build uses.
 
 The contract is **equality by construction**: ``partitions=1`` and
 ``partitions=N`` run the identical code path, every cross-record decision
@@ -54,7 +56,6 @@ from repro.core.pipeline import (
     PipelineContext,
     PipelineStage,
 )
-from repro.core.store import ColumnarTripleStore
 from repro.core.triple import Value
 from repro.datagen.sources import SourceRecord, StructuredSource
 from repro.datagen.world import WorldConfig, build_world
@@ -345,9 +346,8 @@ class PartitionTask:
 class PartitionResult:
     """What one partition produced; consumed by the exchange phase.
 
-    ``fragment_terms``/``fragment_columns`` are the partition's local
-    :class:`~repro.core.store.TermDict` terms and sorted SPO id columns —
-    the columnar fragment the exchange stitches via id remapping.
+    Plain picklable data: the canonical records, their blocking keys, the
+    locally scored pairs, and the claims and rejections in record order.
     """
 
     index: int
@@ -356,13 +356,11 @@ class PartitionResult:
     scores: Dict[Tuple[str, str], float]
     claims: List[ValueClaim]
     rejections: List[Rejection]
-    fragment_terms: List[Value]
-    fragment_columns: Tuple
 
 
 def run_partition(task: PartitionTask) -> PartitionResult:
     """Run the full per-partition pipeline: transform → extract → block →
-    link → clean, plus the local columnar fragment build.
+    link → clean.
 
     Pure function of the task (records arrive sorted by record id), and it
     records **no** lineage or metrics — every ledger event is written by
@@ -395,15 +393,6 @@ def run_partition(task: PartitionTask) -> PartitionResult:
         pair: pair_score(by_id[pair[0]], by_id[pair[1]])
         for pair in sorted(block_pairs(blocks, by_id, strategy.max_block_size))
     }
-    # local columnar fragment: claims as (record, attribute, value) rows
-    store = ColumnarTripleStore()
-    loader = store.bulk_loader()
-    try:
-        for claim in claims:
-            loader.add(claim.subject, claim.attribute, claim.value)
-    finally:
-        loader.finish()
-    terms, spo, _, _ = store.sorted_columns()
     return PartitionResult(
         index=task.index,
         records=records,
@@ -411,8 +400,6 @@ def run_partition(task: PartitionTask) -> PartitionResult:
         scores=scores,
         claims=claims,
         rejections=rejections,
-        fragment_terms=terms,
-        fragment_columns=spo,
     )
 
 

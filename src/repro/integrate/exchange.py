@@ -19,11 +19,12 @@ made:
   claim sort and ``math.fsum`` M-step make the learned source accuracies
   — and hence the value posteriors — independent of claim order and so
   of the partition count;
-* **stitch columnar fragments** — each partition's ``TermDict``/SPO id
-  columns are decoded through a per-fragment id remap (subject ids
-  rewritten to their linked cluster roots) into one global row set, and
-  the fused survivors are bulk-loaded into a single
-  :class:`~repro.core.graph.KnowledgeGraph`.
+* **assemble** — one pass over the rewritten claims, sorted, keeps each
+  claim whose value equals its item's winner as a ``(triple,
+  provenance)`` row, and bulk-loads the rows into a single
+  :class:`~repro.core.graph.KnowledgeGraph`.  Partitions ship their claim
+  lists, not encoded fragments: the graph's ``TermDict`` is the only
+  dictionary a build uses.
 
 Every ledger event (cleaning rejections, linkage merges, fusion verdicts,
 the observation batch of the final assembly) is recorded here in globally
@@ -33,7 +34,7 @@ partition counts.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -47,7 +48,7 @@ from repro.core.partition import (
     _score_pair,
     block_pairs,
 )
-from repro.core.triple import Provenance, Triple, Value
+from repro.core.triple import Provenance, Triple
 from repro.integrate.blocking import BlockingStrategy
 from repro.integrate.fusion import AccuFusion, FusionResult, ValueClaim
 from repro.obs import lineage as obs_lineage
@@ -78,40 +79,19 @@ def fuse_sharded(
     return fusion.fuse(claims), fusion.source_accuracy_
 
 
-# ---------------------------------------------------------------------------
-# fragment stitching
-
-
 def stitch_fragments(
     results: Sequence[PartitionResult], root_of: Dict[str, str]
 ) -> set:
-    """Merge per-partition columnar fragments into one global row set.
+    """Every claim as a ``(cluster root, attribute, value)`` row.
 
-    Each fragment's term ids are remapped once per distinct id (memoized
-    decode + cluster-root rewrite for subject terms), then its SPO rows
-    are emitted in the merged value space — the id-remap stitch that lets
-    partitions build their columns independently.
+    Bench-only: the frozen benchmark times it by name, and :func:`exchange`
+    does not call it.
     """
-    rows = set()
-    for result in results:
-        terms = result.fragment_terms
-        subject_col, predicate_col, object_col = result.fragment_columns
-        subject_map: Dict[int, str] = {}
-        term_map: Dict[int, Value] = {}
-        for s_id, p_id, o_id in zip(subject_col, predicate_col, object_col):
-            subject = subject_map.get(s_id)
-            if subject is None:
-                raw = terms[s_id]
-                subject = root_of.get(raw, raw)  # type: ignore[arg-type]
-                subject_map[s_id] = subject
-            predicate = term_map.get(p_id)
-            if predicate is None:
-                predicate = term_map[p_id] = terms[p_id]
-            obj = term_map.get(o_id)
-            if obj is None:
-                obj = term_map[o_id] = terms[o_id]
-            rows.add((subject, predicate, obj))
-    return rows
+    return {
+        (root_of.get(claim.subject, claim.subject), claim.attribute, claim.value)
+        for result in results
+        for claim in result.claims
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +161,11 @@ def exchange(
         obs_lineage.record_rejection(
             record_id, attribute, value, reason=reason, stage="partition.clean"
         )
-    claim_triples: Dict[str, set] = defaultdict(set)
-    for result in results:
-        for claim in result.claims:
-            claim_triples[claim.subject].add((claim.attribute, claim.value))
+    # extract_claims emits one claim per attribute per record, so a member's
+    # claim count is the number of rows its merge rewrites.
+    n_claims_of = Counter(
+        claim.subject for result in results for claim in result.claims
+    )
     n_merges = 0
     for root in sorted(clusters):
         for member in clusters[root]:
@@ -193,7 +174,7 @@ def exchange(
             obs_lineage.record_merge(
                 root,
                 member,
-                n_rewritten=len(claim_triples[member]),
+                n_rewritten=n_claims_of[member],
                 stage="exchange.link",
             )
             n_merges += 1
@@ -217,12 +198,24 @@ def exchange(
         for result in fusion_results
     }
 
-    # -- stitch fragments, keep fused survivors ---------------------------
-    stitched = stitch_fragments(results, root_of)
-    final_rows = sorted(
-        (row for row in stitched if winners.get((row[0], row[1])) == row[2]),
-        key=lambda row: (row[0], row[1], type(row[2]).__name__, str(row[2])),
-    )
+    # -- keep each claim that agrees with its item's winner, in one pass --
+    items = [
+        (
+            Triple(claim.subject, claim.attribute, claim.value),
+            Provenance(source=claim.source, extractor=EXTRACTOR),
+        )
+        for claim in sorted(
+            rewritten,
+            key=lambda claim: (
+                claim.subject,
+                claim.attribute,
+                type(claim.value).__name__,
+                str(claim.value),
+                claim.source,
+            ),
+        )
+        if claim.value == winners[(claim.subject, claim.attribute)]
+    ]
 
     # -- assemble the graph (bulk-load fast path on the empty store) ------
     ontology = Ontology(name="sources")
@@ -247,27 +240,6 @@ def exchange(
             root_record.entity_class,
             aliases=[alias for alias in names if alias != name],
         )
-    provenance_sources: Dict[Tuple[str, str, Value], List[str]] = defaultdict(list)
-    for claim in sorted(
-        rewritten,
-        key=lambda claim: (
-            claim.subject,
-            claim.attribute,
-            type(claim.value).__name__,
-            str(claim.value),
-            claim.source,
-        ),
-    ):
-        provenance_sources[(claim.subject, claim.attribute, claim.value)].append(
-            claim.source
-        )
-    items = []
-    for subject, predicate, obj in final_rows:
-        triple = Triple(subject, predicate, obj)
-        for source in provenance_sources[(subject, predicate, obj)]:
-            items.append(
-                (triple, Provenance(source=source, extractor=EXTRACTOR))
-            )
     graph.add_triples_batch(items)
 
     stats = {
@@ -281,7 +253,7 @@ def exchange(
         "n_claims": len(rewritten),
         "n_data_items": len(winners),
         "n_contested_items": fusion.n_contested_items_,
-        "n_triples": len(final_rows),
+        "n_triples": len(graph),
         "n_rejections": len(rejections),
     }
     for metric, value in stats.items():

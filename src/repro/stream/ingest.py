@@ -35,13 +35,14 @@ of :class:`~repro.integrate.fusion.AccuFusion`.
 
 The live graph is an *approximation*: accuracies lag full EM, and block
 overflows can transiently merge entities a batch build would keep apart.
-The contract is :meth:`StreamIngestor.finalize` — build one
-:class:`~repro.core.partition.PartitionResult` from the accumulated
-union and run it through the identical :func:`~repro.integrate.exchange.
-exchange` a ``partitions=1`` batch build uses, so after draining all
-deltas the canonical graph state, provenance, lineage ledger, and
-``.rkgs`` bytes are byte-identical to the batch build over the same
-source union, for any micro-batch split and delta order.
+The contract is :meth:`StreamIngestor.finalize` — shape the accumulated
+union as one :class:`~repro.core.partition.PartitionResult` (records,
+keys, scores, claims, rejections) and run it through the identical
+:func:`~repro.integrate.exchange.exchange` a ``partitions=1`` batch build
+uses, so after draining all deltas the canonical graph state,
+provenance, lineage ledger, and ``.rkgs`` bytes are byte-identical to the
+batch build over the same source union, for any micro-batch split and
+delta order.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ from repro.core.partition import (
     pair_score,
     transform_record,
 )
-from repro.core.store import ColumnarTripleStore
 from repro.core.triple import Provenance, Triple
 from repro.integrate.exchange import EXTRACTOR, ExchangeOutcome, exchange
 from repro.integrate.fusion import AccuFusion, ValueClaim
@@ -467,48 +467,31 @@ class StreamIngestor:
     # ------------------------------------------------------------------
     # canonical finalize (the batch-equivalence keystone)
 
-    def to_partition_result(self) -> PartitionResult:
-        """The accumulated union, shaped exactly like one partition worker's
-        output — so :func:`~repro.integrate.exchange.exchange` treats a
-        drained stream identically to a ``partitions=1`` batch build."""
-        ordered = sorted(self.records)
-        records = [self.records[record_id] for record_id in ordered]
-        keys = {record_id: self.keys[record_id] for record_id in ordered}
-        claims = [
-            claim for record_id in ordered for claim in self.claims[record_id]
-        ]
-        rejections = [
-            rejection
-            for record_id in ordered
-            for rejection in self.rejections[record_id]
-        ]
-        store = ColumnarTripleStore()
-        loader = store.bulk_loader()
-        try:
-            for claim in claims:
-                loader.add(claim.subject, claim.attribute, claim.value)
-        finally:
-            loader.finish()
-        terms, spo, _, _ = store.sorted_columns()
-        return PartitionResult(
-            index=0,
-            records=records,
-            keys=keys,
-            scores=dict(self.scores),
-            claims=claims,
-            rejections=rejections,
-            fragment_terms=terms,
-            fragment_columns=spo,
-        )
-
     def finalize(self) -> ExchangeOutcome:
         """Canonicalize: run the accumulated union through the batch
-        exchange.  The caller owns observability scope (reset + enable)
-        and what to do with the result (checkpoint the WAL, republish).
+        exchange, shaped exactly like one partition worker's output, so a
+        drained stream is treated identically to a ``partitions=1`` batch
+        build.  The caller owns observability scope (reset + enable) and
+        what to do with the result (checkpoint the WAL, republish).
         """
+        ordered = sorted(self.records)
+        union = PartitionResult(
+            index=0,
+            records=[self.records[record_id] for record_id in ordered],
+            keys={record_id: self.keys[record_id] for record_id in ordered},
+            scores=self.scores,
+            claims=[
+                claim for record_id in ordered for claim in self.claims[record_id]
+            ],
+            rejections=[
+                rejection
+                for record_id in ordered
+                for rejection in self.rejections[record_id]
+            ],
+        )
         build = self.build
         return exchange(
-            [self.to_partition_result()],
+            [union],
             strategy=build.strategy,
             match_threshold=build.match_threshold,
             graph_name=build.graph_name,

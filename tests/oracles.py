@@ -6,8 +6,10 @@ from it with every name re-tokenized and every token pair re-scored,
 ``accu_fuse``, the textbook Accu EM that ``AccuFusion.fuse`` (the only EM
 loop in ``src/``) is compared with, ``accu_fuse_stepwise``, the same loop
 over every data item that ``fuse`` must equal bit for bit, ``SetGraph``,
-the set-of-rows model of ``repro.core.graph.KnowledgeGraph``, and the
-full-scan ``merge_entities`` the index walk replaced.  The seeded
+the set-of-rows model of ``repro.core.graph.KnowledgeGraph``, the
+full-scan ``merge_entities`` the index walk replaced, and
+``stitch_fragments``, the per-partition id-remap decode that assembly
+did before partitions shipped their claims.  The seeded
 generators at the bottom give the equivalence suites identical work.
 """
 
@@ -19,6 +21,7 @@ from itertools import product
 from repro.core import codec
 from repro.core.graph import Entity, KnowledgeGraph
 from repro.core.ontology import Ontology
+from repro.core.store import ColumnarTripleStore
 from repro.core.triple import Provenance, Triple
 from repro.integrate.fusion import ValueClaim
 from repro.ml.similarity import jaro_winkler, numeric_similarity, tokenize
@@ -421,6 +424,30 @@ def _naive_rewrite(graph, old, new):
     if records:
         # A delta entry replaces the triple's base records.
         graph._provenance[new] = graph.provenance(new) + records
+
+
+# ---------------------------------------------------------------------------
+# the id-remap stitch (what exchange.stitch_fragments must equal)
+
+
+def stitch_fragments(results, root_of):
+    """Every partition's claims as ``(cluster root, attribute, value)`` rows,
+    the long way round: each partition bulk-loads its claims into its own
+    columnar store (its own term dictionary), and the sorted SPO id
+    columns are decoded back through that dictionary, subjects rewritten
+    to their roots."""
+    rows = set()
+    for result in results:
+        store = ColumnarTripleStore()
+        loader = store.bulk_loader()
+        for claim in result.claims:
+            loader.add(claim.subject, claim.attribute, claim.value)
+        loader.finish()
+        terms, (subjects, predicates, objects), _, _ = store.sorted_columns()
+        for s_id, p_id, o_id in zip(subjects, predicates, objects):
+            subject = terms[s_id]
+            rows.add((root_of.get(subject, subject), terms[p_id], terms[o_id]))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -632,6 +632,33 @@ class TestBuildCli:
         # Every publish but the one after finalize polls inside the stream.
         assert copy_ms > 0 and poll_ms >= n_publishes - 1 > 0
 
+    def test_stream_reports_the_live_vs_final_gap(self, tmp_path, capsys):
+        """The drained live graph against finalize()'s, in the table and in
+        the run record: symmetric differences of triples and of entities."""
+        from repro.core.partition import fixture_sources
+        from repro.obs.runs import RunRegistry
+        from repro.stream import StreamIngestor, micro_batches
+
+        runs_dir = tmp_path / "runs"
+        args = ["stream", "--wal-dir", str(tmp_path / "wal"), "--batch-size", "7",
+                "--order-seed", "3", "--runs-dir", str(runs_dir), *self._ARGS[:-1]]
+        assert main(args) == 0
+        row = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("live vs final (triples / entities)")
+        )
+        triple_diff, entity_diff = (int(part) for part in row.split()[-3::2])
+        (record,) = RunRegistry(str(runs_dir)).load()
+        assert record.metrics["live_final_triple_diff"] == triple_diff
+        assert record.metrics["live_final_entity_diff"] == entity_diff
+
+        ingestor = StreamIngestor()
+        for delta in micro_batches(fixture_sources(30, 20, 11), 7, order_seed=3):
+            ingestor.ingest(delta)
+        final = ingestor.finalize().graph
+        assert triple_diff == len(set(ingestor.graph.query()) ^ set(final.query()))
+        assert entity_diff == 0
+
     def test_stream_publishes_a_view_of_the_ingestor(self, tmp_path, capsys):
         """In-process publishes read the ingestor's own graph, not a replica."""
         assert main(["stream", "--wal-dir", str(tmp_path), *self._ARGS]) == 0

@@ -209,9 +209,7 @@ class TestRunPartition:
             strategy=build.strategy,
         )
         first, second = run_partition(task), run_partition(task)
-        assert first.scores == second.scores
-        assert first.claims == second.claims
-        assert first.fragment_terms == second.fragment_terms
+        assert first == second
 
     def test_worker_records_no_lineage(self):
         from repro.core.partition import PartitionTask

@@ -97,12 +97,20 @@ _N_CHAINED = sum(len(source) for source in _CHAINED_SOURCES)
 def test_any_split_any_order_keeps_one_live_entity_per_cluster(batch_size, order_seed):
     """The live entity set is a function of the clusters after every delta:
     one entity per cluster root, none for a merged-away record, whatever
-    chain of merges a delta brings."""
+    chain of merges a delta brings.  After the last delta every entity
+    also carries the batch naming rule's name and aliases."""
     ingestor = StreamIngestor()
     for delta in micro_batches(_CHAINED_SOURCES, batch_size, order_seed=order_seed):
         ingestor.ingest(delta)
         live = {entity.entity_id for entity in ingestor.graph.entities()}
         assert live == set(ingestor._clusters.members)
+    final = ingestor.finalize().graph
+    for entity in ingestor.graph.entities():
+        named = final.entity(entity.entity_id)
+        assert (entity.name, sorted(entity.aliases)) == (
+            named.name,
+            sorted(named.aliases),
+        )
 
 
 @settings(max_examples=8, deadline=None)
