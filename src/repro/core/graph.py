@@ -636,18 +636,23 @@ class KnowledgeGraph:
         """Adjacent entity nodes as ``(relation, other_id, outgoing)``.
 
         Only object-valued edges whose object is itself an entity count —
-        the "connected graph" structure of Fig. 1(a).
+        the "connected graph" structure of Fig. 1(a).  The list is sorted
+        and equals a scan of ``query(subject=entity_id)`` and
+        ``query(obj=entity_id)`` filtered on entity membership; it is read
+        as ids (:meth:`ColumnarTripleStore.edges`), so of each row only the
+        other end is decoded, and the predicate only when that end is an
+        entity.
         """
+        store = self._store
+        decode = store.decoder()
+        entities = self._entities
         result: List[Tuple[str, str, bool]] = []
-        for predicate, objects in self._store.spo_row(entity_id).items():
-            for obj in objects:
-                if isinstance(obj, str) and obj in self._entities:
-                    result.append((predicate, obj, True))
-        for subject, predicates in self._store.osp_row(entity_id).items():
-            for predicate in predicates:
-                if subject in self._entities:
-                    result.append((predicate, subject, False))
-        return sorted(result)
+        for p, other_id, outgoing in store.edges(entity_id):
+            other = decode(other_id)
+            if (not outgoing or isinstance(other, str)) and other in entities:
+                result.append((decode(p), other, outgoing))
+        result.sort()
+        return result
 
     # ------------------------------------------------------------------
     # graph surgery (entity linkage applies this)

@@ -12,7 +12,7 @@ enumeration implemented here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.graph import KnowledgeGraph
 from repro.core.triple import Value
@@ -128,30 +128,53 @@ class PathQuery:
     def paths(
         self, start: str, goal: str, max_paths: int = 100
     ) -> List[List[Tuple[str, int, str]]]:
-        """All simple paths from ``start`` to ``goal`` up to ``max_length``."""
+        """All simple paths from ``start`` to ``goal`` up to ``max_length``.
+
+        A path never revisits a node, and the goal only ends one (with
+        ``start == goal`` the paths are cycles through it).  The search is
+        a depth-first walk that pushes a node's neighbors in
+        :meth:`KnowledgeGraph.neighbors` order, cut after ``max_paths``
+        paths; the list is ``==`` that exhaustive walk's, order included
+        (``tests/oracles.py::paths_exhaustive``).  It walks only toward
+        the goal: a breadth-first pass out from ``goal`` first records each
+        node's hop distance to it, up to ``max_length - 1`` hops, and a
+        neighbor is pushed only when that distance fits in the hops left
+        after stepping to it.  The distance is a lower bound on any simple
+        path's length, so a pruned branch holds no path, and the pushes
+        that survive keep their order.  Both passes share one neighbor
+        cache.
+        """
         if not self.graph.has_entity(start) or not self.graph.has_entity(goal):
             return []
+        neighbor_cache: Dict[str, List[Tuple[str, str, bool]]] = {}
+
+        def neighbors_of(node: str) -> List[Tuple[str, str, bool]]:
+            neighbors = neighbor_cache.get(node)
+            if neighbors is None:
+                neighbors = neighbor_cache[node] = self.graph.neighbors(node)
+            return neighbors
+
+        hops_to_goal = _hop_distances(neighbors_of, goal, self.max_length - 1)
         results: List[List[Tuple[str, int, str]]] = []
-        # Each frame carries its own visited set (start + path nodes), so
-        # it is extended incrementally on push instead of being rebuilt
-        # from the path on every pop; neighbor lists are fetched from the
-        # graph once per node within one search.
+        # Each frame carries its own visited set (start + path nodes),
+        # extended on push instead of rebuilt from the path on every pop.
         stack: List[Tuple[str, List[Tuple[str, int, str]], frozenset]] = [
             (start, [], frozenset((start,)))
         ]
-        neighbor_cache: Dict[str, List[Tuple[str, str, bool]]] = {}
         while stack and len(results) < max_paths:
             node, path, visited = stack.pop()
             if node == goal and path:
                 results.append(path)
                 continue
-            if len(path) >= self.max_length:
+            # Hops left once this frame takes one more step.
+            budget = self.max_length - len(path) - 1
+            if budget < 0:
                 continue
-            neighbors = neighbor_cache.get(node)
-            if neighbors is None:
-                neighbors = neighbor_cache[node] = self.graph.neighbors(node)
-            for relation, neighbor, outgoing in neighbors:
+            for relation, neighbor, outgoing in neighbors_of(node):
                 if neighbor in visited and neighbor != goal:
+                    continue
+                hops = hops_to_goal.get(neighbor)
+                if hops is None or hops > budget:
                     continue
                 direction = 1 if outgoing else -1
                 stack.append(
@@ -175,15 +198,24 @@ class PathQuery:
         """Entities reachable from ``start`` with their hop distance."""
         if not self.graph.has_entity(start):
             return {}
-        distances = {start: 0}
-        frontier = [start]
-        for hop in range(1, max_hops + 1):
-            next_frontier = []
-            for node in frontier:
-                for _relation, neighbor, _outgoing in self.graph.neighbors(node):
-                    if neighbor not in distances:
-                        distances[neighbor] = hop
-                        next_frontier.append(neighbor)
-            frontier = next_frontier
+        distances = _hop_distances(self.graph.neighbors, start, max_hops)
         distances.pop(start)
         return distances
+
+
+def _hop_distances(
+    neighbors_of: Callable[[str], List[Tuple[str, str, bool]]], source: str, max_hops: int
+) -> Dict[str, int]:
+    """Breadth-first hop distance from ``source`` (0) to every node within
+    ``max_hops`` over the undirected entity adjacency."""
+    distances = {source: 0}
+    frontier = [source]
+    for hop in range(1, max_hops + 1):
+        next_frontier = []
+        for node in frontier:
+            for _relation, neighbor, _outgoing in neighbors_of(node):
+                if neighbor not in distances:
+                    distances[neighbor] = hop
+                    next_frontier.append(neighbor)
+        frontier = next_frontier
+    return distances

@@ -39,7 +39,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import accumulate
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.triple import Provenance, Value
 from repro.obs import metrics as obs_metrics
@@ -584,6 +584,47 @@ class ColumnarTripleStore:
                 for p in predicates:
                     row.add(decode(p))
         return result
+
+    def edges(self, term: Value) -> List[Tuple[int, int, bool]]:
+        """Every row touching ``term`` as ``(p_id, other_id, outgoing)`` ids.
+
+        Rows with ``term`` as subject (``outgoing``, other = the object)
+        come from the SPO range and the delta, then rows with ``term`` as
+        object (other = the subject) from the OSP range and the delta;
+        tombstoned rows are skipped and nothing is decoded.  A
+        ``(term, p, term)`` loop appears once each way.
+        """
+        t = self._terms.get(term)
+        if t is None:
+            return []
+        tombstones = self._tombstones
+        _, p_col, o_col = self._spo
+        lo, hi = self._prefix_range(self._spo, t)
+        result = [
+            (p, o, True)
+            for p, o in zip(p_col[lo:hi], o_col[lo:hi])
+            if not tombstones or (t, p, o) not in tombstones
+        ]
+        for p, objects in self._delta_spo.get(t, {}).items():
+            result.extend([(p, o, True) for o in objects])
+        _, s_col, p_col = self._osp
+        lo, hi = self._prefix_range(self._osp, t)
+        result.extend(
+            [
+                (p, s, False)
+                for s, p in zip(s_col[lo:hi], p_col[lo:hi])
+                if not tombstones or (s, p, t) not in tombstones
+            ]
+        )
+        for s, predicates in self._delta_osp.get(t, {}).items():
+            result.extend([(p, s, False) for p in predicates])
+        return result
+
+    def decoder(self) -> Callable[[int], Value]:
+        """id -> term (the first-seen representative) as one bound lookup,
+        for loops that decode many ids; ids are never recycled, so it stays
+        valid while the store lives."""
+        return self._terms._terms.__getitem__
 
     # ------------------------------------------------------------------
     # cardinalities (index row sizes without materializing triples)

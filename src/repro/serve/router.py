@@ -41,6 +41,12 @@ from repro.serve.snapshot import GraphSnapshot, SnapshotStore
 #: Routes the router serves (also the loadgen's mix vocabulary).
 ROUTES = ("lookup", "paths", "query", "ask")
 
+#: Deepest ``paths`` request served: each extra hop multiplies a search's
+#: cost (3-4x per hop on the benchmark's graph G), so a deeper request
+#: would hold a handler thread for seconds.  It is answered 400.
+#: ``PathQuery`` and the planner stay uncapped for in-process callers.
+MAX_PATH_LENGTH = 6
+
 
 @dataclass
 class RouteResponse:
@@ -137,11 +143,16 @@ class RequestRouter:
         max_paths: int = 25,
         timeout_s: Optional[float] = None,
     ) -> RouteResponse:
-        """Bounded simple paths between two entities (ids or names)."""
+        """Bounded simple paths between two entities (ids or names);
+        ``max_length`` is at most :data:`MAX_PATH_LENGTH`."""
         if not start or not goal:
             return self._bad_request("paths", "start and goal are required")
         if max_length < 1 or max_paths < 1:
             return self._bad_request("paths", "max_length and max_paths must be >= 1")
+        if max_length > MAX_PATH_LENGTH:
+            return self._bad_request(
+                "paths", f"max_length must be <= {MAX_PATH_LENGTH}, got {max_length}"
+            )
         params = {
             "start": start,
             "goal": goal,

@@ -13,7 +13,7 @@ Endpoints::
     GET  /statusz                              -> SLO summary + degradation level
     GET  /metrics                              -> Prometheus exposition (text)
     GET  /lookup?subject=S&predicate=P
-    GET  /paths?start=A&goal=B[&max_length=3][&max_paths=25]
+    GET  /paths?start=A&goal=B[&max_length=3 (at most 6)][&max_paths=25]
     GET  /ask?subject=S&predicate=P
     POST /query   {"patterns": [["?m", "directed_by", "P0001"], ...]}
 

@@ -6,8 +6,9 @@ from it with every name re-tokenized and every token pair re-scored,
 ``accu_fuse``, the textbook Accu EM that ``AccuFusion.fuse`` (the only EM
 loop in ``src/``) is compared with, ``accu_fuse_stepwise``, the same loop
 over every data item that ``fuse`` must equal bit for bit, ``SetGraph``,
-the set-of-rows model of ``repro.core.graph.KnowledgeGraph``, the
-full-scan ``merge_entities`` the index walk replaced, and
+the set-of-rows model of ``repro.core.graph.KnowledgeGraph``,
+``paths_exhaustive``, the path search before it pruned toward the goal,
+the full-scan ``merge_entities`` the index walk replaced, and
 ``stitch_fragments``, the per-partition id-remap decode that assembly
 did before partitions shipped their claims.  The seeded
 generators at the bottom give the equivalence suites identical work.
@@ -21,6 +22,7 @@ from itertools import product
 from repro.core import codec
 from repro.core.graph import Entity, KnowledgeGraph
 from repro.core.ontology import Ontology
+from repro.core.query import PathQuery
 from repro.core.store import ColumnarTripleStore
 from repro.core.triple import Provenance, Triple
 from repro.integrate.fusion import ValueClaim
@@ -272,6 +274,24 @@ class SetGraph:
             if all(want is None or want == term for want, term in zip(pattern, row))
         }
 
+    def has_entity(self, entity_id):
+        return entity_id in self.entities
+
+    def neighbors(self, entity_id):
+        """``KnowledgeGraph.neighbors`` by scan: edges to entities, sorted."""
+        return sorted(
+            [
+                (t.predicate, t.object, True)
+                for t in self.query(entity_id)
+                if isinstance(t.object, str) and t.object in self.entities
+            ]
+            + [
+                (t.predicate, t.subject, False)
+                for t in self.query(obj=entity_id)
+                if t.subject in self.entities
+            ]
+        )
+
     def find_by_name(self, name):
         return sorted(
             entity_id
@@ -362,18 +382,59 @@ def assert_graph_matches(graph, model):
         assert graph.subjects(predicate, obj) == sorted(
             t.subject for t in model.query(None, predicate, obj)
         )
-        assert graph.neighbors(subject) == sorted(
-            [
-                (t.predicate, t.object, True)
-                for t in model.query(subject)
-                if isinstance(t.object, str) and t.object in model.entities
-            ]
-            + [
-                (t.predicate, t.subject, False)
-                for t in model.query(obj=subject)
-                if t.subject in model.entities
-            ]
-        )
+        assert graph.neighbors(subject) == model.neighbors(subject)
+        # Paths out of the row's subject: to its object when that is an
+        # entity, round a cycle back to itself, and to the first entity.
+        goals = {subject, min(model.entities, default=subject)}
+        if obj in model.entities:
+            goals.add(obj)
+        for goal in sorted(goals, key=repr):
+            assert PathQuery(graph, 3).paths(subject, goal, 5) == paths_exhaustive(
+                model, subject, goal, 3, 5
+            )
+
+
+# ---------------------------------------------------------------------------
+# the exhaustive path search (what PathQuery.paths must equal)
+
+
+def paths_exhaustive(graph, start, goal, max_length=3, max_paths=100):
+    """Every simple path of length <= ``max_length`` out of ``start``, in
+    depth-first order, cut after ``max_paths`` goal hits: the search
+    ``PathQuery.paths`` ran before it pruned on hop distance to the goal.
+    ``graph`` is anything with ``has_entity`` and ``neighbors`` (a
+    ``KnowledgeGraph`` or a ``SetGraph``)."""
+    if not graph.has_entity(start) or not graph.has_entity(goal):
+        return []
+    results = []
+    # Each frame carries its own visited set (start + path nodes), so
+    # it is extended incrementally on push instead of being rebuilt
+    # from the path on every pop; neighbor lists are fetched from the
+    # graph once per node within one search.
+    stack = [(start, [], frozenset((start,)))]
+    neighbor_cache = {}
+    while stack and len(results) < max_paths:
+        node, path, visited = stack.pop()
+        if node == goal and path:
+            results.append(path)
+            continue
+        if len(path) >= max_length:
+            continue
+        neighbors = neighbor_cache.get(node)
+        if neighbors is None:
+            neighbors = neighbor_cache[node] = graph.neighbors(node)
+        for relation, neighbor, outgoing in neighbors:
+            if neighbor in visited and neighbor != goal:
+                continue
+            direction = 1 if outgoing else -1
+            stack.append(
+                (
+                    neighbor,
+                    path + [(relation, direction, neighbor)],
+                    visited | {neighbor},
+                )
+            )
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,14 @@ class GraphMachine(RuleBasedStateMachine):
         triple = Triple(*row)
         assert self.graph.remove_triple(triple) == self.model.remove(triple)
 
+    @rule(pick=st.integers(0, 99))
+    def remove_present(self, pick):
+        """Remove a row that is there: after a compaction or a load, a
+        tombstone over the base columns."""
+        if self.model.rows:
+            triple = Triple(*sorted(self.model.rows, key=repr)[pick % len(self.model.rows)])
+            assert self.graph.remove_triple(triple) and self.model.remove(triple)
+
     @rule(picks=_picks)
     def merge(self, picks):
         pair = _merge_pair(self.model.entities, picks)

@@ -9,6 +9,7 @@ import pytest
 from repro.core.graph import KnowledgeGraph
 from repro.core.ontology import Ontology
 from repro.serve.admission import AdmissionController
+from repro.serve.router import MAX_PATH_LENGTH
 from repro.serve.server import HTTPClient, InProcessClient, start_server
 from repro.serve.service import KGService
 
@@ -69,6 +70,8 @@ class TestRoutes:
         client = InProcessClient(make_service())
         code, body = client.paths("e0", "e2", max_length=3)
         assert code == 200 and body["payload"]["n_paths"] >= 1
+        code, body = client.paths("e0", "e6", max_length=MAX_PATH_LENGTH)
+        assert code == 200 and body["payload"]["n_paths"] == 1
 
     def test_query(self):
         client = InProcessClient(make_service())
@@ -98,6 +101,8 @@ class TestRoutes:
         client = InProcessClient(make_service())
         assert client.lookup("", "color")[0] == 400
         assert client.paths("e0", "")[0] == 400
+        code, body = client.paths("e0", "e7", max_length=MAX_PATH_LENGTH + 1)
+        assert code == 400 and str(MAX_PATH_LENGTH) in body["payload"]["error"]
         assert client.query([])[0] == 400
         assert client.query([["only", "two"]])[0] == 400
         assert client.ask("", "")[0] == 400
@@ -268,6 +273,7 @@ class TestHTTPServer:
 
     def test_bad_request_and_unknown_route(self, http):
         assert http.lookup("", "")[0] == 400
+        assert http.paths("e0", "e2", max_length=99)[0] == 400
         code, body = http._get("/nope", {})
         assert code == 404
 
