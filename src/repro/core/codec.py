@@ -2,13 +2,15 @@
 
 Two durability surfaces on top of :mod:`repro.core.store`:
 
-**Snapshots** (``.rkgs``, format v2) — a versioned binary format
-holding the term dictionary, all three sorted SPO/POS/OSP permutation
-columns (stored raw, so loading is ``array.frombytes`` — no re-sort, no
-re-index), entities, ontology, provenance, and optionally the lineage
-ledger.  Every section is crc32-checksummed, and every failure mode (bad
-magic, unknown version, truncation, checksum mismatch) raises
-:class:`CodecError` with a one-line actionable message.  ``repro serve
+**Snapshots** (``.rkgs``, format v3) — a versioned binary format
+holding the term dictionary (one entry per term, a term being its type
+plus its value: :func:`~repro.core.store.term_key`), all three sorted
+SPO/POS/OSP permutation columns (stored raw, so loading is
+``array.frombytes`` — no re-sort, no re-index), entities, ontology,
+provenance, and optionally the lineage ledger.  Every section is
+crc32-checksummed, and every failure mode (bad magic, unknown version,
+truncation, checksum mismatch) raises :class:`CodecError` with a
+one-line actionable message.  ``repro serve
 --snapshot`` boots from one of these instead of re-running construction.
 
 Provenance is stored as the graph's id-keyed
@@ -16,11 +18,13 @@ Provenance is stored as the graph's id-keyed
 level-1 frame: a save folds the graph's provenance delta into new
 columns (and installs them as the graph's base), a load installs them
 with ``array.frombytes``.  No JSON is written or read for provenance,
-and a loaded graph answers provenance reads from the columns.  A v1 file
-(JSON provenance) still loads: its provenance is decoded into the
-graph's delta, and saving it again writes v2.
+and a loaded graph answers provenance reads from the columns.  v1 and v2
+files still load, each term exactly as written; a v1 file's JSON
+provenance is decoded into the graph's delta.  Saving either writes v3,
+whose terms section may hold ``1`` beside ``1.0`` — which v2 readers
+would call corrupt, so they refuse v3 by its version.
 
-**WAL** (:class:`TripleWAL`, format v2) — an append-only log of graph
+**WAL** (:class:`TripleWAL`, format v3) — an append-only log of graph
 mutations in size-rotated segments, with :meth:`TripleWAL.compact`
 folding replayed segments into a ``base.rkgs`` snapshot.  A segment is a
 16-byte header (magic, version, flags, the number of its first record)
@@ -30,12 +34,14 @@ mutation (entity/alias/add/remove/merge) is one JSON record.  A batch
 ingest is one binary record: the terms its segment has not carried yet
 (in the snapshot's term encoding), its rows as ``s`` / ``p`` / ``o``
 arrays of segment-local ids (id ``k`` is the ``k``-th term the
-segment carried; the table is keyed by exact term, so ``1``, ``1.0``
-and ``True`` stay three terms), and each row's provenance as an index
-into the record's ``(source, extractor)`` table plus a confidence.
-Replay interns each new term once and installs a batch on an empty
-graph as its columns and provenance base directly; anywhere else its
-rows are added by id.  v1 segments (JSON only, unnumbered) are refused.
+segment carried; the table is a :class:`~repro.core.store.TermDict`, so
+``1``, ``1.0`` and ``True`` stay three terms), and each row's provenance
+as an index into the record's ``(source, extractor)`` table plus a
+confidence.  Replay interns each new term once and installs a batch on
+an empty graph as its columns and provenance base directly; anywhere
+else its rows are added by id.  v1 and v2 segments are refused: a v2
+writer held ``1`` and ``1.0`` as one term, so replaying its log by
+today's rule could rebuild a graph its writer never held.
 
 Every append is flushed, so it survives a process crash; a segment is
 fsync-ed when it is sealed (rotation or close), and a compaction's new
@@ -73,24 +79,24 @@ import threading
 import weakref
 import zlib
 from array import array
-from itertools import islice
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.core.graph import Entity, KnowledgeGraph
 from repro.core.ontology import Ontology
-from repro.core.store import ColumnarTripleStore, ProvenanceColumns
+from repro.core.store import ColumnarTripleStore, ProvenanceColumns, TermDict
 from repro.core.triple import Provenance, Triple, Value
 from repro.obs import lineage as obs_lineage
 from repro.obs import metrics as obs_metrics
 
 SNAPSHOT_MAGIC = b"RKGS"
 WAL_MAGIC = b"RKGW"
-#: Snapshot format: v2 stores provenance as id-keyed columns; v1 files
-#: (JSON provenance) still load.
-SNAPSHOT_VERSION = 2
-#: WAL format: v2 frames are sequenced, and a batch is one id-encoded
-#: frame; v1 segments (JSON records only) are refused.
-WAL_VERSION = 2
+#: Snapshot format: v3 keys terms by type plus value (v2 by ``==``), and
+#: v2 onwards stores provenance as id-keyed columns; v1 and v2 files
+#: still load.
+SNAPSHOT_VERSION = 3
+#: WAL format: frames are sequenced, a batch is one id-encoded frame, and
+#: v3 logs graphs whose terms are typed; v1 and v2 segments are refused.
+WAL_VERSION = 3
 
 #: File header: magic, format version, reserved flags.
 _HEADER = struct.Struct("<4sHH")
@@ -106,7 +112,7 @@ _WAL_ENTRY = struct.Struct("<QB")
 _BATCH_HEAD = struct.Struct("<III")
 _KIND_RECORD = 0  # one point mutation, JSON
 _KIND_BATCH = 1  # one batch ingest, id-encoded
-#: v2 provenance section head: keyed triples, records, label-table bytes.
+#: Provenance section head (v2 onwards): keyed triples, records, label-table bytes.
 _PROVENANCE_HEAD = struct.Struct("<QQQ")
 
 # Section ids.
@@ -200,7 +206,12 @@ def _decode_terms(payload: bytes, path: str) -> List[Value]:
             elif tag == _TAG_FLOAT:
                 (value,) = struct.unpack_from("<d", view, offset)
                 offset += 8
-                terms.append(value)
+                if value != value:
+                    raise CodecError(
+                        f"{path}: terms section holds a NaN, which no triple "
+                        f"can hold; file is corrupt — re-create it with `repro save`"
+                    )
+                terms.append(value + 0.0)  # -0.0 is 0.0, as in a Triple
             elif tag == _TAG_BOOL:
                 (value,) = struct.unpack_from("<B", view, offset)
                 offset += 1
@@ -285,7 +296,7 @@ def _load_ontology(document: Dict[str, object]) -> Ontology:
 
 
 def _encode_provenance(columns: Optional[ProvenanceColumns]) -> bytes:
-    """The v2 provenance section: the columns raw, behind zlib level 1."""
+    """The provenance section: the columns raw, behind zlib level 1."""
     if columns is None:
         columns = ProvenanceColumns.empty()
     labels = _encode_terms([term for pair in columns.labels for term in pair])
@@ -297,7 +308,7 @@ def _encode_provenance(columns: Optional[ProvenanceColumns]) -> bytes:
 def _decode_provenance(
     payload: memoryview, n_terms: int, path: str
 ) -> Optional[ProvenanceColumns]:
-    """Install a v2 provenance section's columns (None when it is empty)."""
+    """Install a v2+ provenance section's columns (None when it is empty)."""
     body = memoryview(zlib.decompress(payload))
     n_keys, n_records, n_label_bytes = _PROVENANCE_HEAD.unpack_from(body, 0)
     offset = _PROVENANCE_HEAD.size + n_label_bytes
@@ -466,9 +477,9 @@ def _read_sections(blob, path: str) -> Tuple[int, Dict[int, memoryview]]:
             f"{path}: not a repro snapshot (magic {magic!r}, expected "
             f"{SNAPSHOT_MAGIC!r}); point --snapshot at a file written by `repro save`"
         )
-    if version not in (1, SNAPSHOT_VERSION):
+    if version not in (1, 2, SNAPSHOT_VERSION):
         raise CodecError(
-            f"{path}: snapshot format v{version} is not v1 or the current v"
+            f"{path}: snapshot format v{version} is not v1, v2 or the current v"
             f"{SNAPSHOT_VERSION}; re-save it with this checkout's `repro save`"
         )
     sections: Dict[int, bytes] = {}
@@ -657,12 +668,6 @@ def _load_snapshot(blob, path: str, restore_lineage: bool) -> KnowledgeGraph:
     provenance = _require(sections, SEC_PROVENANCE, path)
     if version == 1:
         graph._provenance = _provenance_v1(provenance, graph, path)
-    elif graph._store.n_terms != len(terms):
-        # Only v1 files hold equal terms under two ids (re-encoded above).
-        raise CodecError(
-            f"{path}: v2 terms section holds equal terms under two ids; file "
-            f"is corrupt — re-create it with `repro save`"
-        )
     else:
         graph._provenance_base = _decode_provenance(provenance, len(terms), path)
 
@@ -709,24 +714,6 @@ def segment_paths(directory: str) -> List[str]:
         for name in sorted(names)
         if name.startswith("wal-") and name.endswith(".log")
     ]
-
-
-def _exact(term: Value) -> object:
-    """A key telling apart terms Python calls equal: ``1``, ``1.0`` and
-    ``True``, or ``0.0`` and ``-0.0``.  A segment's term table is keyed by
-    it, so replay gives every row back the exact term it was logged with."""
-    kind = type(term)
-    if kind is str:
-        return term
-    return (kind, term.hex() if kind is float else term)
-
-
-def _term(key: object) -> Value:
-    """The term :func:`_exact` made ``key`` of."""
-    if type(key) is str:
-        return key
-    kind, value = key
-    return float.fromhex(value) if kind is float else value
 
 
 def _fsync_directory(directory: str) -> None:
@@ -781,9 +768,9 @@ class TripleWAL:
         self._writer_thread: Optional[int] = None
         self.n_appended = 0
         # The sequence number of the next frame, and the open segment's
-        # term table (exact term key -> segment-local id).
+        # term table (its ids are the segment-local ids).
         self._seq = 0
-        self._carried: Dict[object, int] = {}
+        self._carried = TermDict()
         # Set when the open segment holds another handle's frames (this
         # handle does not know their terms): the next append rotates.
         self._rotate_due = False
@@ -865,7 +852,7 @@ class TripleWAL:
             with open(path, "wb") as handle:
                 handle.write(_WAL_HEADER.pack(WAL_MAGIC, WAL_VERSION, 0, self._seq))
         self._handle = open(path, "ab")
-        self._carried = {}
+        self._carried = TermDict()
         self._rotate_due = False
 
     def append(self, record: Dict[str, object]) -> None:
@@ -888,14 +875,14 @@ class TripleWAL:
             self._writable()
             carried = self._carried
             n_carried = len(carried)
-            number = carried.setdefault
+            number = carried.add
             label_of: Dict[Tuple[str, Optional[str]], int] = {}
             label = label_of.setdefault
             try:
                 # Local ids in row order (each row's s, p, o in turn): the
                 # new terms are listed in the order the writer's store met them.
                 ids = [
-                    number(term if type(term) is str else _exact(term), len(carried))
+                    number(term)
                     for triple, _ in rows
                     for term in (triple.subject, triple.predicate, triple.object)
                 ]
@@ -909,7 +896,7 @@ class TripleWAL:
                     "d",
                     [0.0 if provenance is None else provenance.confidence for _, provenance in rows],
                 )
-                terms = _encode_terms([_term(key) for key in islice(carried, n_carried, None)])
+                terms = _encode_terms(carried._terms[n_carried:])
                 label_table = _encode_terms([term for pair in label_of for term in pair])
             except BaseException:
                 # Not written, so this segment's table now holds terms the
@@ -1164,7 +1151,7 @@ def read_segment_records(
     the ``seq`` the previous read returned.  The scan stops before a
     torn frame (fewer bytes than its length claims) and leaves it to the
     caller to tell a writer mid-append from damage.  A foreign header
-    (a v1 segment included), a checksum mismatch, a record whose
+    (a v1 or v2 segment included), a checksum mismatch, a record whose
     sequence number is not the next one, or a checksummed record that
     does not decode raises :class:`CodecError`; with ``allow_partial``
     the scan stops before it instead.  ``verify=False`` walks frame
@@ -1259,7 +1246,7 @@ def read_segment_records(
 
 class _SegmentTerms:
     """The term table of the segment a replay is reading: each local
-    id's exact term, and its id in the replayed graph's store."""
+    id's term, and its id in the replayed graph's store."""
 
     __slots__ = ("terms", "ids")
 

@@ -30,9 +30,10 @@ Performance layer (the "as fast as the hardware allows" track):
 Storage: every graph owns one
 :class:`~repro.core.store.ColumnarTripleStore` — dictionary-encoded int
 ids over sorted ``array('q')`` permutation columns under a small delta
-overlay.  Term identity is therefore Python equality (``0``, ``0.0`` and
-``False`` are one object term; the first-seen representative is the one
-reads return).  Provenance has the same two parts: an optional
+overlay.  A term is its type plus its value (``0``, ``0.0`` and ``False``
+are three object terms, see :func:`~repro.core.store.term_key`), and
+:class:`~repro.core.triple.Triple` equality agrees.  Provenance has the
+same two parts: an optional
 :class:`~repro.core.store.ProvenanceColumns` base keyed by the store's
 term ids, and a ``Triple``-keyed delta whose entries override it (an
 empty entry hides a removed triple's base records).  Reads check the
@@ -559,33 +560,23 @@ class KnowledgeGraph:
             return list(self._sorted_triples())
         store = self._store
         if subject is not None and predicate is not None:
-            objects = store.objects(subject, predicate)
             if obj is not None:
-                objects = objects & {obj}
-            return sorted(
-                (Triple(subject, predicate, o) for o in objects), key=Triple._sort_key
-            )
-        if subject is not None:
-            results = []
-            for pred, objects in store.spo_row(subject).items():
-                for candidate in objects:
-                    if obj is None or candidate == obj:
-                        results.append(Triple(subject, pred, candidate))
-            return sorted(results, key=Triple._sort_key)
-        if predicate is not None:
-            results = []
+                if not store.contains(subject, predicate, obj):
+                    return []
+                return [Triple(subject, predicate, obj)]
+            results = [Triple(subject, predicate, o) for o in store.objects(subject, predicate)]
+        elif subject is not None:
             if obj is not None:
-                for subj in store.subjects(predicate, obj):
-                    results.append(Triple(subj, predicate, obj))
+                results = [Triple(subject, p, obj) for p in store.predicates(subject, obj)]
             else:
-                for candidate, subjects in store.pos_row(predicate).items():
-                    for subj in subjects:
-                        results.append(Triple(subj, predicate, candidate))
-            return sorted(results, key=Triple._sort_key)
-        results = []
-        for subj, predicates in store.osp_row(obj).items():
-            for pred in predicates:
-                results.append(Triple(subj, pred, obj))
+                results = [Triple(subject, p, o) for p, o in store.spo_row(subject)]
+        elif predicate is not None:
+            if obj is not None:
+                results = [Triple(s, predicate, obj) for s in store.subjects(predicate, obj)]
+            else:
+                results = [Triple(s, predicate, o) for o, s in store.pos_row(predicate)]
+        else:
+            results = [Triple(s, p, obj) for s, p in store.osp_row(obj)]
         return sorted(results, key=Triple._sort_key)
 
     def pattern_cardinality(
@@ -683,22 +674,12 @@ class KnowledgeGraph:
             # Outgoing first, then incoming — the incoming row is re-read
             # after the first pass so a (drop, p, drop) self-loop is
             # rewritten twice, exactly like the scan-based algorithm.
-            outgoing = [
-                (predicate, obj)
-                for predicate, objects in store.spo_row(drop_id).items()
-                for obj in objects
-            ]
-            for predicate, obj in outgoing:
+            for predicate, obj in store.spo_row(drop_id):
                 self._rewrite_triple(
                     Triple(drop_id, predicate, obj), Triple(keep_id, predicate, obj)
                 )
                 rewritten += 1
-            incoming = [
-                (subject, predicate)
-                for subject, predicates in store.osp_row(drop_id).items()
-                for predicate in predicates
-            ]
-            for subject, predicate in incoming:
+            for subject, predicate in store.osp_row(drop_id):
                 self._rewrite_triple(
                     Triple(subject, predicate, drop_id),
                     Triple(subject, predicate, keep_id),

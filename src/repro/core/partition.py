@@ -106,11 +106,15 @@ def transform_record(
 
     Reverses the source's field-name map and re-joins split person names
     (``first_name``/``last_name`` → ``name``), producing a record over the
-    canonical attribute vocabulary.
+    canonical attribute vocabulary.  A float with an integral value
+    becomes an ``int``: a term is its type plus its value, and sources
+    that disagree only on ``2002`` versus ``2002.0`` still agree.
     """
     inverse = {mapped: canonical for canonical, mapped in field_map.items()}
     fields: Dict[str, Value] = {}
     for source_field, value in record.fields.items():
+        if type(value) is float and value.is_integer():
+            value = int(value)
         fields[inverse.get(source_field, source_field)] = value
     first = fields.pop("first_name", None)
     last = fields.pop("last_name", None)

@@ -22,9 +22,10 @@ supports the full read/write API of
 is (pinned against a plain set-of-rows model,
 ``tests/oracles.py::SetGraph``, by ``tests/test_perf_equivalence.py``).
 
-Term identity follows Python equality: ``1``, ``1.0`` and ``True`` share
-one id, and decoding returns the first-seen representative — the
-first-insert-wins semantics a ``set`` of rows has.
+A term is its type plus its value (a literal is its lexical form plus
+its datatype): ``1``, ``1.0`` and ``True`` are three terms with three
+ids, and decoding returns each exactly as it was added.  :func:`term_key`
+is that rule, and the one place it is decided.
 
 :class:`ProvenanceColumns` extends the layout to per-(triple, source)
 provenance: sorted id columns of the keyed triples, CSR offsets into
@@ -53,10 +54,24 @@ AUTO_COMPACT_MIN = 4096
 _intern = sys.intern
 
 
-class TermDict:
-    """Bidirectional term <-> int-id dictionary.
+def term_key(term: Value) -> object:
+    """The dictionary key of a term: what makes two terms one.
 
-    Ids are dense, assigned in first-seen order, and never recycled (a
+    ``str`` and ``int`` terms are their own key (no ``str`` equals an
+    ``int``); ``float`` and ``bool`` terms are keyed with their type, so
+    ``1``, ``1.0`` and ``True`` stay apart.  Subjects and predicates are
+    strings, so lookups of those skip this and probe with the term.
+    """
+    kind = type(term)
+    if kind is str or kind is int:
+        return term
+    return (kind, term)
+
+
+class TermDict:
+    """Bidirectional term <-> int-id dictionary, keyed by :func:`term_key`.
+
+    Ids are dense, assigned in order of first sight, and never recycled (a
     removed triple's terms keep their ids — standard dictionary-encoding
     practice, and what keeps snapshot/WAL references stable).  String
     terms are passed through :func:`sys.intern` so every graph in the
@@ -66,33 +81,35 @@ class TermDict:
     __slots__ = ("_id_of", "_terms")
 
     def __init__(self) -> None:
-        self._id_of: Dict[Value, int] = {}
+        self._id_of: Dict[object, int] = {}
         self._terms: List[Value] = []
 
     def add(self, term: Value) -> int:
         """The term's id, allocating one on first sight."""
-        term_id = self._id_of.get(term)
+        # Most terms are strings, which are their own key: skip the call.
+        key = term if type(term) is str else term_key(term)
+        term_id = self._id_of.get(key)
         if term_id is None:
             if type(term) is str:
-                term = _intern(term)
+                term = key = _intern(term)
             term_id = len(self._terms)
-            self._id_of[term] = term_id
+            self._id_of[key] = term_id
             self._terms.append(term)
         return term_id
 
     def get(self, term: Value) -> Optional[int]:
         """The term's id, or None when it was never seen."""
-        return self._id_of.get(term)
+        return self._id_of.get(term_key(term))
 
     def decode(self, term_id: int) -> Value:
-        """The first-seen representative for an id."""
+        """The term an id stands for."""
         return self._terms[term_id]
 
     def __len__(self) -> int:
         return len(self._terms)
 
     def __contains__(self, term: Value) -> bool:
-        return term in self._id_of
+        return term_key(term) in self._id_of
 
     def terms(self) -> List[Value]:
         """All terms in id order (the snapshot dictionary section)."""
@@ -109,33 +126,16 @@ class TermDict:
         """Trusted bulk construction from an id-ordered term list.
 
         Built with C-level ``dict(zip(...))`` instead of per-term adds —
-        the snapshot-load path.  Raises on exact (same type, same value)
-        duplicate terms, which a well-formed snapshot can never contain.
-        Equality-only duplicates (``0`` next to ``0.0``) occur in older
-        snapshot files, which kept one id per *typed* term.  For those,
-        the first occurrence wins value lookups — matching runtime
-        :meth:`add` semantics — and :meth:`has_equal_terms` tells the
-        caller to re-encode the rows (see :func:`_build_from_rows`).
+        the snapshot-load path.  Raises on a duplicate term, which a
+        well-formed snapshot can never contain.
         """
         interned = [_intern(term) if type(term) is str else term for term in terms]
         term_dict = cls()
         term_dict._terms = interned
-        term_dict._id_of = dict(zip(interned, range(len(interned))))
+        term_dict._id_of = dict(zip(map(term_key, interned), range(len(interned))))
         if len(term_dict._id_of) != len(interned):
-            id_of: Dict[Value, int] = {}
-            for term_id, term in enumerate(interned):
-                first_id = id_of.setdefault(term, term_id)
-                if first_id != term_id and type(term) is type(interned[first_id]):
-                    raise ValueError(
-                        f"term dictionary has duplicate term {term!r} "
-                        f"(ids {first_id} and {term_id})"
-                    )
-            term_dict._id_of = id_of
+            raise ValueError("term dictionary holds a duplicate term")
         return term_dict
-
-    def has_equal_terms(self) -> bool:
-        """True when two ids hold equal terms (only after :meth:`_from_terms`)."""
-        return len(self._id_of) != len(self._terms)
 
     def memory_bytes(self) -> int:
         """Approximate heap bytes: maps plus the term payloads themselves."""
@@ -153,27 +153,6 @@ def _split_keys(keys: List[int], n: int) -> Tuple[array, array, array]:
         array("q", [key // n % n for key in keys]),
         array("q", [key % n for key in keys]),
     )
-
-
-def _build_from_rows(
-    terms: TermDict, rows: Iterable[Tuple[int, int, int]]
-) -> "ColumnarTripleStore":
-    """A store over ``terms`` holding ``rows`` (any order).
-
-    A dictionary with equality-duplicate terms is re-encoded through
-    :meth:`TermDict.add` — one id per term, first representative kept —
-    and its rows renumbered, so lookups and columns agree.
-    """
-    store = ColumnarTripleStore()
-    if terms.has_equal_terms():
-        dense = TermDict()
-        new_id = [dense.add(term) for term in terms.terms()]
-        rows = [(new_id[s], new_id[p], new_id[o]) for s, p, o in rows]
-        terms = dense
-    store._terms = terms
-    n = len(terms)
-    store.install_keys(list({(s * n + p) * n + o for s, p, o in rows}))
-    return store
 
 
 class BulkLoader:
@@ -205,7 +184,7 @@ class BulkLoader:
         p = known(predicate)
         if p is None:
             p = encode(predicate)
-        o = known(obj)
+        o = known(term_key(obj))
         if o is None:
             o = encode(obj)
         rows = self._rows
@@ -284,7 +263,7 @@ class ColumnarTripleStore:
         p = get(predicate)
         if p is None:
             return None
-        o = get(obj)
+        o = get(term_key(obj))
         if o is None:
             return None
         return (s, p, o)
@@ -507,83 +486,71 @@ class ColumnarTripleStore:
     # ------------------------------------------------------------------
     # merged row reads (what the graph's query paths consume)
 
-    def objects(self, subject: str, predicate: str) -> Set[Value]:
+    def _thirds(
+        self,
+        perm: str,
+        cols: Tuple[array, array, array],
+        delta: Dict[int, Dict[int, Set[int]]],
+        a: Optional[int],
+        b: Optional[int],
+    ) -> List[Value]:
+        """The third terms of the live rows under the id prefix ``(a, b)``,
+        decoded (none when either id is None: its term was never seen)."""
+        if a is None or b is None:
+            return []
+        decode = self._terms._terms.__getitem__
+        result = [decode(row[2]) for row in self._scan(perm, cols, a, b)]
+        by_b = delta.get(a)
+        if by_b:
+            result.extend(map(decode, by_b.get(b, ())))
+        return result
+
+    def _pairs(
+        self,
+        perm: str,
+        cols: Tuple[array, array, array],
+        delta: Dict[int, Dict[int, Set[int]]],
+        a: Optional[int],
+    ) -> List[Tuple[Value, Value]]:
+        """The (second, third) terms of the live rows under the id ``a``,
+        decoded: base rows in permutation order, then the delta."""
+        if a is None:
+            return []
+        decode = self._terms._terms.__getitem__
+        result = [(decode(b), decode(c)) for _, b, c in self._scan(perm, cols, a)]
+        for b, values in delta.get(a, {}).items():
+            second = decode(b)
+            result.extend([(second, decode(c)) for c in values])
+        return result
+
+    def objects(self, subject: str, predicate: str) -> List[Value]:
         """All objects of (subject, predicate, ?)."""
-        get = self._terms.get
-        s = get(subject)
-        p = get(predicate)
-        if s is None or p is None:
-            return set()
-        decode = self._terms.decode
-        result = {decode(row[2]) for row in self._scan("spo", self._spo, s, p)}
-        by_predicate = self._delta_spo.get(s)
-        if by_predicate:
-            for o in by_predicate.get(p, ()):
-                result.add(decode(o))
-        return result
+        get = self._terms._id_of.get
+        return self._thirds("spo", self._spo, self._delta_spo, get(subject), get(predicate))
 
-    def subjects(self, predicate: str, obj: Value) -> Set[str]:
+    def subjects(self, predicate: str, obj: Value) -> List[str]:
         """All subjects of (?, predicate, object)."""
-        get = self._terms.get
-        p = get(predicate)
-        o = get(obj)
-        if p is None or o is None:
-            return set()
-        decode = self._terms.decode
-        result = {decode(row[2]) for row in self._scan("pos", self._pos, p, o)}
-        by_object = self._delta_pos.get(p)
-        if by_object:
-            for s in by_object.get(o, ()):
-                result.add(decode(s))
-        return result
+        get = self._terms._id_of.get
+        return self._thirds(
+            "pos", self._pos, self._delta_pos, get(predicate), get(term_key(obj))
+        )
 
-    def spo_row(self, subject: str) -> Dict[str, Set[Value]]:
-        """predicate -> objects for one subject (merged base + delta)."""
-        s = self._terms.get(subject)
-        if s is None:
-            return {}
-        decode = self._terms.decode
-        result: Dict[str, Set[Value]] = {}
-        for _, p, o in self._scan("spo", self._spo, s):
-            result.setdefault(decode(p), set()).add(decode(o))
-        for p, objects in self._delta_spo.get(s, {}).items():
-            if objects:
-                row = result.setdefault(decode(p), set())
-                for o in objects:
-                    row.add(decode(o))
-        return result
+    def predicates(self, subject: str, obj: Value) -> List[str]:
+        """All predicates of (subject, ?, object)."""
+        get = self._terms._id_of.get
+        return self._thirds("osp", self._osp, self._delta_osp, get(term_key(obj)), get(subject))
 
-    def pos_row(self, predicate: str) -> Dict[Value, Set[str]]:
-        """object -> subjects for one predicate (merged base + delta)."""
-        p = self._terms.get(predicate)
-        if p is None:
-            return {}
-        decode = self._terms.decode
-        result: Dict[Value, Set[str]] = {}
-        for _, o, s in self._scan("pos", self._pos, p):
-            result.setdefault(decode(o), set()).add(decode(s))
-        for o, subjects in self._delta_pos.get(p, {}).items():
-            if subjects:
-                row = result.setdefault(decode(o), set())
-                for s in subjects:
-                    row.add(decode(s))
-        return result
+    def spo_row(self, subject: str) -> List[Tuple[str, Value]]:
+        """(predicate, object) of every row with this subject."""
+        return self._pairs("spo", self._spo, self._delta_spo, self._terms._id_of.get(subject))
 
-    def osp_row(self, obj: Value) -> Dict[str, Set[str]]:
-        """subject -> predicates for one object (merged base + delta)."""
-        o = self._terms.get(obj)
-        if o is None:
-            return {}
-        decode = self._terms.decode
-        result: Dict[str, Set[str]] = {}
-        for _, s, p in self._scan("osp", self._osp, o):
-            result.setdefault(decode(s), set()).add(decode(p))
-        for s, predicates in self._delta_osp.get(o, {}).items():
-            if predicates:
-                row = result.setdefault(decode(s), set())
-                for p in predicates:
-                    row.add(decode(p))
-        return result
+    def pos_row(self, predicate: str) -> List[Tuple[Value, str]]:
+        """(object, subject) of every row with this predicate."""
+        return self._pairs("pos", self._pos, self._delta_pos, self._terms._id_of.get(predicate))
+
+    def osp_row(self, obj: Value) -> List[Tuple[str, str]]:
+        """(subject, predicate) of every row with this object."""
+        return self._pairs("osp", self._osp, self._delta_osp, self._terms.get(obj))
 
     def edges(self, term: Value) -> List[Tuple[int, int, bool]]:
         """Every row touching ``term`` as ``(p_id, other_id, outgoing)`` ids.
@@ -621,9 +588,8 @@ class ColumnarTripleStore:
         return result
 
     def decoder(self) -> Callable[[int], Value]:
-        """id -> term (the first-seen representative) as one bound lookup,
-        for loops that decode many ids; ids are never recycled, so it stays
-        valid while the store lives."""
+        """id -> term as one bound lookup, for loops that decode many ids;
+        ids are never recycled, so it stays valid while the store lives."""
         return self._terms._terms.__getitem__
 
     # ------------------------------------------------------------------
@@ -652,24 +618,24 @@ class ColumnarTripleStore:
         return count
 
     def count_sp(self, subject: str, predicate: str) -> int:
-        get = self._terms.get
+        get = self._terms._id_of.get
         s, p = get(subject), get(predicate)
         return 0 if s is None or p is None else self._count("spo", self._spo, self._delta_spo, s, p)
 
     def count_s(self, subject: str) -> int:
-        return self._count("spo", self._spo, self._delta_spo, self._terms.get(subject))
+        return self._count("spo", self._spo, self._delta_spo, self._terms._id_of.get(subject))
 
     def count_po(self, predicate: str, obj: Value) -> int:
-        get = self._terms.get
-        p, o = get(predicate), get(obj)
+        get = self._terms._id_of.get
+        p, o = get(predicate), get(term_key(obj))
         return 0 if p is None or o is None else self._count("pos", self._pos, self._delta_pos, p, o)
 
     def count_p(self, predicate: str) -> int:
-        return self._count("pos", self._pos, self._delta_pos, self._terms.get(predicate))
+        return self._count("pos", self._pos, self._delta_pos, self._terms._id_of.get(predicate))
 
     def count_os(self, obj: Value, subject: str) -> int:
-        get = self._terms.get
-        o, s = get(obj), get(subject)
+        get = self._terms._id_of.get
+        o, s = get(term_key(obj)), get(subject)
         return 0 if o is None or s is None else self._count("osp", self._osp, self._delta_osp, o, s)
 
     def count_o(self, obj: Value) -> int:
@@ -691,7 +657,11 @@ class ColumnarTripleStore:
         The term list is trusted to be in id order; rows are re-sorted, so
         column order in the file does not matter.
         """
-        return _build_from_rows(TermDict._from_terms(terms), zip(s_col, p_col, o_col))
+        store = cls()
+        store._terms = TermDict._from_terms(terms)
+        n = len(terms)
+        store.install_keys(list({(s * n + p) * n + o for s, p, o in zip(s_col, p_col, o_col)}))
+        return store
 
     def columns(self) -> Tuple[List[Value], array, array, array]:
         """(terms, s, p, o) with every live row folded in (for snapshots)."""
@@ -727,18 +697,13 @@ class ColumnarTripleStore:
         The columns come from :meth:`sorted_columns` via the checksummed
         snapshot codec, so they are sorted, unique, and untombstoned by
         construction; only cheap shape invariants are re-checked here.
-        The exception is a dictionary with equality-duplicate terms: its
-        rows are renumbered onto one id per term and re-sorted.
         """
-        term_dict = TermDict._from_terms(terms)
         n_rows = len(spo[0])
         for perm in (spo, pos, osp):
             if len(perm) != 3 or any(len(col) != n_rows for col in perm):
                 raise ValueError("permutation columns disagree on row count")
-        if term_dict.has_equal_terms():
-            return _build_from_rows(term_dict, zip(*spo))
         store = cls()
-        store._terms = term_dict
+        store._terms = TermDict._from_terms(terms)
         store._spo = spo
         store._pos = pos
         store._osp = osp

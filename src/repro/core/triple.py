@@ -51,6 +51,13 @@ class Triple:
     graph holding the triple, not the triple itself — the same design that
     lets text-rich KGs treat most objects as free text.
 
+    An object is a ``str``, ``int``, ``float`` or ``bool`` — what a
+    snapshot can store — and never NaN, which equals nothing, itself
+    included.  It is a term of its type: ``1``, ``1.0`` and ``True`` make
+    three unequal triples (the hash ignores the type, so they share a
+    bucket), and ``-0.0`` is stored as ``0.0``, the one float pair ``==``
+    cannot tell apart.
+
     Triples order deterministically even when object types are mixed
     (strings vs numbers), so index scans over heterogeneous graphs stay
     stable.
@@ -68,13 +75,35 @@ class Triple:
             return NotImplemented
         return self._sort_key() < other._sort_key()
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Triple):
+            return NotImplemented
+        return (
+            self.object == other.object
+            and type(self.object) is type(other.object)
+            and self.subject == other.subject
+            and self.predicate == other.predicate
+        )
+
     def __post_init__(self) -> None:
         if not self.subject:
             raise ValueError("triple subject must be non-empty")
         if not self.predicate:
             raise ValueError("triple predicate must be non-empty")
-        if self.object is None or (isinstance(self.object, str) and not self.object):
-            raise ValueError("triple object must be non-empty")
+        obj = self.object
+        kind = type(obj)
+        if kind is str:
+            if not obj:
+                raise ValueError("triple object must be non-empty")
+        elif kind is float:
+            if obj != obj:
+                raise ValueError("triple object must not be NaN")
+            if obj == 0.0:
+                object.__setattr__(self, "object", 0.0)  # -0.0 is 0.0
+        elif kind is not int and kind is not bool:
+            raise ValueError(
+                f"triple object must be a str, int, float or bool, not {kind.__name__}"
+            )
         # Triples are hashed several times per graph insertion (triple set,
         # provenance table, index rows); computing the tuple hash once here
         # keeps every later probe a single attribute load.

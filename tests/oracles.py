@@ -176,12 +176,13 @@ def accu_fuse_stepwise(fusion, claims):
 class SetGraph:
     """The set-of-rows model ``KnowledgeGraph`` is specified against.
 
-    Entities with aliases, one ``set`` of ``(s, p, o)`` rows and a dict of
-    provenance lists: no ids, no indexes, every read a scan.  What it pins:
+    Entities with aliases, one ``set`` of rows (``Triple`` objects) and a
+    dict of provenance lists: no ids, no indexes, every read a scan.  What
+    it pins:
 
-    * term identity is Python equality and the first-seen representative
-      wins for good (``0``, ``0.0`` and ``False`` are one term; a term is
-      never forgotten, which is also what ``n_id_terms`` counts);
+    * a term is its type plus its value (``0``, ``0.0`` and ``False`` are
+      three terms, as ``Triple`` equality says); a term is never
+      forgotten, which is what ``n_id_terms`` counts;
     * provenance accumulates per row, dies with a removed row, and moves
       with a row that a merge rewrites;
     * a merge rewrites the dropped entity's outgoing rows and then, reading
@@ -195,7 +196,7 @@ class SetGraph:
         self.entities = {}  # id -> (name, set of aliases)
         self.rows = set()
         self.provenance = {}  # row -> [Provenance, ...]
-        self._representative = {}
+        self.terms = set()  # (type, value) of every term ever added
 
     def add_entity(self, entity_id, name, aliases=()):
         self.entities[entity_id] = (name, set(aliases))
@@ -203,18 +204,14 @@ class SetGraph:
     def add_alias(self, entity_id, alias):
         self.entities[entity_id][1].add(alias)
 
-    def _row(self, triple):
-        first_seen = self._representative.setdefault
-        return tuple(first_seen(term, term) for term in triple.as_tuple())
-
     def add(self, triple, provenance=None):
         if triple.subject not in self.entities:
             raise ValueError(f"unknown subject entity: {triple.subject!r}")
-        row = self._row(triple)
-        is_new = row not in self.rows
-        self.rows.add(row)
+        self.terms.update((type(term), term) for term in triple.as_tuple())
+        is_new = triple not in self.rows
+        self.rows.add(triple)
         if provenance is not None:
-            self.provenance.setdefault(row, []).append(provenance)
+            self.provenance.setdefault(triple, []).append(provenance)
             obs_lineage.record_observation(
                 *triple.as_tuple(),
                 source=provenance.source,
@@ -233,11 +230,10 @@ class SetGraph:
         return n_new
 
     def remove(self, triple):
-        row = triple.as_tuple()
-        if row not in self.rows:
+        if triple not in self.rows:
             return False
-        self.rows.discard(row)
-        self.provenance.pop(row, None)
+        self.rows.discard(triple)
+        self.provenance.pop(triple, None)
         return True
 
     def merge(self, keep_id, drop_id):
@@ -247,13 +243,13 @@ class SetGraph:
             raise ValueError(f"cannot merge entity {keep_id!r} into itself")
         rewritten = 0
         for position in (0, 2):  # outgoing rows, then incoming
-            for row in [row for row in self.rows if row[position] == drop_id]:
+            for row in [row for row in self.rows if row.as_tuple()[position] == drop_id]:
                 records = self.provenance.get(row, [])
-                self.remove(Triple(*row))
-                new = Triple(*(row[:position] + (keep_id,) + row[position + 1 :]))
+                self.remove(row)
+                new = row.replace_subject(keep_id) if position == 0 else row.replace_object(keep_id)
                 self.add(new)
                 if records:
-                    self.provenance.setdefault(self._row(new), []).extend(records)
+                    self.provenance.setdefault(new, []).extend(records)
                 rewritten += 1
         keep_aliases |= drop_aliases | {drop_name}
         keep_aliases.discard(keep_name)
@@ -269,9 +265,12 @@ class SetGraph:
     def query(self, subject=None, predicate=None, obj=None):
         pattern = (subject, predicate, obj)
         return {
-            Triple(*row)
+            row
             for row in self.rows
-            if all(want is None or want == term for want, term in zip(pattern, row))
+            if all(
+                want is None or (want == term and type(want) is type(term))
+                for want, term in zip(pattern, row.as_tuple())
+            )
         }
 
     def has_entity(self, entity_id):
@@ -301,25 +300,25 @@ class SetGraph:
 
     def stats(self):
         n_edges = sum(
-            1 for _, _, obj in self.rows if isinstance(obj, str) and obj in self.entities
+            1 for row in self.rows if isinstance(row.object, str) and row.object in self.entities
         )
         return {
             "n_entities": len(self.entities),
             "n_triples": len(self.rows),
             "n_entity_edges": n_edges,
             "n_attribute_triples": len(self.rows) - n_edges,
-            "n_id_terms": len(self._representative),
+            "n_id_terms": len(self.terms),
         }
 
     def state(self):
         """What :func:`public_state` reads off a ``KnowledgeGraph``."""
-        triples = sorted(Triple(*row) for row in self.rows)
+        triples = sorted(self.rows)
         return {
             "triples": triples,
             "provenance": {
                 triple: records
                 for triple in triples
-                if (records := self.provenance.get(triple.as_tuple()))
+                if (records := self.provenance.get(triple))
             },
             "entities": sorted(self.entities),
             "aliases": {
@@ -366,18 +365,20 @@ def assert_graph_matches(graph, model):
     assert len(graph) == len(model.rows)
     stats = graph.stats()
     assert {key: stats[key] for key in model.stats()} == model.stats()
-    probes = sorted(model.rows, key=repr)[:10] + [("ghost", "nope", -1)]
+    probes = [row.as_tuple() for row in sorted(model.rows, key=repr)[:10]]
+    probes.append(("ghost", "nope", -1))
     for subject, predicate, obj in probes:
         for pattern in product((None, subject), (None, predicate), (None, obj)):
             answer = graph.query(*pattern)
             assert set(answer) == model.query(*pattern)
             assert len(answer) == len(set(answer)) == graph.pattern_cardinality(*pattern)
         triple = Triple(subject, predicate, obj)
-        assert (triple in graph) == (triple.as_tuple() in model.rows)
-        objects = {t.object for t in model.query(subject, predicate)}
-        assert set(graph.objects(subject, predicate)) == objects
-        assert graph.one_object(subject, predicate) == (
-            next(iter(objects)) if len(objects) == 1 else None
+        assert (triple in graph) == (triple in model.rows)
+        # As reprs, which tell 0, 0.0 and False apart.
+        objects = sorted(repr(t.object) for t in model.query(subject, predicate))
+        assert sorted(map(repr, graph.objects(subject, predicate))) == objects
+        assert repr(graph.one_object(subject, predicate)) == (
+            objects[0] if len(objects) == 1 else "None"
         )
         assert graph.subjects(predicate, obj) == sorted(
             t.subject for t in model.query(None, predicate, obj)

@@ -497,7 +497,7 @@ class TestStorageCli:
     def test_load_legacy_typed_terms_fixture(self, capsys):
         fixture = os.path.join(os.path.dirname(__file__), "data", "typed_terms_v1.rkgs")
         assert main(["load", fixture]) == 0
-        assert "6 triples, 3 entities, 8 id terms" in capsys.readouterr().out
+        assert "6 triples, 3 entities, 11 id terms" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "argv",

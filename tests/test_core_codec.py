@@ -1,6 +1,7 @@
 """Unit tests for binary snapshots and the append-only WAL."""
 
 import json
+import math
 import os
 import struct
 import zlib
@@ -14,11 +15,12 @@ from repro.core.ontology import Ontology
 from repro.core.triple import Provenance, Triple
 from repro.obs import enabled_scope, get_registry
 from repro.obs.lineage import get_ledger
-from tests.oracles import SetGraph, assert_graph_matches
+from tests.oracles import SetGraph, assert_graph_matches, public_state
 
 TYPED_TERMS_FIXTURE = os.path.join(
     os.path.dirname(__file__), "data", "typed_terms_v1.rkgs"
 )
+V2_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "graph_v2.rkgs")
 
 _SAMPLE_ENTITIES = (
     ("p1", "Ada", "Person", ["A. Lovelace"]),
@@ -192,14 +194,56 @@ class TestMmapLoad:
         assert _triples(codec.load_graph(file_path)) == _triples(graph)
 
 
+def _format_fixture_graph():
+    """The graph ``tests/data/graph_v2.rkgs`` holds, built in memory: a
+    snapshot v2 file of ``str``, ``int``, non-integral ``float`` and
+    ``bool`` objects with multi-record provenance."""
+    ontology = Ontology()
+    ontology.add_class("Thing")
+    ontology.add_class("Person", "Thing")
+    graph = KnowledgeGraph(ontology=ontology, name="format-v2")
+    graph.add_entity("e1", "Ada Lovelace", "Person", aliases=["Ada"])
+    graph.add_entity("e2", "Charles Babbage", "Person")
+    graph.add_entity("e3", "Analytical Engine", "Thing")
+    s1, s2 = Provenance("s1", confidence=0.9), Provenance("s2", "infobox", 0.7)
+    graph.add_triples_batch(
+        [
+            (Triple("e1", "knows", "e2"), s1),
+            (Triple("e1", "knows", "e2"), s2),
+            (Triple("e1", "born", 1815), s1),
+            (Triple("e1", "height_m", 1.65), s2),
+            Triple("e2", "born", 1791),
+            Triple("e2", "alive", False),
+        ]
+    )
+    graph.add_triple(Triple("e3", "designed_by", "e2"), Provenance("s3", "wrapper", 0.5))
+    graph.add_triple(Triple("e3", "designed_by", "e2"), s1)
+    graph.add_triple(Triple("e3", "operational", True))
+    graph.add_triple(Triple("e3", "weight_t", 2.5), s2)
+    return graph
+
+
+def _resave_twice(graph, tmp_path, tag):
+    """Save ``graph``, load it and save it again; the first file's bytes,
+    asserted equal to the second's."""
+    first = str(tmp_path / f"{tag}-first.rkgs")
+    second = str(tmp_path / f"{tag}-second.rkgs")
+    codec.save_graph(graph, first, include_lineage=False)
+    codec.save_graph(codec.load_graph(first), second, include_lineage=False)
+    with open(first, "rb") as a, open(second, "rb") as b:
+        blob = a.read()
+        assert blob == b.read()
+    return blob
+
+
 class TestTypedTermRoundTrip:
     """Numerically equal terms of different types, through a snapshot.
 
-    Term identity is Python equality: ``0``, ``0.0`` and ``False`` are one
-    term and the first-seen representative is what reads return.  Files
+    A term is its type plus its value: ``0``, ``0.0`` and ``False`` are
+    three terms, and every read returns each as it was added.  Files
     written before the dict/set storage was retired kept one term id per
-    *typed* value (``tests/data/typed_terms_v1.rkgs`` is one); loading
-    folds those ids together so every read path agrees."""
+    typed value too (``tests/data/typed_terms_v1.rkgs`` is one), so they
+    load exactly as written."""
 
     _MIXED = (
         Triple("e1", "p", 0),
@@ -221,7 +265,7 @@ class TestTypedTermRoundTrip:
             model.add(triple)
         return graph, model
 
-    def test_first_seen_representative_survives(self, tmp_path):
+    def test_typed_terms_stay_distinct(self, tmp_path):
         graph, model = self._mixed_pair()
         file_path = str(tmp_path / "mixed.rkgs")
         codec.save_graph(graph, file_path, include_lineage=False)
@@ -230,22 +274,28 @@ class TestTypedTermRoundTrip:
             assert_graph_matches(candidate, model)
             assert [(t.subject, t.object, type(t.object)) for t in candidate.query()] == [
                 ("e1", 0, int),
-                ("e2", 0, int),
-                ("e3", 0, int),
+                ("e2", 0.0, float),
+                ("e3", False, bool),
                 ("e4", True, bool),
-                ("e5", True, bool),
+                ("e5", 1, int),
             ]
+            assert candidate.subjects("p", 0) == ["e1"]
+            assert candidate.subjects("p", 1.0) == []
+            assert candidate.stats()["n_id_terms"] == 11
 
     def test_legacy_typed_terms_load_consistently(self):
-        """The committed file holds (e1,p,0), (e2,p,0.0), (e3,p,False) under
-        three term ids; before the fix ``query`` saw e2's row while ``in``,
-        ``remove_triple``, ``subjects`` and ``pattern_cardinality`` did not."""
+        """The committed file holds (e1,p,0), (e2,p,0.0), (e3,p,False)
+        under three term ids, and every read path sees three terms."""
         loaded = codec.load_graph(TYPED_TERMS_FIXTURE)
         assert loaded.query(subject="e2", predicate="p") == [Triple("e2", "p", 0.0)]
+        assert type(loaded.query(subject="e2", predicate="p")[0].object) is float
         assert Triple("e2", "p", 0.0) in loaded
-        assert loaded.subjects("p", 0) == ["e1", "e2", "e3"]
-        assert loaded.pattern_cardinality(predicate="p", obj=0) == 3
-        assert loaded.subjects("q", True) == ["e1", "e2"]
+        assert Triple("e2", "p", 0) not in loaded
+        assert loaded.subjects("p", 0) == ["e1"]
+        assert loaded.subjects("p", 0.0) == ["e2"]
+        assert loaded.subjects("p", False) == ["e3"]
+        assert loaded.pattern_cardinality(predicate="p", obj=0) == 1
+        assert loaded.subjects("q", True) == ["e2"]
         model = SetGraph()
         for entity_id in ("e1", "e2", "e3"):
             model.add_entity(entity_id, entity_id.upper())
@@ -259,43 +309,68 @@ class TestTypedTermRoundTrip:
                 Triple("e3", "knows", "e1"),
             ]
         )
+        assert_graph_matches(loaded, model)
         assert loaded.remove_triple(Triple("e2", "p", 0.0))
         assert model.remove(Triple("e2", "p", 0.0))
         assert_graph_matches(loaded, model)
 
-    def test_v1_provenance_converts_and_resaves_as_v2(self, tmp_path):
+    def test_v1_provenance_converts_and_resaves_as_v3(self, tmp_path):
         """A v1 file's JSON provenance loads into the delta, intact; saving
-        it writes v2, and saving that again writes the same bytes."""
+        it writes v3, and saving that again writes the same bytes."""
         legacy = codec.load_graph(TYPED_TERMS_FIXTURE)
         assert legacy._provenance_base is None
         assert legacy.provenance() == {
             Triple("e1", "p", 0): [Provenance(source="s1", confidence=0.9)],
-            Triple("e2", "p", 0): [Provenance(source="s2", confidence=0.8)],
+            Triple("e2", "p", 0.0): [Provenance(source="s2", confidence=0.8)],
         }
-        first, second = str(tmp_path / "first.rkgs"), str(tmp_path / "second.rkgs")
+        first = str(tmp_path / "first.rkgs")
         codec.save_graph(legacy, first, include_lineage=False)
         converted = codec.load_graph(first)
         assert not converted._provenance
         assert converted.provenance() == legacy.provenance()
-        codec.save_graph(converted, second, include_lineage=False)
-        with open(first, "rb") as a, open(second, "rb") as b:
-            blob = a.read()
-            assert blob == b.read()
+        blob = _resave_twice(converted, tmp_path, "converted")
         assert blob[:6] == codec.SNAPSHOT_MAGIC + bytes([codec.SNAPSHOT_VERSION, 0])
-        assert codec.SNAPSHOT_VERSION == 2
+        assert codec.SNAPSHOT_VERSION == 3
 
     def test_resave_is_byte_stable(self, tmp_path):
         legacy = codec.load_graph(TYPED_TERMS_FIXTURE)
         for tag, graph in (("mixed", self._mixed_pair()[0]), ("legacy", legacy)):
-            first = str(tmp_path / f"{tag}-first.rkgs")
-            second = str(tmp_path / f"{tag}-second.rkgs")
-            codec.save_graph(graph, first, include_lineage=False)
-            codec.save_graph(codec.load_graph(first), second, include_lineage=False)
-            with open(first, "rb") as a, open(second, "rb") as b:
-                assert a.read() == b.read()
+            _resave_twice(graph, tmp_path, tag)
+
+
+class TestFormatV2Fixture:
+    """``tests/data/graph_v2.rkgs`` was written by the snapshot v2 codec."""
+
+    def test_loads_equal_to_the_graph_built_in_memory(self):
+        loaded = codec.load_graph(V2_FIXTURE)
+        built = _format_fixture_graph()
+        assert public_state(loaded) == public_state(built)
+        assert loaded.stats() == built.stats()
+        assert loaded.name == built.name
+        assert [type(t.object) for t in loaded.query(predicate="born")] == [int, int]
+        assert loaded.objects("e1", "height_m") == [1.65]
+        assert len(loaded.provenance(Triple("e1", "knows", "e2"))) == 2
+
+    def test_resave_writes_v3_and_is_byte_stable(self, tmp_path):
+        with open(V2_FIXTURE, "rb") as handle:
+            assert handle.read(6) == codec.SNAPSHOT_MAGIC + bytes([2, 0])
+        blob = _resave_twice(codec.load_graph(V2_FIXTURE), tmp_path, "v2")
+        assert blob[:6] == codec.SNAPSHOT_MAGIC + bytes([3, 0])
+        built = str(tmp_path / "built.rkgs")
+        codec.save_graph(_format_fixture_graph(), built, include_lineage=False)
+        with open(built, "rb") as handle:
+            assert handle.read() == blob
 
 
 class TestSnapshotCorruption:
+    def test_terms_section_refuses_nan_and_reads_negative_zero_as_zero(self):
+        """Files written before triples refused NaN can hold one, which no
+        graph can hold, so the load refuses it; a -0.0 term loads as 0.0."""
+        with pytest.raises(CodecError, match="NaN"):
+            codec._decode_terms(codec._encode_terms(["x", math.nan]), "old.rkgs")
+        (zero,) = codec._decode_terms(codec._encode_terms([-0.0]), "old.rkgs")
+        assert math.copysign(1.0, zero) == 1.0
+
     def _saved(self, tmp_path):
         path = str(tmp_path / "g.rkgs")
         codec.save_graph(_sample_graph(), path, include_lineage=False)
@@ -514,27 +589,48 @@ class TestTripleWAL:
         with pytest.raises(CodecError, match="unknown WAL op"):
             TripleWAL(str(tmp_path / "wal")).recover()
 
-    def test_v1_segment_is_refused_with_versions_named(self, tmp_path):
-        """A segment written before WAL v2 (unnumbered JSON frames) is not
-        read, converted or appended to: recovery names the version it
-        found and the one it reads."""
-        wal_dir = tmp_path / "wal"
+    @staticmethod
+    def _refuses_old_segment(wal_dir, header, frame_head):
+        """A segment of an older format (``header``, then one JSON add
+        behind ``frame_head``) is not read, converted or appended to:
+        recovery names the version it found and the one it reads."""
         wal_dir.mkdir()
-        payload = json.dumps({"op": "add", "s": "e0", "p": "v", "o": 1}).encode("utf-8")
+        payload = frame_head + json.dumps({"op": "add", "s": "e0", "p": "v", "o": 1}).encode(
+            "utf-8"
+        )
         with open(wal_dir / "wal-00000001.log", "wb") as handle:
-            handle.write(struct.pack("<4sHH", codec.WAL_MAGIC, 1, 0))
+            handle.write(header)
             handle.write(struct.pack("<II", len(payload), zlib.crc32(payload)) + payload)
         size = os.path.getsize(wal_dir / "wal-00000001.log")
         reopened = TripleWAL(str(wal_dir))
-        with pytest.raises(CodecError, match="not a v2 repro WAL segment .*version 1"):
+        version = struct.unpack_from("<H", header, 4)[0]
+        with pytest.raises(
+            CodecError,
+            match=f"not a v{codec.WAL_VERSION} repro WAL segment .*version {version}",
+        ):
             reopened.recover()
         reopened.append({"op": "add", "s": "e0", "p": "v", "o": 2})
-        # The v1 file is left as it was; the append went to a new segment.
+        # The old file is left as it was; the append went to a new segment.
         assert os.path.getsize(wal_dir / "wal-00000001.log") == size
         assert len(reopened.segment_paths()) == 2
         with pytest.raises(CodecError, match="compact it with the checkout that wrote it"):
             reopened.compact()
-        assert codec.WAL_VERSION == 2
+        assert codec.WAL_VERSION == 3
+
+    def test_v1_segment_is_refused_with_versions_named(self, tmp_path):
+        """A segment written before WAL v2 (unnumbered JSON frames)."""
+        self._refuses_old_segment(
+            tmp_path / "wal", struct.pack("<4sHH", codec.WAL_MAGIC, 1, 0), b""
+        )
+
+    def test_v2_segment_is_refused_with_versions_named(self, tmp_path):
+        """A segment written before terms were typed: its writer held
+        ``1`` and ``1.0`` as one term, so replay could not rebuild it."""
+        self._refuses_old_segment(
+            tmp_path / "wal",
+            struct.pack("<4sHHQ", codec.WAL_MAGIC, 2, 0, 0),
+            struct.pack("<QB", 0, 0),
+        )
 
     def test_batch_frame_carries_only_new_terms(self, tmp_path):
         """A batch is one frame of segment-local ids; a later batch in the

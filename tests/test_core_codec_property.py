@@ -117,10 +117,10 @@ def _apply_step(graph, model, step, removed):
         triple = Triple(ids[pick % len(ids)], predicate, obj)
         assert graph.add_triple(triple, provenance=record) == model.add(triple, record)
     elif kind == "again" and rows:
-        triple = Triple(*rows[step[1] % len(rows)])
+        triple = rows[step[1] % len(rows)]
         assert graph.add_triple(triple, provenance=step[2]) == model.add(triple, step[2])
     elif kind == "remove" and rows:
-        triple = Triple(*rows[step[1] % len(rows)])
+        triple = rows[step[1] % len(rows)]
         assert graph.remove_triple(triple) == model.remove(triple)
         removed.append(triple)
     elif kind == "readd" and removed:

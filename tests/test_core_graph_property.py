@@ -42,8 +42,9 @@ _objects = st.one_of(
     st.sampled_from(_ENTITY_IDS),
     st.sampled_from(("x", "y", "z")),
     st.integers(0, 9),
-    # Equal to some of the ints above without being the same term type.
-    st.sampled_from((0.0, 1.0, 2.5, False, True)),
+    # Equal to some of the ints above without being the same term type;
+    # -0.0 is 0.0 once in a triple.
+    st.sampled_from((0.0, -0.0, 1.0, 2.5, False, True)),
 )
 _prov_index = st.one_of(st.none(), st.integers(0, 2))
 _spec = st.tuples(_subjects, _predicates, _objects, _prov_index)
@@ -226,7 +227,7 @@ class GraphMachine(RuleBasedStateMachine):
             return
         subject, predicate, obj = sorted(self.model.rows, key=repr)[
             pick % len(self.model.rows)
-        ]
+        ].as_tuple()
         if other is not None:
             ids = sorted(self.model.entities)
             subject = ids[other % len(ids)]
@@ -249,7 +250,7 @@ class GraphMachine(RuleBasedStateMachine):
         """Remove a row that is there: after a compaction or a load, a
         tombstone over the base columns."""
         if self.model.rows:
-            triple = Triple(*sorted(self.model.rows, key=repr)[pick % len(self.model.rows)])
+            triple = sorted(self.model.rows, key=repr)[pick % len(self.model.rows)]
             assert self.graph.remove_triple(triple) and self.model.remove(triple)
 
     @rule(picks=_picks)

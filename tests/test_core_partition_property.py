@@ -7,18 +7,19 @@ build over the canonically ordered input.  This is the strong form of the
 tentpole contract: not just ``N == 1`` on one fixture, but "nothing about
 how the work was split or fed in can change a single observable bit".
 
-The second input casts the wiki source's ints to floats, so records in
-one partition claim equal values of different types (``2002`` and
-``2002.0``): a per-partition term dictionary would fold one onto the
-other, and what the ledger records would then depend on the partition
-count.
+The second input casts the wiki source's ints to floats, so sources
+claim equal values of different types (``2002`` and ``2002.0``).  The
+kernel turns an integral float into an int, so that input builds, byte
+for byte, what its all-int twin builds.
 """
 
 import dataclasses
+import os
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import codec
 from repro.core.partition import (
     PartitionResult,
     fixture_sources,
@@ -60,6 +61,7 @@ _INPUTS = {
     "mixed_types": _wiki_ints_as_floats(
         fixture_sources(n_people=30, n_movies=20, seed=5)
     ),
+    "all_int_twin": fixture_sources(n_people=30, n_movies=20, seed=5),
 }
 
 
@@ -84,6 +86,7 @@ def _permuted(sources, order_seed: int):
 
 
 def _build(sources, partitions):
+    """(graph state with provenance, lineage ledger, quality snapshot, graph)."""
     reset_all()
     with enabled_scope():
         pipeline, context = partitioned_pipeline(sources, name="prop")
@@ -102,7 +105,7 @@ def _build(sources, partitions):
             for e in graph.entities()
         ),
     }
-    return state, ledger_state, snapshot
+    return state, ledger_state, snapshot, graph
 
 
 _REFERENCES = {name: _build(sources, 1) for name, sources in _INPUTS.items()}
@@ -123,6 +126,21 @@ def test_any_partition_count_any_order_is_identical(input_name, partitions, orde
     assert result[0] == reference[0]  # graph state + provenance
     assert result[1] == reference[1]  # lineage ledger
     assert result[2] == reference[2]  # quality snapshot
+
+
+def test_integral_floats_build_the_all_int_graph(tmp_path):
+    """Sources that differ only in ``2002`` versus ``2002.0`` build the same
+    graph, provenance, lineage ledger and snapshot bytes."""
+    mixed, twin = _REFERENCES["mixed_types"], _REFERENCES["all_int_twin"]
+    assert mixed[0] == twin[0]  # graph state + provenance
+    assert mixed[1] == twin[1]  # lineage ledger
+    blobs = []
+    for name, reference in (("mixed", mixed), ("twin", twin)):
+        path = os.path.join(str(tmp_path), f"{name}.rkgs")
+        codec.save_graph(reference[3], path, include_lineage=False)
+        with open(path, "rb") as handle:
+            blobs.append(handle.read())
+    assert blobs[0] == blobs[1]
 
 
 _IDS = [f"r{index}" for index in range(6)]

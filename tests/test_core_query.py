@@ -172,7 +172,7 @@ def _mutate(graph, model, mutations):
             assert graph.add_triple(Triple(*payload)) == model.add(Triple(*payload))
         elif kind == "remove" and model.rows:
             row = sorted(model.rows, key=repr)[payload % len(model.rows)]
-            assert graph.remove_triple(Triple(*row)) == model.remove(Triple(*row))
+            assert graph.remove_triple(row) == model.remove(row)
         elif kind == "merge" and payload[0] != payload[1]:
             if payload[0] in model.entities and payload[1] in model.entities:
                 assert graph.merge_entities(*payload) == model.merge(*payload)

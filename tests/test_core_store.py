@@ -19,15 +19,17 @@ class TestTermDict:
         assert len(terms) == 2
         assert terms.decode(1) == "b"
 
-    def test_equality_conflation_matches_set_semantics(self):
-        # 1 == True == 1.0 in Python; a set holds one of them, so the
-        # dictionary must too — with the first-seen representative winning.
+    def test_typed_terms_get_distinct_ids(self):
+        # 1 == True == 1.0 in Python, but a term is its type plus its
+        # value: three terms, three ids, each decoded as it was added.
         terms = TermDict()
-        first = terms.add(1)
-        assert terms.add(True) == first
-        assert terms.add(1.0) == first
-        assert terms.decode(first) == 1
-        assert type(terms.decode(first)) is int
+        ids = [terms.add(1), terms.add(True), terms.add(1.0)]
+        assert ids == [0, 1, 2]
+        assert [terms.add(1.0), terms.add(True), terms.add(1)] == [2, 1, 0]
+        assert [terms.get(1), terms.get(True), terms.get(1.0)] == ids
+        assert [type(terms.decode(term_id)) for term_id in ids] == [int, bool, float]
+        assert terms.get(-0.0) == terms.get(0.0) is None
+        assert 1.0 in terms and 2.0 not in terms
 
     def test_get_returns_none_for_unknown(self):
         terms = TermDict()
@@ -68,19 +70,15 @@ class TestTermDict:
             TermDict._from_terms(["a", "b", "a"])
 
     def test_from_terms_keeps_typed_equality_duplicates(self):
-        # A dict-backend snapshot stores one id per *typed* term, so 1 and
-        # True may legitimately sit side by side.  Lookups conflate to the
-        # first occurrence (matching runtime add semantics); decode stays
-        # exact per id so loads reproduce the saved object types.
-        terms = TermDict._from_terms([1, True, 0.0, 0])
-        assert terms.decode(0) == 1 and type(terms.decode(0)) is int
-        assert terms.decode(1) is True
-        assert terms.decode(2) == 0.0 and type(terms.decode(2)) is float
-        assert terms.decode(3) == 0 and type(terms.decode(3)) is int
-        assert terms.get(1) == 0
-        assert terms.get(True) == 0
-        assert terms.get(0.0) == 2
-        assert terms.get(0) == 2
+        # Equal terms of different types are different terms: each keeps
+        # its own id, for lookups and decoding alike.
+        terms = TermDict._from_terms([1, True, 0.0, 0, 1.0, False])
+        assert [terms.get(term) for term in (1, True, 0.0, 0, 1.0, False)] == list(range(6))
+        assert [type(terms.decode(term_id)) for term_id in range(6)] == [
+            int, bool, float, int, float, bool
+        ]
+        with pytest.raises(ValueError, match="duplicate"):
+            TermDict._from_terms([0.0, -0.0])
 
     def test_memory_bytes_positive_and_grows(self):
         terms = TermDict()
@@ -155,32 +153,36 @@ class TestColumnarStoreReads:
         )
 
     def test_objects_subjects(self):
-        assert self.store.objects("a", "knows") == {"b", "c"}
-        assert self.store.subjects("knows", "c") == {"a", "b"}
-        assert self.store.objects("ghost", "knows") == set()
-        assert self.store.subjects("knows", "ghost") == set()
+        assert sorted(self.store.objects("a", "knows")) == ["b", "c"]
+        assert sorted(self.store.subjects("knows", "c")) == ["a", "b"]
+        assert self.store.predicates("a", "c") == ["knows"]
+        assert self.store.objects("ghost", "knows") == []
+        assert self.store.subjects("knows", "ghost") == []
 
     def test_rows_merge_base_and_delta(self):
         self.store.compact()
         self.store.add("a", "knows", "d")  # lands in the delta
-        assert self.store.spo_row("a") == {
-            "knows": {"b", "c", "d"},
-            "label": {"Ada"},
-        }
-        assert self.store.pos_row("knows") == {
-            "b": {"a"},
-            "c": {"a", "b"},
-            "d": {"a"},
-        }
-        assert self.store.osp_row("c") == {"a": {"knows"}, "b": {"knows"}}
+        assert self.store.spo_row("a") == [
+            ("knows", "b"),
+            ("knows", "c"),
+            ("label", "Ada"),
+            ("knows", "d"),
+        ]
+        assert sorted(self.store.pos_row("knows")) == [
+            ("b", "a"),
+            ("c", "a"),
+            ("c", "b"),
+            ("d", "a"),
+        ]
+        assert sorted(self.store.osp_row("c")) == [("a", "knows"), ("b", "knows")]
 
     def test_scans_skip_tombstones(self):
         self.store.compact()
         self.store.remove("a", "knows", "b")
-        assert self.store.objects("a", "knows") == {"c"}
-        assert self.store.subjects("knows", "b") == set()
-        assert self.store.spo_row("a") == {"knows": {"c"}, "label": {"Ada"}}
-        assert "a" not in self.store.osp_row("b")
+        assert self.store.objects("a", "knows") == ["c"]
+        assert self.store.subjects("knows", "b") == []
+        assert sorted(self.store.spo_row("a")) == [("knows", "c"), ("label", "Ada")]
+        assert self.store.osp_row("b") == []
 
     def test_counts(self):
         store = self.store
@@ -217,7 +219,7 @@ class TestColumnarStoreBulkAndSnapshot:
         assert flags == [True, True, False, True]
         assert set(fast.iter_triples()) == set(slow.iter_triples())
         assert len(fast) == len(slow) == 3
-        assert fast.objects("a", "p") == {"x"}
+        assert fast.objects("a", "p") == ["x"]
 
     def test_bulk_loader_requires_empty_store(self):
         store = _store_with([("a", "p", "x")])
@@ -239,8 +241,8 @@ class TestColumnarStoreBulkAndSnapshot:
         terms, spo, pos, osp = store.sorted_columns()
         rebuilt = ColumnarTripleStore.from_sorted_columns(terms, spo, pos, osp)
         assert set(rebuilt.iter_triples()) == set(store.iter_triples())
-        assert rebuilt.objects("a", "p") == {"x"}
-        assert rebuilt.subjects("p", 2) == {"b"}
+        assert rebuilt.objects("a", "p") == ["x"]
+        assert rebuilt.subjects("p", 2) == ["b"]
 
     def test_from_sorted_columns_rejects_ragged_columns(self):
         store = _store_with([("a", "p", "x"), ("b", "p", "y")])

@@ -1,5 +1,8 @@
 """Tests for triples and provenance."""
 
+import math
+
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,6 +49,26 @@ class TestTriple:
 
     def test_hashable_and_equal(self):
         assert len({Triple("s", "p", "o"), Triple("s", "p", "o")}) == 1
+        # A term is its type plus its value.
+        assert Triple("s", "p", 1) != Triple("s", "p", 1.0) != Triple("s", "p", True)
+        assert Triple("s", "p", 1) != Triple("s", "p", True)
+        assert len({Triple("s", "p", 1), Triple("s", "p", 1.0), Triple("s", "p", True)}) == 3
+        assert Triple("s", "p", 2.0) == Triple("s", "p", 2.0)
+
+    def test_negative_zero_object_is_zero(self):
+        triple = Triple("s", "p", -0.0)
+        assert triple.object == 0.0 and math.copysign(1.0, triple.object) == 1.0
+        assert triple == Triple("s", "p", 0.0)
+        assert hash(triple) == hash(Triple("s", "p", 0.0))
+
+    @pytest.mark.parametrize(
+        "obj", [math.nan, numpy.int64(5), numpy.float64(1.5), None, b"x", (1,), [1]]
+    )
+    def test_rejects_objects_outside_the_term_domain(self, obj):
+        """An object is a str, int, float or bool (what a snapshot can
+        store), and never NaN, which would never equal itself."""
+        with pytest.raises(ValueError, match="triple object"):
+            Triple("s", "p", obj)
 
     def test_ordering_is_lexicographic(self):
         assert Triple("a", "p", "o") < Triple("b", "a", "a")

@@ -199,12 +199,12 @@ class TestPublishBuildsNoSecondStore:
         graph = small_graph()
         graph._store.compact()  # so there are base columns to share
         built = []
-        real_build = store_module._build_from_rows
+        real_build = store_module.ColumnarTripleStore.from_columns
         real_install = store_module.ColumnarTripleStore.install_keys
         monkeypatch.setattr(
-            store_module,
-            "_build_from_rows",
-            lambda *args: built.append("_build_from_rows") or real_build(*args),
+            store_module.ColumnarTripleStore,
+            "from_columns",
+            lambda *args: built.append("from_columns") or real_build(*args),
         )
         monkeypatch.setattr(
             store_module.ColumnarTripleStore,
