@@ -459,10 +459,19 @@ def cmd_build(args: argparse.Namespace) -> int:
 
     if args.out:
         from repro.core import codec
+        from repro.obs.lineage import get_ledger
 
         parent = os.path.dirname(os.path.abspath(args.out))
         os.makedirs(parent, exist_ok=True)
-        size = codec.save_graph(graph, args.out, include_lineage=True)
+        # The build's observability scope reset the global ledger on exit;
+        # replay what the build recorded so the snapshot carries it.
+        ledger = get_ledger()
+        ledger.reset()
+        ledger.merge_state(ledger_state)
+        try:
+            size = codec.save_graph(graph, args.out, include_lineage=True)
+        finally:
+            ledger.reset()
         print(f"snapshot -> {args.out} ({size} bytes)")
 
     from repro.obs import profiling, runs

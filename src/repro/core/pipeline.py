@@ -152,9 +152,10 @@ class ConstructionPipeline:
                 stages=self.partition_build.stages(partitions),
                 partition_build=self.partition_build,
             )
-            context = sharded.run(context)
-            self.reports = sharded.reports
-            return context
+            try:
+                return sharded.run(context)
+            finally:
+                self.reports = sharded.reports
         context = context or PipelineContext()
         self.reports = []
         obs_progress.begin_pipeline(self.name, len(self.stages))

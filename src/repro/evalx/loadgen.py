@@ -30,6 +30,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.stream.publish import percentiles
+
 #: Route mix weights: read-heavy, like real KG serving traffic (Sec. 1).
 DEFAULT_MIX: Dict[str, float] = {"lookup": 0.45, "query": 0.20, "paths": 0.15, "ask": 0.20}
 
@@ -117,14 +119,6 @@ class RequestOutcome:
     degraded: Optional[str] = None
 
 
-def _percentile(sorted_values: Sequence[float], fraction: float) -> float:
-    """Nearest-rank percentile over an already-sorted sequence."""
-    if not sorted_values:
-        return 0.0
-    index = min(len(sorted_values) - 1, max(0, int(fraction * len(sorted_values))))
-    return sorted_values[index]
-
-
 @dataclass
 class LoadgenReport:
     """One load-test run's results."""
@@ -166,20 +160,18 @@ class LoadgenReport:
 
     def latency_summary(self, route: Optional[str] = None) -> Dict[str, float]:
         """p50/p95/p99/mean latency (ms), overall or for one route."""
-        values = sorted(
+        values = [
             outcome.latency_ms
             for outcome in self.outcomes
             if route is None or outcome.route == route
-        )
-        if not values:
-            return {"n": 0, "mean_ms": 0.0, "p50_ms": 0.0, "p95_ms": 0.0, "p99_ms": 0.0}
-        return {
+        ]
+        summary: Dict[str, float] = {
             "n": len(values),
-            "mean_ms": round(sum(values) / len(values), 3),
-            "p50_ms": round(_percentile(values, 0.50), 3),
-            "p95_ms": round(_percentile(values, 0.95), 3),
-            "p99_ms": round(_percentile(values, 0.99), 3),
+            "mean_ms": round(sum(values) / len(values), 3) if values else 0.0,
         }
+        for key, value in percentiles(values, (50, 95, 99)).items():
+            summary[f"{key}_ms"] = round(value, 3)
+        return summary
 
 
 # ---------------------------------------------------------------------------
@@ -465,12 +457,12 @@ def measure_obs_overhead(
         keep = set(range(rounds))
         if rounds >= 3:
             keep.discard(max(keep, key=lambda i: per_round[i]))
-        values = sorted(
+        values = [
             outcome.latency_ms
             for index in keep
             for outcome in round_reports[index][label].outcomes
-        )
-        return round(_percentile(values, 0.95), 3)
+        ]
+        return round(percentiles(values, (95,))["p95"], 3)
 
     p95_off = pooled_p95("off")
     p95_on = pooled_p95("on")

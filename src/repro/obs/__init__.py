@@ -22,11 +22,9 @@ each stage; this package is that measurement layer:
 * :mod:`repro.obs.runs` — the persistent run registry under
   ``results/runs/`` with rolling median+MAD drift detection.
 
-Observability crosses process boundaries: ``pmap(mode="process")``
-workers inherit a :class:`~repro.obs.tracing.TraceContext`, buffer their
-spans/counters/lineage locally, and ship them back for a deterministic
-in-order merge (see DESIGN.md §10), so a process-parallel build traces
-exactly like a serial one plus ``pmap.worker`` child spans.
+Observations stay in the process that makes them:
+``pmap(mode="process")`` workers run callables that record nothing
+(DESIGN.md §10), so nothing crosses the process boundary but results.
 
 Everything is off by default and near-free while off; enable with
 :func:`enable` or ``REPRO_OBS=1``.  ``repro trace <EXPERIMENT_ID>`` runs
@@ -77,13 +75,10 @@ from repro.obs.quality import (
 from repro.obs.runs import DriftAlert, RunRecord, RunRegistry
 from repro.obs.tracing import (
     Span,
-    TraceContext,
     Tracer,
-    capture_context,
     current_span,
     get_tracer,
     span,
-    span_tree_signature,
 )
 
 __all__ = [
@@ -102,11 +97,9 @@ __all__ = [
     "RunRecord",
     "RunRegistry",
     "Span",
-    "TraceContext",
     "Tracer",
     "build_document",
     "capture",
-    "capture_context",
     "count",
     "current_span",
     "disable",
@@ -130,5 +123,4 @@ __all__ = [
     "reset_all",
     "rusage",
     "span",
-    "span_tree_signature",
 ]

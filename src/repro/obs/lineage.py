@@ -297,11 +297,12 @@ class LineageLedger:
         return [self.explain(*key) for key in chosen]
 
     def export_state(self) -> Dict[str, object]:
-        """The ledger's full mergeable state (pmap worker shipping).
+        """The ledger's full state, as plain data.
 
-        Events flatten to one list sorted by the worker-local sequence —
-        recording order inside the worker — plus the absorbed-alias map.
-        :meth:`merge_state` replays the list against a parent ledger.
+        Events flatten to one list sorted by sequence — recording order —
+        plus the absorbed-alias map.  Snapshots persist it as their
+        lineage section, and equality checks compare it;
+        :meth:`merge_state` replays it into a ledger.
         """
         records: List[Dict[str, object]] = []
         with self._lock:
@@ -337,12 +338,11 @@ class LineageLedger:
         return {"events": records, "absorbed": absorbed}
 
     def merge_state(self, state: Mapping[str, object]) -> None:
-        """Replay a worker ledger's :meth:`export_state` into this one.
+        """Replay an :meth:`export_state` into this one (a snapshot load).
 
         Events get fresh sequence numbers from this ledger's counter, in
-        shipped order, so merging worker states in input order gives every
-        event the same number run over run — the chains read exactly as if
-        the parent had recorded them itself.
+        exported order, so the replayed chains read exactly as if this
+        ledger had recorded them itself.
         """
         with self._lock:
             for record in state.get("events", []):  # type: ignore[union-attr]

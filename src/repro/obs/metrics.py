@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import bisect
 import threading
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs._flags import FLAGS
 
@@ -194,31 +194,6 @@ class Histogram:
                 "max": self.max if self.count else 0.0,
             }
 
-    def merge_state(self, state: Mapping[str, object]) -> None:
-        """Fold another histogram's :meth:`state` into this one.
-
-        The pmap shipping path: workers export per-chunk states and the
-        parent merges them here.  Bucket bounds must match exactly —
-        merging across different bucket layouts would silently misbin.
-        Empty shipped states contribute nothing (their zeroed min/max
-        sentinels must not clamp the real extremes).
-        """
-        bounds = tuple(state["bounds"])  # type: ignore[arg-type]
-        if bounds != self.bounds:
-            raise ValueError(
-                f"histogram {self.name!r}: cannot merge state with bounds "
-                f"{bounds} into bounds {self.bounds}"
-            )
-        shipped_count = int(state["count"])  # type: ignore[arg-type]
-        with self._lock:
-            for index, bucket_count in enumerate(state["bucket_counts"]):  # type: ignore[arg-type]
-                self.bucket_counts[index] += int(bucket_count)
-            self.count += shipped_count
-            self.total += float(state["sum"])  # type: ignore[arg-type]
-            if shipped_count:
-                self.min = min(self.min, float(state["min"]))  # type: ignore[arg-type]
-                self.max = max(self.max, float(state["max"]))  # type: ignore[arg-type]
-
 
 class MetricsRegistry:
     """Named counters, gauges, and histograms.
@@ -311,39 +286,6 @@ class MetricsRegistry:
         """Raw bucket state per histogram (the Prometheus exporter's input)."""
         with self._lock:
             return {name: h.state() for name, h in sorted(self._histograms.items())}
-
-    def export_state(self) -> Dict[str, Dict[str, object]]:
-        """The registry's full mergeable state (pmap worker shipping).
-
-        Unlike :meth:`snapshot` this keeps raw histogram buckets, so a
-        parent registry can fold the state back in losslessly via
-        :meth:`merge_state`.
-        """
-        with self._lock:
-            return {
-                "counters": {name: c.value for name, c in sorted(self._counters.items())},
-                "gauges": {name: g.value for name, g in sorted(self._gauges.items())},
-                "histograms": {
-                    name: h.state() for name, h in sorted(self._histograms.items())
-                },
-            }
-
-    def merge_state(self, state: Mapping[str, Dict[str, object]]) -> None:
-        """Fold a worker registry's :meth:`export_state` into this one.
-
-        Counters add, gauges last-write-win (worker states merge in input
-        order, so the outcome is deterministic), histograms merge bucket
-        by bucket.  Instruments are created on demand with the shipped
-        bucket bounds.
-        """
-        for name, value in sorted(state.get("counters", {}).items()):
-            self.counter(name).inc(float(value))
-        for name, value in sorted(state.get("gauges", {}).items()):
-            self.gauge(name).set(float(value))
-        for name, histogram_state in sorted(state.get("histograms", {}).items()):
-            self.histogram(name, buckets=histogram_state["bounds"]).merge_state(  # type: ignore[arg-type]
-                histogram_state
-            )
 
     def reset(self) -> None:
         """Forget every instrument (test isolation)."""

@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import time
 from contextlib import contextmanager
-from typing import Callable, Iterator, Optional, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 from repro.obs._flags import FLAGS
 from repro.obs.metrics import get_registry
@@ -85,68 +85,6 @@ def rusage() -> dict:
         "cpu_user_s": round(usage.ru_utime, 6),
         "cpu_system_s": round(usage.ru_stime, 6),
     }
-
-
-# ---------------------------------------------------------------------------
-# pmap process-worker shipping: fresh collectors in, a merge payload out.
-
-
-def worker_begin() -> None:
-    """Enter shipping mode inside a pmap process worker.
-
-    Installs fresh collectors (a forked worker inherits the parent's
-    tracer, registry, and ledger wholesale) and enables observability (a
-    spawned worker starts with it off).  Called once per *chunk*, not per
-    worker process, so the shipped payload is chunk-scoped — which is what
-    makes the parent-side merge deterministic regardless of which worker
-    handled which chunk.
-    """
-    from repro.obs import lineage, quality, tracing
-
-    tracing.install_worker_tracer()
-    get_registry().reset()
-    lineage.get_ledger().reset()
-    quality.reset_snapshots()
-    FLAGS.enabled = True
-
-
-def worker_collect() -> dict:
-    """Export the worker's chunk-scoped observations and disable obs.
-
-    The returned payload crosses the process boundary with the chunk's
-    results; :func:`worker_merge` folds it into the parent's collectors.
-    """
-    from repro.obs import lineage, quality, tracing
-
-    payload = {
-        "spans": [finished.to_dict() for finished in tracing.get_tracer().spans()],
-        "metrics": get_registry().export_state(),
-        "lineage": lineage.get_ledger().export_state(),
-        "quality": [snapshot.to_dict() for snapshot in quality.snapshots()],
-    }
-    FLAGS.enabled = False
-    return payload
-
-
-def worker_merge(payload: dict, context=None) -> None:
-    """Fold one worker payload into the parent's global collectors.
-
-    Payloads must be merged in chunk input order — span ids and lineage
-    sequence numbers are assigned at merge time, so the order of merges
-    *is* the determinism guarantee.  ``context`` is the
-    :class:`~repro.obs.tracing.TraceContext` the workers inherited;
-    shipped worker-root spans attach under its parent span.
-    """
-    from repro.obs import lineage, quality, tracing
-
-    tracing.get_tracer().adopt_shipped(
-        payload.get("spans", []),
-        trace_id=context.trace_id if context is not None else None,
-        parent_span_id=context.parent_span_id if context is not None else None,
-    )
-    get_registry().merge_state(payload.get("metrics", {}))
-    lineage.get_ledger().merge_state(payload.get("lineage", {"events": []}))
-    quality.merge_shipped(payload.get("quality", []))
 
 
 @contextmanager

@@ -384,21 +384,6 @@ def reset_snapshots() -> None:
         _SNAPSHOTS = []
 
 
-def merge_shipped(records: Iterable[Dict[str, object]]) -> None:
-    """Adopt snapshot dicts shipped back from a pmap process worker.
-
-    Workers rarely run whole pipelines, so this is usually empty — but a
-    worker that did snapshot a graph must not lose it at the process
-    boundary.  Shipped snapshots append in input order, after anything
-    the parent recorded itself.
-    """
-    if not FLAGS.enabled:
-        return
-    with _HOLDER_LOCK:
-        for record in records:
-            _SNAPSHOTS.append(QualitySnapshot.from_dict(record))
-
-
 def capture(
     graph,
     name: Optional[str] = None,

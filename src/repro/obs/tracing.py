@@ -24,44 +24,9 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from repro.obs._flags import FLAGS
-
-
-@dataclass(frozen=True)
-class TraceContext:
-    """The serialized trace position handed to pmap workers.
-
-    Everything a worker needs to attach its spans to the parent's tree:
-    whether observability is on, the trace id, the span to parent under,
-    and the sampling decision (made once at capture time and inherited —
-    workers never re-roll it, so a sampled build ships from every worker
-    and an unsampled one ships from none).  Frozen and picklable by
-    construction; this is the whole cross-process protocol.
-    """
-
-    enabled: bool
-    trace_id: Optional[str] = None
-    parent_span_id: Optional[str] = None
-    sampled: bool = True
-
-    @property
-    def recording(self) -> bool:
-        """Whether spans produced under this context should be kept."""
-        return self.enabled and self.sampled
-
-
-def capture_context() -> TraceContext:
-    """The current thread's trace position, ready to cross a process gap."""
-    if not FLAGS.enabled:
-        return TraceContext(enabled=False)
-    current = _GLOBAL_TRACER.current_span()
-    if current is None:
-        return TraceContext(enabled=True)
-    return TraceContext(
-        enabled=True, trace_id=current.trace_id, parent_span_id=current.span_id
-    )
 
 
 @dataclass
@@ -187,58 +152,6 @@ class Tracer:
         with self._lock:
             self._finished.extend(spans)
 
-    def adopt_shipped(
-        self,
-        records: Sequence[Mapping[str, object]],
-        trace_id: Optional[str] = None,
-        parent_span_id: Optional[str] = None,
-    ) -> List[Span]:
-        """Merge span records shipped back from a pmap process worker.
-
-        Workers trace against a fresh tracer, so their ids (``s1``...,
-        ``t1``) collide across workers and with the parent.  This re-ids
-        every record: new span ids are assigned *in record order* under
-        one lock acquisition, then parent links are remapped — children
-        keep their worker-local parents (now renamed) and worker-root
-        spans attach under ``parent_span_id``.  Merging chunks in input
-        order therefore yields the same ids run over run, regardless of
-        which worker process handled which chunk.
-
-        Without a ``trace_id`` (the parent had no open span) the shipped
-        tree gets a fresh trace id of its own.
-        """
-        if not records:
-            return []
-        with self._lock:
-            renamed: Dict[str, str] = {}
-            for record in records:
-                self._next_id += 1
-                renamed[str(record["span_id"])] = f"s{self._next_id}"
-            if trace_id is None:
-                self._next_trace += 1
-                trace_id = f"t{self._next_trace}"
-            adopted: List[Span] = []
-            for record in records:
-                old_parent = record.get("parent_id")
-                if old_parent is not None and str(old_parent) in renamed:
-                    parent_id: Optional[str] = renamed[str(old_parent)]
-                else:
-                    parent_id = parent_span_id
-                adopted.append(
-                    Span(
-                        name=str(record["name"]),
-                        span_id=renamed[str(record["span_id"])],
-                        trace_id=trace_id,
-                        parent_id=parent_id,
-                        started_unix=float(record.get("started_unix", 0.0)),
-                        wall_seconds=float(record.get("wall_seconds", 0.0)),
-                        cpu_seconds=float(record.get("cpu_seconds", 0.0)),
-                        tags=dict(record.get("tags", {})),  # type: ignore[arg-type]
-                    )
-                )
-            self._finished.extend(adopted)
-        return adopted
-
     # ---- inspection / export -------------------------------------------
 
     def spans(self, prefix: Optional[str] = None) -> List[Span]:
@@ -275,59 +188,6 @@ _GLOBAL_TRACER = Tracer()
 def get_tracer() -> Tracer:
     """The process-global tracer."""
     return _GLOBAL_TRACER
-
-
-def install_worker_tracer() -> Tracer:
-    """Swap in a fresh global tracer (pmap process workers only).
-
-    A forked worker inherits the parent's tracer — finished spans, id
-    counters, even other threads' span stacks.  Shipping must start from
-    zero so worker-local ids are deterministic per chunk; ``span()`` and
-    :func:`current_span` read the module global at call time, so the swap
-    takes effect everywhere at once.
-    """
-    global _GLOBAL_TRACER
-    _GLOBAL_TRACER = Tracer()
-    return _GLOBAL_TRACER
-
-
-def span_tree_signature(
-    spans: Sequence[Mapping[str, object]],
-    exclude: Sequence[str] = (),
-) -> Tuple:
-    """A timing-free, id-free shape signature of a span forest.
-
-    Two runs of the same workload produce identical signatures even
-    though ids and timings differ; the serial/process equivalence tests
-    compare these.  Names in ``exclude`` are spliced out — their children
-    are promoted to the excluded span's parent — so process-mode trees
-    (which add ``pmap.worker`` spans) can be compared shape-for-shape
-    against serial ones.  Siblings are sorted by signature, making the
-    comparison insensitive to completion order.
-    """
-    excluded = set(exclude)
-    known = {str(record["span_id"]) for record in spans}
-    children: Dict[Optional[str], List[Mapping[str, object]]] = {}
-    for record in spans:
-        parent = record.get("parent_id")
-        key = str(parent) if parent is not None and str(parent) in known else None
-        children.setdefault(key, []).append(record)
-
-    def child_signatures(span_id: Optional[str]) -> List[Tuple]:
-        signatures: List[Tuple] = []
-        for child in children.get(span_id, []):
-            if str(child["name"]) in excluded:
-                signatures.extend(child_signatures(str(child["span_id"])))
-            else:
-                signatures.append(
-                    (
-                        str(child["name"]),
-                        tuple(sorted(child_signatures(str(child["span_id"])))),
-                    )
-                )
-        return signatures
-
-    return tuple(sorted(child_signatures(None)))
 
 
 def current_span() -> Optional[Span]:

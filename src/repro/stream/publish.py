@@ -49,15 +49,20 @@ from repro.obs.tracing import span as obs_span
 def percentiles(
     samples: Sequence[float], points: Sequence[int] = (50, 95)
 ) -> Dict[str, float]:
-    """Nearest-rank percentiles (no numpy interpolation surprises)."""
+    """Nearest-rank percentiles (no numpy interpolation surprises).
+
+    The ``p``-th percentile of ``n`` samples is the ``ceil(p·n/100)``-th
+    smallest, computed in integers so that no float product rounds up a
+    rank.  Empty input reads 0.0 for every point.
+    """
     out: Dict[str, float] = {}
     ordered = sorted(samples)
     for point in points:
         if not ordered:
             out[f"p{point}"] = 0.0
             continue
-        rank = max(0, min(len(ordered) - 1, int(len(ordered) * point / 100)))
-        out[f"p{point}"] = float(ordered[rank])
+        rank = -(-point * len(ordered) // 100)  # ceil(point * n / 100)
+        out[f"p{point}"] = float(ordered[max(1, rank) - 1])
     return out
 
 

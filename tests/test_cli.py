@@ -600,6 +600,25 @@ class TestBuildCli:
         shown = capsys.readouterr().out
         assert '"partitions": 3' in shown
 
+    def test_build_snapshot_carries_the_build_lineage(self, tmp_path, capsys):
+        from repro.cli import _run_partitioned_build, build_parser
+        from repro.core.codec import load_graph
+        from repro.obs import reset_all
+        from repro.obs.lineage import get_ledger
+
+        path = str(tmp_path / "build.rkgs")
+        argv = ["build", "--partitions", "2", *self._ARGS]
+        assert main([*argv, "-o", path]) == 0
+        capsys.readouterr()
+        *_, built, _ = _run_partitioned_build(build_parser().parse_args(argv), 2)
+        assert built["events"]
+        reset_all()
+        try:
+            load_graph(path, restore_lineage=True)
+            assert get_ledger().export_state() == built
+        finally:
+            reset_all()
+
     def test_bad_workers_env_is_one_line_error(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_PMAP_WORKERS", "banana")
         assert main(["build", "--partitions", "2", *self._ARGS]) == 2

@@ -212,8 +212,12 @@ class TestRunPartition:
         assert first == second
 
     def test_worker_records_no_lineage(self):
-        from repro.core.partition import PartitionTask
-        from repro.obs.lineage import get_ledger
+        """Both callables ``pmap(mode="process")`` runs are pure: they
+        record nothing in any collector, which is why a worker ships only
+        its results back (DESIGN.md §10)."""
+        from repro.core.partition import PartitionTask, _score_pair
+        from repro.obs import get_ledger, get_registry, get_tracer
+        from repro.obs.quality import snapshots
 
         build, source = self._task()
         task = PartitionTask(
@@ -223,9 +227,23 @@ class TestRunPartition:
             field_maps={source.name: dict(source.field_map)},
             strategy=build.strategy,
         )
+        _clear_memos()  # the cold scorer path runs too
         with enabled_scope():
-            run_partition(task)
-            assert get_ledger().export_state()["events"] == []
+            result = run_partition(task)
+            by_id = {record.record_id: record for record in result.records}
+            pairs = sorted(result.scores)
+            assert pairs
+            _clear_memos()
+            scores = [_score_pair((by_id[left], by_id[right])) for left, right in pairs]
+            assert get_tracer().spans() == []
+            assert get_registry().snapshot() == {
+                "counters": {},
+                "gauges": {},
+                "histograms": {},
+            }
+            assert get_ledger().export_state() == {"events": [], "absorbed": {}}
+            assert snapshots() == []
+        assert scores == [result.scores[pair] for pair in pairs]
 
 
 _IDS = [f"r{index:02d}" for index in range(12)]
@@ -364,6 +382,18 @@ class TestStageValidation:
         pipeline = ConstructionPipeline(name="plain")
         with pytest.raises(ValueError, match="no partition_build attached"):
             pipeline.run(partitions=2)
+
+    def test_failed_partitioned_run_reports_its_failing_stage(self):
+        from repro.core.pipeline import PipelineContext
+
+        pipeline, context = partitioned_pipeline(fixture_sources(12, 8, seed=3))
+        pipeline.run(context, partitions=1)
+        assert [row.get("error") for row in pipeline.report_table()] == [None] * 3
+        with pytest.raises(KeyError, match="missing"):
+            pipeline.run(PipelineContext(), partitions=2)
+        rows = pipeline.report_table()
+        assert [row["stage"] for row in rows] == ["partition"]
+        assert rows[0]["error"].startswith("KeyError:")
 
 
 class TestFuseSharded:

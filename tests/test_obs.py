@@ -168,44 +168,6 @@ class TestHistogram:
         assert summary["min"] == summary["max"] == 7.0
         assert summary["count"] == 1
 
-    def test_merge_state_adds_everything(self):
-        left = Histogram("h", buckets=[1.0, 10.0])
-        right = Histogram("h", buckets=[1.0, 10.0])
-        for value in (0.5, 5.0):
-            left.observe(value)
-        for value in (50.0, 0.25):
-            right.observe(value)
-        left.merge_state(right.state())
-        state = left.state()
-        assert state["count"] == 4
-        assert state["sum"] == pytest.approx(55.75)
-        assert state["min"] == 0.25
-        assert state["max"] == 50.0
-        assert state["bucket_counts"] == [2, 1, 1]
-
-    def test_merge_empty_state_does_not_clamp_extremes(self):
-        histogram = Histogram("h", buckets=[1.0])
-        histogram.observe(5.0)
-        histogram.merge_state(Histogram("h", buckets=[1.0]).state())
-        state = histogram.state()
-        assert state["count"] == 1
-        # The empty side's zeroed min/max sentinels must not leak in.
-        assert state["min"] == 5.0 and state["max"] == 5.0
-
-    def test_merge_into_empty_adopts_extremes(self):
-        empty = Histogram("h", buckets=[1.0])
-        full = Histogram("h", buckets=[1.0])
-        full.observe(3.0)
-        empty.merge_state(full.state())
-        state = empty.state()
-        assert state["min"] == 3.0 and state["max"] == 3.0
-
-    def test_merge_mismatched_bounds_raises(self):
-        with pytest.raises(ValueError, match="bounds"):
-            Histogram("h", buckets=[1.0]).merge_state(
-                Histogram("h", buckets=[2.0]).state()
-            )
-
 
 class TestRegistry:
     def test_counter_accumulates(self):

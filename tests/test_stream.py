@@ -496,6 +496,29 @@ class TestFollowerAndPublisher:
     def test_percentiles_empty_and_single(self):
         assert percentiles([]) == {"p50": 0.0, "p95": 0.0}
         assert percentiles([3.0]) == {"p50": 3.0, "p95": 3.0}
+        assert percentiles([3.0], (1, 99)) == {"p1": 3.0, "p99": 3.0}
+
+    def test_percentiles_are_nearest_rank(self):
+        """The p-th percentile of n samples is the ceil(p*n/100)-th smallest."""
+        assert percentiles(range(1, 21), (95,)) == {"p95": 19.0}
+        assert percentiles(range(100, 0, -1), (99,)) == {"p99": 99.0}
+        assert percentiles([4, 1, 3, 2], (50,)) == {"p50": 2.0}
+        # In floats 0.07 * 100 is 7.000000000000001, whose ceiling is rank 8.
+        assert percentiles(range(1, 101), (7,)) == {"p7": 7.0}
+
+    def test_loadgen_reports_nearest_rank_latencies(self):
+        from repro.evalx.loadgen import LoadgenReport, RequestOutcome
+
+        report = LoadgenReport(mode="closed", duration_s=1.0, target_rps=None, concurrency=1)
+        report.outcomes = [
+            RequestOutcome(route="lookup", status_code=200, latency_ms=float(ms))
+            for ms in range(1, 101)
+        ]
+        summary = report.latency_summary()
+        assert (summary["p50_ms"], summary["p95_ms"], summary["p99_ms"]) == (50.0, 95.0, 99.0)
+        assert report.latency_summary(route="paths") == {
+            "n": 0, "mean_ms": 0.0, "p50_ms": 0.0, "p95_ms": 0.0, "p99_ms": 0.0
+        }
 
 
 class TestFollowerView:
