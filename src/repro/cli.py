@@ -624,11 +624,13 @@ def cmd_stream(args: argparse.Namespace) -> int:
         finalize_wall_s = time.perf_counter() - finalize_started
 
         freshness = publisher.freshness()
+        n_rewritten = sum(report.n_rewritten for report in reports)
         rows = [
             ["records", n_records],
             ["deltas", len(reports)],
             ["relinks", ingestor.n_relinks],
             ["fused groups (total)", reports[-1].n_groups_total if reports else 0],
+            ["triples rewritten", n_rewritten],
             ["publishes", publisher.n_publishes],
             ["staleness p50/p95 (s)",
              f"{freshness['staleness_p50_s']:.4f} / {freshness['staleness_p95_s']:.4f}"],
@@ -676,6 +678,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
             else 0.0,
             "n_deltas": float(len(reports)),
             "n_relinks": float(ingestor.n_relinks),
+            "n_rewritten": float(n_rewritten),
             "n_publishes": float(publisher.n_publishes),
             "live_final_triple_diff": float(triple_diff),
             "live_final_entity_diff": float(entity_diff),

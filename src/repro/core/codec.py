@@ -30,7 +30,7 @@ folding replayed segments into a ``base.rkgs`` snapshot.  A segment is a
 16-byte header (magic, version, flags, the number of its first record)
 then length+crc32 frames, each holding one record: its sequence number
 (counted across the whole log), its kind, and its body.  A point
-mutation (entity/alias/add/remove/merge) is one JSON record.  A batch
+mutation (entity/alias/unalias/add/remove/merge) is one JSON record.  A batch
 ingest is one binary record: the terms its segment has not carried yet
 (in the snapshot's term encoding), its rows as ``s`` / ``p`` / ``o``
 arrays of segment-local ids (id ``k`` is the ``k``-th term the
@@ -1379,6 +1379,9 @@ def apply_wal_records(
         elif op == "alias":
             if graph.has_entity(record["id"]):
                 graph.add_alias(record["id"], record["alias"])
+        elif op == "unalias":
+            if graph.has_entity(record["id"]):
+                graph.remove_alias(record["id"], record["alias"])
         elif op == "remove":
             graph.remove_triple(Triple(record["s"], record["p"], record["o"]))
         elif op == "merge":

@@ -338,6 +338,22 @@ class KnowledgeGraph:
         if self._wal is not None and not self._wal_suspended:
             self._wal.append({"op": "alias", "id": entity_id, "alias": alias})
 
+    def remove_alias(self, entity_id: str, alias: str) -> None:
+        """Forget a surface form; the name index keeps the entity under it
+        while another of its names lowercases to it."""
+        entity = self.entity(entity_id)
+        self._entities[entity_id] = Entity(
+            entity.entity_id, entity.name, entity.entity_class, entity.aliases - {alias}
+        )
+        self._entities_view_generation = -1
+        key = alias.lower()
+        ids = self._name_index.get(key)
+        if ids and all(name.lower() != key for name in self._entities[entity_id].all_names()):
+            # Replace, never mutate: a copy may share the id set.
+            self._name_index[key] = ids - {entity_id}
+        if self._wal is not None and not self._wal_suspended:
+            self._wal.append({"op": "unalias", "id": entity_id, "alias": alias})
+
     # ------------------------------------------------------------------
     # triples
 

@@ -15,16 +15,17 @@ made:
   :class:`~repro.core.partition.Clusters`;
 * **fuse** — the one Accu EM loop
   (:meth:`repro.integrate.fusion.AccuFusion.fuse`) runs once over every
-  rewritten claim, iterating over the contested data items only; its
+  rewritten claim, iterating over the contested items' patterns; its
   claim sort and ``math.fsum`` M-step make the learned source accuracies
   — and hence the value posteriors — independent of claim order and so
   of the partition count;
 * **assemble** — one pass over the rewritten claims, sorted, keeps each
-  claim whose value equals its item's winner as a ``(triple,
+  claim whose term is its item's winner as a ``(triple,
   provenance)`` row, and bulk-loads the rows into a single
   :class:`~repro.core.graph.KnowledgeGraph`.  Partitions ship their claim
   lists, not encoded fragments: the graph's ``TermDict`` is the only
-  dictionary a build uses.
+  dictionary a build uses.  Ledger, fuse and assemble are
+  :func:`assemble`, which a drained stream calls on its live clusters.
 
 Every ledger event (cleaning rejections, linkage merges, fusion verdicts,
 the observation batch of the final assembly) is recorded here in globally
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.core.graph import KnowledgeGraph
 from repro.core.ontology import Ontology
@@ -45,9 +46,11 @@ from repro.core.partition import (
     CanonicalRecord,
     Clusters,
     PartitionResult,
+    Rejection,
     _score_pair,
     block_pairs,
 )
+from repro.core.store import term_key
 from repro.core.triple import Provenance, Triple
 from repro.integrate.blocking import BlockingStrategy
 from repro.integrate.fusion import AccuFusion, FusionResult, ValueClaim
@@ -145,56 +148,73 @@ def exchange(
         if scores[pair] >= match_threshold:
             linked.union(*pair)
             n_matches += 1
-    root_of = linked.root_of
     clusters = {root: sorted(linked.members[root]) for root in sorted(linked.members)}
+    claims = [claim for result in results for claim in result.claims]
+    rejections = [row for result in results for row in result.rejections]
+    link_stats = {
+        "n_partitions": len(results),
+        "n_records": len(records),
+        "n_eligible_pairs": len(eligible),
+        "n_boundary_pairs": len(boundary),
+        "n_matches": n_matches,
+    }
+    return assemble(records, clusters, claims, rejections, graph_name, link_stats)
+
+
+def entity_row(
+    records: Mapping[str, CanonicalRecord], members: Sequence[str]
+) -> Tuple[str, List[str]]:
+    """A cluster's entity name and sorted aliases: the root record's name
+    (else the first member name, else the root id) and every other
+    distinct member name.  ``members`` is sorted, so its head is the root."""
+    names = sorted({records[member].name for member in members} - {""})
+    name = records[members[0]].name or (names[0] if names else members[0])
+    return name, [alias for alias in names if alias != name]
+
+
+def assemble(
+    records: Mapping[str, CanonicalRecord],
+    clusters: Dict[str, List[str]],
+    claims: Sequence[ValueClaim],
+    rejections: Sequence[Rejection],
+    graph_name: str,
+    link_stats: Mapping[str, float],
+) -> ExchangeOutcome:
+    """Everything after linkage — ledger, fuse, keep the winners, assemble —
+    for ``clusters`` (root -> sorted members, in root order) and claims and
+    rejections in any order: the batch exchange's and a drained stream's.
+    The stats start with ``link_stats``, what the linkage that made the
+    clusters counted."""
+    root_of = {member: root for root, members in clusters.items() for member in members}
 
     # -- lineage: cleaning rejections, then merges, in sorted order -------
-    rejections = sorted(
-        (
-            (record_id, attribute, value, reason)
-            for result in results
-            for record_id, attribute, value, reason in result.rejections
-        ),
-        key=lambda row: (row[0], row[1], str(row[2]), row[3]),
-    )
+    rejections = sorted(rejections, key=lambda row: (row[0], row[1], str(row[2]), row[3]))
     for record_id, attribute, value, reason in rejections:
         obs_lineage.record_rejection(
             record_id, attribute, value, reason=reason, stage="partition.clean"
         )
     # extract_claims emits one claim per attribute per record, so a member's
     # claim count is the number of rows its merge rewrites.
-    n_claims_of = Counter(
-        claim.subject for result in results for claim in result.claims
-    )
+    n_claims_of = Counter(claim.subject for claim in claims)
     n_merges = 0
-    for root in sorted(clusters):
-        for member in clusters[root]:
+    for root, members in clusters.items():
+        for member in members:
             if member == root:
                 continue
             obs_lineage.record_merge(
-                root,
-                member,
-                n_rewritten=n_claims_of[member],
-                stage="exchange.link",
+                root, member, n_rewritten=n_claims_of[member], stage="exchange.link"
             )
             n_merges += 1
 
     # -- fuse: claims rewritten to cluster roots, one EM over them --------
     rewritten = [
-        ValueClaim(
-            subject=root_of[claim.subject],
-            attribute=claim.attribute,
-            value=claim.value,
-            source=claim.source,
-        )
-        for result in results
-        for claim in result.claims
+        ValueClaim(root_of[claim.subject], claim.attribute, claim.value, claim.source)
+        for claim in claims
     ]
     fusion = AccuFusion()
     fusion_results = fusion.fuse(rewritten)
-    source_accuracy = fusion.source_accuracy_
     winners = {
-        (result.subject, result.attribute): result.value
+        (result.subject, result.attribute): term_key(result.value)
         for result in fusion_results
     }
 
@@ -207,47 +227,25 @@ def exchange(
         for claim in sorted(
             rewritten,
             key=lambda claim: (
-                claim.subject,
-                claim.attribute,
-                type(claim.value).__name__,
-                str(claim.value),
+                claim.subject, claim.attribute, type(claim.value).__name__, str(claim.value),
                 claim.source,
             ),
         )
-        if claim.value == winners[(claim.subject, claim.attribute)]
+        if term_key(claim.value) == winners[(claim.subject, claim.attribute)]
     ]
 
     # -- assemble the graph (bulk-load fast path on the empty store) ------
     ontology = Ontology(name="sources")
-    for entity_class in sorted(
-        {record.entity_class for record in records.values()}
-    ):
+    for entity_class in sorted({record.entity_class for record in records.values()}):
         ontology.add_class(entity_class)
     graph = KnowledgeGraph(ontology=ontology, name=graph_name)
-    for root in sorted(clusters):
-        root_record = records[root]
-        names = sorted(
-            {
-                records[member].name
-                for member in clusters[root]
-                if records[member].name
-            }
-        )
-        name = root_record.name or (names[0] if names else root)
-        graph.add_entity(
-            root,
-            name,
-            root_record.entity_class,
-            aliases=[alias for alias in names if alias != name],
-        )
+    for root, members in clusters.items():
+        name, aliases = entity_row(records, members)
+        graph.add_entity(root, name, records[root].entity_class, aliases=aliases)
     graph.add_triples_batch(items)
 
     stats = {
-        "n_partitions": len(results),
-        "n_records": len(records),
-        "n_eligible_pairs": len(eligible),
-        "n_boundary_pairs": len(boundary),
-        "n_matches": n_matches,
+        **link_stats,
         "n_merges": n_merges,
         "n_entities": len(clusters),
         "n_claims": len(rewritten),
@@ -258,10 +256,4 @@ def exchange(
     }
     for metric, value in stats.items():
         obs_metrics.gauge(f"exchange.{metric}", value)
-    return ExchangeOutcome(
-        graph=graph,
-        fusion_results=fusion_results,
-        source_accuracy=source_accuracy,
-        clusters=clusters,
-        stats=stats,
-    )
+    return ExchangeOutcome(graph, fusion_results, fusion.source_accuracy_, clusters, stats)

@@ -13,8 +13,9 @@ Two resolvers are provided:
   substrate for Knowledge-Based Trust (:mod:`repro.fuse.kbt`).
 
 Most data items are uncontested (every claim agrees), so EM folds them into
-constants once and iterates over the contested ones; an exactly rounded
-M-step keeps every float what the loop over all items gave.
+constants once, and it iterates over the agreement *patterns* of the
+contested ones rather than the items; an exactly rounded M-step keeps every
+float what the loop over all items gave.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.core.parallel import pmap
+from repro.core.store import term_key
 from repro.core.triple import Value
 from repro.obs import lineage as obs_lineage
 from repro.obs import metrics as obs_metrics
@@ -95,6 +97,34 @@ def majority_vote(claims: Iterable[ValueClaim]) -> List[FusionResult]:
     return pmap(_vote_one_item, sorted(_group_claims(claims).items()))
 
 
+#: An item's claims in claim order, each as ``(source, candidate index)``.
+Pattern = Tuple[Tuple[str, int], ...]
+
+
+def claim_order(claim: ValueClaim) -> Tuple[str, str, str]:
+    """Where a claim sits among its item's claims: by source, then term."""
+    return (claim.source, type(claim.value).__name__, str(claim.value))
+
+
+def item_pattern(item_claims: Sequence[ValueClaim]) -> Tuple[List[Value], Pattern]:
+    """One item's candidates — its distinct terms by
+    :func:`~repro.core.store.term_key`, ordered by ``(str(value), type
+    name)`` — and its pattern, which alone decides its posterior."""
+    if len(item_claims) == 1:  # most items: skip the keying
+        return [item_claims[0].value], ((item_claims[0].source, 0),)
+    first: Dict[object, Value] = {}
+    for claim in item_claims:
+        first.setdefault(term_key(claim.value), claim.value)
+    candidates = sorted(first.values(), key=lambda value: (str(value), type(value).__name__))
+    index = {term_key(value): position for position, value in enumerate(candidates)}
+    return candidates, tuple((claim.source, index[term_key(claim.value)]) for claim in item_claims)
+
+
+def winner_index(posterior: Sequence[float]) -> int:
+    """The most probable candidate; of a tie, the last in candidate order."""
+    return max(range(len(posterior)), key=lambda index: (posterior[index], index))
+
+
 @dataclass
 class AccuFusion:
     """Bayesian fusion with EM-estimated source accuracies.
@@ -105,12 +135,11 @@ class AccuFusion:
     posteriors given accuracies and accuracy estimates given posteriors.
 
     This is the fusion half of the construction kernel, and its fields are
-    the one declaration of the EM hyper-parameters.  :meth:`fuse` is the
-    only EM loop — the batch exchange and a stream's drain call it on every
-    claim at once — and the four steps it is made of (:meth:`posterior`,
-    :meth:`item_statistics`, :meth:`estimate`, :meth:`decide`) are what
-    :class:`repro.stream.ingest.StreamIngestor` applies to one group at a
-    time.
+    the one declaration of the EM hyper-parameters.  :meth:`em` is the only
+    EM loop, over agreement patterns (:func:`item_pattern`) rather than
+    items: :meth:`fuse` runs it on every claim at once (the batch exchange,
+    a stream's drain) and :class:`repro.stream.ingest.StreamIngestor` on
+    its maintained pattern counts after every delta.
     """
 
     n_distractors: int = 10
@@ -121,49 +150,30 @@ class AccuFusion:
     source_accuracy_: Dict[str, float] = field(default_factory=dict, init=False)
     n_contested_items_: int = field(default=0, init=False)
 
-    # -- the four kernel steps ------------------------------------------
-
-    def posterior(
-        self, item_claims: Sequence[ValueClaim], accuracy: Dict[str, float]
-    ) -> Dict[Value, float]:
-        """E-step: one item's value posterior given source accuracies."""
-        candidate_values = sorted({claim.value for claim in item_claims}, key=str)
-        if len(candidate_values) == 1:
+    def posterior(self, pattern: Pattern, accuracy: Dict[str, float]) -> List[float]:
+        """E-step: the posterior by candidate index of every item with
+        this pattern, given source accuracies."""
+        n_candidates = 1 + max(index for _, index in pattern)
+        if n_candidates == 1:
             # exp(s - s) / exp(s - s): exactly 1.0 whatever the sources' trust.
-            return {candidate_values[0]: 1.0}
-        log_scores = {}
+            return [1.0]
+        log_scores = []
         # math.log/math.exp, not np.log/np.exp: these are scalar calls in the
         # EM hot loop, and the numpy ufunc dispatch costs ~2x per call for the
         # same IEEE-754 result.
-        for candidate in candidate_values:
+        for candidate in range(n_candidates):
             log_score = 0.0
-            for claim in item_claims:
-                source_accuracy = accuracy[claim.source]
-                if claim.value == candidate:
+            for source, index in pattern:
+                source_accuracy = accuracy[source]
+                if index == candidate:
                     log_score += math.log(source_accuracy)
                 else:
                     log_score += math.log((1.0 - source_accuracy) / self.n_distractors)
-            log_scores[candidate] = log_score
-        peak = max(log_scores.values())
-        unnormalized = {
-            value: math.exp(score - peak) for value, score in log_scores.items()
-        }
-        total = sum(unnormalized.values())
-        return {value: score / total for value, score in unnormalized.items()}
-
-    @staticmethod
-    def item_statistics(
-        posterior: Dict[Value, float], item_claims: Sequence[ValueClaim]
-    ) -> Tuple[Dict[str, float], Dict[str, int]]:
-        """One item's sufficient statistics: per source, the posterior mass
-        of the values it claimed and how many claims it made."""
-        mass: Dict[str, float] = {}
-        counts: Dict[str, int] = {}
-        for claim in item_claims:
-            source = claim.source
-            mass[source] = mass.get(source, 0.0) + posterior.get(claim.value, 0.0)
-            counts[source] = counts.get(source, 0) + 1
-        return mass, counts
+            log_scores.append(log_score)
+        peak = max(log_scores)
+        unnormalized = [math.exp(score - peak) for score in log_scores]
+        total = sum(unnormalized)
+        return [score / total for score in unnormalized]
 
     def estimate(self, mass: float, count: int) -> float:
         """M-step: a source's accuracy from its summed statistics, clipped;
@@ -171,113 +181,101 @@ class AccuFusion:
         if count <= 0:
             return self.initial_accuracy
         # min/max, not np.clip: the same float for a finite quotient, without
-        # a numpy scalar dispatch (~10x the cost) once per re-fused group.
+        # a numpy scalar dispatch (~10x the cost).
         return min(max(mass / count, self.min_accuracy), self.max_accuracy)
 
-    def decide(
-        self,
-        item_key: ItemKey,
-        posterior: Dict[Value, float],
-        item_claims: Sequence[ValueClaim],
-        accuracy: Dict[str, float],
-        stage: str,
-    ) -> FusionResult:
-        """The verdict for one item: the most probable value wins (ties by
-        ``str(value)``), and with lineage on every candidate gets a verdict
-        carrying the learned trust of the sources that claimed the item."""
-        subject, attribute = item_key
-        value, probability = max(
-            posterior.items(), key=lambda entry: (entry[1], str(entry[0]))
-        )
-        if obs_lineage.lineage_enabled():
-            source_trust = {
-                claim.source: accuracy[claim.source] for claim in item_claims
-            }
-            for candidate, candidate_probability in sorted(
-                posterior.items(), key=lambda entry: str(entry[0])
-            ):
-                obs_lineage.record_fusion(
-                    subject,
-                    attribute,
-                    candidate,
-                    verdict="accepted" if candidate == value else "rejected",
-                    confidence=float(candidate_probability),
-                    source_trust=source_trust,
-                    stage=stage,
-                )
-        return FusionResult(
-            subject=subject,
-            attribute=attribute,
-            value=value,
-            confidence=float(probability),
-            n_claims=len(item_claims),
-        )
+    def em(
+        self, patterns: Mapping[Pattern, int], counts: Mapping[str, int]
+    ) -> Tuple[Dict[str, float], Dict[Pattern, List[float]]]:
+        """Source accuracies and the last E-step's posterior per pattern.
 
-    # -- the EM loop ----------------------------------------------------
-
-    @profiled("fusion.accu")
-    def fuse(self, claims: Sequence[ValueClaim]) -> List[FusionResult]:
-        """Run EM and return the fused value per data item, sorted by item.
-
-        Only *contested* items (more than one distinct value) are iterated.
-        An uncontested item's posterior is ``{value: 1.0}`` whatever the
-        accuracies, so it is folded once into per-source constants: each of
-        its claims adds exactly 1 to its source's mass and count.  The
-        M-step ``math.fsum``s a source's contested masses with that constant;
-        ``fsum`` is correctly rounded, so the accuracies are bit-identical to
-        summing every item's row.  The claim sort makes the result
-        independent of claim input order.
+        ``patterns`` counts the contested items per pattern and ``counts``
+        the claims per source.  A claim on an uncontested item adds exactly
+        1 to its source's mass, so the M-step ``math.fsum``s that constant
+        with each pattern's per-source mass repeated ``count`` times;
+        ``fsum`` is correctly rounded, so the accuracies are bit-identical
+        to summing every item's row.
         """
-        claims = sorted(
-            claims,
-            key=lambda claim: (
-                claim.subject,
-                claim.attribute,
-                claim.source,
-                type(claim.value).__name__,
-                str(claim.value),
-            ),
-        )
-        obs_metrics.count("fusion.claims", len(claims))
-        grouped = _group_claims(claims)  # in item order: the claims are sorted
-        obs_metrics.count("fusion.data_items", len(grouped))
-        counts = Counter(claim.source for claim in claims)
+        settled = Counter(counts)
+        for pattern, count in patterns.items():
+            for source, _ in pattern:
+                settled[source] -= count
         sources = sorted(counts)
-        accuracy = {source: self.initial_accuracy for source in sources}
-        posteriors: Dict[ItemKey, Dict[Value, float]] = {}
-        contested: List[Item] = []
-        for item_key, item_claims in grouped.items():
-            if len({claim.value for claim in item_claims}) > 1:
-                contested.append((item_key, item_claims))
-            else:  # what :meth:`posterior` returns for one candidate value
-                posteriors[item_key] = {item_claims[0].value: 1.0}
-        settled = counts - Counter(
-            claim.source for _, item_claims in contested for claim in item_claims
-        )
-        self.n_contested_items_ = len(contested)
+        accuracy = dict.fromkeys(sources, self.initial_accuracy)
+        posteriors: Dict[Pattern, List[float]] = {}
         for _ in range(self.n_iterations):
             masses: Dict[str, List[float]] = {source: [] for source in sources}
-            for item_key, item_claims in contested:
-                posterior = self.posterior(item_claims, accuracy)
-                posteriors[item_key] = posterior
-                for source, mass in self.item_statistics(posterior, item_claims)[0].items():
-                    masses[source].append(mass)
+            for pattern, count in patterns.items():
+                posterior = posteriors[pattern] = self.posterior(pattern, accuracy)
+                mass: Dict[str, float] = {}
+                for source, index in pattern:
+                    mass[source] = mass.get(source, 0.0) + posterior[index]
+                for source, value in mass.items():
+                    masses[source] += [value] * count
             accuracy = {
                 source: self.estimate(
                     math.fsum(masses[source] + [settled[source]]), counts[source]
                 )
                 for source in sources
             }
+        return accuracy, posteriors
+
+    def decide(
+        self,
+        item_key: ItemKey,
+        candidates: Sequence[Value],
+        posterior: Sequence[float],
+        item_claims: Sequence[ValueClaim],
+        accuracy: Dict[str, float],
+        stage: str,
+    ) -> FusionResult:
+        """The verdict for one item (:func:`winner_index` wins), and with
+        lineage on a verdict per candidate carrying the learned trust of
+        the sources that claimed the item."""
+        subject, attribute = item_key
+        winner = winner_index(posterior)
+        if obs_lineage.lineage_enabled():
+            source_trust = {claim.source: accuracy[claim.source] for claim in item_claims}
+            for index, candidate in enumerate(candidates):
+                obs_lineage.record_fusion(
+                    subject,
+                    attribute,
+                    candidate,
+                    verdict="accepted" if index == winner else "rejected",
+                    confidence=float(posterior[index]),
+                    source_trust=source_trust,
+                    stage=stage,
+                )
+        return FusionResult(
+            subject, attribute, candidates[winner], float(posterior[winner]), len(item_claims)
+        )
+
+    @profiled("fusion.accu")
+    def fuse(self, claims: Sequence[ValueClaim]) -> List[FusionResult]:
+        """Run :meth:`em` over the contested items' patterns and return the
+        fused value per data item, sorted by item.  The claim sort makes
+        the result independent of claim input order."""
+        claims = sorted(
+            claims, key=lambda claim: (claim.subject, claim.attribute, *claim_order(claim))
+        )
+        obs_metrics.count("fusion.claims", len(claims))
+        grouped = _group_claims(claims)  # in item order: the claims are sorted
+        obs_metrics.count("fusion.data_items", len(grouped))
+        items = [(key, group, *item_pattern(group)) for key, group in grouped.items()]
+        patterns = Counter(item[3] for item in items if len(item[2]) > 1)
+        self.n_contested_items_ = sum(patterns.values())
+        accuracy, posteriors = self.em(patterns, Counter(claim.source for claim in claims))
         self.source_accuracy_ = accuracy
         results = [
             self.decide(
-                item_key, posteriors[item_key], item_claims, accuracy, "fusion.accu"
+                item_key, candidates, posteriors[pattern] if len(candidates) > 1 else [1.0],
+                item_claims, accuracy, "fusion.accu",
             )
-            for item_key, item_claims in grouped.items()
+            for item_key, item_claims, candidates, pattern in items
         ]
         obs_metrics.count("fusion.accepted", len(results))
         obs_metrics.count(
-            "fusion.rejected", sum(map(len, posteriors.values())) - len(results)
+            "fusion.rejected", sum(len(item[2]) for item in items) - len(results)
         )
         return results
 

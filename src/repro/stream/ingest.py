@@ -1,17 +1,19 @@
-"""Incremental construction: per-delta linkage, trust, and re-fusion.
+"""Incremental construction: per-delta linkage, exact fusion, live rows.
 
 The :class:`StreamIngestor` maintains the same decision inputs a batch
 build accumulates — canonical records, blocking keys, pure pair scores,
 claims, rejections — but updates them one :class:`~repro.stream.source.
 Delta` at a time, mutating a *live* :class:`~repro.core.graph.
-KnowledgeGraph` (WAL-attached, so followers and publishers can tail it)
-after every micro-batch:
+KnowledgeGraph` (WAL-attached, so followers and publishers can tail it).
+After every delta the live graph *is* the batch build of the records
+that have arrived: its triples, provenance and entity rows.
 
 It is a driver over the construction kernel, not a second copy of it:
 claims come from :func:`~repro.core.partition.extract_claims`, keys from
 :func:`~repro.core.partition.blocking_keys`, clusters live in one
-:class:`~repro.core.partition.Clusters`, and every fusion step is a method
-of :class:`~repro.integrate.fusion.AccuFusion`.
+:class:`~repro.core.partition.Clusters`, fusion is the one EM loop
+(:meth:`~repro.integrate.fusion.AccuFusion.em`) and entity rows follow
+:func:`~repro.integrate.exchange.entity_row`.
 
 * **incremental linkage** — only the blocking keys touched by the delta
   are re-blocked; new candidate pairs are scored with the identical pure
@@ -21,33 +23,27 @@ of :class:`~repro.integrate.fusion.AccuFusion`.
   shrink, so the ingestor falls back to a full re-link over
   :func:`~repro.core.partition.block_pairs` — counted in
   ``stream.relinks`` so the (rare) O(pairs) events are visible;
-* **online Accu EM** — per-source sufficient statistics (posterior mass
-  + claim counts, the quantities :meth:`AccuFusion.fuse` merges with
-  ``fsum``) are updated by subtracting each re-fused group's previous
-  contribution and adding its new one, so source accuracies track the
-  stream without re-running EM over the world;
-* **indexed re-fusion** — only the ``(subject, predicate)`` groups
-  touched by the delta are re-fused: the groups the delta's claims land
-  in, plus — when a cluster merge re-roots records — the groups the
-  always-on ``_fused`` index holds under the old roots.  The work done
-  does not depend on whether observability is on.  Fused groups per
-  delta is the sub-linearity contract the tests assert.
+* **exact EM over patterns** — only the ``(subject, predicate)`` groups
+  the delta touches are re-read: the groups its claims land in, plus —
+  when clusters merge or split — the groups the always-on group index
+  holds under the old roots.  Their agreement patterns update a
+  pattern table and per-source claim counts, and EM runs over the
+  patterns from the prior, as a batch build's does.  The touched groups
+  and every group of a pattern whose winner flipped are rewritten (the
+  delta's ``n_rewritten``), and every touched cluster's entity row is
+  set by the batch naming rule — a split removes aliases.
 
-The live graph is an *approximation*: accuracies lag full EM, and block
-overflows can transiently merge entities a batch build would keep apart.
-The contract is :meth:`StreamIngestor.finalize` — shape the accumulated
-union as one :class:`~repro.core.partition.PartitionResult` (records,
-keys, scores, claims, rejections) and run it through the identical
-:func:`~repro.integrate.exchange.exchange` a ``partitions=1`` batch build
-uses, so after draining all deltas the canonical graph state,
-provenance, lineage ledger, and ``.rkgs`` bytes are byte-identical to the
-batch build over the same source union, for any micro-batch split and
-delta order.
+:meth:`StreamIngestor.finalize` runs the live records, clusters, claims
+and rejections through :func:`~repro.integrate.exchange.assemble`, the
+batch exchange after linkage, so a drained stream's graph state,
+provenance, lineage ledger, and ``.rkgs`` bytes are the batch build's,
+for any micro-batch split and delta order.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -58,7 +54,6 @@ from repro.core.partition import (
     Clusters,
     Pair,
     PartitionedBuild,
-    PartitionResult,
     Rejection,
     block_pairs,
     blocking_keys,
@@ -67,9 +62,17 @@ from repro.core.partition import (
     pair_score,
     transform_record,
 )
+from repro.core.store import term_key
 from repro.core.triple import Provenance, Triple
-from repro.integrate.exchange import EXTRACTOR, ExchangeOutcome, exchange
-from repro.integrate.fusion import AccuFusion, ValueClaim
+from repro.integrate.exchange import EXTRACTOR, ExchangeOutcome, assemble, entity_row
+from repro.integrate.fusion import (
+    AccuFusion,
+    Pattern,
+    ValueClaim,
+    claim_order,
+    item_pattern,
+    winner_index,
+)
 from repro.obs import lineage as obs_lineage
 from repro.obs import metrics as obs_metrics
 from repro.stream.source import Delta
@@ -87,6 +90,7 @@ class DeltaReport:
     n_cluster_merges: int
     n_fused_groups: int
     n_groups_total: int
+    n_rewritten: int
     relinked: bool
     wall_s: float
 
@@ -116,17 +120,16 @@ class StreamIngestor:
         self._matches: Set[Pair] = set()
         self._clusters = Clusters()
         self._dirty = False
-        # Online EM state: global per-source sufficient statistics plus the
-        # cached per-group contribution that gets retracted on re-fusion.
+        # What EM reads: root -> attribute -> pattern of every group (also
+        # the re-fusion index), the groups of each contested pattern (its
+        # count is their number) and the claims per source.  Plus each
+        # contested pattern's last winning candidate.
         self._fusion = AccuFusion()
-        self._em_mass: Dict[str, float] = {}
-        self._em_count: Dict[str, int] = {}
-        self._accuracy: Dict[str, float] = {}
-        self._group_mass: Dict[GroupKey, Dict[str, float]] = {}
-        self._group_count: Dict[GroupKey, Dict[str, int]] = {}
-        # The re-fusion index: root -> attributes fused under it.
-        self._fused: Dict[str, Set[str]] = {}
-        self.n_deltas = 0
+        self._groups: Dict[str, Dict[str, Pattern]] = {}
+        self._n_groups = 0
+        self._pattern_groups: Dict[Pattern, Set[GroupKey]] = {}
+        self._claim_count: Counter = Counter()
+        self._winner: Dict[Pattern, int] = {}
         self.n_relinks = 0
 
     # ------------------------------------------------------------------
@@ -144,54 +147,70 @@ class StreamIngestor:
             self._upsert(canonical)
             arrived.append(canonical)
 
-        merge_events: List[Tuple[str, str]] = []
+        dropped: List[str] = []  # the roots merged away, in merge order
         moved: Dict[str, Tuple[str, str]] = {}
         n_pairs_scored = 0
         relinked = False
         if self._dirty:
-            n_pairs_scored, merge_events, moved = self._relink()
+            n_pairs_scored, dropped, moved = self._relink()
             relinked = True
             self.n_relinks += 1
         else:
             for canonical in arrived:
                 n_pairs_scored += self._link_record(
-                    canonical, strategy.max_block_size, merge_events
+                    canonical, strategy.max_block_size, dropped
                 )
 
-        touched = self._apply_cluster_changes(merge_events, moved)
+        touched, roots = self._apply_cluster_changes(dropped, moved)
         for canonical in arrived:
             root = self._clusters.root_of[canonical.record_id]
-            self._ensure_entity(root)
-            if canonical.record_id != root:
-                self._add_member_alias(root, canonical)
-            for claim in self.claims[canonical.record_id]:
-                touched.add((root, claim.attribute))
+            roots.add(root)
+            touched.update((root, claim.attribute) for claim in self.claims[canonical.record_id])
+        for root in sorted(roots.intersection(self._clusters.members)):
+            self._set_entity_row(root)
 
+        # Exact EM over the patterns, then rewrite the touched groups and
+        # every group of a pattern whose winner flipped.
+        fresh = {group: self._refit_group(group) for group in sorted(touched)}
+        accuracy, posteriors = self._fusion.em(
+            {pattern: len(groups) for pattern, groups in self._pattern_groups.items()},
+            self._claim_count,
+        )
+        self._fusion.source_accuracy_ = accuracy
+        rewrite = set(touched)
+        for pattern, posterior in posteriors.items():
+            winner = winner_index(posterior)
+            if self._winner.get(pattern, winner) != winner:
+                rewrite |= self._pattern_groups[pattern]
+            self._winner[pattern] = winner
         adds: List[Tuple[Triple, Provenance]] = []
-        for group in sorted(touched):
-            self._refuse_group(group, adds)
+        for group in sorted(rewrite):
+            read = fresh[group] if group in fresh else self._read_group(group)
+            self._write_group(group, read, accuracy, posteriors, adds)
         if adds:
             self.graph.add_triples_batch(adds)
+        n_rewritten = len({triple for triple, _ in adds})
 
-        self.n_deltas += 1
         wall_s = time.perf_counter() - started
         obs_metrics.count("stream.deltas")
         obs_metrics.count("stream.records", len(delta))
         obs_metrics.count("stream.pairs_scored", n_pairs_scored)
-        obs_metrics.count("stream.cluster_merges", len(merge_events))
+        obs_metrics.count("stream.cluster_merges", len(dropped))
         obs_metrics.count("stream.fused_groups", len(touched))
+        obs_metrics.count("stream.rewritten", n_rewritten)
         if relinked:
             obs_metrics.count("stream.relinks")
         obs_metrics.gauge("stream.n_records", len(self.records))
-        obs_metrics.gauge("stream.n_groups", len(self._group_mass))
+        obs_metrics.gauge("stream.n_groups", self._n_groups)
         obs_metrics.observe("stream.delta_seconds", wall_s)
         return DeltaReport(
             seqno=delta.seqno,
             n_records=len(delta),
             n_pairs_scored=n_pairs_scored,
-            n_cluster_merges=len(merge_events),
+            n_cluster_merges=len(dropped),
             n_fused_groups=len(touched),
-            n_groups_total=len(self._group_mass),
+            n_groups_total=self._n_groups,
+            n_rewritten=n_rewritten,
             relinked=relinked,
             wall_s=wall_s,
         )
@@ -261,7 +280,7 @@ class StreamIngestor:
         self,
         canonical: CanonicalRecord,
         cap: int,
-        merge_events: List[Tuple[str, str]],
+        dropped: List[str],
     ) -> int:
         """Score the delta record against co-blocked candidates; union matches."""
         record_id = canonical.record_id
@@ -271,8 +290,8 @@ class StreamIngestor:
             if len(block) > cap:
                 continue
             # Sorted, so that when the record bridges two clusters the union
-            # order — and with it the merge events, the live aliases and the
-            # WAL bytes followers replicate — does not vary with the hash seed.
+            # order — and with it the merges and the WAL bytes followers
+            # replicate — does not vary with the hash seed.
             for other_id in sorted(block):
                 if other_id == record_id:
                     continue
@@ -289,7 +308,7 @@ class StreamIngestor:
                     self._matches.add(pair)
                     merged = self._clusters.union(*pair)
                     if merged is not None:
-                        merge_events.append(merged)
+                        dropped.append(merged[1])
         return n_scored
 
     def _relink(self):
@@ -321,178 +340,146 @@ class StreamIngestor:
             for record_id, root in root_of.items()
             if old_root_of.get(record_id, record_id) != root
         }
-        merge_events = sorted(
-            {
-                (root_of[old_root], old_root)
-                for old_root, _ in moved.values()
-                if old_root in root_of and root_of[old_root] != old_root
-            }
-        )
+        dropped = sorted({old for old, _ in moved.values() if root_of.get(old, old) != old})
         self._dirty = False
-        return n_scored, merge_events, moved
+        return n_scored, dropped, moved
 
     # ------------------------------------------------------------------
     # live-graph reconciliation
 
     def _apply_cluster_changes(
         self,
-        merge_events: List[Tuple[str, str]],
+        dropped: List[str],
         moved: Dict[str, Tuple[str, str]],
-    ) -> Set[GroupKey]:
+    ) -> Tuple[Set[GroupKey], Set[str]]:
+        """Apply merges and splits to the live graph; returns the groups
+        and the roots whose entity row they touched."""
         touched: Set[GroupKey] = set()
+        roots: Set[str] = set()
         graph = self.graph
-        # Union order, not sorted: of a chain (b, c), (a, b), sorted order
-        # merges b into a first, then re-creates b as an orphan to absorb c.
-        for keep, drop in merge_events:
-            for attribute in self._fused.get(drop, ()):
-                touched.add((drop, attribute))
-                touched.add((keep, attribute))
-            for attribute in self._fused.get(keep, ()):
-                touched.add((keep, attribute))
-            self._ensure_entity(keep)
+        index = self._groups
+        # Into the current root: of a chain b <- c, a <- b, both c and b
+        # merge into a, so b is never made an entity it must give up again.
+        for drop in dropped:
+            keep = self._clusters.root_of[drop]
+            roots.add(keep)
+            for attribute in index.get(drop, ()):
+                touched.update(((drop, attribute), (keep, attribute)))
+            touched.update((keep, attribute) for attribute in index.get(keep, ()))
+            if not graph.has_entity(keep):
+                self._set_entity_row(keep)
             if graph.has_entity(drop):
                 graph.merge_entities(keep, drop)
-            elif drop in self.records:
-                self._add_member_alias(keep, self.records[drop])
             obs_lineage.record_merge(
-                keep,
-                drop,
-                n_rewritten=len(self._fused.get(drop, ())),
-                stage="stream.link",
-            )
-            self._fused[keep] = self._fused.get(keep, set()) | self._fused.pop(
-                drop, set()
+                keep, drop, n_rewritten=len(index.get(drop, ())), stage="stream.link"
             )
         # Relink moves that are not whole-cluster merges are splits: touch
         # the departed groups on both sides so stale fusions re-settle.
         for record_id, (old_root, new_root) in sorted(moved.items()):
-            self._ensure_entity(new_root)
-            if record_id != new_root and record_id in self.records:
-                self._add_member_alias(new_root, self.records[record_id])
-            for attribute in self._fused.get(old_root, ()):
-                touched.add((old_root, attribute))
+            roots.update((old_root, new_root))
+            touched.update((old_root, attribute) for attribute in index.get(old_root, ()))
             for claim in self.claims.get(record_id, ()):
-                touched.add((old_root, claim.attribute))
-                touched.add((new_root, claim.attribute))
-        return touched
+                touched.update(((old_root, claim.attribute), (new_root, claim.attribute)))
+        return touched, roots
 
-    def _ensure_entity(self, root: str) -> None:
+    def _set_entity_row(self, root: str) -> None:
+        """Create or correct a cluster's entity: the batch naming rule's
+        name and aliases (a split removes the aliases it took away)."""
         graph = self.graph
-        if graph.has_entity(root):
+        name, aliases = entity_row(self.records, sorted(self._clusters.members[root]))
+        if not graph.has_entity(root):
+            entity_class = self.records[root].entity_class
+            graph.ontology.add_class(entity_class)  # a no-op when it is there
+            graph.add_entity(root, name, entity_class, aliases=aliases)
             return
-        record = self.records[root]
-        if not graph.ontology.has_class(record.entity_class):
-            graph.ontology.add_class(record.entity_class)
-        graph.add_entity(root, record.name or root, record.entity_class)
-
-    def _add_member_alias(self, root: str, member: CanonicalRecord) -> None:
-        if not self.graph.has_entity(root):
-            return
-        entity = self.graph.entity(root)
-        name = member.name
-        if name and name != entity.name and name not in entity.aliases:
-            self.graph.add_alias(root, name)
+        live = graph.entity(root).aliases
+        for alias in sorted(live.symmetric_difference(aliases)):
+            (graph.remove_alias if alias in live else graph.add_alias)(root, alias)
 
     # ------------------------------------------------------------------
-    # online EM + re-fusion
+    # exact fusion
 
-    def _retract_group_stats(self, group: GroupKey) -> None:
-        mass = self._group_mass.pop(group, None)
-        if mass is None:
-            return
-        counts = self._group_count.pop(group)
-        for source, value in mass.items():
-            self._em_mass[source] -= value
-        for source, value in counts.items():
-            self._em_count[source] -= value
+    def _read_group(self, group: GroupKey) -> Tuple[List[ValueClaim], List, Pattern]:
+        """The group's claims in ``fuse``'s claim order, candidates, pattern."""
+        root, attribute = group
+        claims = sorted(
+            (
+                claim
+                for member in self._clusters.members.get(root, ())
+                for claim in self.claims.get(member, ())
+                if claim.attribute == attribute
+            ),
+            key=claim_order,
+        )
+        return (claims, *item_pattern(claims)) if claims else (claims, [], ())
 
-    def _refuse_group(
-        self, group: GroupKey, adds: List[Tuple[Triple, Provenance]]
-    ) -> None:
+    def _refit_group(self, group: GroupKey):
+        """Re-read a touched group into the pattern tables."""
+        root, attribute = group
+        read = self._read_group(group)
+        old = self._groups.get(root, {}).pop(attribute, None)
+        for pattern, sign in ((old, -1), (read[2], 1)):
+            if not pattern:
+                continue
+            self._n_groups += sign
+            for source, _ in pattern:
+                self._claim_count[source] += sign
+                if not self._claim_count[source]:
+                    del self._claim_count[source]
+            if any(index for _, index in pattern):  # contested
+                groups = self._pattern_groups.setdefault(pattern, set())
+                (groups.add if sign > 0 else groups.discard)(group)
+                if not groups:
+                    del self._pattern_groups[pattern]
+                    self._winner.pop(pattern, None)
+        if read[0]:
+            self._groups.setdefault(root, {})[attribute] = read[2]
+        elif not self._groups.get(root, True):
+            del self._groups[root]
+        return read
+
+    def _write_group(self, group, read, accuracy, posteriors, adds) -> None:
+        """Make the group's triples its verdict's supporters."""
         root, attribute = group
         graph = self.graph
-        self._retract_group_stats(group)
-        group_claims = [
-            claim
-            for member in sorted(self._clusters.members.get(root, ()))
-            for claim in self.claims.get(member, ())
-            if claim.attribute == attribute
-        ]
-        if not group_claims:
+        claims, candidates, pattern = read
+        existing = list(graph.query(subject=root, predicate=attribute))
+        if not claims:
             # The group dissolved (merge rewrote it, or a split moved every
-            # claimant away): retire its triples and its fusion index entry.
-            for triple in list(graph.query(subject=root, predicate=attribute)):
+            # claimant away): retire its triples.
+            for triple in existing:
                 graph.remove_triple(triple)
-            fused = self._fused.get(root)
-            if fused is not None:
-                fused.discard(attribute)
             return
-        fusion = self._fusion
-        for claim in group_claims:
-            self._accuracy.setdefault(claim.source, fusion.initial_accuracy)
-        posterior = fusion.posterior(group_claims, self._accuracy)
-        # Fold this group's fresh sufficient statistics into the global
-        # per-source totals (previous contribution already retracted).
-        mass, counts = fusion.item_statistics(posterior, group_claims)
-        self._group_mass[group] = mass
-        self._group_count[group] = counts
-        for source in mass:
-            self._em_mass[source] = self._em_mass.get(source, 0.0) + mass[source]
-            self._em_count[source] = self._em_count.get(source, 0) + counts[source]
-            self._accuracy[source] = fusion.estimate(
-                self._em_mass[source], self._em_count[source]
-            )
-        winner = fusion.decide(
-            group, posterior, group_claims, self._accuracy, "stream.fusion"
+        posterior = posteriors[pattern] if len(candidates) > 1 else [1.0]
+        winner = self._fusion.decide(
+            group, candidates, posterior, claims, accuracy, "stream.fusion"
         ).value
-        self._ensure_entity(root)
         winner_triple = Triple(root, attribute, winner)
-        supporters = sorted(
-            (claim for claim in group_claims if claim.value == winner),
-            key=lambda claim: claim.source,
-        )
         desired = [
             Provenance(source=claim.source, extractor=EXTRACTOR)
-            for claim in supporters
+            for claim in claims
+            if term_key(claim.value) == term_key(winner)
         ]
-        existing = list(graph.query(subject=root, predicate=attribute))
         if existing == [winner_triple] and graph.provenance(winner_triple) == desired:
-            self._fused.setdefault(root, set()).add(attribute)
             return
         for triple in existing:
             graph.remove_triple(triple)
         adds.extend((winner_triple, provenance) for provenance in desired)
-        self._fused.setdefault(root, set()).add(attribute)
 
     # ------------------------------------------------------------------
     # canonical finalize (the batch-equivalence keystone)
 
     def finalize(self) -> ExchangeOutcome:
-        """Canonicalize: run the accumulated union through the batch
-        exchange, shaped exactly like one partition worker's output, so a
-        drained stream is treated identically to a ``partitions=1`` batch
-        build.  The caller owns observability scope (reset + enable) and
-        what to do with the result (checkpoint the WAL, republish).
-        """
+        """The batch build of the drained stream, from its live clusters:
+        no re-blocking, no re-linking.  The caller owns observability scope
+        and what to do with the result (checkpoint the WAL, republish)."""
         ordered = sorted(self.records)
-        union = PartitionResult(
-            index=0,
-            records=[self.records[record_id] for record_id in ordered],
-            keys={record_id: self.keys[record_id] for record_id in ordered},
-            scores=self.scores,
-            claims=[
-                claim for record_id in ordered for claim in self.claims[record_id]
-            ],
-            rejections=[
-                rejection
-                for record_id in ordered
-                for rejection in self.rejections[record_id]
-            ],
-        )
-        build = self.build
-        return exchange(
-            [union],
-            strategy=build.strategy,
-            match_threshold=build.match_threshold,
-            graph_name=build.graph_name,
+        members = self._clusters.members
+        return assemble(
+            self.records,
+            {root: sorted(members[root]) for root in sorted(members)},
+            [claim for record_id in ordered for claim in self.claims[record_id]],
+            [row for record_id in ordered for row in self.rejections[record_id]],
+            self.build.graph_name,
+            {},
         )

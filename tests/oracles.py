@@ -23,9 +23,9 @@ from repro.core import codec
 from repro.core.graph import Entity, KnowledgeGraph
 from repro.core.ontology import Ontology
 from repro.core.query import PathQuery
-from repro.core.store import ColumnarTripleStore
+from repro.core.store import ColumnarTripleStore, term_key
 from repro.core.triple import Provenance, Triple
-from repro.integrate.fusion import ValueClaim
+from repro.integrate.fusion import FusionResult, ValueClaim
 from repro.ml.similarity import jaro_winkler, numeric_similarity, tokenize
 from repro.obs import lineage as obs_lineage
 
@@ -127,11 +127,13 @@ def accu_fuse(
 
 
 def accu_fuse_stepwise(fusion, claims):
-    """``fusion.fuse(claims)`` as it ran before uncontested items were
-    folded: the four kernel steps over *every* item in every iteration and
-    one ``math.fsum`` per source over every item's mass.  Returns
-    ``(results, accuracy)``; with lineage on it records the verdicts
-    ``fuse`` records, in the same order."""
+    """``fusion.fuse(claims)`` as a loop over *every* item in every
+    iteration: no uncontested fold, no patterns, one posterior per item
+    and one ``math.fsum`` per source over every item's mass.  Candidates
+    are an item's distinct terms (``1``, ``1.0``, ``True`` and ``"1"`` are
+    four) in ``(str, type name)`` order; of equally probable candidates the
+    last wins.  Returns ``(results, accuracy)``; with lineage on it records
+    the verdicts ``fuse`` records, in the same order."""
     claims = sorted(
         claims,
         key=lambda claim: (
@@ -145,6 +147,14 @@ def accu_fuse_stepwise(fusion, claims):
     grouped = {}
     for claim in claims:
         grouped.setdefault((claim.subject, claim.attribute), []).append(claim)
+    candidates = {}
+    for item_key, item_claims in grouped.items():
+        distinct = {}
+        for claim in item_claims:
+            distinct.setdefault(term_key(claim.value), claim.value)
+        candidates[item_key] = sorted(
+            distinct.values(), key=lambda value: (str(value), type(value).__name__)
+        )
     sources = sorted({claim.source for claim in claims})
     accuracy = dict.fromkeys(sources, fusion.initial_accuracy)
     posteriors = {}
@@ -152,20 +162,57 @@ def accu_fuse_stepwise(fusion, claims):
         rows = {source: [] for source in sources}
         counts = dict.fromkeys(sources, 0)
         for item_key in sorted(grouped):
-            posterior = fusion.posterior(grouped[item_key], accuracy)
+            item_claims = grouped[item_key]
+            log_scores = {}
+            for candidate in candidates[item_key]:
+                log_score = 0.0
+                for claim in item_claims:
+                    trust = accuracy[claim.source]
+                    if term_key(claim.value) == term_key(candidate):
+                        log_score += math.log(trust)
+                    else:
+                        log_score += math.log((1.0 - trust) / fusion.n_distractors)
+                log_scores[term_key(candidate)] = log_score
+            peak = max(log_scores.values())
+            unnormalized = {key: math.exp(score - peak) for key, score in log_scores.items()}
+            total = sum(unnormalized.values())
+            posterior = {key: score / total for key, score in unnormalized.items()}
             posteriors[item_key] = posterior
-            mass, item_counts = fusion.item_statistics(posterior, grouped[item_key])
-            for source in mass:
-                rows[source].append(mass[source])
-                counts[source] += item_counts[source]
+            mass = {}
+            for claim in item_claims:
+                mass[claim.source] = mass.get(claim.source, 0.0) + posterior[term_key(claim.value)]
+                counts[claim.source] += 1
+            for source, value in mass.items():
+                rows[source].append(value)
         accuracy = {
             source: fusion.estimate(math.fsum(rows[source]), counts[source])
             for source in sources
         }
-    results = [
-        fusion.decide(key, posteriors[key], grouped[key], accuracy, "fusion.accu")
-        for key in sorted(posteriors)
-    ]
+    results = []
+    for item_key in sorted(posteriors):
+        posterior = posteriors[item_key]
+        probabilities = [posterior[term_key(value)] for value in candidates[item_key]]
+        winner = max(range(len(probabilities)), key=lambda index: (probabilities[index], index))
+        item_claims = grouped[item_key]
+        if obs_lineage.lineage_enabled():
+            trust = {claim.source: accuracy[claim.source] for claim in item_claims}
+            for index, candidate in enumerate(candidates[item_key]):
+                obs_lineage.record_fusion(
+                    *item_key,
+                    candidate,
+                    verdict="accepted" if index == winner else "rejected",
+                    confidence=probabilities[index],
+                    source_trust=trust,
+                    stage="fusion.accu",
+                )
+        results.append(
+            FusionResult(
+                *item_key,
+                candidates[item_key][winner],
+                probabilities[winner],
+                len(item_claims),
+            )
+        )
     return results, accuracy
 
 
@@ -203,6 +250,9 @@ class SetGraph:
 
     def add_alias(self, entity_id, alias):
         self.entities[entity_id][1].add(alias)
+
+    def remove_alias(self, entity_id, alias):
+        self.entities[entity_id][1].discard(alias)
 
     def add(self, triple, provenance=None):
         if triple.subject not in self.entities:

@@ -7,7 +7,7 @@ model's projection.  The same interleavings run through the fast paths
 (batch ingestion, index-walk merges) and the naive reference paths
 (per-call adds, the full-scan merge in ``tests.oracles``) must end
 in identical public state and identical lineage ledgers.  A stateful
-machine adds aliases, copies, snapshot round trips (byte-stable on
+machine adds and removes aliases, copies, snapshot round trips (byte-stable on
 resave; later steps then read and write provenance over the loaded
 base columns) and WAL replays (the graph is logged from its first
 step), and checks
@@ -265,6 +265,18 @@ class GraphMachine(RuleBasedStateMachine):
         entity_id = ids[pick % len(ids)]
         self.graph.add_alias(entity_id, alias)
         self.model.add_alias(entity_id, alias)
+
+    @rule(pick=st.integers(0, 9), alias=st.sampled_from(("Ann", "ann", "Bo", "E0")))
+    def remove_alias(self, pick, alias):
+        """Forget an alias, present or not: a name the entity still has in
+        another case, or as its own name, keeps it in the name index."""
+        ids = sorted(self.model.entities)
+        entity_id = ids[pick % len(ids)]
+        self.graph.remove_alias(entity_id, alias)
+        self.model.remove_alias(entity_id, alias)
+        assert [entity.entity_id for entity in self.graph.find_by_name(alias)] == (
+            self.model.find_by_name(alias)
+        )
 
     @rule()
     def copy(self):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.store import term_key
 from repro.integrate.fusion import AccuFusion, ValueClaim, claims_from_sources, majority_vote
 from repro.obs import enabled_scope, reset_all
 from repro.obs.lineage import get_ledger
@@ -141,10 +142,11 @@ class TestAccuFusion:
             assert 0.0 < result.confidence <= 1.0
 
 
-# Python-equal values of different types (one term), a shared NaN object
-# and fresh ones (each unequal to every value, itself included).
+# Python-equal values of different types (distinct terms), strings that
+# print like them, a shared NaN object and fresh ones (each unequal to
+# every value, itself included).
 _VALUES = st.one_of(
-    st.sampled_from([0, 0.0, False, 1, 1.0, True, "a", "b", math.nan]),
+    st.sampled_from([0, 0.0, False, 1, 1.0, True, "1", "a", "b", math.nan]),
     st.builds(float, st.just("nan")),
 )
 _CLAIM_ROWS = st.lists(
@@ -162,16 +164,24 @@ _ALL_CONTESTED = [
     ("e1", "x", "a", "s1"), ("e1", "x", "b", "s2"),
     ("e2", "x", 1, "s3"), ("e2", "x", 2, "s1"), ("e2", "x", 2, "s2"),
 ]
+# One term four ways, with sources repeated inside an item.
+_ONE_FOUR_WAYS = [
+    ("e1", "x", 1, "s1"), ("e1", "x", 1.0, "s1"), ("e1", "x", True, "s2"),
+    ("e1", "x", "1", "s2"), ("e2", "x", True, "s1"), ("e2", "x", 1, "s1"),
+    ("e2", "x", 1, "s3"), ("e3", "x", "1", "s3"), ("e3", "x", 1, "s2"),
+]
 
 
 class TestFoldedEMExactness:
-    """``fuse`` iterates over contested items only; the stepwise loop over
-    every item in ``tests/oracles.py`` must give the very same floats."""
+    """``fuse`` runs the E-step once per agreement pattern of the contested
+    items; the stepwise loop over every item in ``tests/oracles.py`` must
+    give the very same floats, winners and ledger."""
 
     @given(rows=_CLAIM_ROWS, n_iterations=st.integers(min_value=1, max_value=12))
     @example(rows=_ONE_SOURCE, n_iterations=10)
     @example(rows=_ALL_UNCONTESTED, n_iterations=10)
     @example(rows=_ALL_CONTESTED, n_iterations=10)
+    @example(rows=_ONE_FOUR_WAYS, n_iterations=10)
     @settings(max_examples=150, deadline=None)
     def test_fuse_equals_the_stepwise_loop(self, rows, n_iterations):
         claims = _claims(rows)
@@ -185,13 +195,14 @@ class TestFoldedEMExactness:
         assert [type(result.value) for result in results] == [
             type(result.value) for result in expected
         ]
-        values = {}
+        terms = {}
         for claim in claims:
-            values.setdefault((claim.subject, claim.attribute), set()).add(claim.value)
-        assert fusion.n_contested_items_ == sum(len(item) > 1 for item in values.values())
+            terms.setdefault((claim.subject, claim.attribute), set()).add(term_key(claim.value))
+        assert fusion.n_contested_items_ == sum(len(item) > 1 for item in terms.values())
 
     @given(rows=_CLAIM_ROWS)
     @example(rows=_ALL_CONTESTED)
+    @example(rows=_ONE_FOUR_WAYS)
     @settings(max_examples=40, deadline=None)
     def test_lineage_ledgers_are_equal(self, rows):
         claims = _claims(rows)
@@ -206,6 +217,90 @@ class TestFoldedEMExactness:
                 ledgers.append(repr(get_ledger().export_state()))
             reset_all()
         assert ledgers[0] == ledgers[1]
+
+
+class TestPatterns:
+    def test_posterior_runs_once_per_pattern_per_iteration(self, monkeypatch):
+        """A feed shaped like the streaming benchmark's — every tenth
+        person repeated by a second feed with the birth year off by one —
+        has many contested items and one pattern."""
+        claims = []
+        for index in range(200):
+            year = 1900 + index % 90
+            claims.append(ValueClaim(f"p{index}", "birth_year", year, "feed-a"))
+            claims.append(ValueClaim(f"p{index}", "city", f"c{index % 7}", "feed-a"))
+            if index % 10 == 0:
+                claims.append(ValueClaim(f"p{index}", "birth_year", year + 1, "feed-b"))
+                claims.append(ValueClaim(f"p{index}", "city", f"c{index % 7}", "feed-b"))
+        seen = []
+        posterior = AccuFusion.posterior
+
+        def counted(self, pattern, accuracy):
+            seen.append(pattern)
+            return posterior(self, pattern, accuracy)
+
+        monkeypatch.setattr(AccuFusion, "posterior", counted)
+        fusion = AccuFusion()
+        results = fusion.fuse(claims)
+        assert fusion.n_contested_items_ == 20
+        assert seen == [(("feed-a", 0), ("feed-b", 1))] * fusion.n_iterations
+        assert fusion.source_accuracy_["feed-a"] > fusion.source_accuracy_["feed-b"]
+        assert all(
+            result.value == 1900 + int(result.subject[1:]) % 90
+            for result in results
+            if result.attribute == "birth_year"
+        )
+
+    def test_one_true_and_two_are_three_candidates(self):
+        """``1`` and ``True`` are two terms: three sources claiming ``1``,
+        ``True`` and ``2`` tie three ways, and the build keeps exactly the
+        winner's triple, of the winner's type."""
+        from repro.core.partition import partitioned_pipeline
+        from repro.datagen.sources import SourceRecord, StructuredSource
+
+        sources = [
+            StructuredSource(
+                name=name,
+                records=[
+                    SourceRecord(
+                        f"{name}:1", name, "Person", {"name": "Ada Lovelace", "flag": flag}, "w1"
+                    )
+                ],
+            )
+            for name, flag in (("x", 1), ("y", True), ("z", 2))
+        ]
+        pipeline, context = partitioned_pipeline(sources)
+        context = pipeline.run(context, partitions=1)
+        (result,) = [
+            r for r in context.artifacts["exchange"].fusion_results if r.attribute == "flag"
+        ]
+        assert (result.value, type(result.value)) == (True, bool)
+        assert result.confidence == 1 / 3
+        triples = context.artifacts["kg"].query(predicate="flag")
+        assert [(t.object, type(t.object)) for t in triples] == [(True, bool)]
+
+    def test_winner_does_not_depend_on_the_hash_seed(self):
+        """``1`` and ``"1"`` print alike; candidate order breaks the tie on
+        the type name, not on set order."""
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "from repro.integrate.fusion import AccuFusion, ValueClaim\n"
+            "claims = [ValueClaim('e', 'a', 1, 'x'), ValueClaim('e', 'a', '1', 'y')]\n"
+            "print(repr(AccuFusion().fuse(claims)[0].value))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        winners = set()
+        for hash_seed in range(6):
+            env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src)
+            completed = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True,
+                text=True, timeout=120, check=True,
+            )
+            winners.add(completed.stdout.strip())
+        assert winners == {"'1'"}
 
 
 class TestClaimsFromSources:

@@ -375,7 +375,7 @@ class TestIncrementalWork:
             work = [
                 {**dataclasses.asdict(report), "wall_s": None} for report in reports
             ]
-            return work, _public_state(ingestor.graph), ingestor._accuracy
+            return work, _public_state(ingestor.graph), ingestor._fusion.source_accuracy_
 
         off, on = run(False), run(True)
         assert sum(report["n_cluster_merges"] for report in off[0]) > 0

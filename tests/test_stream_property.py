@@ -5,10 +5,13 @@ ANY shuffle of the record stream, draining the deltas and finalizing
 produces exactly the batch build over the same source union — graph
 state with provenance, the lineage ledger, and the ``.rkgs`` snapshot
 bytes.  Nothing about how the records trickled in can change a single
-observable bit.  Mid-stream, whatever the split, order and publish
-cadence, each published snapshot is what a replay of the WAL rebuilds.
+observable bit.  Mid-stream the live graph is, after every delta, the
+batch build of the records that have arrived, also on inputs that
+re-link and split; and whatever the split, order and publish cadence,
+each published snapshot is what a replay of the WAL rebuilds.
 """
 
+import functools
 import os
 import tempfile
 
@@ -17,7 +20,9 @@ from hypothesis import strategies as st
 
 from repro.core import codec
 from repro.core.codec import TripleWAL
-from repro.core.partition import fixture_sources, partitioned_pipeline
+from repro.core.partition import PartitionedBuild, fixture_sources, partitioned_pipeline
+from repro.datagen.sources import StructuredSource
+from repro.integrate.blocking import BlockingStrategy
 from repro.obs import enabled_scope, reset_all
 from repro.obs.lineage import get_ledger
 from repro.serve.snapshot import SnapshotStore
@@ -142,3 +147,98 @@ def test_any_split_publishes_what_a_replay_rebuilds(batch_size, order_seed, cade
         for snapshot, state in published:
             assert _state(snapshot.graph) == state
         ingestor.wal.close()
+
+
+# Inputs that re-link and split: small block caps push blocks over the cap
+# as records arrive, so a re-link takes matches back and splits clusters.
+_SPLITTING = st.tuples(st.integers(min_value=0, max_value=15), st.sampled_from((3, 5)))
+
+
+@functools.lru_cache(maxsize=None)
+def _splitting_sources(seed):
+    return fixture_sources(n_people=60, n_movies=40, seed=seed)
+
+
+def _batch_of(sources, arrived, cap):
+    """The batch build of the records in ``arrived``."""
+    prefix = [
+        StructuredSource(
+            name=source.name,
+            field_map=dict(source.field_map),
+            records=[record for record in source.records if record.record_id in arrived],
+        )
+        for source in sources
+    ]
+    pipeline, context = partitioned_pipeline(
+        prefix, strategy=BlockingStrategy(max_block_size=cap)
+    )
+    return pipeline.run(context, partitions=1).artifacts["kg"]
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    fixture=st.one_of(st.just(None), _SPLITTING),
+    batch_size=st.integers(min_value=1, max_value=60),
+    order_seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_any_split_any_order_is_the_batch_build_of_every_prefix(
+    fixture, batch_size, order_seed
+):
+    """After every delta the live graph's triples, provenance and entity
+    rows are the batch build of the records that have arrived."""
+    if fixture is None:
+        sources, cap = _SOURCES, 200
+    else:
+        sources, cap = _splitting_sources(fixture[0]), fixture[1]
+    ingestor = StreamIngestor(
+        build=PartitionedBuild(strategy=BlockingStrategy(max_block_size=cap))
+    )
+    arrived = set()
+    for delta in micro_batches(sources, batch_size, order_seed=order_seed):
+        ingestor.ingest(delta)
+        arrived.update(record.record_id for record in delta.records)
+        assert _state(ingestor.graph) == _state(_batch_of(sources, arrived, cap)), delta.seqno
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    fixture=_SPLITTING,
+    batch_size=st.integers(min_value=1, max_value=60),
+    order_seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_splits_publish_what_a_replay_rebuilds(fixture, batch_size, order_seed):
+    """A split removes aliases from the live graph: the WAL logs each
+    removal, and the view publishes what a replay of the log rebuilds."""
+    seed, cap = fixture
+    with tempfile.TemporaryDirectory() as wal_dir:
+        ingestor = StreamIngestor(
+            build=PartitionedBuild(strategy=BlockingStrategy(max_block_size=cap)),
+            wal=TripleWAL(wal_dir),
+        )
+        publisher = StreamPublisher(SnapshotStore(n_shards=2), WALFollower(wal_dir))
+        for delta in micro_batches(_splitting_sources(seed), batch_size, order_seed=order_seed):
+            ingestor.ingest(delta)
+            publisher.publish()
+            published = _state(publisher.store.current().graph)
+            assert published == _state(replay_wal_directory(wal_dir))
+            assert published == _state(ingestor.graph)
+        assert publisher.follower.is_view
+        ingestor.wal.close()
+
+
+def test_a_split_removes_the_alias_it_took_away():
+    """``fixture_sources(60, 40, 1)`` at block cap 3 splits clusters whose
+    merged-away names the live graph must drop again."""
+    removed = []
+    ingestor = StreamIngestor(
+        build=PartitionedBuild(strategy=BlockingStrategy(max_block_size=3))
+    )
+    remove_alias = ingestor.graph.remove_alias
+    ingestor.graph.remove_alias = lambda *args: (removed.append(args), remove_alias(*args))
+    arrived = set()
+    sources = _splitting_sources(1)
+    for delta in micro_batches(sources, 5, order_seed=1):
+        ingestor.ingest(delta)
+        arrived.update(record.record_id for record in delta.records)
+    assert removed and ingestor.n_relinks
+    assert _state(ingestor.graph) == _state(_batch_of(sources, arrived, 3))
