@@ -519,9 +519,6 @@ def _entity_rows(graph) -> set:
 def cmd_stream(args: argparse.Namespace) -> int:
     """Continuous construction: drain fixture deltas, publish live, finalize."""
     import tempfile
-    import time
-
-    from repro.evalx.tables import render_table
 
     if args.batch_size < 1:
         print("--batch-size must be a positive integer", file=sys.stderr)
@@ -538,8 +535,20 @@ def cmd_stream(args: argparse.Namespace) -> int:
         )
         return 2
 
+    if args.wal_dir:
+        return _stream(args, args.wal_dir)
+    # Without --wal-dir the log is scratch: removed on exit, success or error.
+    with tempfile.TemporaryDirectory(prefix="repro-stream-wal-") as wal_dir:
+        return _stream(args, wal_dir)
+
+
+def _stream(args: argparse.Namespace, wal_dir: str) -> int:
+    """``cmd_stream``'s run over the WAL directory ``wal_dir``."""
+    import time
+
     from repro.core.codec import TripleWAL
     from repro.core.partition import fixture_sources
+    from repro.evalx.tables import render_table
     from repro.obs import enabled_scope, get_tracer, profiling, reset_all, runs
     from repro.obs.lineage import get_ledger
     from repro.serve.snapshot import SnapshotStore
@@ -556,7 +565,6 @@ def cmd_stream(args: argparse.Namespace) -> int:
         n_people=args.people, n_movies=args.movies, seed=args.seed
     )
     n_records = sum(len(source) for source in sources)
-    wal_dir = args.wal_dir or tempfile.mkdtemp(prefix="repro-stream-wal-")
 
     server = None
     service = None
@@ -653,7 +661,8 @@ def cmd_stream(args: argparse.Namespace) -> int:
                 note=(
                     f"{n_records} records -> {stats['n_triples']} triples, "
                     f"{stats['n_entities']} entities; canonical base "
-                    f"{stats['base_path']} ({stats['base_bytes']} bytes)"
+                    + (f"{stats['base_path']} " if args.wal_dir else "")
+                    + f"({stats['base_bytes']} bytes)"
                 ),
             )
         )
@@ -923,7 +932,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     # keeps the per-request cost inside the <5% budget.
     if not args.no_obs:
         profiling.enable()
-    service.trace_sample = args.trace_sample
+    if args.trace_sample is not None:
+        service.trace_sample = args.trace_sample
     if args.access_log:
         service.access_log = AccessLog(args.access_log, sample=args.access_log_sample)
     server, _thread = start_server(service, host=args.host, port=args.port)

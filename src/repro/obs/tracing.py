@@ -12,6 +12,13 @@ as JSONL, one object per span::
      "name": "stage.fuse_values", "started_unix": 1721312.5,
      "wall_seconds": 0.0123, "cpu_seconds": 0.0119, "tags": {...}}
 
+This is the process's only span recorder: serving requests trace through
+it too (:func:`repro.serve.context.request_scope` opens each sampled
+request's ``serve.request`` root as a new trace keyed by the request id).
+A :data:`NULL_SPAN` on a thread's stack *mutes* it: ``span()`` then
+yields the null span and records nothing until the mute is popped, which
+is how an unsampled request drops its whole tree.
+
 When observability is disabled (the default) ``span()`` yields a shared
 no-op span and costs one flag check; see :mod:`repro.obs.profiling` for
 the enable/disable hooks.
@@ -102,10 +109,14 @@ class Tracer:
         stack = self._stack()
         return stack[-1] if stack else None
 
-    def start_span(self, name: str, **tags: object) -> Span:
-        """Open a span as a child of the current one; caller must finish it."""
+    def start_span(self, name: str, trace_id: Optional[str] = None, **tags: object) -> Span:
+        """Open a span as a child of the current one; caller must finish it.
+
+        ``trace_id`` opens the root of a new trace under that id, even
+        inside an open span or on a muted thread.
+        """
         stack = self._stack()
-        parent = stack[-1] if stack else None
+        parent = stack[-1] if stack and trace_id is None else None
         with self._lock:
             self._next_id += 1
             span_id = f"s{self._next_id}"
@@ -113,8 +124,9 @@ class Tracer:
                 trace_id = parent.trace_id
                 parent_id: Optional[str] = parent.span_id
             else:
-                self._next_trace += 1
-                trace_id = f"t{self._next_trace}"
+                if trace_id is None:
+                    self._next_trace += 1
+                    trace_id = f"t{self._next_trace}"
                 parent_id = None
         opened = Span(
             name=name,
@@ -127,6 +139,16 @@ class Tracer:
         stack.append(opened)
         return opened
 
+    def mute(self) -> None:
+        """Until :meth:`unmute`, :func:`span` on this thread records nothing."""
+        self._stack().append(NULL_SPAN)
+
+    def unmute(self) -> None:
+        """Pop the mute pushed by the matching :meth:`mute`."""
+        stack = self._stack()
+        if stack and stack[-1] is NULL_SPAN:
+            stack.pop()
+
     def finish_span(self, span_: Span, wall_seconds: float, cpu_seconds: float) -> None:
         """Close a span opened by :meth:`start_span` and record it."""
         stack = self._stack()
@@ -138,19 +160,6 @@ class Tracer:
         span_.cpu_seconds = cpu_seconds
         with self._lock:
             self._finished.append(span_)
-
-    def record_finished(self, spans: "List[Span]") -> None:
-        """Adopt externally finished spans (a request trace being flushed).
-
-        The serving layer buffers each request's spans on its
-        :class:`~repro.serve.context.RequestContext` — the thread-local
-        stack here cannot follow a request across pool threads — and
-        flushes sampled requests through this in one append.
-        """
-        if not spans:
-            return
-        with self._lock:
-            self._finished.extend(spans)
 
     # ---- inspection / export -------------------------------------------
 
@@ -203,12 +212,17 @@ def span(name: str, **tags: object) -> Iterator[Span]:
     ``time.process_time`` (whole-process, so concurrent threads inflate
     it — fine for the single-threaded construction paths instrumented
     here).  Exceptions propagate after the span is finished and tagged
-    with ``error``.
+    with ``error``.  On a muted thread (see :meth:`Tracer.mute`) it
+    yields the null span.
     """
     if not FLAGS.enabled:
         yield NULL_SPAN
         return
     tracer = _GLOBAL_TRACER
+    stack = tracer._stack()
+    if stack and stack[-1] is NULL_SPAN:
+        yield NULL_SPAN
+        return
     opened = tracer.start_span(name, **tags)
     wall_start = time.perf_counter()
     cpu_start = time.process_time()

@@ -7,22 +7,24 @@ a :mod:`contextvars` variable through admission, the cache and the
 router, so every layer can tag the *same* request without threading
 arguments through the stack.
 
-Tracing is **per request**: spans opened inside a request scope land in a
-private buffer on the context, not the global tracer's thread-local
-stack, so a request's tree is kept or dropped as a whole.  When the
-request finishes, the buffered tree is flushed to the process-global
-:class:`~repro.obs.tracing.Tracer` — in the exact JSONL span format the
-rest of the stack already exports — iff the request was *sampled*:
+Tracing is **per request** and goes through the process tracer
+(:mod:`repro.obs.tracing`), the only span recorder: a request runs on one
+thread from start to finish, so the tracer's thread-local stack follows
+it.  :class:`request_scope` opens the request's ``serve.request`` root as
+a new trace keyed by the request id iff the request is *sampled*, and
+mutes the thread's tracer otherwise, so a request's tree is kept or
+dropped as a whole:
 
 * **head-based sampling** — the keep/drop decision is drawn when the
-  context is created, at the rate given by ``REPRO_TRACE_SAMPLE``
-  (default 0.01, i.e. 1% of requests);
+  context is created, at the service's rate (``KGService`` resolves it
+  once from ``REPRO_TRACE_SAMPLE``, default 0.01, i.e. 1% of requests);
 * **always-sample on shed/error** — a request that ends shed (429) or
-  errored (5xx) is flushed regardless of the head decision, so the
-  traces an operator actually needs are never the ones sampling dropped.
+  errored (5xx) gets a synthesized root with its tags and timing
+  regardless of the head decision, so the traces an operator actually
+  needs are never the ones sampling dropped.
 
-Span buffering (like all observability here) is active only under
-``REPRO_OBS=1``; the disabled path costs one flag check per call site.
+Tracing and tagging (like all observability here) are active only under
+``REPRO_OBS=1``; with it off a request opens no span and fills no tags.
 The structured access log (:class:`AccessLog`) is off by default and
 writes one JSON line per sampled request — again keeping every shed or
 errored request regardless of its sample draw.
@@ -37,11 +39,10 @@ import os
 import random
 import threading
 import time
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, TextIO
+from typing import Dict, Optional, TextIO
 
 from repro.obs._flags import FLAGS
-from repro.obs.tracing import NULL_SPAN, Span, get_tracer, span as tracer_span
+from repro.obs.tracing import NULL_SPAN, Span, Tracer, get_tracer
 
 #: The header carrying the request id in and out of the HTTP transport.
 REQUEST_ID_HEADER = "X-Repro-Request-Id"
@@ -83,121 +84,44 @@ def new_request_id() -> str:
 
 
 class RequestContext:
-    """One serving request's identity, labels, deadline, and span buffer.
-
-    Thread-safe where it must be: the span buffer and id counter are
-    locked, so a context handed to another thread can still record spans.
-    ``labels`` is the tenant-ready label set — today it carries the
-    route (and whatever the transport adds); the multi-tenant roadmap
-    item will add ``tenant`` without touching any consumer.
-    """
+    """One serving request's identity, sampling decision, tags and outcome."""
 
     __slots__ = (
         "request_id",
         "route",
-        "labels",
         "tags",
-        "timeout_s",
         "started_unix",
         "started_monotonic",
         "sampled",
-        "forced",
         "status",
         "http_status",
-        "root",
-        "_lock",
-        "_spans",
-        "_next_span",
-        "_flushed",
     )
 
     def __init__(
         self,
         route: str,
         request_id: Optional[str] = None,
-        labels: Optional[Dict[str, str]] = None,
-        timeout_s: Optional[float] = None,
         sample_rate: Optional[float] = None,
     ):
         self.request_id = request_id or new_request_id()
         self.route = route
-        self.labels: Dict[str, str] = {"route": route}
-        if labels:
-            self.labels.update(labels)
-        self.timeout_s = timeout_s
-        # Root-span tags buffered as a plain dict: layers tag the request
-        # unconditionally (GIL-atomic dict store, no branch, no lock) and
-        # the scope merges them into the root span only when the trace is
-        # kept.
+        # Root-span tags, filled by :func:`tag_request` only while
+        # observability is on and merged into the root when it is kept.
         self.tags: Dict[str, object] = {}
         self.started_unix = time.time()
         self.started_monotonic = time.monotonic()
         rate = sample_rate if sample_rate is not None else trace_sample_rate()
         self.sampled = bool(rate >= 1.0 or (rate > 0.0 and _SAMPLE_RNG.random() < rate))
-        self.forced = False
         self.status: Optional[str] = None
         self.http_status: int = 0
-        self.root: Span = NULL_SPAN
-        self._lock = threading.Lock()
-        self._spans: List[Span] = []
-        self._next_span = 0
-        self._flushed = False
-
-    # ---- span buffer (the per-request trace) --------------------------
-
-    def new_span(self, name: str, parent_id: Optional[str], **tags: object) -> Span:
-        """Open a span in this request's trace; caller must :meth:`record` it."""
-        with self._lock:
-            self._next_span += 1
-            span_id = f"{self.request_id}.s{self._next_span}"
-        return Span(
-            name=name,
-            span_id=span_id,
-            trace_id=self.request_id,
-            parent_id=parent_id,
-            started_unix=time.time(),
-            tags=dict(tags),
-        )
-
-    def record(self, span_: Span, wall_seconds: float, cpu_seconds: float) -> None:
-        """Close a span opened by :meth:`new_span` into the request buffer."""
-        span_.wall_seconds = wall_seconds
-        span_.cpu_seconds = cpu_seconds
-        with self._lock:
-            self._spans.append(span_)
-
-    def spans(self) -> List[Span]:
-        """The buffered spans recorded so far (completion order)."""
-        with self._lock:
-            return list(self._spans)
 
     @property
-    def keep_trace(self) -> bool:
-        return self.sampled or self.forced
+    def forced(self) -> bool:
+        """Whether the outcome (shed or 5xx) forces the trace and log line."""
+        return self.status in ALWAYS_SAMPLE_STATUSES or self.http_status >= 500
 
     def elapsed_ms(self) -> float:
         return (time.monotonic() - self.started_monotonic) * 1000.0
-
-    # ---- finishing ----------------------------------------------------
-
-    def finish(self, status: Optional[str] = None, http_status: Optional[int] = None) -> None:
-        """Record the outcome and flush the span tree if the request is kept.
-
-        Idempotent: the request scope calls it on exit, but an edge that
-        already knows the outcome may call it earlier with the real
-        status codes.
-        """
-        if status is not None:
-            self.status = status
-        if http_status is not None:
-            self.http_status = http_status
-        if self.status in ALWAYS_SAMPLE_STATUSES or self.http_status >= 500:
-            self.forced = True
-        if self._flushed or not FLAGS.enabled:
-            return
-        self._flushed = True
-        if self.keep_trace:
-            get_tracer().record_finished(self.spans())
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +130,6 @@ class RequestContext:
 _CONTEXT: "contextvars.ContextVar[Optional[RequestContext]]" = contextvars.ContextVar(
     "repro_request_context", default=None
 )
-_ACTIVE_SPAN: "contextvars.ContextVar[Optional[Span]]" = contextvars.ContextVar(
-    "repro_request_span", default=None
-)
 
 
 def current_context() -> Optional[RequestContext]:
@@ -216,78 +137,27 @@ def current_context() -> Optional[RequestContext]:
     return _CONTEXT.get()
 
 
-def current_request_span() -> Optional[Span]:
-    """The innermost open request span (the parent for new children)."""
-    return _ACTIVE_SPAN.get()
-
-
 def tag_request(key: str, value: object) -> None:
-    """Tag the active request's root span (no-op outside a request scope).
-
-    Tags land in the context's buffered tag dict — kept for every request
-    (they also feed the forced shed/error trace) and merged onto the root
-    span at flush time.
-    """
-    context = _CONTEXT.get()
-    if context is not None:
-        context.tags[key] = value
-
-
-@contextmanager
-def request_span(name: str, **tags: object) -> Iterator[Span]:
-    """A span in the active request's trace (its buffer, not the tracer).
-
-    Outside a request scope this degrades to the plain
-    :func:`repro.obs.tracing.span`, so instrumented serve code keeps
-    producing spans when the router is driven directly (tests, traced
-    workloads that bypass the clients).  Disabled observability yields
-    the shared null span either way.
-
-    Head sampling is applied *here*, not just at flush time: a request
-    the head decision dropped buffers only its root span, so the common
-    unsampled request pays one flag check per instrumentation point —
-    that is what keeps the obs-on p95 overhead under the 5% gate.  The
-    cost: a request force-kept late (a 5xx) flushes its root span and
-    tags but not child spans.  Shed requests lose nothing — they are
-    rejected at admission before any child span would open.
-    """
-    context = _CONTEXT.get()
-    if context is None:
-        with tracer_span(name, **tags) as span_:
-            yield span_
-        return
-    if not FLAGS.enabled or not context.keep_trace:
-        yield NULL_SPAN
-        return
-    parent = _ACTIVE_SPAN.get()
-    opened = context.new_span(
-        name, parent.span_id if parent is not None else None, **tags
-    )
-    token = _ACTIVE_SPAN.set(opened)
-    wall_start = time.perf_counter()
-    cpu_start = time.process_time()
-    try:
-        yield opened
-    except BaseException as exc:
-        opened.set_tag("error", f"{type(exc).__name__}: {exc}")
-        raise
-    finally:
-        _ACTIVE_SPAN.reset(token)
-        context.record(
-            opened,
-            wall_seconds=time.perf_counter() - wall_start,
-            cpu_seconds=time.process_time() - cpu_start,
-        )
+    """Tag the active request's root span (no-op outside a request scope
+    or with observability off)."""
+    if FLAGS.enabled:
+        context = _CONTEXT.get()
+        if context is not None:
+            context.tags[key] = value
 
 
 class request_scope:
     """The transport edge's bracket: create, propagate, finish one request.
 
-    Opens the root ``serve.request`` span, installs the context for the
-    duration of the block, and on exit finishes the root span, applies
-    the sampling decision (flushing the tree to the global tracer when
-    kept), and writes the access-log line.  **Reentrant**: when a scope
-    is already active (an in-process client called from inside another
+    Installs the context for the duration of the block.  With
+    observability on, a sampled request opens its ``serve.request`` root
+    on the process tracer as a new trace keyed by the request id, so the
+    route's spans nest under it; an unsampled one mutes the thread's
+    tracer instead, so they record nothing.  On exit the root gets the
+    request's tags and outcome, a shed or errored request that was not
+    sampled gets a synthesized root (tags and timing, no children), and
+    the access-log line is written.  **Reentrant**: when a scope is
+    already active (an in-process client called from inside another
     request) the existing context is yielded untouched.
 
     A hand-rolled context manager rather than ``@contextmanager``: this
@@ -299,15 +169,12 @@ class request_scope:
     __slots__ = (
         "_route",
         "_request_id",
-        "_labels",
-        "_timeout_s",
         "_sample_rate",
         "_access_log",
         "_context",
         "_reentrant",
         "_context_token",
-        "_span_token",
-        "_wall_start",
+        "_root",
         "_cpu_start",
     )
 
@@ -315,18 +182,16 @@ class request_scope:
         self,
         route: str,
         request_id: Optional[str] = None,
-        labels: Optional[Dict[str, str]] = None,
-        timeout_s: Optional[float] = None,
         sample_rate: Optional[float] = None,
         access_log: Optional["AccessLog"] = None,
     ):
         self._route = route
         self._request_id = request_id
-        self._labels = labels
-        self._timeout_s = timeout_s
         self._sample_rate = sample_rate
         self._access_log = access_log
         self._reentrant = False
+        # The sampled root, NULL_SPAN for a mute, None when obs was off.
+        self._root: Optional[Span] = None
 
     def __enter__(self) -> RequestContext:
         existing = _CONTEXT.get()
@@ -335,63 +200,60 @@ class request_scope:
             self._context = existing
             return existing
         context = RequestContext(
-            self._route,
-            request_id=self._request_id,
-            labels=self._labels,
-            timeout_s=self._timeout_s,
-            sample_rate=self._sample_rate,
+            self._route, request_id=self._request_id, sample_rate=self._sample_rate
         )
-        if FLAGS.enabled and context.sampled:
-            # Lazy elsewhere: an unsampled request allocates no Span at
-            # all unless it ends shed/errored (synthesized in __exit__).
-            context.root = context.new_span(
-                "serve.request", None, route=self._route, request_id=context.request_id
-            )
         self._context = context
         self._context_token = _CONTEXT.set(context)
-        self._span_token = _ACTIVE_SPAN.set(
-            context.root if context.root is not NULL_SPAN else None
-        )
-        self._wall_start = time.perf_counter()
-        self._cpu_start = time.process_time()
+        if FLAGS.enabled:
+            tracer = get_tracer()
+            if context.sampled:
+                self._root = self._open_root(tracer)
+            else:
+                tracer.mute()
+                self._root = NULL_SPAN
+            self._cpu_start = time.process_time()
         return context
 
-    def __exit__(self, exc_type, exc, tb) -> bool:
+    def _open_root(self, tracer: Tracer) -> Span:
+        """The request's ``serve.request`` root: a new trace keyed by its id."""
         context = self._context
+        root = tracer.start_span(
+            "serve.request",
+            trace_id=context.request_id,
+            route=self._route,
+            request_id=context.request_id,
+        )
+        root.started_unix = context.started_unix
+        return root
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
         if self._reentrant:
             return False
+        context = self._context
         if exc is not None:
             context.status = context.status or "error"
-            context.tags["error"] = f"{exc_type.__name__}: {exc}"
-        _ACTIVE_SPAN.reset(self._span_token)
         _CONTEXT.reset(self._context_token)
-        if FLAGS.enabled:
-            forced = (
-                context.forced
-                or context.status in ALWAYS_SAMPLE_STATUSES
-                or context.http_status >= 500
-            )
-            if context.root is NULL_SPAN and forced:
-                # The head decision dropped this request but its outcome
-                # forces a keep: synthesize the root (children are gone,
-                # the tags and timing are not).
-                context.root = context.new_span(
-                    "serve.request",
-                    None,
-                    route=self._route,
-                    request_id=context.request_id,
-                )
-                context.root.started_unix = context.started_unix
-            if context.root is not NULL_SPAN:
-                context.root.tags.update(context.tags)
-                context.root.set_tag("status", context.status)
-                context.root.set_tag("http_status", context.http_status)
-                context.record(
-                    context.root,
-                    wall_seconds=time.perf_counter() - self._wall_start,
+        root = self._root
+        if root is not None:
+            tracer = get_tracer()
+            if root is NULL_SPAN:
+                tracer.unmute()
+                if context.forced:
+                    # The head decision dropped this request but its outcome
+                    # forces a keep: synthesize the root (children are gone,
+                    # the tags and timing are not).
+                    root = self._open_root(tracer)
+            if root is not NULL_SPAN:
+                root.tags.update(context.tags)
+                if exc is not None:
+                    root.set_tag("error", f"{exc_type.__name__}: {exc}")
+                root.set_tag("status", context.status)
+                root.set_tag("http_status", context.http_status)
+                tracer.finish_span(
+                    root,
+                    wall_seconds=context.elapsed_ms() / 1000.0,
                     cpu_seconds=time.process_time() - self._cpu_start,
                 )
-        context.finish()
         if self._access_log is not None:
             self._access_log.record(context)
         return False
@@ -420,7 +282,7 @@ class AccessLog:
         self._n_written = 0
 
     def _should_log(self, context: RequestContext) -> bool:
-        if context.status in ALWAYS_SAMPLE_STATUSES or context.http_status >= 500:
+        if context.forced:
             return True
         if self.sample >= 1.0:
             return True
@@ -438,8 +300,7 @@ class AccessLog:
                 "status": context.status,
                 "http_status": context.http_status,
                 "latency_ms": round(context.elapsed_ms(), 3),
-                "labels": context.labels,
-                "sampled_trace": context.keep_trace,
+                "sampled_trace": context.sampled or context.forced,
             },
             sort_keys=True,
         )

@@ -33,6 +33,7 @@ from repro.neural.qa import DualRouterQA, KGQA, Question
 from repro.obs import metrics as obs_metrics
 from repro.obs._flags import FLAGS
 from repro.obs.slo import get_slo_tracker
+from repro.obs.tracing import span as obs_span
 from repro.serve import context as serve_context
 from repro.serve.admission import AdmissionController, Deadline
 from repro.serve.cache import ResponseCache
@@ -249,7 +250,7 @@ class RequestRouter:
             )
         deadline = self.admission.deadline(timeout_s)
         try:
-            with serve_context.request_span(
+            with obs_span(
                 f"serve.{route}", route=route, snapshot=snapshot.version
             ):
                 return self._finish(
@@ -470,11 +471,11 @@ class RequestRouter:
         if lm_shed:
             if decision.shed_lm and dual is not None:
                 obs_metrics.count("serve.shed.lm")
-            with serve_context.request_span("serve.qa", engine="kg", lm_shed=True):
+            with obs_span("serve.qa", engine="kg", lm_shed=True):
                 answer = kgqa.answer(question)
         else:
             with self._lm_lock:
-                with serve_context.request_span("serve.qa", engine="dual", lm_shed=False):
+                with obs_span("serve.qa", engine="dual", lm_shed=False):
                     answer = dual.answer(question)
         return {
             "subject": subject,

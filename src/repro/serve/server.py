@@ -125,12 +125,11 @@ def _make_handler(service: KGService):
             except ValueError:
                 return _INVALID_TIMEOUT
 
-        def _serve_route(self, route: str, compute, timeout_s=None) -> None:
+        def _serve_route(self, route: str, compute) -> None:
             """Run one routed request inside its observability scope."""
             with serve_context.request_scope(
                 route,
                 request_id=self._request_id(),
-                timeout_s=timeout_s if isinstance(timeout_s, (int, float)) else None,
                 sample_rate=service.trace_sample,
                 access_log=service.access_log,
             ) as context:
@@ -185,7 +184,6 @@ def _make_handler(service: KGService):
                         params.get("predicate", ""),
                         timeout_s=timeout_s,
                     ),
-                    timeout_s=timeout_s,
                 )
             elif route == "/paths":
                 try:
@@ -203,7 +201,6 @@ def _make_handler(service: KGService):
                         max_paths=max_paths,
                         timeout_s=timeout_s,
                     ),
-                    timeout_s=timeout_s,
                 )
             elif route == "/ask":
                 self._serve_route(
@@ -213,7 +210,6 @@ def _make_handler(service: KGService):
                         params.get("predicate", ""),
                         timeout_s=timeout_s,
                     ),
-                    timeout_s=timeout_s,
                 )
             else:
                 self._unknown_route(route)
@@ -249,7 +245,6 @@ def _make_handler(service: KGService):
                 self._serve_route(
                     "query",
                     lambda: service.query(patterns or [], timeout_s=timeout_s),
-                    timeout_s=timeout_s,
                 )
             else:
                 self._unknown_route(route)
@@ -291,10 +286,9 @@ class InProcessClient:
         self.service = service
         self.last_request_id: Optional[str] = None
 
-    def _call(self, route: str, compute, timeout_s=None) -> ClientResult:
+    def _call(self, route: str, compute) -> ClientResult:
         with serve_context.request_scope(
             route,
-            timeout_s=timeout_s if isinstance(timeout_s, (int, float)) else None,
             sample_rate=self.service.trace_sample,
             access_log=self.service.access_log,
         ) as context:
@@ -308,7 +302,6 @@ class InProcessClient:
         return self._call(
             "lookup",
             lambda: self.service.lookup(subject, predicate, timeout_s=timeout_s),
-            timeout_s=timeout_s,
         )
 
     def paths(self, start: str, goal: str, max_length: int = 3, max_paths: int = 25,
@@ -319,21 +312,18 @@ class InProcessClient:
                 start, goal, max_length=max_length, max_paths=max_paths,
                 timeout_s=timeout_s,
             ),
-            timeout_s=timeout_s,
         )
 
     def query(self, patterns: Sequence[Sequence[object]], timeout_s=None) -> ClientResult:
         return self._call(
             "query",
             lambda: self.service.query(patterns, timeout_s=timeout_s),
-            timeout_s=timeout_s,
         )
 
     def ask(self, subject: str, predicate: str, timeout_s=None) -> ClientResult:
         return self._call(
             "ask",
             lambda: self.service.ask(subject, predicate, timeout_s=timeout_s),
-            timeout_s=timeout_s,
         )
 
     def stats(self) -> ClientResult:

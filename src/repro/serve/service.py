@@ -45,9 +45,11 @@ class KGService:
         self.router = RequestRouter(
             self.store, cache=self.cache, admission=self.admission, model=model
         )
-        #: Head-sampling rate for request traces; None defers to the
-        #: REPRO_TRACE_SAMPLE environment variable (default 1%).
-        self.trace_sample = trace_sample
+        #: Head-sampling rate for request traces, resolved once: the
+        #: explicit value, else REPRO_TRACE_SAMPLE, else 1%.
+        self.trace_sample: float = (
+            trace_sample if trace_sample is not None else serve_context.trace_sample_rate()
+        )
         #: Structured JSONL access log; None (the default) writes nothing.
         self.access_log = access_log
         self.started_unix = time.time()
@@ -133,11 +135,7 @@ class KGService:
             "degradation_level": self.admission.current_level(),
             "admission": self.admission.stats(),
             "observability_enabled": FLAGS.enabled,
-            "trace_sample": (
-                self.trace_sample
-                if self.trace_sample is not None
-                else serve_context.trace_sample_rate()
-            ),
+            "trace_sample": self.trace_sample,
             "slo": get_slo_tracker().summary(),
         }
 

@@ -678,6 +678,23 @@ class TestBuildCli:
         assert triple_diff == len(set(ingestor.graph.query()) ^ set(final.query()))
         assert entity_diff == 0
 
+    def test_stream_removes_its_scratch_wal(self, tmp_path, monkeypatch, capsys):
+        """Without --wal-dir the log lives in a temporary directory that is
+        gone after the run, and its path is not printed."""
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        for _ in range(2):
+            assert main(["stream", *self._ARGS]) == 0
+        assert not list(tmp_path.glob("repro-stream-wal-*"))
+        assert "repro-stream-wal-" not in capsys.readouterr().out
+
+    def test_stream_keeps_a_given_wal_dir(self, tmp_path, capsys):
+        wal_dir = tmp_path / "wal"
+        assert main(["stream", "--wal-dir", str(wal_dir), *self._ARGS]) == 0
+        assert (wal_dir / "base.rkgs").exists()
+        assert str(wal_dir / "base.rkgs") in capsys.readouterr().out
+
     def test_stream_publishes_a_view_of_the_ingestor(self, tmp_path, capsys):
         """In-process publishes read the ingestor's own graph, not a replica."""
         assert main(["stream", "--wal-dir", str(tmp_path), *self._ARGS]) == 0

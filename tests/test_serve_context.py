@@ -7,7 +7,7 @@ import pytest
 from repro.core.graph import KnowledgeGraph
 from repro.core.ontology import Ontology
 from repro.obs import enabled_scope, get_tracer
-from repro.obs.tracing import NULL_SPAN
+from repro.obs.tracing import NULL_SPAN, Tracer, span as obs_span
 from repro.serve import context as serve_context
 from repro.serve.admission import AdmissionController
 from repro.serve.context import (
@@ -15,7 +15,6 @@ from repro.serve.context import (
     RequestContext,
     new_request_id,
     request_scope,
-    request_span,
     tag_request,
     trace_sample_rate,
 )
@@ -88,7 +87,7 @@ class TestPropagation:
     def test_scope_installs_and_removes_context(self):
         with request_scope("lookup", sample_rate=0.0) as context:
             assert serve_context.current_context() is context
-            assert context.labels["route"] == "lookup"
+            assert context.route == "lookup"
         assert serve_context.current_context() is None
 
     def test_reentrant_scope_reuses_outer_context(self):
@@ -98,7 +97,7 @@ class TestPropagation:
             # Inner exit must not tear down the outer context.
             assert serve_context.current_context() is outer
 
-    def test_tags_buffer_on_context(self):
+    def test_tags_buffer_on_context(self, obs_on):
         with request_scope("lookup", sample_rate=0.0) as context:
             tag_request("cache", "hit")
             tag_request("admission.level", "healthy")
@@ -131,7 +130,7 @@ class TestSampling:
 
     def test_unsampled_spans_are_null_inside_scope(self, obs_on):
         with request_scope("lookup", sample_rate=0.0):
-            with request_span("serve.child") as span_:
+            with obs_span("serve.child") as span_:
                 assert span_ is NULL_SPAN
 
     def test_shed_request_is_force_sampled_with_tags(self, obs_on):
@@ -184,6 +183,73 @@ class TestSampling:
         code, _body = client.lookup("e0", "color")
         assert code == 200
         assert get_tracer().spans() == []
+
+
+class TestOneRecorder:
+    """Requests trace through the process tracer, or not at all."""
+
+    def test_request_inside_an_open_span_starts_its_own_trace(self, obs_on):
+        client = InProcessClient(make_service(trace_sample=1.0))
+        with obs_span("experiment.X") as experiment:
+            code, _body = client.lookup("e0", "color")
+        assert code == 200
+        spans = get_tracer().spans("serve.")
+        root = next(span for span in spans if span.name == "serve.request")
+        lookup = next(span for span in spans if span.name == "serve.lookup")
+        assert root.parent_id is None
+        assert root.trace_id == client.last_request_id
+        assert lookup.parent_id == root.span_id
+        assert not [span for span in spans if span.trace_id == experiment.trace_id]
+
+    def test_obs_off_opens_no_span_and_fills_no_tags(self, monkeypatch):
+        contexts = []
+
+        class RecordingContext(RequestContext):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                contexts.append(self)
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a request touched the tracer with obs off")
+
+        monkeypatch.setattr(serve_context, "RequestContext", RecordingContext)
+        monkeypatch.setattr(Tracer, "start_span", refuse)
+        monkeypatch.setattr(Tracer, "mute", refuse)
+        client = InProcessClient(make_service(trace_sample=1.0))
+        for index in range(200):
+            code, _body = client.lookup(f"e{index % 20}", "color")
+            assert code == 200
+        assert len(contexts) == 200
+        assert all(context.tags == {} for context in contexts)
+
+    def test_unsampled_scope_always_pops_its_mute(self, obs_on):
+        tracer = get_tracer()
+        client = InProcessClient(make_service(trace_sample=0.0))
+        assert tracer.current_span() is None
+        client.lookup("e0", "color")
+        assert tracer.current_span() is None
+        with obs_span("outer") as outer:
+            with pytest.raises(RuntimeError):
+                with request_scope("lookup", sample_rate=0.0):
+                    assert tracer.current_span() is NULL_SPAN
+                    raise RuntimeError("body failed")
+            assert tracer.current_span() is outer
+        assert tracer.current_span() is None
+
+    def test_service_resolves_the_sample_rate_once(self, monkeypatch):
+        monkeypatch.setenv(serve_context.TRACE_SAMPLE_ENV, "0.5")
+        service = make_service()
+        monkeypatch.setenv(serve_context.TRACE_SAMPLE_ENV, "0.9")
+        assert service.statusz()["trace_sample"] == 0.5
+
+        def refuse():
+            raise AssertionError("a request re-read the sample rate")
+
+        monkeypatch.setattr(serve_context, "trace_sample_rate", refuse)
+        client = InProcessClient(service)
+        assert client.lookup("e0", "color")[0] == 200
+        assert client.query([["?s", "color", "?c"]])[0] == 200
+        assert service.statusz()["trace_sample"] == 0.5
 
 
 class TestShardFanOut:
