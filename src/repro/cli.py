@@ -1746,7 +1746,7 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen_parser.add_argument(
         "--obs-compare",
         action="store_true",
-        help="run obs-off then obs-on closed loops against fresh fixtures and "
+        help="run paired obs-off/obs-on closed loops against fresh fixtures and "
         "gate the p95 latency overhead (in-process targets only)",
     )
     loadgen_parser.add_argument(

@@ -381,7 +381,10 @@ def measure_obs_overhead(
     * **paired interleaved rounds, trimmed and pooled** — off/on run
       adjacent in time, ``rounds`` times, so a host that throttles
       mid-measurement (CPU burst credits, a neighbor) degrades nearby
-      runs together instead of landing entirely on one label.  The gated
+      runs together instead of landing entirely on one label.  The label
+      that runs first alternates from round to round (off/on, on/off,
+      ...), so any effect of running first or second is split between
+      the labels instead of charged to one every round.  The gated
       overhead compares the p95 of each side's samples *pooled across
       rounds* — a single round's p95 rests on a few dozen tail samples
       and swings ±20% run-to-run — and, when ``rounds >= 3``, each side
@@ -406,7 +409,7 @@ def measure_obs_overhead(
     try:
         for round_index in range(rounds):
             pair: Dict[str, LoadgenReport] = {}
-            for label in ("off", "on"):
+            for label in ("off", "on") if round_index % 2 == 0 else ("on", "off"):
                 profiling.disable()  # fixture construction is not the measurement
                 service = build_service()
                 server = None

@@ -15,7 +15,7 @@ answers queries under load:
   snapshot version (publishing invalidates; stale entries survive for
   degraded serving);
 * :mod:`repro.serve.admission` — token-bucket rate limiting, a bounded
-  concurrency queue, per-request deadlines, and the degradation ladder;
+  concurrency queue, and the degradation ladder;
 * :mod:`repro.serve.router` — the request router exposing ``lookup`` /
   ``paths`` / ``query`` / ``ask``;
 * :mod:`repro.serve.service` — the facade tying it together, plus the
@@ -24,7 +24,7 @@ answers queries under load:
   and an in-process client with identical response shapes.
 """
 
-from repro.serve.admission import AdmissionController, Deadline, TokenBucket
+from repro.serve.admission import AdmissionController, TokenBucket
 from repro.serve.cache import ResponseCache
 from repro.serve.router import RequestRouter, RouteResponse
 from repro.serve.service import KGService, build_fixture_service
@@ -33,7 +33,6 @@ from repro.serve.snapshot import GraphSnapshot, SnapshotStore
 
 __all__ = [
     "AdmissionController",
-    "Deadline",
     "GraphSnapshot",
     "KGService",
     "RequestRouter",

@@ -1,9 +1,9 @@
-"""Admission control: rate limiting, bounded queues, deadlines, degradation.
+"""Admission control: rate limiting, bounded queues, degradation.
 
 A serving system dies two ways under overload: it queues without bound
 (latency collapse) or it errors without discrimination (availability
-collapse).  This module implements the third option the ISSUE calls the
-*degradation ladder* — keep answering, shedding the expensive work first:
+collapse).  This module implements a third option, the *degradation
+ladder* — keep answering, shedding the expensive work first:
 
 * **level 0 (normal)** — full service, ``ask`` may take the LM path;
 * **level 1 (lm_shed)** — the token bucket is draining faster than it
@@ -81,31 +81,6 @@ class TokenBucket:
             return self._tokens / self.capacity
 
 
-class Deadline:
-    """A per-request deadline: created at admission, checked at checkpoints.
-
-    ``None``/non-positive timeouts mean "no deadline".  The router checks
-    ``expired()`` before each expensive phase (LM path, path search) and
-    degrades instead of running work whose caller has already given up.
-    """
-
-    __slots__ = ("expires_at",)
-
-    def __init__(self, timeout_s: Optional[float] = None):
-        self.expires_at = (
-            time.monotonic() + timeout_s if timeout_s is not None and timeout_s > 0 else None
-        )
-
-    def expired(self) -> bool:
-        return self.expires_at is not None and time.monotonic() >= self.expires_at
-
-    def remaining(self) -> Optional[float]:
-        """Seconds left, or None when no deadline was set."""
-        if self.expires_at is None:
-            return None
-        return max(0.0, self.expires_at - time.monotonic())
-
-
 @dataclass(frozen=True)
 class AdmissionDecision:
     """What the controller decided for one request."""
@@ -143,7 +118,6 @@ class AdmissionController:
         max_concurrent: int = 64,
         lm_shed_fill: float = 0.5,
         stale_fill: float = 0.15,
-        default_timeout_s: Optional[float] = 2.0,
     ):
         if not 0.0 <= stale_fill <= lm_shed_fill <= 1.0:
             raise ValueError(
@@ -156,7 +130,6 @@ class AdmissionController:
         self.max_concurrent = max_concurrent
         self.lm_shed_fill = lm_shed_fill
         self.stale_fill = stale_fill
-        self.default_timeout_s = default_timeout_s
         self._slots = threading.Semaphore(max_concurrent)
         self._lock = threading.Lock()
         self._in_flight = 0
@@ -211,10 +184,6 @@ class AdmissionController:
             in_flight = self._in_flight
         self._slots.release()
         obs_metrics.gauge("serve.admission.in_flight", in_flight)
-
-    def deadline(self, timeout_s: Optional[float] = None) -> Deadline:
-        """A request deadline (explicit timeout wins over the default)."""
-        return Deadline(timeout_s if timeout_s is not None else self.default_timeout_s)
 
     def current_level(self) -> str:
         """The ladder level the *next* request would be admitted at.

@@ -26,7 +26,7 @@ import json
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.query import TriplePattern
 from repro.neural.qa import DualRouterQA, KGQA, Question
@@ -35,7 +35,7 @@ from repro.obs._flags import FLAGS
 from repro.obs.slo import get_slo_tracker
 from repro.obs.tracing import span as obs_span
 from repro.serve import context as serve_context
-from repro.serve.admission import AdmissionController, Deadline
+from repro.serve.admission import AdmissionController
 from repro.serve.cache import ResponseCache
 from repro.serve.snapshot import GraphSnapshot, SnapshotStore
 
@@ -47,6 +47,10 @@ ROUTES = ("lookup", "paths", "query", "ask")
 #: would hold a handler thread for seconds.  It is answered 400.
 #: ``PathQuery`` and the planner stay uncapped for in-process callers.
 MAX_PATH_LENGTH = 6
+
+#: Most values a ``lookup`` returns and bindings a ``query`` returns;
+#: ``query`` reports its full count and whether it was cut.
+MAX_RESULTS = 200
 
 
 @dataclass
@@ -106,34 +110,24 @@ class RequestRouter:
         cache: Optional[ResponseCache] = None,
         admission: Optional[AdmissionController] = None,
         model=None,
-        max_results: int = 200,
     ):
         self.store = store
         self.cache = cache if cache is not None else ResponseCache()
         self.admission = admission if admission is not None else AdmissionController()
         self.model = model
-        self.max_results = max_results
         # The simulated LM draws from a seeded rng; serialize its calls so
         # concurrent ``ask`` traffic cannot interleave mid-draw.
         self._lm_lock = threading.Lock()
-        # Per-snapshot QA engines, built lazily on first ``ask``.
-        self._qa_lock = threading.Lock()
-        self._qa_by_version: Dict[int, Tuple[KGQA, Optional[DualRouterQA]]] = {}
 
     # ------------------------------------------------------------------
     # public endpoints
 
-    def lookup(
-        self, subject: str, predicate: str, timeout_s: Optional[float] = None
-    ) -> RouteResponse:
+    def lookup(self, subject: str, predicate: str) -> RouteResponse:
         """Read ``(subject, predicate, ?)``; subject may be an id or a name."""
         if not subject or not predicate:
             return self._bad_request("lookup", "subject and predicate are required")
         return self._serve(
-            "lookup",
-            {"subject": subject, "predicate": predicate},
-            timeout_s,
-            self._compute_lookup,
+            "lookup", {"subject": subject, "predicate": predicate}, self._compute_lookup
         )
 
     def paths(
@@ -142,7 +136,6 @@ class RequestRouter:
         goal: str,
         max_length: int = 3,
         max_paths: int = 25,
-        timeout_s: Optional[float] = None,
     ) -> RouteResponse:
         """Bounded simple paths between two entities (ids or names);
         ``max_length`` is at most :data:`MAX_PATH_LENGTH`."""
@@ -160,11 +153,9 @@ class RequestRouter:
             "max_length": int(max_length),
             "max_paths": int(max_paths),
         }
-        return self._serve("paths", params, timeout_s, self._compute_paths)
+        return self._serve("paths", params, self._compute_paths)
 
-    def query(
-        self, patterns: Sequence[Sequence[object]], timeout_s: Optional[float] = None
-    ) -> RouteResponse:
+    def query(self, patterns: Sequence[Sequence[object]]) -> RouteResponse:
         """Conjunctive query; ``patterns`` is a list of ``[s, p, o]`` terms."""
         if not patterns:
             return self._bad_request("query", "at least one pattern is required")
@@ -176,39 +167,23 @@ class RequestRouter:
                     "query", f"each pattern needs exactly 3 terms, got {terms!r}"
                 )
             normalized.append(terms)
-        return self._serve(
-            "query", {"patterns": normalized}, timeout_s, self._compute_query
-        )
+        return self._serve("query", {"patterns": normalized}, self._compute_query)
 
-    def ask(
-        self, subject: str, predicate: str, timeout_s: Optional[float] = None
-    ) -> RouteResponse:
+    def ask(self, subject: str, predicate: str) -> RouteResponse:
         """Question answering via the dual router (KG/LM by familiarity)."""
         if not subject or not predicate:
             return self._bad_request("ask", "subject and predicate are required")
         return self._serve(
-            "ask", {"subject": subject, "predicate": predicate}, timeout_s, self._compute_ask
+            "ask", {"subject": subject, "predicate": predicate}, self._compute_ask
         )
 
     # ------------------------------------------------------------------
     # the shared serving spine
 
-    def _serve(
-        self,
-        route: str,
-        params: Dict[str, object],
-        timeout_s: Optional[float],
-        compute,
-    ) -> RouteResponse:
+    def _serve(self, route: str, params: Dict[str, object], compute) -> RouteResponse:
         started = time.perf_counter()
         obs_metrics.count("serve.requests")
         obs_metrics.count(f"serve.route.{route}.requests")
-        if timeout_s is not None and not isinstance(timeout_s, (int, float)):
-            # A transport that forgot to validate must not become a 500
-            # (Deadline would TypeError outside the defensive try below).
-            return self._bad_request(
-                route, f"timeout_s must be a number, got {timeout_s!r}", counted=True
-            )
         snapshot = self.store.current()
         if snapshot is None:
             return self._finish(
@@ -248,15 +223,12 @@ class RequestRouter:
                 ),
                 started,
             )
-        deadline = self.admission.deadline(timeout_s)
         try:
             with obs_span(
                 f"serve.{route}", route=route, snapshot=snapshot.version
             ):
                 return self._finish(
-                    self._serve_admitted(
-                        route, params, key, snapshot, decision, deadline, compute
-                    ),
+                    self._serve_admitted(route, params, key, snapshot, decision, compute),
                     started,
                 )
         except Exception as exc:  # defensive: bugs become 500s, not crashes
@@ -281,13 +253,12 @@ class RequestRouter:
         key: str,
         snapshot: GraphSnapshot,
         decision,
-        deadline: Deadline,
         compute,
     ) -> RouteResponse:
         degraded = decision.level_name if decision.level > 0 else None
-        # Stale tier (ladder level 2, or a blown deadline): prefer the
-        # last known answer over fresh computation.
-        if decision.prefer_stale or deadline.expired():
+        # Stale tier (ladder level 2): prefer the last known answer over
+        # fresh computation.
+        if decision.prefer_stale:
             stale = self.cache.get_stale(route, key)
             if stale is not None:
                 obs_metrics.count("serve.shed.stale_served")
@@ -310,7 +281,7 @@ class RequestRouter:
                 cached=True,
                 degraded=degraded,
             )
-        payload = compute(snapshot, params, decision, deadline)
+        payload = compute(snapshot, params, decision)
         # A degraded ``ask`` (LM path shed) must not poison the cache: a
         # later un-degraded request would otherwise serve the KG-only
         # answer as if it were the dual-router one.  KG-only is only
@@ -345,10 +316,9 @@ class RequestRouter:
             serve_context.tag_request("cached", True)
         return response
 
-    def _bad_request(self, route: str, message: str, counted: bool = False) -> RouteResponse:
-        if not counted:
-            obs_metrics.count("serve.requests")
-            obs_metrics.count(f"serve.route.{route}.requests")
+    def _bad_request(self, route: str, message: str) -> RouteResponse:
+        obs_metrics.count("serve.requests")
+        obs_metrics.count(f"serve.route.{route}.requests")
         obs_metrics.count(f"serve.route.{route}.bad_request")
         if FLAGS.enabled:
             get_slo_tracker().record(route, "bad_request", 400, None)
@@ -373,7 +343,7 @@ class RequestRouter:
         return str(value)
 
     def _compute_lookup(
-        self, snapshot: GraphSnapshot, params: Dict[str, object], decision, deadline
+        self, snapshot: GraphSnapshot, params: Dict[str, object], decision
     ) -> Dict[str, object]:
         subject = str(params["subject"])
         predicate = str(params["predicate"])
@@ -386,11 +356,11 @@ class RequestRouter:
             "subject": subject,
             "predicate": predicate,
             "entities": [entity.entity_id for entity in entities],
-            "values": values[: self.max_results],
+            "values": values[:MAX_RESULTS],
         }
 
     def _compute_paths(
-        self, snapshot: GraphSnapshot, params: Dict[str, object], decision, deadline
+        self, snapshot: GraphSnapshot, params: Dict[str, object], decision
     ) -> Dict[str, object]:
         start_matches = self._resolve_entities(snapshot, str(params["start"]))
         goal_matches = self._resolve_entities(snapshot, str(params["goal"]))
@@ -414,7 +384,7 @@ class RequestRouter:
         }
 
     def _compute_query(
-        self, snapshot: GraphSnapshot, params: Dict[str, object], decision, deadline
+        self, snapshot: GraphSnapshot, params: Dict[str, object], decision
     ) -> Dict[str, object]:
         patterns = [
             TriplePattern(str(terms[0]), str(terms[1]), terms[2])
@@ -424,33 +394,14 @@ class RequestRouter:
         return {
             "bindings": [
                 {variable: value for variable, value in sorted(binding.items())}
-                for binding in bindings[: self.max_results]
+                for binding in bindings[:MAX_RESULTS]
             ],
             "n_bindings": len(bindings),
-            "truncated": len(bindings) > self.max_results,
+            "truncated": len(bindings) > MAX_RESULTS,
         }
 
-    def _qa_for(self, snapshot: GraphSnapshot) -> Tuple[KGQA, Optional[DualRouterQA]]:
-        with self._qa_lock:
-            engines = self._qa_by_version.get(snapshot.version)
-            if engines is None:
-                kgqa = KGQA(snapshot.planner)  # type: ignore[arg-type]
-                dual = (
-                    DualRouterQA(snapshot.planner, self.model)  # type: ignore[arg-type]
-                    if self.model is not None
-                    else None
-                )
-                engines = (kgqa, dual)
-                self._qa_by_version[snapshot.version] = engines
-                # Bound the map: keep engines for the few newest versions so
-                # in-flight requests against a just-retired snapshot still
-                # find theirs, without growing forever across publishes.
-                while len(self._qa_by_version) > 4:
-                    del self._qa_by_version[min(self._qa_by_version)]
-            return engines
-
     def _compute_ask(
-        self, snapshot: GraphSnapshot, params: Dict[str, object], decision, deadline
+        self, snapshot: GraphSnapshot, params: Dict[str, object], decision
     ) -> Dict[str, object]:
         subject = str(params["subject"])
         predicate = str(params["predicate"])
@@ -466,14 +417,16 @@ class RequestRouter:
             band="online",
             resolved=resolved,
         )
-        kgqa, dual = self._qa_for(snapshot)
-        lm_shed = decision.shed_lm or dual is None or deadline.expired()
+        # Both engines only hold references, so each request builds its
+        # own over its snapshot's planner.
+        lm_shed = decision.shed_lm or self.model is None
         if lm_shed:
-            if decision.shed_lm and dual is not None:
+            if self.model is not None:
                 obs_metrics.count("serve.shed.lm")
             with obs_span("serve.qa", engine="kg", lm_shed=True):
-                answer = kgqa.answer(question)
+                answer = KGQA(snapshot.planner).answer(question)  # type: ignore[arg-type]
         else:
+            dual = DualRouterQA(snapshot.planner, self.model)  # type: ignore[arg-type]
             with self._lm_lock:
                 with obs_span("serve.qa", engine="dual", lm_shed=False):
                     answer = dual.answer(question)

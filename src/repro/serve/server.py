@@ -22,8 +22,8 @@ Status mapping: ``ok``→200, ``bad_request``→400, ``shed``→429,
 
 Every response carries an ``X-Repro-Request-Id`` header — echoed when the
 caller supplied one, minted otherwise — and the four serving routes run
-inside a :func:`repro.serve.context.request_scope`, so the id keys the
-request's span tree and access-log line across both transports.
+through :meth:`KGService.handle`, the one request bracket, so the id keys
+the request's span tree and access-log line across both transports.
 """
 
 from __future__ import annotations
@@ -40,14 +40,10 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.export import render_prometheus
 from repro.serve import context as serve_context
 from repro.serve.context import REQUEST_ID_HEADER
-from repro.serve.router import RouteResponse
 from repro.serve.service import KGService
 
 #: JSON body + HTTP status, the shape both clients return.
 ClientResult = Tuple[int, Dict[str, object]]
-
-#: Sentinel for a ``timeout_s`` parameter that failed to parse.
-_INVALID_TIMEOUT = object()
 
 #: Largest POST body the server will read.  ``/query`` bodies are a list
 #: of patterns (a few hundred bytes); anything bigger is refused unread.
@@ -113,30 +109,9 @@ def _make_handler(service: KGService):
                 if values
             }
 
-        def _timeout(self, params: Dict[str, str]):
-            """``timeout_s`` as a float, None when absent, or the invalid
-            sentinel — a malformed value must 400, not silently drop the
-            caller's deadline."""
-            raw = params.get("timeout_s")
-            if raw is None:
-                return None
-            try:
-                return float(raw)
-            except ValueError:
-                return _INVALID_TIMEOUT
-
-        def _serve_route(self, route: str, compute) -> None:
-            """Run one routed request inside its observability scope."""
-            with serve_context.request_scope(
-                route,
-                request_id=self._request_id(),
-                sample_rate=service.trace_sample,
-                access_log=service.access_log,
-            ) as context:
-                response = compute()
-                context.status = response.status
-                context.http_status = response.http_status
-                self._write_json(response.http_status, response.to_dict())
+        def _serve_route(self, route: str, **params) -> None:
+            response, _ = service.handle(route, request_id=self._request_id(), **params)
+            self._write_json(response.http_status, response.to_dict())
 
         def _unknown_route(self, route: str) -> None:
             obs_metrics.count("serve.http.404")
@@ -148,13 +123,6 @@ def _make_handler(service: KGService):
             self._begin_request()
             route = urllib.parse.urlparse(self.path).path.rstrip("/") or "/"
             params = self._params()
-            timeout_s = self._timeout(params)
-            if timeout_s is _INVALID_TIMEOUT:
-                self._write_json(
-                    400,
-                    {"error": f"timeout_s must be a number, got {params['timeout_s']!r}"},
-                )
-                return
             if route == "/healthz":
                 snapshot = service.store.current()
                 self._write_json(
@@ -179,11 +147,8 @@ def _make_handler(service: KGService):
             elif route == "/lookup":
                 self._serve_route(
                     "lookup",
-                    lambda: service.lookup(
-                        params.get("subject", ""),
-                        params.get("predicate", ""),
-                        timeout_s=timeout_s,
-                    ),
+                    subject=params.get("subject", ""),
+                    predicate=params.get("predicate", ""),
                 )
             elif route == "/paths":
                 try:
@@ -194,22 +159,16 @@ def _make_handler(service: KGService):
                     return
                 self._serve_route(
                     "paths",
-                    lambda: service.paths(
-                        params.get("start", ""),
-                        params.get("goal", ""),
-                        max_length=max_length,
-                        max_paths=max_paths,
-                        timeout_s=timeout_s,
-                    ),
+                    start=params.get("start", ""),
+                    goal=params.get("goal", ""),
+                    max_length=max_length,
+                    max_paths=max_paths,
                 )
             elif route == "/ask":
                 self._serve_route(
                     "ask",
-                    lambda: service.ask(
-                        params.get("subject", ""),
-                        params.get("predicate", ""),
-                        timeout_s=timeout_s,
-                    ),
+                    subject=params.get("subject", ""),
+                    predicate=params.get("predicate", ""),
                 )
             else:
                 self._unknown_route(route)
@@ -241,11 +200,7 @@ def _make_handler(service: KGService):
                 return
             if route == "/query":
                 patterns = body.get("patterns") if isinstance(body, dict) else None
-                timeout_s = body.get("timeout_s") if isinstance(body, dict) else None
-                self._serve_route(
-                    "query",
-                    lambda: service.query(patterns or [], timeout_s=timeout_s),
-                )
+                self._serve_route("query", patterns=patterns or [])
             else:
                 self._unknown_route(route)
 
@@ -273,58 +228,37 @@ def start_server(
 
 
 class InProcessClient:
-    """Drives the router directly; mirrors the HTTP JSON contract exactly.
+    """Drives the service directly; mirrors the HTTP JSON contract exactly.
 
-    Each call runs inside the same :func:`request_scope` bracket the HTTP
-    transport uses, so traces, SLO windows, and access logs see identical
-    request streams from either client.  ``last_request_id`` holds the id
-    of the most recent call (the in-process analogue of the HTTP header;
-    the JSON body stays byte-identical across transports).
+    Each call goes through :meth:`KGService.handle`, the request bracket
+    the HTTP transport uses, so traces, SLO windows, and access logs see
+    identical request streams from either client.  ``last_request_id``
+    holds the id of the most recent call (the in-process analogue of the
+    HTTP header; the JSON body stays byte-identical across transports).
     """
 
     def __init__(self, service: KGService):
         self.service = service
         self.last_request_id: Optional[str] = None
 
-    def _call(self, route: str, compute) -> ClientResult:
-        with serve_context.request_scope(
-            route,
-            sample_rate=self.service.trace_sample,
-            access_log=self.service.access_log,
-        ) as context:
-            response = compute()
-            context.status = response.status
-            context.http_status = response.http_status
-            self.last_request_id = context.request_id
+    def _call(self, route: str, **params) -> ClientResult:
+        response, self.last_request_id = self.service.handle(route, **params)
         return response.http_status, response.to_dict()
 
-    def lookup(self, subject: str, predicate: str, timeout_s=None) -> ClientResult:
+    def lookup(self, subject: str, predicate: str) -> ClientResult:
+        return self._call("lookup", subject=subject, predicate=predicate)
+
+    def paths(self, start: str, goal: str, max_length: int = 3, max_paths: int = 25
+              ) -> ClientResult:
         return self._call(
-            "lookup",
-            lambda: self.service.lookup(subject, predicate, timeout_s=timeout_s),
+            "paths", start=start, goal=goal, max_length=max_length, max_paths=max_paths
         )
 
-    def paths(self, start: str, goal: str, max_length: int = 3, max_paths: int = 25,
-              timeout_s=None) -> ClientResult:
-        return self._call(
-            "paths",
-            lambda: self.service.paths(
-                start, goal, max_length=max_length, max_paths=max_paths,
-                timeout_s=timeout_s,
-            ),
-        )
+    def query(self, patterns: Sequence[Sequence[object]]) -> ClientResult:
+        return self._call("query", patterns=patterns)
 
-    def query(self, patterns: Sequence[Sequence[object]], timeout_s=None) -> ClientResult:
-        return self._call(
-            "query",
-            lambda: self.service.query(patterns, timeout_s=timeout_s),
-        )
-
-    def ask(self, subject: str, predicate: str, timeout_s=None) -> ClientResult:
-        return self._call(
-            "ask",
-            lambda: self.service.ask(subject, predicate, timeout_s=timeout_s),
-        )
+    def ask(self, subject: str, predicate: str) -> ClientResult:
+        return self._call("ask", subject=subject, predicate=predicate)
 
     def stats(self) -> ClientResult:
         return 200, self.service.stats()
@@ -437,34 +371,21 @@ class HTTPClient:
             self._drop_connection()
             return 599, {}, f"transport: {error}".encode("utf-8")
 
-    def lookup(self, subject: str, predicate: str, timeout_s=None) -> ClientResult:
-        return self._get(
-            "/lookup", {"subject": subject, "predicate": predicate, "timeout_s": timeout_s}
-        )
+    def lookup(self, subject: str, predicate: str) -> ClientResult:
+        return self._get("/lookup", {"subject": subject, "predicate": predicate})
 
-    def paths(self, start: str, goal: str, max_length: int = 3, max_paths: int = 25,
-              timeout_s=None) -> ClientResult:
+    def paths(self, start: str, goal: str, max_length: int = 3, max_paths: int = 25
+              ) -> ClientResult:
         return self._get(
             "/paths",
-            {
-                "start": start,
-                "goal": goal,
-                "max_length": max_length,
-                "max_paths": max_paths,
-                "timeout_s": timeout_s,
-            },
+            {"start": start, "goal": goal, "max_length": max_length, "max_paths": max_paths},
         )
 
-    def query(self, patterns: Sequence[Sequence[object]], timeout_s=None) -> ClientResult:
-        body: Dict[str, object] = {"patterns": [list(p) for p in patterns]}
-        if timeout_s is not None:
-            body["timeout_s"] = timeout_s
-        return self._post("/query", body)
+    def query(self, patterns: Sequence[Sequence[object]]) -> ClientResult:
+        return self._post("/query", {"patterns": [list(p) for p in patterns]})
 
-    def ask(self, subject: str, predicate: str, timeout_s=None) -> ClientResult:
-        return self._get(
-            "/ask", {"subject": subject, "predicate": predicate, "timeout_s": timeout_s}
-        )
+    def ask(self, subject: str, predicate: str) -> ClientResult:
+        return self._get("/ask", {"subject": subject, "predicate": predicate})
 
     def stats(self) -> ClientResult:
         return self._get("/stats", {})

@@ -65,19 +65,26 @@ class KGService:
         construction re-run, no defensive copy)."""
         return self.store.publish_from_file(path)
 
-    # Route pass-throughs (the in-process "client" surface).
+    def handle(
+        self, route: str, request_id: Optional[str] = None, **params
+    ) -> Tuple[RouteResponse, str]:
+        """Serve one routed request inside its request bracket.
 
-    def lookup(self, subject: str, predicate: str, **kwargs) -> RouteResponse:
-        return self.router.lookup(subject, predicate, **kwargs)
-
-    def paths(self, start: str, goal: str, **kwargs) -> RouteResponse:
-        return self.router.paths(start, goal, **kwargs)
-
-    def query(self, patterns, **kwargs) -> RouteResponse:
-        return self.router.query(patterns, **kwargs)
-
-    def ask(self, subject: str, predicate: str, **kwargs) -> RouteResponse:
-        return self.router.ask(subject, predicate, **kwargs)
+        The one entry both transports call: it opens the request's
+        :class:`~repro.serve.context.request_scope` (id, sampling, access
+        log), runs the router's ``route`` with ``params``, and records the
+        outcome on the context.  Returns the response and the request id.
+        """
+        with serve_context.request_scope(
+            route,
+            request_id=request_id,
+            sample_rate=self.trace_sample,
+            access_log=self.access_log,
+        ) as context:
+            response = getattr(self.router, route)(**params)
+            context.status = response.status
+            context.http_status = response.http_status
+        return response, context.request_id
 
     # ------------------------------------------------------------------
 

@@ -17,7 +17,9 @@ layer separates the two worlds:
   frozen copy; no per-shard store is built;
 * a request takes one ``store.current()`` reference up front and runs
   entirely against it — in-flight requests finish on the old generation
-  while new requests see the new one, with no read locks at all;
+  while new requests see the new one, with no read locks at all.  The
+  store keeps no retired snapshot: one lives exactly as long as a request
+  holds it;
 * every snapshot carries a monotonically increasing ``version`` plus the
   source graph's mutation ``generation`` (the counter
   :class:`~repro.core.graph.KnowledgeGraph` already maintains), which is
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.core.graph import KnowledgeGraph
 from repro.obs import metrics as obs_metrics
@@ -83,18 +85,15 @@ class SnapshotStore:
     The expensive work of a publish (the graph copy) happens *outside* the
     lock; only the final reference swap is serialized, so readers are
     never blocked by a publish and a half-built snapshot is never
-    observable.  A bounded history of previous snapshots is kept so tests
-    (and debugging) can reach recently retired generations.
+    observable.
     """
 
-    def __init__(self, n_shards: int = 1, keep_history: int = 3):
+    def __init__(self, n_shards: int = 1):
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
         self.n_shards = n_shards
-        self._keep_history = max(0, keep_history)
         self._lock = threading.Lock()
         self._current: Optional[GraphSnapshot] = None
-        self._history: List[GraphSnapshot] = []
         self._next_version = 0
 
     def publish(self, graph: KnowledgeGraph, copy: bool = True) -> GraphSnapshot:
@@ -124,11 +123,6 @@ class SnapshotStore:
                 source_generation=source_generation,
             )
             with self._lock:
-                if self._current is not None:
-                    self._history.append(self._current)
-                    excess = len(self._history) - self._keep_history
-                    if excess > 0:
-                        del self._history[:excess]
                 self._current = snapshot
             span_.set_tag("version", snapshot.version)
         obs_metrics.count("serve.snapshot.publishes")
@@ -171,8 +165,3 @@ class SnapshotStore:
         """The live snapshot's version, 0 before the first publish."""
         snapshot = self.current()
         return snapshot.version if snapshot is not None else 0
-
-    def history(self) -> List[GraphSnapshot]:
-        """Recently retired snapshots, oldest first."""
-        with self._lock:
-            return list(self._history)

@@ -4,12 +4,14 @@ import pytest
 
 from repro.core.graph import KnowledgeGraph
 from repro.core.ontology import Ontology
+from repro.evalx import loadgen
 from repro.evalx.loadgen import (
     LoadgenReport,
     RequestOutcome,
     build_request_plan,
     run_loadgen,
 )
+from repro.obs import profiling
 from repro.serve.admission import AdmissionController
 from repro.serve.server import InProcessClient
 from repro.serve.service import KGService
@@ -142,3 +144,25 @@ class TestReport:
             RequestOutcome(route="lookup", status_code=500, latency_ms=1.0)
         )
         assert report.n_server_errors == 1
+
+
+class TestObsCompareOrder:
+    def test_first_label_alternates_by_round(self, monkeypatch):
+        """Neither label always runs first: round 0 is off/on, round 1
+        on/off, and so on; the gate's trimming and pooling are unchanged."""
+        order = []
+
+        def fake_run_loadgen(client, **_kwargs):
+            order.append("on" if profiling.enabled() else "off")
+            report = LoadgenReport(
+                mode="closed", duration_s=0.1, target_rps=None, concurrency=1
+            )
+            report.outcomes.append(RequestOutcome(route="lookup", status_code=200, latency_ms=1.0))
+            return report
+
+        monkeypatch.setattr(loadgen, "run_loadgen", fake_run_loadgen)
+        result = loadgen.measure_obs_overhead(
+            lambda: make_client().service, rounds=4, transport="inprocess"
+        )
+        assert order == ["off", "on", "on", "off", "off", "on", "on", "off"]
+        assert result["round_overheads"] == [0.0] * 4 and result["passed"]

@@ -1,4 +1,4 @@
-"""Admission control: the token bucket, the ladder, deadlines, queue bounds."""
+"""Admission control: the token bucket, the ladder, queue bounds."""
 
 import time
 
@@ -9,7 +9,6 @@ from repro.serve.admission import (
     LEVEL_NORMAL,
     LEVEL_STALE,
     AdmissionController,
-    Deadline,
     TokenBucket,
 )
 
@@ -41,24 +40,6 @@ class TestTokenBucket:
             TokenBucket(rate=0)
         with pytest.raises(ValueError):
             TokenBucket(rate=10, capacity=-1)
-
-
-class TestDeadline:
-    def test_no_timeout_never_expires(self):
-        deadline = Deadline(None)
-        assert not deadline.expired()
-        assert deadline.remaining() is None
-
-    def test_expires(self):
-        deadline = Deadline(0.01)
-        time.sleep(0.02)
-        assert deadline.expired()
-        assert deadline.remaining() == 0.0
-
-    def test_remaining_positive_before_expiry(self):
-        deadline = Deadline(10.0)
-        remaining = deadline.remaining()
-        assert remaining is not None and 9.0 < remaining <= 10.0
 
 
 class TestDegradationLadder:
@@ -117,13 +98,6 @@ class TestDegradationLadder:
         assert stats["in_flight"] == 1
         controller.release()
         assert controller.stats()["in_flight"] == 0
-
-    def test_default_deadline_applies(self):
-        controller = AdmissionController(default_timeout_s=5.0)
-        deadline = controller.deadline()
-        assert deadline.remaining() is not None
-        explicit = controller.deadline(timeout_s=0.0)
-        assert explicit.remaining() is None  # non-positive -> no deadline
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,8 @@
 """The HTTP transport's observability surfaces and hardened edges.
 
 Covers the PR's satellite contracts: request-id headers on every
-response (including across keep-alive reuse), strict ``timeout_s``
-parsing, trailing-slash route normalization with a counted 404,
+response (including across keep-alive reuse), unknown query parameters
+ignored, trailing-slash route normalization with a counted 404,
 ``/metrics`` as parseable Prometheus exposition, ``/statusz`` burn
 signals under degradation, the HTTP client's transport-failure paths,
 and metric exactness under concurrent server threads.
@@ -88,19 +88,17 @@ class TestRequestIdHeader:
         assert len(set(ids)) == 3
 
 
-class TestTimeoutParam:
-    def test_invalid_timeout_is_400(self, served):
+class TestUnknownParams:
+    def test_timeout_s_is_ignored_like_any_unknown_param(self, served):
+        """There is no per-request deadline: ``timeout_s`` (even a
+        malformed one) is an unknown parameter, and unknown parameters
+        leave the answer as it is."""
         _service, client, _server = served
-        code, body = client._get(
-            "/lookup", {"subject": "e0", "predicate": "color", "timeout_s": "abc"}
-        )
-        assert code == 400
-        assert "timeout_s" in body["error"]
-
-    def test_valid_timeout_passes_through(self, served):
-        _service, client, _server = served
-        code, _body = client.lookup("e0", "color", timeout_s=5.0)
-        assert code == 200
+        expected = client.lookup("e0", "color")[1]["payload"]
+        for extra in ({"timeout_s": "abc"}, {"timeout_s": "0.000001"}, {"colour": "x"}):
+            code, body = client._get("/lookup", {"subject": "e0", "predicate": "color", **extra})
+            assert code == 200
+            assert body["payload"] == expected
 
 
 class TestRouteNormalization:

@@ -1,5 +1,6 @@
 """The serving spine end-to-end: router semantics, HTTP transport, overload."""
 
+import json
 import socket
 import threading
 import urllib.parse
@@ -9,6 +10,7 @@ import pytest
 from repro.core.graph import KnowledgeGraph
 from repro.core.ontology import Ontology
 from repro.serve.admission import AdmissionController
+from repro.serve.context import AccessLog
 from repro.serve.router import MAX_PATH_LENGTH
 from repro.serve.server import HTTPClient, InProcessClient, start_server
 from repro.serve.service import KGService
@@ -270,6 +272,50 @@ class TestHTTPServer:
                 assert (code_http, body_http) == (code_local, body_local)
         finally:
             server.shutdown()
+
+    def test_shed_and_bad_request_match_across_transports(self, tmp_path):
+        """One bracket for both transports: a shed (429) and a bad request
+        (400) get the same status, body and access-log fields."""
+        admission = AdmissionController(rate=10_000.0, max_concurrent=1)
+        service = make_service(admission=admission)
+        server, _thread = start_server(service, port=0)
+        transports = {
+            "http": HTTPClient(f"http://127.0.0.1:{server.server_address[1]}"),
+            "local": InProcessClient(service),
+        }
+        calls = (
+            (lambda c: c.lookup("", "color"), 400),
+            (lambda c: c.lookup("e5", "color"), 429),  # uncached: no stale answer
+            (lambda c: c.query([["?s", "color"]]), 400),
+            (lambda c: c.ask("Node 1", "color"), 429),
+        )
+        results = {}
+        try:
+            blocker = admission.admit("lookup")  # hold the only slot
+            assert blocker.admitted
+            for name, client in transports.items():
+                service.access_log = AccessLog(str(tmp_path / f"{name}.jsonl"))
+                replies = []
+                for call, expected in calls:
+                    code, body = call(client)
+                    assert code == expected
+                    body.pop("elapsed_ms")
+                    replies.append((code, body))
+                service.access_log.close()
+                with open(tmp_path / f"{name}.jsonl", encoding="utf-8") as handle:
+                    lines = [json.loads(line) for line in handle]
+                logged = [(line["route"], line["status"], line["http_status"]) for line in lines]
+                results[name] = (replies, logged)
+        finally:
+            admission.release()
+            server.shutdown()
+        assert results["http"] == results["local"]
+        assert results["local"][1] == [
+            ("lookup", "bad_request", 400),
+            ("lookup", "shed", 429),
+            ("query", "bad_request", 400),
+            ("ask", "shed", 429),
+        ]
 
     def test_bad_request_and_unknown_route(self, http):
         assert http.lookup("", "")[0] == 400

@@ -1,5 +1,8 @@
 """Snapshot publishing: atomic swap, versioning, construction isolation."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core import store as store_module
@@ -8,8 +11,23 @@ from repro.core.ontology import Ontology
 from repro.core.query import TriplePattern
 from repro.core.triple import Provenance, Triple
 from repro.obs import enabled_scope, get_tracer, reset_all
+from repro.serve.server import InProcessClient
 from repro.serve.service import KGService
 from repro.serve.snapshot import SnapshotStore
+
+
+class FamiliarLM:
+    """A fully familiar LM, so ``ask`` takes the dual-router path."""
+
+    def familiarity(self, name, predicate):
+        return 100.0
+
+    def answer(self, name, predicate):
+        class _Reply:
+            abstained = False
+            text = "lm-answer"
+
+        return _Reply()
 
 
 def small_graph(n=12):
@@ -84,23 +102,26 @@ class TestSnapshotStore:
         assert old.planner.has_entity("e3")
         assert not new.planner.has_entity("e3")
 
-    def test_history_is_bounded(self):
-        store = SnapshotStore(keep_history=2)
-        graph = small_graph(4)
-        for _ in range(5):
-            store.publish(graph)
-        history = store.history()
-        assert [snapshot.version for snapshot in history] == [3, 4]
+    @pytest.mark.parametrize("with_lm", [False, True])
+    def test_retired_snapshot_is_freed(self, with_lm):
+        """Nothing in the service keeps a retired graph copy alive: not the
+        store and not ``ask``'s QA engines, only a request's own reference."""
+        service = KGService(model=FamiliarLM() if with_lm else None)
+        client = InProcessClient(service)
+        graph = small_graph()
+        service.publish(graph)
+        held = service.store.current()  # an in-flight request's reference
+        retired = weakref.ref(held.graph)
+        code, body = client.ask("Entity 3", "label")
+        assert code == 200 and body["snapshot_version"] == 1
+        assert body["payload"]["lm_shed"] is not with_lm
 
-    @pytest.mark.parametrize("keep", [0, 1, 3])
-    def test_history_keeps_exactly_k(self, keep):
-        """``keep_history=0`` retains nothing (``[-0:]`` is the whole list)."""
-        store = SnapshotStore(keep_history=keep)
-        graph = small_graph(4)
-        for _ in range(5):
-            store.publish(graph)
-        history = store.history()
-        assert [snapshot.version for snapshot in history] == list(range(5 - keep, 5))
+        service.publish(graph)
+        gc.collect()
+        assert retired() is not None
+        del held
+        gc.collect()
+        assert retired() is None
 
     def test_sharded_publish(self):
         store = SnapshotStore(n_shards=3)
