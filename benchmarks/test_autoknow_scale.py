@@ -62,5 +62,5 @@ def test_autoknow_scale(benchmark, bench_product_domain, bench_behavior):
     assert bootstrap_report.n_taxonomy_edges_added > 3
     # Shape 5: the output KG is well-formed and queryable.
     stats = autoknow.kg_.stats()
-    assert stats["n_topics"] == len(bench_product_domain.products)
-    assert stats["n_value_triples"] == report.n_final_triples
+    assert stats["n_entities"] == len(bench_product_domain.products)
+    assert len(autoknow.kg_) == report.n_final_triples

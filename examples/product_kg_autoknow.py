@@ -58,14 +58,15 @@ def main() -> None:
     print(f"  taxonomy edges added: {report.n_taxonomy_edges_added}")
     print(f"  added-knowledge accuracy: {report.final_accuracy:.3f}")
 
-    # Query the resulting text-rich KG.
+    # Query the resulting text-rich KG: products are entities, values triples.
     kg = autoknow.kg_
-    some_flavor = kg.distinct_values("flavor")[:5]
-    print(f"\ndistinct flavor values in the KG: {some_flavor} ...")
+    flavors = sorted({triple.object for triple in kg.query(predicate="flavor")})
+    print(f"\ndistinct flavor values in the KG: {flavors[:5]} ...")
     product = domain.products[0]
-    print(f"values for {product.product_id} ({product.leaf_type}):")
-    for record in kg.values(product.product_id):
-        print(f"  {record.attribute} = {record.value}  [{record.source}]")
+    print(f"values for {product.product_id} ({kg.entity(product.product_id).entity_class}):")
+    for triple in kg.query(subject=product.product_id):
+        sources = ", ".join(record.source for record in kg.provenance(triple))
+        print(f"  {triple.predicate} = {triple.object}  [{sources}]")
 
     # --- the e-business features the KG feeds (Sec. 3.2) -----------------
     from repro.products.companion import CompanionRecommender

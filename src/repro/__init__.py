@@ -5,8 +5,8 @@ The library implements all three KG generations end-to-end:
 
 * **entity-based KGs** (Sec. 2): :mod:`repro.core`, :mod:`repro.transform`,
   :mod:`repro.integrate`, :mod:`repro.extract`, :mod:`repro.fuse`;
-* **text-rich KGs** (Sec. 3): :mod:`repro.core.textrich`,
-  :mod:`repro.products`;
+* **text-rich KGs** (Sec. 3): :mod:`repro.products`, whose AutoKnow
+  builds the same :class:`~repro.core.graph.KnowledgeGraph`;
 * **dual neural KGs** (Sec. 4): :mod:`repro.neural`;
 
 plus the synthetic data substrate (:mod:`repro.datagen`), the from-scratch
@@ -30,7 +30,6 @@ from repro.core import (
     Entity,
     KnowledgeGraph,
     Ontology,
-    TextRichKG,
     Triple,
 )
 
@@ -40,6 +39,5 @@ __all__ = [
     "Entity",
     "KnowledgeGraph",
     "Ontology",
-    "TextRichKG",
     "Triple",
 ]

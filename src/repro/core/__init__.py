@@ -1,13 +1,16 @@
 """Core knowledge-graph data model.
 
-This subpackage realizes the paper's two structural generations:
+This subpackage realizes the paper's two structural generations in one
+:class:`~repro.core.graph.KnowledgeGraph`, a directed, edge-labelled graph
+over a class taxonomy (the ontology):
 
-* :class:`~repro.core.graph.KnowledgeGraph` — the entity-based KG of Sec. 2
-  (nodes are identified entities, edges are ontology relations);
-* :class:`~repro.core.textrich.TextRichKG` — the text-rich, mostly bipartite
-  KG of Sec. 3 (topic entities connected to free-text attribute values).
+* the entity-based KG of Sec. 2 (nodes are identified entities, edges are
+  ontology relations);
+* the text-rich, mostly bipartite KG of Sec. 3 (products typed by the
+  taxonomy, connected by attributes to free-text values), which
+  :mod:`repro.products.autoknow` builds.
 
-Both share the triple/ontology/provenance vocabulary defined here, plus a
+Both use the triple/ontology/provenance vocabulary defined here, plus a
 pattern/path query engine and the construction-pipeline framework that the
 Fig. 4 architectures are assembled from.  ``save_graph`` / ``load_graph``
 are :mod:`repro.core.codec`'s — ``.rkgs`` is the one on-disk format.
@@ -16,7 +19,6 @@ are :mod:`repro.core.codec`'s — ``.rkgs`` is the one on-disk format.
 from repro.core.triple import Provenance, Triple
 from repro.core.ontology import Ontology, OntologyError, Relation
 from repro.core.graph import Entity, KnowledgeGraph
-from repro.core.textrich import AttributeValue, TextRichKG
 from repro.core.query import PathQuery, TriplePattern, match_pattern
 from repro.core.pipeline import ConstructionPipeline, PipelineContext, PipelineStage, StageReport
 from repro.core.lifecycle import CycleStage
@@ -31,8 +33,6 @@ __all__ = [
     "Relation",
     "Entity",
     "KnowledgeGraph",
-    "AttributeValue",
-    "TextRichKG",
     "PathQuery",
     "TriplePattern",
     "match_pattern",

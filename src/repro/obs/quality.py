@@ -57,45 +57,32 @@ class QualitySnapshot:
         gold: Optional[Iterable[Tuple[str, str, object]]] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> "QualitySnapshot":
-        """Snapshot an entity-based :class:`KnowledgeGraph` or a
-        :class:`TextRichKG` (duck-typed on ``attributed_triples`` vs
-        ``topics``/``values``).
+        """Snapshot a :class:`KnowledgeGraph` (duck-typed on
+        ``attributed_triples``; anything else raises ``TypeError``).
 
         ``gold`` is an optional iterable of (subject, predicate, object)
         truths; coverage is the fraction present in the graph.  With a
         ``registry``, fusion accept/reject counters are folded in.
         """
-        snapshot = cls(name=name or getattr(graph, "name", "kg"))
-        confidence_totals: Dict[str, float] = {}
-        if hasattr(graph, "attributed_triples"):  # entity-based KG
-            for attributed in graph.attributed_triples():
-                triple = attributed.triple
-                snapshot.n_triples += 1
-                _bump(snapshot.predicate_counts, triple.predicate)
-                source = attributed.provenance.source
-                _bump(snapshot.source_counts, source)
-                confidence_totals[source] = (
-                    confidence_totals.get(source, 0.0) + attributed.provenance.confidence
-                )
-            for entity in graph.entities():
-                snapshot.n_entities += 1
-                _bump(snapshot.class_counts, entity.entity_class)
-        elif hasattr(graph, "topics"):  # text-rich KG
-            for topic in graph.topics():
-                snapshot.n_entities += 1
-                _bump(snapshot.class_counts, topic.entity_type)
-                for record in graph.values(topic.entity_id):
-                    snapshot.n_triples += 1
-                    _bump(snapshot.predicate_counts, record.attribute)
-                    _bump(snapshot.source_counts, record.source)
-                    confidence_totals[record.source] = (
-                        confidence_totals.get(record.source, 0.0) + record.confidence
-                    )
-        else:
+        if not hasattr(graph, "attributed_triples"):
             raise TypeError(
                 f"cannot snapshot {type(graph).__name__}: expected a KnowledgeGraph "
-                "(attributed_triples) or TextRichKG (topics/values)"
+                "(attributed_triples)"
             )
+        snapshot = cls(name=name or getattr(graph, "name", "kg"))
+        confidence_totals: Dict[str, float] = {}
+        for attributed in graph.attributed_triples():
+            triple = attributed.triple
+            snapshot.n_triples += 1
+            _bump(snapshot.predicate_counts, triple.predicate)
+            source = attributed.provenance.source
+            _bump(snapshot.source_counts, source)
+            confidence_totals[source] = (
+                confidence_totals.get(source, 0.0) + attributed.provenance.confidence
+            )
+        for entity in graph.entities():
+            snapshot.n_entities += 1
+            _bump(snapshot.class_counts, entity.entity_class)
         snapshot.source_confidence = {
             source: round(total / snapshot.source_counts[source], 4)
             for source, total in confidence_totals.items()
@@ -237,17 +224,13 @@ def _score_against_gold(graph, gold) -> Tuple[float, float]:
     gold_items = list(gold)
     covered = 0
     graph_values: Dict[Tuple[str, str], set] = {}
-
-    def lookup(subject: str, predicate: str) -> set:
-        if hasattr(graph, "objects"):
-            return {str(value).lower() for value in graph.objects(subject, predicate)}
-        return {record.value.lower() for record in graph.values(subject, predicate)}
-
     correct = total_checked = 0
     for subject, predicate, obj in gold_items:
         key = (subject, predicate)
         if key not in graph_values:
-            graph_values[key] = lookup(subject, predicate)
+            graph_values[key] = {
+                str(value).lower() for value in graph.objects(subject, predicate)
+            }
         present = graph_values[key]
         if str(obj).lower() in present:
             covered += 1

@@ -8,7 +8,11 @@ quality."
 The orchestration mirrors Fig. 4(b): taxonomy enrichment from behavior,
 distantly-supervised type-aware extraction over *all* types at once
 (TXtract), statistical knowledge cleaning, and assembly of the resulting
-text-rich KG.  The report quantifies the same outcomes AutoKnow reported:
+text-rich KG.  That KG is a :class:`~repro.core.graph.KnowledgeGraph` like
+the entity-based one: each product is an entity whose class is its leaf
+type in the taxonomy (the graph's ontology), and each catalog, TXtract or
+imputed attribute value is a triple whose provenance names its source and
+confidence.  The report quantifies the same outcomes AutoKnow reported:
 triples added over the catalog, types covered, and the quality of what was
 added.
 """
@@ -18,7 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.textrich import AttributeValue, TextRichKG
+from repro.core.graph import KnowledgeGraph
+from repro.core.ontology import Ontology
+from repro.core.triple import Provenance, Triple
 from repro.datagen.behavior import BehaviorLog
 from repro.datagen.products import ProductDomain
 from repro.ml.metrics import BinaryConfusion
@@ -73,7 +79,7 @@ class AutoKnow:
     curated_taxonomy: bool = True
     impute_missing: bool = False
     imputation_confidence: float = 0.8
-    kg_: Optional[TextRichKG] = field(default=None, init=False)
+    kg_: Optional[KnowledgeGraph] = field(default=None, init=False)
     report_: Optional[AutoKnowReport] = field(default=None, init=False)
 
     @profiled("autoknow.run")
@@ -83,11 +89,9 @@ class AutoKnow:
         behavior: Optional[BehaviorLog] = None,
     ) -> AutoKnowReport:
         """Build the text-rich KG; returns the outcome report."""
-        from repro.core.ontology import Ontology
-
         report = AutoKnowReport()
         taxonomy = domain.taxonomy if self.curated_taxonomy else Ontology(name="discovered")
-        kg = TextRichKG(taxonomy=taxonomy, name="autoknow")
+        kg = KnowledgeGraph(ontology=taxonomy, name="autoknow")
 
         # ---- ontology enrichment (behavior -> taxonomy edges) ----------
         if behavior is not None:
@@ -125,16 +129,16 @@ class AutoKnow:
         types_covered = set()
         with span("autoknow.collect", n_products=len(domain.products)):
             for product in domain.products:
-                kg.add_topic(
-                    product.product_id,
-                    product.title_text,
-                    product.leaf_type,
-                )
+                # Type boundaries are fluid in this generation: an unknown
+                # type joins the taxonomy as a root.
+                if not taxonomy.has_class(product.leaf_type):
+                    taxonomy.add_class(product.leaf_type)
+                kg.add_entity(product.product_id, product.title_text, product.leaf_type)
                 # Catalog triples form the baseline KG content.
                 for attribute, value in sorted(product.catalog_values.items()):
-                    kg.add_value(
-                        product.product_id,
-                        AttributeValue(attribute=attribute, value=value, source="catalog"),
+                    kg.add_triple(
+                        Triple(product.product_id, attribute, value),
+                        Provenance(source="catalog"),
                     )
                     report.n_catalog_triples += 1
                     catalog_confusion += _judge(product, attribute, value)
@@ -157,11 +161,9 @@ class AutoKnow:
                 for attribute, value in sorted(kept.items()):
                     if product.catalog_values.get(attribute, "").lower() == value.lower():
                         continue  # already in the catalog
-                    kg.add_value(
-                        product.product_id,
-                        AttributeValue(
-                            attribute=attribute, value=value, confidence=0.9, source="txtract"
-                        ),
+                    kg.add_triple(
+                        Triple(product.product_id, attribute, value),
+                        Provenance(source="txtract", confidence=0.9),
                     )
                     final_confusion += _judge(product, attribute, value)
                     types_covered.add(product.product_type)
@@ -174,22 +176,16 @@ class AutoKnow:
                         if attribute not in product.catalog_values and attribute not in kept
                     ]
                     for imputation in imputer.impute_all(product, still_missing):
-                        kg.add_value(
-                            product.product_id,
-                            AttributeValue(
-                                attribute=imputation.attribute,
-                                value=imputation.value,
-                                confidence=imputation.confidence,
-                                source="imputation",
-                            ),
+                        kg.add_triple(
+                            Triple(product.product_id, imputation.attribute, imputation.value),
+                            Provenance(source="imputation", confidence=imputation.confidence),
                         )
                         report.n_imputed_triples += 1
                         imputation_confusion += _judge(
                             product, imputation.attribute, imputation.value
                         )
 
-        stats = kg.stats()
-        report.n_final_triples = stats["n_value_triples"]
+        report.n_final_triples = len(kg)
         report.n_types_covered = len(types_covered)
         report.extraction_accuracy = _confusion_precision(extraction_confusion)
         report.catalog_accuracy = _confusion_precision(catalog_confusion)

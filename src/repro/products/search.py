@@ -3,13 +3,14 @@
 The paper motivates text-rich KGs by the features they feed: "information
 display, product comparison, search, recommendation" (Sec. 3.2) and
 conversational shopping [48].  This module implements the first three on
-top of :class:`~repro.core.textrich.TextRichKG`:
+top of the :class:`~repro.core.graph.KnowledgeGraph` AutoKnow builds
+(products are entities typed by the taxonomy, attribute values are
+triples):
 
-* :meth:`ProductSearch.search` — parse a free-text query with the same
-  tagger family that built the KG (attribute values become filters, type
-  words become taxonomy filters), then intersect the KG's bipartite
-  indexes;
-* :meth:`ProductSearch.display` — the attribute-value panel for one topic
+* :meth:`ProductSearch.search` — parse a free-text query with the KG's own
+  vocabulary (attribute values become filters, type words become taxonomy
+  filters), then intersect the products carrying each value;
+* :meth:`ProductSearch.display` — the attribute-value panel for one product
   ("display information for human understanding (in attribute-value
   pairs)", Sec. 1);
 * :meth:`ProductSearch.compare` — the side-by-side table ("comparison (in
@@ -18,10 +19,11 @@ top of :class:`~repro.core.textrich.TextRichKG`:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.textrich import TextRichKG
+from repro.core.graph import KnowledgeGraph
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,15 @@ class SearchHit:
 class ProductSearch:
     """Attribute-aware search over the bipartite KG."""
 
-    kg: TextRichKG
+    kg: KnowledgeGraph
+
+    def _value_index(self) -> Dict[Tuple[str, str], Set[str]]:
+        """(attribute, lower-cased value) -> the products carrying it: the
+        value side of the bipartite graph, read off the triples."""
+        index: Dict[Tuple[str, str], Set[str]] = defaultdict(set)
+        for triple in self.kg.triples():
+            index[(triple.predicate, str(triple.object).lower())].add(triple.subject)
+        return index
 
     def parse(self, query: str) -> ParsedQuery:
         """Understand a query with KG vocabulary (no model needed: the KG
@@ -56,7 +66,7 @@ class ProductSearch:
         tokens = lowered.split()
         # Type filter: longest taxonomy class name appearing in the query.
         type_filter = None
-        for class_name in sorted(self.kg.taxonomy.classes(), key=len, reverse=True):
+        for class_name in sorted(self.kg.ontology.classes(), key=len, reverse=True):
             if class_name.lower() in lowered:
                 type_filter = class_name
                 break
@@ -64,11 +74,8 @@ class ProductSearch:
         # longest-first so "dark roast" beats "dark".
         value_filters: List[Tuple[str, str]] = []
         consumed: Set[str] = set()
-        candidates: List[Tuple[str, str]] = []
-        for attribute in self.kg.attributes():
-            for value in self.kg.distinct_values(attribute):
-                candidates.append((attribute, value))
-        for attribute, value in sorted(candidates, key=lambda av: -len(av[1])):
+        candidates = sorted(self._value_index(), key=lambda av: (-len(av[1]), av))
+        for attribute, value in candidates:
             if value in lowered and not any(value in other for other in consumed):
                 value_filters.append((attribute, value))
                 consumed.add(value)
@@ -89,16 +96,10 @@ class ProductSearch:
         parsed = self.parse(query)
         scores: Dict[str, float] = {}
         matched: Dict[str, List[str]] = {}
-        candidate_ids: Set[str] = set()
-        if parsed.type_filter is not None:
-            candidate_ids = {
-                topic.entity_id for topic in self.kg.topics(parsed.type_filter)
-            }
-        else:
-            candidate_ids = {topic.entity_id for topic in self.kg.topics()}
+        candidate_ids = {entity.entity_id for entity in self.kg.entities(parsed.type_filter)}
+        index = self._value_index()
         for attribute, value in parsed.value_filters:
-            holders = set(self.kg.topics_with_value(attribute, value))
-            for topic_id in holders & candidate_ids:
+            for topic_id in index[(attribute, value)] & candidate_ids:
                 scores[topic_id] = scores.get(topic_id, 0.0) + 1.0
                 matched.setdefault(topic_id, []).append(f"{attribute}={value}")
         if not parsed.value_filters:
@@ -106,7 +107,7 @@ class ProductSearch:
                 scores.setdefault(topic_id, 0.0)
         # Residual terms match against titles (weak signal).
         for topic_id in list(scores):
-            title = self.kg.topic(topic_id).title.lower()
+            title = self.kg.entity(topic_id).name.lower()
             bonus = sum(0.1 for term in parsed.residual_terms if term in title)
             scores[topic_id] += bonus
         ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
@@ -115,7 +116,7 @@ class ProductSearch:
             hits.append(
                 SearchHit(
                     topic_id=topic_id,
-                    title=self.kg.topic(topic_id).title,
+                    title=self.kg.entity(topic_id).name,
                     score=score,
                     matched=tuple(sorted(matched.get(topic_id, ()))),
                 )
@@ -123,18 +124,23 @@ class ProductSearch:
         return hits
 
     def display(self, topic_id: str) -> Dict[str, str]:
-        """The attribute-value panel for one topic (best value per attr)."""
-        panel: Dict[str, str] = {}
-        for record in self.kg.values(topic_id):
-            current = panel.get(record.attribute)
-            if current is None:
-                panel[record.attribute] = record.value
-        return panel
+        """The attribute-value panel for one product: per attribute, the
+        value with the highest provenance confidence (ties go to the first
+        in the graph's object order)."""
+        best: Dict[str, Tuple[float, str]] = {}
+        for triple in self.kg.query(subject=topic_id):
+            confidence = max(
+                (record.confidence for record in self.kg.provenance(triple)), default=0.0
+            )
+            current = best.get(triple.predicate)
+            if current is None or confidence > current[0]:
+                best[triple.predicate] = (confidence, triple.object)
+        return {attribute: value for attribute, (_confidence, value) in best.items()}
 
     def compare(self, topic_ids: Sequence[str]) -> List[List[str]]:
         """A side-by-side comparison table: header row then one row per
         attribute any of the topics carries."""
-        header = ["attribute"] + [self.kg.topic(topic_id).title for topic_id in topic_ids]
+        header = ["attribute"] + [self.kg.entity(topic_id).name for topic_id in topic_ids]
         attributes: Set[str] = set()
         panels = {}
         for topic_id in topic_ids:

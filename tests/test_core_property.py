@@ -1,8 +1,7 @@
 """Property-based invariants for core data structures.
 
 Complements the example-based tests: random operation sequences must keep
-the taxonomy acyclic and consistent, and the text-rich KG's reverse index
-must always agree with its forward records.
+the taxonomy acyclic and consistent.
 """
 
 import pytest
@@ -10,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ontology import Ontology, OntologyError
-from repro.core.textrich import AttributeValue, TextRichKG
 
 _class_names = st.sampled_from([f"C{i}" for i in range(8)])
 
@@ -55,41 +53,3 @@ def test_ontology_random_ops_stay_consistent(operations):
     for class_name in ontology.classes():
         assert ontology.depth(class_name) == len(ontology.ancestors(class_name))
 
-
-_topics = st.sampled_from(["t0", "t1", "t2"])
-_attributes = st.sampled_from(["flavor", "scent"])
-_values = st.sampled_from(["mocha", "vanilla", "mint"])
-
-
-@given(
-    st.lists(
-        st.tuples(st.sampled_from(["add", "remove"]), _topics, _attributes, _values),
-        max_size=40,
-    )
-)
-@settings(max_examples=80)
-def test_textrich_reverse_index_consistent(operations):
-    kg = TextRichKG()
-    for topic_id in ("t0", "t1", "t2"):
-        kg.add_topic(topic_id, topic_id.upper(), "Thing")
-    for operation, topic_id, attribute, value in operations:
-        if operation == "add":
-            kg.add_value(topic_id, AttributeValue(attribute=attribute, value=value))
-        else:
-            kg.remove_value(topic_id, attribute, value)
-    # Forward records and reverse index must agree exactly.
-    for topic_id in ("t0", "t1", "t2"):
-        for record in kg.values(topic_id):
-            assert topic_id in kg.topics_with_value(record.attribute, record.value)
-    for attribute in ("flavor", "scent"):
-        for value in ("mocha", "vanilla", "mint"):
-            for topic_id in kg.topics_with_value(attribute, value):
-                assert any(
-                    record.attribute == attribute and record.value == value
-                    for record in kg.values(topic_id)
-                )
-    # Stats agree with enumeration.
-    stats = kg.stats()
-    assert stats["n_value_triples"] == sum(
-        len(kg.values(topic_id)) for topic_id in ("t0", "t1", "t2")
-    )

@@ -53,4 +53,4 @@ class TestTextRichArchitecture:
         report = context.artifacts["report"]
         assert report.n_final_triples > report.n_catalog_triples
         kg = context.artifacts["kg"]
-        assert kg.stats()["n_topics"] == len(product_domain.products)
+        assert kg.stats()["n_entities"] == len(product_domain.products)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.graph import KnowledgeGraph
 from repro.core.ontology import Ontology
-from repro.core.textrich import AttributeValue, TextRichKG
 from repro.core.triple import Provenance, Triple
 from repro.obs import enabled_scope
 from repro.obs.metrics import MetricsRegistry, get_registry
@@ -36,12 +35,13 @@ def _movie_graph(n_movies=3, year="1995"):
 
 
 def _product_graph():
-    kg = TextRichKG(name="products")
-    kg.add_topic("p1", "Dark roast coffee", "Coffee")
-    kg.add_value("p1", AttributeValue(attribute="roast", value="dark", source="catalog"))
-    kg.add_value(
-        "p1",
-        AttributeValue(attribute="flavor", value="chocolate", confidence=0.9, source="txtract"),
+    taxonomy = Ontology()
+    taxonomy.add_class("Coffee")
+    kg = KnowledgeGraph(ontology=taxonomy, name="products")
+    kg.add_entity("p1", "Dark roast coffee", "Coffee")
+    kg.add_triple(Triple("p1", "roast", "dark"), Provenance(source="catalog"))
+    kg.add_triple(
+        Triple("p1", "flavor", "chocolate"), Provenance(source="txtract", confidence=0.9)
     )
     return kg
 

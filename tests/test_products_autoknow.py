@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.codec import load_graph, save_graph
 from repro.products.autoknow import AutoKnow
 
 
@@ -37,10 +38,26 @@ class TestAutoKnow:
         assert report.final_accuracy > 0.8
 
     def test_kg_populated(self, run, product_domain):
-        autoknow, _report = run
+        autoknow, report = run
         stats = autoknow.kg_.stats()
-        assert stats["n_topics"] == len(product_domain.products)
-        assert stats["n_value_triples"] > 0
+        assert stats["n_entities"] == len(product_domain.products)
+        assert len(autoknow.kg_) == report.n_final_triples > 0
+
+    def test_kg_round_trips_through_a_snapshot(self, run, tmp_path):
+        """The AutoKnow graph saves and loads like any other: triples,
+        per-source provenance and the taxonomy come back equal."""
+        kg = run[0].kg_
+        path = str(tmp_path / "autoknow.rkgs")
+        save_graph(kg, path)
+        loaded = load_graph(path)
+        assert list(loaded.triples()) == list(kg.triples())
+        assert list(loaded.attributed_triples()) == list(kg.attributed_triples())
+        assert sorted(loaded.ontology.classes()) == sorted(kg.ontology.classes())
+        for class_name in kg.ontology.classes():
+            assert loaded.ontology.parent(class_name) == kg.ontology.parent(class_name)
+        assert [
+            (entity.entity_id, entity.name, entity.entity_class) for entity in loaded.entities()
+        ] == [(entity.entity_id, entity.name, entity.entity_class) for entity in kg.entities()]
 
     def test_catalog_accuracy_tracked(self, run):
         _autoknow, report = run

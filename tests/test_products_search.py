@@ -2,24 +2,29 @@
 
 import pytest
 
-from repro.core.textrich import AttributeValue, TextRichKG
+from repro.core.graph import KnowledgeGraph
+from repro.core.ontology import Ontology
+from repro.core.triple import Provenance, Triple
 from repro.products.search import ProductSearch
+
+CATALOG = Provenance(source="catalog")
 
 
 @pytest.fixture
 def kg():
-    kg = TextRichKG()
-    kg.taxonomy.add_class("Coffee")
-    kg.taxonomy.add_class("Ground Coffee", parent="Coffee")
-    kg.taxonomy.add_class("Tea")
-    kg.add_topic("c1", "Onus mocha dark roast Ground Coffee", "Ground Coffee")
-    kg.add_value("c1", AttributeValue(attribute="flavor", value="mocha"))
-    kg.add_value("c1", AttributeValue(attribute="roast", value="dark roast"))
-    kg.add_topic("c2", "Brio vanilla Ground Coffee", "Ground Coffee")
-    kg.add_value("c2", AttributeValue(attribute="flavor", value="vanilla"))
-    kg.add_value("c2", AttributeValue(attribute="roast", value="light roast"))
-    kg.add_topic("t1", "Verdant mint Tea", "Tea")
-    kg.add_value("t1", AttributeValue(attribute="flavor", value="mint"))
+    taxonomy = Ontology()
+    taxonomy.add_class("Coffee")
+    taxonomy.add_class("Ground Coffee", parent="Coffee")
+    taxonomy.add_class("Tea")
+    kg = KnowledgeGraph(ontology=taxonomy)
+    kg.add_entity("c1", "Onus mocha dark roast Ground Coffee", "Ground Coffee")
+    kg.add_triple(Triple("c1", "flavor", "Mocha"), CATALOG)
+    kg.add_triple(Triple("c1", "roast", "dark roast"), CATALOG)
+    kg.add_entity("c2", "Brio vanilla Ground Coffee", "Ground Coffee")
+    kg.add_triple(Triple("c2", "flavor", "vanilla"), CATALOG)
+    kg.add_triple(Triple("c2", "roast", "light roast"), CATALOG)
+    kg.add_entity("t1", "Verdant mint Tea", "Tea")
+    kg.add_triple(Triple("t1", "flavor", "mint"), CATALOG)
     return kg
 
 
@@ -47,7 +52,9 @@ class TestParse:
 
 class TestSearch:
     def test_value_filtered_search(self, search):
-        hits = search.search("mocha coffee")
+        """Values match case-insensitively: "MOCHA" finds the catalog's
+        "Mocha"."""
+        hits = search.search("MOCHA coffee")
         assert hits[0].topic_id == "c1"
         assert "flavor=mocha" in hits[0].matched
 
@@ -71,17 +78,27 @@ class TestSearch:
 class TestDisplayCompare:
     def test_display_panel(self, search):
         panel = search.display("c1")
-        assert panel == {"flavor": "mocha", "roast": "dark roast"}
+        assert panel == {"flavor": "Mocha", "roast": "dark roast"}
+
+    def test_display_picks_highest_confidence(self, search, kg):
+        """A slot with a catalog value and a different extracted one shows
+        the catalog's (1.0 over 0.9), whichever was inserted first."""
+        kg.add_entity("c3", "Brio dark roast Ground Coffee", "Ground Coffee")
+        kg.add_triple(
+            Triple("c3", "roast", "dark roast"), Provenance(source="txtract", confidence=0.9)
+        )
+        kg.add_triple(Triple("c3", "roast", "medium roast"), CATALOG)
+        assert search.display("c3") == {"roast": "medium roast"}
 
     def test_compare_table_shape(self, search):
         rows = search.compare(["c1", "c2"])
         assert rows[0][0] == "attribute"
         assert len(rows[0]) == 3
         flavor_row = next(row for row in rows if row[0] == "flavor")
-        assert flavor_row[1:] == ["mocha", "vanilla"]
+        assert flavor_row[1:] == ["Mocha", "vanilla"]
 
     def test_compare_missing_values_dashed(self, search, kg):
-        kg.add_value("c1", AttributeValue(attribute="caffeine", value="decaf"))
+        kg.add_triple(Triple("c1", "caffeine", "decaf"), CATALOG)
         rows = search.compare(["c1", "c2"])
         caffeine_row = next(row for row in rows if row[0] == "caffeine")
         assert caffeine_row[1:] == ["decaf", "-"]
