@@ -12,7 +12,7 @@ import pytest
 from repro.evalx.tables import ResultTable
 from repro.ml.metrics import BinaryConfusion
 from repro.products.cleaning import KnowledgeCleaner
-from repro.products.opentag import OpenTagModel, mentioned_attributes, train_test_split
+from repro.products.opentag import OpenTagModel, score_extractions, train_test_split
 
 TASKS = (
     ("Coffee", ("flavor", "roast", "caffeine", "size")),
@@ -22,23 +22,12 @@ TASKS = (
 
 
 def _score(model, cleaner, test, product_type, use_cleaning):
-    confusion = BinaryConfusion()
-    for product in test:
+    def predict(product):
         predicted = model.extract(product)
-        if use_cleaning:
-            predicted = cleaner.clean(predicted, product_type)
-        mentioned = mentioned_attributes(product)
-        for attribute in model.attributes:
-            truth = product.true_values.get(attribute)
-            has_truth = attribute in mentioned and truth is not None
-            prediction = predicted.get(attribute)
-            if prediction is not None and has_truth and prediction.lower() == truth.lower():
-                confusion += BinaryConfusion(true_positive=1)
-            elif prediction is not None:
-                confusion += BinaryConfusion(false_positive=1)
-            elif has_truth:
-                confusion += BinaryConfusion(false_negative=1)
-    return confusion
+        return cleaner.clean(predicted, product_type) if use_cleaning else predicted
+
+    confusions = score_extractions(test, model.attributes, predict)
+    return sum(confusions.values(), BinaryConfusion())
 
 
 def _run(domain):

@@ -378,7 +378,9 @@ def _provenance_v1(
 
 
 def save_graph(
-    graph: KnowledgeGraph, path: str, include_lineage: Optional[bool] = None
+    graph: KnowledgeGraph,
+    path: Union[str, "os.PathLike[str]"],
+    include_lineage: Optional[bool] = None,
 ) -> int:
     """Write ``graph`` to ``path`` in the binary snapshot format.
 
@@ -388,6 +390,7 @@ def save_graph(
     lineage ledger exactly when lineage recording is enabled.  The write
     is atomic (temp file + rename).  Returns bytes written.
     """
+    path = os.fspath(path)
     if include_lineage is None:
         include_lineage = obs_lineage.lineage_enabled()
 

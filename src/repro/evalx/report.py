@@ -29,7 +29,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 from repro.evalx.tables import render_table
 from repro.evalx.tracerun import TraceResult
 from repro.obs import export as obs_export
-from repro.obs.quality import QualityDiff, QualitySnapshot, RegressionThresholds
+from repro.obs.quality import QualityDiff, QualitySnapshot, RegressionThresholds, diff_snapshots
 
 
 def render_span_tree(spans: Sequence[Mapping[str, object]]) -> List[str]:
@@ -64,33 +64,6 @@ def render_span_tree(spans: Sequence[Mapping[str, object]]) -> List[str]:
     for root in children.get(None, []):
         walk(root, 0)
     return lines
-
-
-def diff_against_baseline(
-    current_quality: Sequence[Mapping[str, object]],
-    baseline_quality: Sequence[Mapping[str, object]],
-    thresholds: Optional[RegressionThresholds] = None,
-) -> List[QualityDiff]:
-    """Pair snapshots by name and diff current against baseline.
-
-    Snapshots present only on one side are skipped (a new graph in the
-    pipeline is not a regression; a vanished one shows up as the missing
-    metrics of whatever snapshot still pairs).
-    """
-    baseline_by_name = {
-        str(record.get("name")): record for record in baseline_quality
-    }
-    diffs: List[QualityDiff] = []
-    for record in current_quality:
-        base = baseline_by_name.get(str(record.get("name")))
-        if base is None:
-            continue
-        diffs.append(
-            QualitySnapshot.from_dict(dict(record)).diff(
-                QualitySnapshot.from_dict(dict(base)), thresholds
-            )
-        )
-    return diffs
 
 
 class ReportInputError(ValueError):
@@ -378,7 +351,7 @@ def build_report(
     diffs: List[QualityDiff] = []
     if baseline is not None:
         baseline_quality = baseline.get("quality") or []
-        diffs = diff_against_baseline(result.quality, baseline_quality, thresholds)
+        diffs = diff_snapshots(result.quality, baseline_quality, thresholds)
     return RunReport(result=result, diffs=diffs, baseline_path=baseline_path)
 
 

@@ -14,7 +14,8 @@ Pipeline here, mirroring Ceres [32]:
    positives for that attribute, everything else negatives (noisy on
    purpose: coincidental matches produce label noise, as in the original);
 3. **Per-site model** — multinomial logistic regression over structural +
-   local-context features of each text node;
+   local-context features of each text node, one-hot encoded by
+   :class:`~repro.ml.logistic.FeatureVocabulary`;
 4. **Extraction** — classify nodes of unseen pages, emit the best node per
    attribute above a confidence threshold.
 """
@@ -30,7 +31,7 @@ from repro.core.graph import KnowledgeGraph
 from repro.core.parallel import pmap
 from repro.core.triple import AttributedTriple, Provenance, Triple
 from repro.extract.dom import DomNode, preceding_text
-from repro.ml.logistic import LogisticRegression
+from repro.ml.logistic import FeatureVocabulary, LogisticRegression
 from repro.obs import metrics as obs_metrics
 from repro.obs.profiling import profiled
 
@@ -160,31 +161,6 @@ class DistantSupervisor:
         return feature_lists, labels, n_annotated
 
 
-class _FeatureVocabulary:
-    """String features -> dense indicator vectors."""
-
-    def __init__(self):
-        self._index: Dict[str, int] = {}
-
-    def fit(self, feature_lists: Sequence[Sequence[str]]) -> None:
-        for features in feature_lists:
-            for feature in features:
-                if feature not in self._index:
-                    self._index[feature] = len(self._index)
-
-    def transform(self, feature_lists: Sequence[Sequence[str]]) -> np.ndarray:
-        matrix = np.zeros((len(feature_lists), max(len(self._index), 1)))
-        for row, features in enumerate(feature_lists):
-            for feature in features:
-                column = self._index.get(feature)
-                if column is not None:
-                    matrix[row, column] = 1.0
-        return matrix
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-
 @dataclass
 class CeresExtractor:
     """A per-site ClosedIE extractor trained by distant supervision."""
@@ -192,7 +168,7 @@ class CeresExtractor:
     site_name: str
     confidence_threshold: float = 0.5
     seed: int = 0
-    _vocabulary: _FeatureVocabulary = field(default_factory=_FeatureVocabulary, init=False, repr=False)
+    _vocabulary: FeatureVocabulary = field(default_factory=FeatureVocabulary, init=False)
     _model: Optional[LogisticRegression] = field(default=None, init=False, repr=False)
     _labels: List[str] = field(default_factory=list, init=False)
     n_training_pages_: int = field(default=0, init=False)
@@ -211,9 +187,7 @@ class CeresExtractor:
         self.n_training_pages_ = n_annotated
         self._labels = sorted(set(labels) | {NONE_LABEL})
         label_index = {label: index for index, label in enumerate(self._labels)}
-        self._vocabulary = _FeatureVocabulary()
-        self._vocabulary.fit(feature_lists)
-        matrix = self._vocabulary.transform(feature_lists)
+        matrix = self._vocabulary.fit(feature_lists).transform(feature_lists)
         targets = np.array([label_index[label] for label in labels])
         self._model = LogisticRegression(
             learning_rate=0.8, n_iterations=250, l2=1e-4, seed=self.seed

@@ -5,7 +5,9 @@ PRA predicts whether a relation holds between two entities from the
 supported by the path ``stars -> stars^-1 -> directed_by`` (co-actors'
 movies share directors far more often than random pairs).  Path signatures
 become binary features of a logistic model trained on known edges vs
-corrupted negatives.
+corrupted negatives; :class:`~repro.ml.logistic.FeatureVocabulary` gives
+each signature its column in first-seen order (``paths_`` lists them in
+that order).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from repro.core.graph import KnowledgeGraph
 from repro.core.query import PathQuery
-from repro.ml.logistic import LogisticRegression
+from repro.ml.logistic import FeatureVocabulary, LogisticRegression
 
 PathSignature = Tuple[Tuple[str, int], ...]
 
@@ -32,6 +34,7 @@ class PathRankingModel:
     n_negatives_per_positive: int = 2
     seed: int = 0
     paths_: List[PathSignature] = field(default_factory=list, init=False)
+    _vocabulary: FeatureVocabulary = field(default_factory=FeatureVocabulary, init=False)
     _model: Optional[LogisticRegression] = field(default=None, init=False, repr=False)
 
     def fit(self, graph: KnowledgeGraph) -> "PathRankingModel":
@@ -46,25 +49,12 @@ class PathRankingModel:
         rng = np.random.default_rng(self.seed)
         negatives = self._corrupt(graph, positives, rng)
         query = PathQuery(graph, max_length=self.max_path_length)
-        raw_features: List[Dict[PathSignature, int]] = []
-        labels: List[int] = []
-        for subject, obj in positives:
-            raw_features.append(self._pair_paths(query, subject, obj))
-            labels.append(1)
-        for subject, obj in negatives:
-            raw_features.append(self._pair_paths(query, subject, obj))
-            labels.append(0)
-        vocabulary: Dict[PathSignature, int] = {}
-        for paths in raw_features:
-            for signature in paths:
-                if signature not in vocabulary:
-                    vocabulary[signature] = len(vocabulary)
-        self.paths_ = sorted(vocabulary, key=lambda s: vocabulary[s])
-        matrix = np.zeros((len(raw_features), max(len(vocabulary), 1)))
-        for row, paths in enumerate(raw_features):
-            for signature in paths:
-                matrix[row, vocabulary[signature]] = 1.0
-        self._vocabulary = vocabulary
+        raw_features = [
+            self._pair_paths(query, subject, obj) for subject, obj in positives + negatives
+        ]
+        labels = [1] * len(positives) + [0] * len(negatives)
+        matrix = self._vocabulary.fit(raw_features).transform(raw_features)
+        self.paths_ = list(self._vocabulary)
         self._model = LogisticRegression(learning_rate=0.8, n_iterations=300, seed=self.seed)
         self._model.fit(matrix, labels)
         self._graph = graph
@@ -75,12 +65,7 @@ class PathRankingModel:
         if self._model is None:
             raise RuntimeError("model is not fitted")
         query = PathQuery(self._graph, max_length=self.max_path_length)
-        paths = self._pair_paths(query, subject, obj)
-        row = np.zeros((1, max(len(self._vocabulary), 1)))
-        for signature in paths:
-            index = self._vocabulary.get(signature)
-            if index is not None:
-                row[0, index] = 1.0
+        row = self._vocabulary.transform([self._pair_paths(query, subject, obj)])
         return float(self._model.predict_proba(row)[0, 1])
 
     def score_pairs(self, pairs: Sequence[Tuple[str, str]]) -> List[float]:

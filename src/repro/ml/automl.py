@@ -15,6 +15,8 @@ from typing import Callable, Dict, Iterable, List, Mapping, Sequence
 
 import numpy as np
 
+from repro.ml.metrics import accuracy
+
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -44,7 +46,7 @@ class GridSearch:
 
     model_factory: Callable[..., object]
     grid: Mapping[str, Sequence[object]]
-    scorer: Callable[[Sequence, Sequence], float] = None
+    scorer: Callable[[Sequence, Sequence], float] = accuracy
     n_folds: int = 3
     seed: int = 0
     results_: List[SearchResult] = field(default_factory=list, init=False)
@@ -60,7 +62,6 @@ class GridSearch:
         targets = np.asarray(labels)
         if len(matrix) != len(targets):
             raise ValueError("features and labels must be parallel")
-        scorer = self.scorer or _accuracy
         folds = self._folds(len(matrix))
         self.results_ = []
         for params in self._configurations():
@@ -73,7 +74,7 @@ class GridSearch:
                 model = self.model_factory(**params)
                 model.fit(matrix[train_index], targets[train_index])
                 predictions = model.predict(matrix[test_index])
-                fold_scores.append(scorer(list(targets[test_index]), list(predictions)))
+                fold_scores.append(self.scorer(list(targets[test_index]), list(predictions)))
             self.results_.append(SearchResult(params=params, score=float(np.mean(fold_scores))))
         self.results_.sort(key=lambda result: -result.score)
         best = self.results_[0]
@@ -100,10 +101,3 @@ class GridSearch:
         permutation = rng.permutation(n_samples)
         n_folds = min(self.n_folds, n_samples)
         return [fold for fold in np.array_split(permutation, n_folds) if len(fold)]
-
-
-def _accuracy(y_true: Sequence, y_pred: Sequence) -> float:
-    if not y_true:
-        return 1.0
-    matches = sum(1 for truth, pred in zip(y_true, y_pred) if truth == pred)
-    return matches / len(y_true)

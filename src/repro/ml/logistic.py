@@ -1,14 +1,16 @@
-"""Binary and multinomial logistic regression on numpy.
+"""Binary and multinomial logistic regression on numpy, and its featurizer.
 
 Used as the confidence model for distantly-supervised extraction (Sec. 2.3),
-as the combiner over PRA path features (Sec. 2.4), and as the read-out layer
-of the GNN extractors.
+as the combiner over PRA path features (Sec. 2.4), as TXtract's product-type
+head (Sec. 3.3), and as the read-out layer of the GNN extractors.  The first
+three one-hot encode their features (Ceres's node features, PRA's path
+signatures, TXtract's title tokens) with :class:`FeatureVocabulary`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Dict, Hashable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -17,6 +19,46 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     exponentials = np.exp(shifted)
     return exponentials / exponentials.sum(axis=1, keepdims=True)
+
+
+class FeatureVocabulary:
+    """Hashable features -> dense 0/1 indicator rows, one column per feature.
+
+    Columns follow first-seen order in ``fit``; ``transform`` ignores
+    features the fit never saw and is at least one column wide.
+    """
+
+    def __init__(self) -> None:
+        self._index: Dict[Hashable, int] = {}
+
+    def fit(self, feature_lists: Iterable[Iterable[Hashable]]) -> "FeatureVocabulary":
+        """Index the features of ``feature_lists``, replacing any earlier fit."""
+        self._index = {}
+        for features in feature_lists:
+            for feature in features:
+                self._index.setdefault(feature, len(self._index))
+        return self
+
+    def transform(self, feature_lists: Iterable[Iterable[Hashable]]) -> np.ndarray:
+        """One indicator row per feature list."""
+        feature_lists = list(feature_lists)
+        matrix = np.zeros((len(feature_lists), max(len(self._index), 1)))
+        for row, features in enumerate(feature_lists):
+            for feature in features:
+                column = self._index.get(feature)
+                if column is not None:
+                    matrix[row, column] = 1.0
+        return matrix
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __iter__(self) -> Iterator[Hashable]:
+        """The features in column order."""
+        return iter(self._index)
+
+    def __repr__(self) -> str:
+        return f"FeatureVocabulary({len(self)} features)"
 
 
 @dataclass

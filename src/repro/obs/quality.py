@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.obs._flags import FLAGS
 from repro.obs.metrics import MetricsRegistry, get_registry
@@ -336,6 +336,29 @@ class QualityDiff:
                 ]
             )
         return rows
+
+
+def diff_snapshots(
+    current: Iterable[Mapping[str, object]],
+    baseline: Iterable[Mapping[str, object]],
+    thresholds: Optional[RegressionThresholds] = None,
+) -> List[QualityDiff]:
+    """Pair snapshot dicts by name and diff each current one against its baseline.
+
+    Snapshots on one side only are skipped: a new graph is not a
+    regression.  Used by ``repro report`` and ``repro runs diff``.
+    """
+    baseline_by_name = {str(record.get("name")): record for record in baseline}
+    diffs: List[QualityDiff] = []
+    for record in current:
+        base = baseline_by_name.get(str(record.get("name")))
+        if base is not None:
+            diffs.append(
+                QualitySnapshot.from_dict(dict(record)).diff(
+                    QualitySnapshot.from_dict(dict(base)), thresholds
+                )
+            )
+    return diffs
 
 
 # ---------------------------------------------------------------------------

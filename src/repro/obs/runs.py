@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.obs.quality import QualityDiff, QualitySnapshot, RegressionThresholds
+from repro.obs.quality import QualityDiff, QualitySnapshot, RegressionThresholds, diff_snapshots
 
 #: Default registry directory, relative to the repo root / results dir.
 RUNS_DIRNAME = "runs"
@@ -257,20 +257,7 @@ class RunRegistry:
         if run_a is None or run_b is None:
             missing = run_id_a if run_a is None else run_id_b
             raise KeyError(f"run {missing!r} not in registry {self.path}")
-        baseline_by_name = {
-            str(record.get("name")): record for record in run_a.quality
-        }
-        diffs: List[QualityDiff] = []
-        for record in run_b.quality:
-            base = baseline_by_name.get(str(record.get("name")))
-            if base is None:
-                continue
-            diffs.append(
-                QualitySnapshot.from_dict(record).diff(
-                    QualitySnapshot.from_dict(base), thresholds
-                )
-            )
-        return diffs
+        return diff_snapshots(run_b.quality, run_a.quality, thresholds)
 
     # ---- drift detection -----------------------------------------------
 

@@ -1,7 +1,8 @@
 """Text-rich KG construction for the product domain (Sec. 3).
 
 * :mod:`repro.products.opentag` — OpenTag-style NER extraction of attribute
-  values from product profiles (the Sec. 3.1 seed technique);
+  values from product profiles (the Sec. 3.1 seed technique), and the
+  value-level scorer every extractor below reports through;
 * :mod:`repro.products.pipelines` — the Fig. 5(a) production pipeline and
   the Fig. 5(b) automated pipeline, with a manual-work ledger;
 * :mod:`repro.products.cleaning` — knowledge cleaning via taxonomy-aware

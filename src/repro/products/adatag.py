@@ -20,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.datagen.products import LabeledText, ProductRecord
+from repro.datagen.products import ProductRecord
 from repro.ml.embeddings import hash_embedding
 from repro.ml.metrics import BinaryConfusion
-from repro.ml.tagger import BIO, SequenceTagger
-from repro.products.opentag import distant_bio_tags, gold_bio_tags, mentioned_attributes
+from repro.ml.tagger import SequenceTagger
+from repro.products.opentag import bio_tag_rule, score_extractions
 
 
 def attribute_context_features(attribute: str, n_buckets: int = 8) -> List[str]:
@@ -54,20 +54,15 @@ class AdaTagModel:
         self, products: Sequence[ProductRecord], supervision: str = "gold"
     ) -> "AdaTagModel":
         """Train on the per-attribute expansion of the product corpus."""
+        tag = bio_tag_rule(supervision)
         sentences: List[List[str]] = []
         tag_sequences: List[List[str]] = []
         contexts: List[List[str]] = []
         for product in products:
             for text in product.all_texts():
                 for attribute in self.attributes:
-                    if supervision == "gold":
-                        tags = gold_bio_tags(text, {attribute})
-                    elif supervision == "distant":
-                        tags = distant_bio_tags(text, product.catalog_values, {attribute})
-                    else:
-                        raise ValueError(f"unknown supervision mode {supervision!r}")
                     sentences.append(list(text.tokens))
-                    tag_sequences.append(tags)
+                    tag_sequences.append(tag(text, product, {attribute}))
                     contexts.append(attribute_context_features(attribute))
         self.tagger_ = SequenceTagger(n_epochs=self.n_epochs, seed=self.seed)
         self.tagger_.fit(sentences, tag_sequences, contexts=contexts)
@@ -91,27 +86,8 @@ class AdaTagModel:
 
     def evaluate(self, products: Sequence[ProductRecord]) -> Dict[str, BinaryConfusion]:
         """Per-attribute value-level confusion on held-out products."""
-        confusions: Dict[str, BinaryConfusion] = {
-            attribute: BinaryConfusion() for attribute in self.attributes
-        }
-        for product in products:
-            predicted = self.extract(product)
-            mentioned = mentioned_attributes(product)
-            for attribute in self.attributes:
-                truth = product.true_values.get(attribute)
-                has_truth = attribute in mentioned and truth is not None
-                prediction = predicted.get(attribute)
-                if prediction is not None and has_truth and prediction.lower() == truth.lower():
-                    confusions[attribute] += BinaryConfusion(true_positive=1)
-                elif prediction is not None:
-                    confusions[attribute] += BinaryConfusion(false_positive=1)
-                elif has_truth:
-                    confusions[attribute] += BinaryConfusion(false_negative=1)
-        return confusions
+        return score_extractions(products, self.attributes, self.extract)
 
     def micro_f1(self, products: Sequence[ProductRecord]) -> float:
         """Micro-averaged F1 over all attributes."""
-        total = BinaryConfusion()
-        for confusion in self.evaluate(products).values():
-            total += confusion
-        return total.f1
+        return sum(self.evaluate(products).values(), BinaryConfusion()).f1

@@ -20,7 +20,7 @@ added.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional
 
 from repro.core.graph import KnowledgeGraph
 from repro.core.ontology import Ontology
@@ -187,10 +187,10 @@ class AutoKnow:
 
         report.n_final_triples = len(kg)
         report.n_types_covered = len(types_covered)
-        report.extraction_accuracy = _confusion_precision(extraction_confusion)
-        report.catalog_accuracy = _confusion_precision(catalog_confusion)
-        report.imputation_accuracy = _confusion_precision(imputation_confusion)
-        report.final_accuracy = _confusion_precision(final_confusion)
+        report.extraction_accuracy = extraction_confusion.precision
+        report.catalog_accuracy = catalog_confusion.precision
+        report.imputation_accuracy = imputation_confusion.precision
+        report.final_accuracy = final_confusion.precision
         obs_metrics.count("autoknow.catalog_triples", report.n_catalog_triples)
         obs_metrics.count("autoknow.extracted_triples", report.n_extracted_triples)
         obs_metrics.count("autoknow.cleaned_triples", report.n_cleaned_triples)
@@ -209,10 +209,3 @@ def _judge(product, attribute: str, value: str) -> BinaryConfusion:
     if truth is not None and truth.lower() == value.lower():
         return BinaryConfusion(true_positive=1)
     return BinaryConfusion(false_positive=1)
-
-
-def _confusion_precision(confusion: BinaryConfusion) -> float:
-    total = confusion.true_positive + confusion.false_positive
-    if total == 0:
-        return 1.0
-    return confusion.true_positive / total

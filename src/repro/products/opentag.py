@@ -11,18 +11,21 @@ Supervision comes in two flavors matching Fig. 5:
   production pipeline);
 * **distant** — spans located by matching noisy catalog values against the
   profile text (the automated pipeline), which inherits catalog errors.
+
+The module also owns :func:`score_extractions`, the one value-level scorer
+that every tagger of Sec. 3 and both Fig. 5 pipelines report through.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.datagen.products import LabeledText, ProductRecord
 from repro.ml.metrics import BinaryConfusion
-from repro.ml.tagger import BIO, OUTSIDE, SequenceTagger
+from repro.ml.tagger import BIO, SequenceTagger
 
 
 def gold_bio_tags(text: LabeledText, attributes: Set[str]) -> List[str]:
@@ -59,6 +62,20 @@ def distant_bio_tags(
     return BIO.encode(list(text.tokens), spans)
 
 
+def bio_tag_rule(supervision: str) -> Callable[[LabeledText, ProductRecord, Set[str]], List[str]]:
+    """The tag rule ``rule(text, product, attributes)`` of ``"gold"`` or ``"distant"``.
+
+    Any other mode raises ``ValueError`` here, before any training.
+    """
+    if supervision == "gold":
+        return lambda text, _product, attributes: gold_bio_tags(text, attributes)
+    if supervision == "distant":
+        return lambda text, product, attributes: distant_bio_tags(
+            text, product.catalog_values, attributes
+        )
+    raise ValueError(f"unknown supervision mode {supervision!r}")
+
+
 @dataclass
 class OpenTagModel:
     """A sequence tagger over product-profile tokens.
@@ -84,20 +101,15 @@ class OpenTagModel:
         (catalog matching).  ``contexts`` supplies per-product context
         features (one list per product; applied to all its texts).
         """
+        tag = bio_tag_rule(supervision)
         attribute_set = set(self.attributes)
         sentences: List[List[str]] = []
         tag_sequences: List[List[str]] = []
         context_rows: Optional[List[List[str]]] = [] if contexts is not None else None
         for index, product in enumerate(products):
             for text in product.all_texts():
-                if supervision == "gold":
-                    tags = gold_bio_tags(text, attribute_set)
-                elif supervision == "distant":
-                    tags = distant_bio_tags(text, product.catalog_values, attribute_set)
-                else:
-                    raise ValueError(f"unknown supervision mode {supervision!r}")
                 sentences.append(list(text.tokens))
-                tag_sequences.append(tags)
+                tag_sequences.append(tag(text, product, attribute_set))
                 if context_rows is not None:
                     context_rows.append(list(contexts[index]))
         self.tagger_ = SequenceTagger(n_epochs=self.n_epochs, seed=self.seed)
@@ -121,46 +133,13 @@ class OpenTagModel:
                     found[attribute] = value
         return found
 
-    def evaluate(
-        self,
-        products: Sequence[ProductRecord],
-        contexts: Optional[Sequence[Sequence[str]]] = None,
-    ) -> Dict[str, BinaryConfusion]:
-        """Value-level confusion per attribute against text-supported truth.
+    def evaluate(self, products: Sequence[ProductRecord]) -> Dict[str, BinaryConfusion]:
+        """Value-level confusion per attribute against text-mentioned truth."""
+        return score_extractions(products, self.attributes, self.extract)
 
-        A product contributes a positive for attribute A only when the true
-        value actually appears in its profile (an extractor cannot recover
-        what the text never says; PAM exists for that).
-        """
-        confusions: Dict[str, BinaryConfusion] = {
-            attribute: BinaryConfusion() for attribute in self.attributes
-        }
-        for index, product in enumerate(products):
-            context = list(contexts[index]) if contexts is not None else []
-            predicted = self.extract(product, context)
-            mentioned = mentioned_attributes(product)
-            for attribute in self.attributes:
-                truth = product.true_values.get(attribute)
-                has_truth = attribute in mentioned and truth is not None
-                prediction = predicted.get(attribute)
-                if prediction is not None and has_truth and prediction.lower() == truth.lower():
-                    confusions[attribute] += BinaryConfusion(true_positive=1)
-                elif prediction is not None:
-                    confusions[attribute] += BinaryConfusion(false_positive=1)
-                elif has_truth:
-                    confusions[attribute] += BinaryConfusion(false_negative=1)
-        return confusions
-
-    def micro_f1(
-        self,
-        products: Sequence[ProductRecord],
-        contexts: Optional[Sequence[Sequence[str]]] = None,
-    ) -> float:
+    def micro_f1(self, products: Sequence[ProductRecord]) -> float:
         """Micro-averaged F1 over all attributes."""
-        total = BinaryConfusion()
-        for confusion in self.evaluate(products, contexts).values():
-            total += confusion
-        return total.f1
+        return sum(self.evaluate(products).values(), BinaryConfusion()).f1
 
 
 def mentioned_attributes(product: ProductRecord) -> Set[str]:
@@ -168,6 +147,36 @@ def mentioned_attributes(product: ProductRecord) -> Set[str]:
     return {
         attribute for text in product.all_texts() for _s, _e, attribute in text.spans
     }
+
+
+def score_extractions(
+    products: Sequence[ProductRecord],
+    attributes: Sequence[str],
+    predict: Callable[[ProductRecord], Mapping[str, str]],
+    mentioned_only: bool = True,
+) -> Dict[str, BinaryConfusion]:
+    """Value-level confusion per attribute of ``predict(product)`` against truth.
+
+    A prediction equal to the true value (case-insensitively) is a true
+    positive, any other a false positive; an unpredicted truth is a false
+    negative.  With ``mentioned_only`` a truth counts only if the profile
+    text mentions it, as no text extractor can recover it otherwise; PAM,
+    whose contribution is recovering such values, passes ``False``.
+    """
+    confusions = {attribute: BinaryConfusion() for attribute in attributes}
+    for product in products:
+        predicted = predict(product)
+        counted = mentioned_attributes(product) if mentioned_only else product.true_values
+        for attribute in attributes:
+            truth = product.true_values.get(attribute) if attribute in counted else None
+            prediction = predicted.get(attribute)
+            if prediction is not None and truth is not None and prediction.lower() == truth.lower():
+                confusions[attribute] += BinaryConfusion(true_positive=1)
+            elif prediction is not None:
+                confusions[attribute] += BinaryConfusion(false_positive=1)
+            elif truth is not None:
+                confusions[attribute] += BinaryConfusion(false_negative=1)
+    return confusions
 
 
 def train_test_split(

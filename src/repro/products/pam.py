@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 from repro.datagen.products import ProductRecord
 from repro.ml.metrics import BinaryConfusion
-from repro.products.opentag import OpenTagModel, mentioned_attributes
+from repro.products.opentag import OpenTagModel, mentioned_attributes, score_extractions
 
 
 def _image_signature(value: str) -> str:
@@ -97,36 +97,17 @@ class PAMExtractor:
     def evaluate(
         self, products: Sequence[ProductRecord], multimodal: bool = True
     ) -> Dict[str, BinaryConfusion]:
-        """Value-level confusion per attribute.
+        """Value-level confusion per attribute, unmentioned truth included.
 
-        Unlike the text-only evaluation, truth here includes values *not*
-        mentioned in the text — recovering those is PAM's contribution, so
+        Recovering values the text never mentions is PAM's contribution, so
         the text-only baseline is charged for missing them.
         """
-        confusions: Dict[str, BinaryConfusion] = {
-            attribute: BinaryConfusion() for attribute in self.attributes
-        }
-        for product in products:
-            predicted = (
-                self.extract(product) if multimodal else self.extract_text_only(product)
-            )
-            for attribute in self.attributes:
-                truth = product.true_values.get(attribute)
-                prediction = predicted.get(attribute)
-                if prediction is not None and truth is not None and prediction.lower() == truth.lower():
-                    confusions[attribute] += BinaryConfusion(true_positive=1)
-                elif prediction is not None:
-                    confusions[attribute] += BinaryConfusion(false_positive=1)
-                elif truth is not None:
-                    confusions[attribute] += BinaryConfusion(false_negative=1)
-        return confusions
+        predict = self.extract if multimodal else self.extract_text_only
+        return score_extractions(products, self.attributes, predict, mentioned_only=False)
 
     def micro_f1(self, products: Sequence[ProductRecord], multimodal: bool = True) -> float:
         """Micro-averaged F1 (set ``multimodal=False`` for the baseline)."""
-        total = BinaryConfusion()
-        for confusion in self.evaluate(products, multimodal=multimodal).values():
-            total += confusion
-        return total.f1
+        return sum(self.evaluate(products, multimodal=multimodal).values(), BinaryConfusion()).f1
 
     def unseen_value_recall(self, products: Sequence[ProductRecord]) -> float:
         """Recall on values absent from the product's own text.

@@ -17,16 +17,14 @@ couple of months to a couple of weeks" (Sec. 3.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Sequence, Tuple
 
 from repro.datagen.products import ProductDomain, ProductRecord
 from repro.ml.metrics import BinaryConfusion
 from repro.obs import metrics as obs_metrics
 from repro.obs.profiling import profiled
 from repro.products.cleaning import KnowledgeCleaner
-from repro.products.opentag import OpenTagModel, train_test_split
+from repro.products.opentag import OpenTagModel, score_extractions, train_test_split
 
 #: Manual-work cost (person-hours) of each manual activity, rough but
 #: internally consistent; the benchmark reports ratios, not absolutes.
@@ -94,31 +92,13 @@ class ProductionPipeline:
         # 2. Fine-tune hyper-parameters (manual): emulate by trying a couple
         #    of epoch settings under human supervision.
         ledger.charge("hyperparameter_tuning")
-        best_model, best_f1 = None, -1.0
-        for n_epochs in (6, 10):
-            model = OpenTagModel(
-                attributes=self.attributes, n_epochs=n_epochs, seed=self.seed
-            ).fit(labeled, supervision="gold")
-            f1 = model.micro_f1(labeled)
-            if f1 > best_f1:
-                best_model, best_f1 = model, f1
+        model = _best_model(self.attributes, self.seed, (6, 10), labeled, "gold", labeled)
         # 3. Post-process with hand-written rule filtering.
         cleaner = KnowledgeCleaner.from_rules(domain)
         ledger.charge("write_postprocess_rule", count=cleaner.n_rules)
-        confusion = _evaluate_with_cleaning(best_model, cleaner, test, product_type)
         # 4. Pre-publish evaluation gate (manual audit).
-        ledger.charge("prepublish_review")
-        published = confusion.f1 >= self.quality_bar
-        obs_metrics.observe("products.pipeline.manual_hours", ledger.total_hours)
-        return PipelineResult(
-            pipeline="production(5a)",
-            product_type=product_type,
-            f1=confusion.f1,
-            precision=confusion.precision,
-            recall=confusion.recall,
-            manual_hours=ledger.total_hours,
-            published=published,
-            ledger=ledger,
+        return _prepublish_gate(
+            "production(5a)", model, cleaner, test, product_type, ledger, self.quality_bar
         )
 
 
@@ -141,57 +121,58 @@ class AutomatedPipeline:
         #    human-labeled ("tens to hundreds", Sec. 3.2).
         ledger.charge("benchmark_label", count=min(self.n_benchmark_labels, len(test)))
         # 2. AutoML replaces manual tuning: pick epochs by benchmark F1.
-        best_model, best_f1 = None, -1.0
         benchmark = test[: self.n_benchmark_labels]
-        for n_epochs in (4, 6, 10):
-            model = OpenTagModel(
-                attributes=self.attributes, n_epochs=n_epochs, seed=self.seed
-            ).fit(train, supervision="distant")
-            f1 = model.micro_f1(benchmark)
-            if f1 > best_f1:
-                best_model, best_f1 = model, f1
+        model = _best_model(self.attributes, self.seed, (4, 6, 10), train, "distant", benchmark)
         # 3. ML-based cleaning learned from catalog statistics (no rules
         #    hand-written for this type).
         cleaner = KnowledgeCleaner.from_catalog_statistics(domain)
-        confusion = _evaluate_with_cleaning(best_model, cleaner, test, product_type)
         # 4. Same pre-publish gate, still a (cheap) human audit.
-        ledger.charge("prepublish_review")
-        published = confusion.f1 >= self.quality_bar
-        obs_metrics.observe("products.pipeline.manual_hours", ledger.total_hours)
-        return PipelineResult(
-            pipeline="automated(5b)",
-            product_type=product_type,
-            f1=confusion.f1,
-            precision=confusion.precision,
-            recall=confusion.recall,
-            manual_hours=ledger.total_hours,
-            published=published,
-            ledger=ledger,
+        return _prepublish_gate(
+            "automated(5b)", model, cleaner, test, product_type, ledger, self.quality_bar
         )
 
 
-def _evaluate_with_cleaning(
+def _best_model(
+    attributes: Tuple[str, ...],
+    seed: int,
+    epoch_grid: Sequence[int],
+    train: Sequence[ProductRecord],
+    supervision: str,
+    benchmark: Sequence[ProductRecord],
+) -> OpenTagModel:
+    """The OpenTag epoch setting with the best micro-F1 on ``benchmark`` (first on ties)."""
+    models = [
+        OpenTagModel(attributes=attributes, n_epochs=n_epochs, seed=seed).fit(
+            train, supervision=supervision
+        )
+        for n_epochs in epoch_grid
+    ]
+    return max(models, key=lambda model: model.micro_f1(benchmark))
+
+
+def _prepublish_gate(
+    pipeline: str,
     model: OpenTagModel,
     cleaner: KnowledgeCleaner,
     test: Sequence[ProductRecord],
     product_type: str,
-) -> BinaryConfusion:
-    """Value-level evaluation of extract -> clean on held-out products."""
-    from repro.products.opentag import mentioned_attributes
-
-    total = BinaryConfusion()
-    for product in test:
-        predicted = model.extract(product)
-        kept = cleaner.clean(predicted, product_type)
-        mentioned = mentioned_attributes(product)
-        for attribute in model.attributes:
-            truth = product.true_values.get(attribute)
-            has_truth = attribute in mentioned and truth is not None
-            prediction = kept.get(attribute)
-            if prediction is not None and has_truth and prediction.lower() == truth.lower():
-                total += BinaryConfusion(true_positive=1)
-            elif prediction is not None:
-                total += BinaryConfusion(false_positive=1)
-            elif has_truth:
-                total += BinaryConfusion(false_negative=1)
-    return total
+    ledger: ManualWorkLedger,
+    quality_bar: float,
+) -> PipelineResult:
+    """Score extract -> clean on held-out products and apply the pre-publish gate."""
+    confusions = score_extractions(
+        test, model.attributes, lambda product: cleaner.clean(model.extract(product), product_type)
+    )
+    confusion = sum(confusions.values(), BinaryConfusion())
+    ledger.charge("prepublish_review")
+    obs_metrics.observe("products.pipeline.manual_hours", ledger.total_hours)
+    return PipelineResult(
+        pipeline=pipeline,
+        product_type=product_type,
+        f1=confusion.f1,
+        precision=confusion.precision,
+        recall=confusion.recall,
+        manual_hours=ledger.total_hours,
+        published=confusion.f1 >= quality_bar,
+        ledger=ledger,
+    )

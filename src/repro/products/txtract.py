@@ -23,9 +23,9 @@ import numpy as np
 
 from repro.datagen.products import ProductRecord
 from repro.ml.embeddings import hash_embedding
-from repro.ml.logistic import LogisticRegression
+from repro.ml.logistic import FeatureVocabulary, LogisticRegression
 from repro.ml.metrics import BinaryConfusion
-from repro.products.opentag import OpenTagModel
+from repro.products.opentag import OpenTagModel, score_extractions
 
 
 def type_context_features(product_type: str, department: str, n_buckets: int = 8) -> List[str]:
@@ -55,7 +55,7 @@ class TXtractModel:
     tagger_: Optional[OpenTagModel] = field(default=None, init=False, repr=False)
     _type_classifier: Optional[LogisticRegression] = field(default=None, init=False, repr=False)
     _type_labels: List[str] = field(default_factory=list, init=False)
-    _vocabulary: Dict[str, int] = field(default_factory=dict, init=False)
+    _vocabulary: FeatureVocabulary = field(default_factory=FeatureVocabulary, init=False)
     _departments: Dict[str, str] = field(default_factory=dict, init=False)
 
     def fit(
@@ -79,21 +79,9 @@ class TXtractModel:
         """The multi-task head: predict the product type from the title."""
         self._type_labels = sorted({product.product_type for product in products})
         label_index = {label: i for i, label in enumerate(self._type_labels)}
-        self._vocabulary = {}
-        rows = []
-        for product in products:
-            for token in product.title.tokens:
-                lowered = token.lower()
-                if lowered not in self._vocabulary:
-                    self._vocabulary[lowered] = len(self._vocabulary)
-        matrix = np.zeros((len(products), max(len(self._vocabulary), 1)))
-        targets = np.zeros(len(products), dtype=int)
-        for row, product in enumerate(products):
-            targets[row] = label_index[product.product_type]
-            for token in product.title.tokens:
-                column = self._vocabulary.get(token.lower())
-                if column is not None:
-                    matrix[row, column] = 1.0
+        titles = [[token.lower() for token in product.title.tokens] for product in products]
+        matrix = self._vocabulary.fit(titles).transform(titles)
+        targets = np.array([label_index[product.product_type] for product in products])
         self._type_classifier = LogisticRegression(
             learning_rate=0.8, n_iterations=200, seed=self.seed
         )
@@ -103,11 +91,7 @@ class TXtractModel:
         """Auxiliary-task inference of the product type from the title."""
         if self._type_classifier is None:
             raise RuntimeError("model is not fitted")
-        row = np.zeros((1, max(len(self._vocabulary), 1)))
-        for token in product.title.tokens:
-            column = self._vocabulary.get(token.lower())
-            if column is not None:
-                row[0, column] = 1.0
+        row = self._vocabulary.transform([[token.lower() for token in product.title.tokens]])
         index = int(self._type_classifier.predict(row)[0])
         return self._type_labels[index]
 
@@ -126,14 +110,8 @@ class TXtractModel:
 
     def evaluate(self, products: Sequence[ProductRecord]) -> Dict[str, BinaryConfusion]:
         """Per-attribute value-level confusion on held-out products."""
-        if self.tagger_ is None:
-            raise RuntimeError("model is not fitted")
-        contexts = [self._context_for(product) for product in products]
-        return self.tagger_.evaluate(products, contexts=contexts)
+        return score_extractions(products, self.attributes, self.extract)
 
     def micro_f1(self, products: Sequence[ProductRecord]) -> float:
         """Micro-averaged F1 over all attributes."""
-        total = BinaryConfusion()
-        for confusion in self.evaluate(products).values():
-            total += confusion
-        return total.f1
+        return sum(self.evaluate(products).values(), BinaryConfusion()).f1

@@ -114,6 +114,13 @@ class TestSnapshotRoundTrip:
         assert len(loaded) == 0
         assert list(loaded.entities()) == []
 
+    def test_path_objects_are_accepted(self, tmp_path):
+        path = tmp_path / "g.rkgs"
+        n_bytes = codec.save_graph(_sample_graph(), path, include_lineage=False)
+        assert n_bytes == path.stat().st_size
+        assert not (tmp_path / "g.rkgs.tmp").exists()
+        assert _triples(codec.load_graph(path)) == _triples(_sample_graph())
+
     def test_lineage_section_round_trip(self, tmp_path):
         path = str(tmp_path / "g.rkgs")
         with enabled_scope():

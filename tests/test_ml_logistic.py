@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ml.logistic import LogisticRegression
+from repro.ml.logistic import FeatureVocabulary, LogisticRegression
 
 
 def _separable(n=150, seed=0):
@@ -72,3 +72,27 @@ class TestLogisticRegression:
         model = LogisticRegression(learning_rate=0.2, n_iterations=1000).fit(features, labels)
         accuracy = float(np.mean(model.predict(features) == labels))
         assert accuracy > 0.9
+
+
+class TestFeatureVocabulary:
+    def test_columns_in_first_seen_order(self):
+        vocabulary = FeatureVocabulary().fit([["b", "a"], ["c", "a"], [("path", 1)]])
+        assert list(vocabulary) == ["b", "a", "c", ("path", 1)]
+        matrix = vocabulary.transform([["a", "c"]])
+        assert matrix.tolist() == [[0.0, 1.0, 1.0, 0.0]]
+
+    def test_transform_ignores_unseen_features(self):
+        vocabulary = FeatureVocabulary().fit([["x", "y"]])
+        matrix = vocabulary.transform([["y", "never-seen"], []])
+        assert matrix.tolist() == [[0.0, 1.0], [0.0, 0.0]]
+
+    def test_empty_fit_is_one_column_wide(self):
+        vocabulary = FeatureVocabulary().fit([])
+        assert len(vocabulary) == 0
+        assert vocabulary.transform([["x"], []]).shape == (2, 1)
+        assert not vocabulary.transform([["x"]]).any()
+
+    def test_refit_replaces_the_columns(self):
+        vocabulary = FeatureVocabulary().fit([["a", "b"]])
+        vocabulary.fit([["c"]])
+        assert list(vocabulary) == ["c"]

@@ -5,13 +5,9 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.evalx.report import (
-    build_report,
-    diff_against_baseline,
-    load_baseline,
-    render_span_tree,
-)
+from repro.evalx.report import build_report, load_baseline, render_span_tree
 from repro.evalx.tracerun import TraceResult
+from repro.obs.quality import diff_snapshots
 
 
 def _tiny_workload():
@@ -106,14 +102,14 @@ class TestBaselineDiff:
             {"name": "a", "n_triples": 10, "n_entities": 5},
             {"name": "only_baseline", "n_triples": 9, "n_entities": 9},
         ]
-        diffs = diff_against_baseline(current, baseline)
+        diffs = diff_snapshots(current, baseline)
         assert [diff.snapshot_name for diff in diffs] == ["a"]
         assert not diffs[0].has_regressions
 
     def test_detects_drop(self):
         current = [{"name": "a", "n_triples": 5, "n_entities": 5}]
         baseline = [{"name": "a", "n_triples": 10, "n_entities": 5}]
-        (diff,) = diff_against_baseline(current, baseline)
+        (diff,) = diff_snapshots(current, baseline)
         assert diff.has_regressions
 
     def test_load_baseline_missing_returns_none(self, tmp_path):

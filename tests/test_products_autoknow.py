@@ -47,7 +47,7 @@ class TestAutoKnow:
         """The AutoKnow graph saves and loads like any other: triples,
         per-source provenance and the taxonomy come back equal."""
         kg = run[0].kg_
-        path = str(tmp_path / "autoknow.rkgs")
+        path = tmp_path / "autoknow.rkgs"
         save_graph(kg, path)
         loaded = load_graph(path)
         assert list(loaded.triples()) == list(kg.triples())

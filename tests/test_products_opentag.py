@@ -2,14 +2,37 @@
 
 import pytest
 
+from repro.datagen.products import LabeledText, ProductRecord
+from repro.ml.metrics import BinaryConfusion
 from repro.ml.tagger import OUTSIDE
+from repro.products.adatag import AdaTagModel
 from repro.products.opentag import (
     OpenTagModel,
+    bio_tag_rule,
     distant_bio_tags,
     gold_bio_tags,
     mentioned_attributes,
+    score_extractions,
     train_test_split,
 )
+
+
+def _mocha():
+    """A hand-built product whose text mentions flavor and roast, not size."""
+    return ProductRecord(
+        product_id="B1",
+        leaf_type="Coffee",
+        product_type="Coffee",
+        department="Grocery",
+        title=LabeledText(
+            tokens=("Mocha", "Dark", "Roast", "Coffee"),
+            spans=((0, 1, "flavor"), (1, 3, "roast")),
+        ),
+        bullets=[],
+        true_values={"flavor": "mocha", "roast": "dark roast", "size": "12 oz"},
+        catalog_values={"flavor": "vanilla"},
+        image_tokens=[],
+    )
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +74,58 @@ class TestLabeling:
         product = product_domain.products[0]
         mentioned = mentioned_attributes(product)
         assert mentioned <= set(product.true_values)
+
+
+class TestScoreExtractions:
+    ATTRIBUTES = ("flavor", "roast", "size")
+
+    def _score(self, predicted, mentioned_only=True):
+        return score_extractions(
+            [_mocha()], self.ATTRIBUTES, lambda _product: predicted, mentioned_only
+        )
+
+    def test_case_insensitive_match_is_a_true_positive(self):
+        confusions = self._score({"flavor": "MOCHA"})
+        assert confusions["flavor"] == BinaryConfusion(true_positive=1)
+
+    def test_wrong_value_is_a_false_positive(self):
+        confusions = self._score({"roast": "light roast"})
+        assert confusions["roast"] == BinaryConfusion(false_positive=1)
+
+    def test_unmentioned_truth_is_a_false_positive_when_mentioned_only(self):
+        confusions = self._score({"size": "12 oz"})
+        assert confusions["size"] == BinaryConfusion(false_positive=1)
+
+    def test_unmentioned_truth_is_a_true_positive_otherwise(self):
+        confusions = self._score({"size": "12 oz"}, mentioned_only=False)
+        assert confusions["size"] == BinaryConfusion(true_positive=1)
+
+    def test_unpredicted_mentioned_truth_is_a_false_negative(self):
+        confusions = self._score({})
+        assert confusions == {
+            "flavor": BinaryConfusion(false_negative=1),
+            "roast": BinaryConfusion(false_negative=1),
+            "size": BinaryConfusion(),
+        }
+        assert self._score({}, mentioned_only=False)["size"] == BinaryConfusion(
+            false_negative=1
+        )
+
+
+class TestBioTagRule:
+    def test_gold_and_distant_rules(self):
+        product = _mocha()
+        gold = bio_tag_rule("gold")(product.title, product, {"flavor"})
+        assert gold == gold_bio_tags(product.title, {"flavor"})
+        distant = bio_tag_rule("distant")(product.title, product, {"flavor"})
+        assert distant == distant_bio_tags(product.title, product.catalog_values, {"flavor"})
+        assert set(distant) == {OUTSIDE}  # the catalog's "vanilla" is not in the text
+
+    @pytest.mark.parametrize("model", [OpenTagModel(("flavor",)), AdaTagModel(("flavor",))])
+    def test_unknown_supervision_rejected_before_training(self, model):
+        with pytest.raises(ValueError, match="unknown supervision mode 'psychic'"):
+            model.fit([], supervision="psychic")
+        assert model.tagger_ is None
 
 
 class TestOpenTagModel:
